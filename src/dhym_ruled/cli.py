@@ -12,7 +12,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -51,10 +53,27 @@ THRESHOLDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents, so it would take "-1e-4"
+        # for an option; no option name here looks like a number
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$|^-(?:inf|infinity|nan)$",
+            re.IGNORECASE,
+        )
+
     # argparse exits 2 on usage errors by default; the contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _samples(text: str) -> int:
+    """A grid size: both interval ends need at least two samples."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {n}")
+    return n
 
 
 def _add_surface_args(p):
@@ -114,8 +133,15 @@ def residual_summary(s, b, sol, prof, num: int = 1001) -> dict:
     return out
 
 
-def residuals_pass(summary: dict) -> bool:
-    return all(summary[k] <= v for k, v in THRESHOLDS.items() if k in summary)
+def residual_failure(summary: dict) -> str | None:
+    """The exit-4 message naming the first THRESHOLDS key over its bound.
+
+    None when every residual in the summary passes (NaN never passes).
+    """
+    for key, bound in THRESHOLDS.items():
+        if key in summary and not summary[key] <= bound:
+            return f"residual suite failed: {key} = {summary[key]!r} > {bound!r}"
+    return None
 
 
 def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
@@ -256,36 +282,44 @@ def cmd_solve(args) -> int:
     s, b, sol, prof, alpha_prime = _solve_pipeline(args)
     d = build_descriptor(s, b, sol, prof, alpha_prime)
     _write(format_descriptor(d), args.out)
-    if not residuals_pass(d):
-        print("residual suite failed", file=sys.stderr)
+    failure = residual_failure(d)
+    if failure:
+        print(failure, file=sys.stderr)
         return EXIT_RESIDUAL
     if sol.regularity == "holder12":
         return EXIT_SEMISTABLE
     return EXIT_OK
 
 
+def _reprs(a: np.ndarray):
+    """Lossless text of each float of ``a``, streamed."""
+    return map(repr, a.tolist())
+
+
 def cmd_profile(args) -> int:
     s, b, sol, prof, _ = _solve_pipeline(args)
     t = np.linspace(sol.t_minus, sol.t_plus, args.samples)
-    rows = ["t,phi,psi,H,im_residual,scalar_residual"]
-    for ti in t:
-        H = dhym.eval_H(sol, ti)
-        psi = coupled.eval_psi(prof, ti)
-        phi = psi / (2.0 * ti)
-        if sol.regularity == "holder12" and ti == sol.t_minus:
-            im_s = scal_s = ""  # derivative-based columns undefined at the
-            # square-root endpoint
-        else:
-            im, _re = coupled.phase_and_radius(prof, s, b, sol, ti)
-            scal = coupled.scalar_residual(prof, s, b, ti)
-            im_s, scal_s = _r(im), _r(scal)
-        rows.append(f"{_r(ti)},{_r(phi)},{_r(psi)},{_r(H)},{im_s},{scal_s}")
-    _write("\n".join(rows) + "\n", args.out)
-    summary = residual_summary(s, b, sol, prof)
-    if not residuals_pass(summary):
-        print("residual suite failed", file=sys.stderr)
+    H = dhym.eval_H(sol, t)
+    psi = coupled.eval_psi(prof, t)
+    phi = psi / (2.0 * t)
+    # the derivative-based columns are undefined at the square-root endpoint
+    # of a holder12 solution, so row 0 gets blank cells there
+    holder = sol.regularity == "holder12"
+    td = t[1:] if holder else t
+    im, _ = coupled.phase_and_radius(prof, s, b, sol, td)
+    scal = coupled.scalar_residual(prof, s, b, td)
+    blank = [""] if holder else []
+    rows = zip(
+        _reprs(t), _reprs(phi), _reprs(psi), _reprs(H),
+        chain(blank, _reprs(im)), chain(blank, _reprs(scal)),
+    )
+    header = "t,phi,psi,H,im_residual,scalar_residual"
+    _write("\n".join(chain([header], map(",".join, rows))) + "\n", args.out)
+    failure = residual_failure(residual_summary(s, b, sol, prof))
+    if failure:
+        print(failure, file=sys.stderr)
         return EXIT_RESIDUAL
-    return EXIT_SEMISTABLE if sol.regularity == "holder12" else EXIT_OK
+    return EXIT_SEMISTABLE if holder else EXIT_OK
 
 
 def cmd_tke(args) -> int:
@@ -306,15 +340,14 @@ def cmd_tke(args) -> int:
 
 
 def cmd_figure2(args) -> int:
-    beta_bar = tke.beta_asymptote(args.k, args.kprime, args.h)
-    rows = [f"# beta_bar = {beta_bar!r}", "beta,H"]
-    for beta in np.linspace(0.0, 1.0, args.samples):
-        beta = float(beta)
-        try:
-            rows.append(f"{beta!r},{_r(tke.H_beta(args.k, args.kprime, args.h, beta))}")
-        except DhymRuledError:
-            rows.append(f"{beta!r},")
-    _write("\n".join(rows) + "\n", args.out)
+    s = make_surface(args.k, args.h, args.kprime)
+    beta_bar = tke.beta_asymptote(s.k, s.kprime, s.h)
+    beta = np.linspace(0.0, 1.0, args.samples)
+    H, pole = tke._H_beta_values(s.k, s.kprime, s.h, beta)
+    cells = ("" if p else v for v, p in zip(_reprs(H), pole.tolist()))
+    rows = map(",".join, zip(_reprs(beta), cells))
+    header = [f"# beta_bar = {beta_bar!r}", "beta,H"]
+    _write("\n".join(chain(header, rows)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -366,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bundle_args(p)
     _add_common_args(p)
     p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--samples", type=int, default=1001)
+    p.add_argument("--samples", type=_samples, default=1001)
     p.add_argument("--allow-semistable", action="store_true")
     p.set_defaults(func=cmd_profile)
 
@@ -381,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure2", help="emit the cone-angle matching curve")
     _add_surface_args(p)
     _add_common_args(p)
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=_samples, default=101)
     p.set_defaults(func=cmd_figure2)
 
     p = sub.add_parser("limits", help="scaled-family convergence study")

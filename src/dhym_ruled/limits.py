@@ -70,8 +70,10 @@ def scaled_solution(
     s: SurfaceParams, b: BundleClass, alpha_prime: float
 ) -> tuple[DhymSolution, ProfilePoly]:
     """Solve the coupled system for the class scaled by alpha'."""
-    if not alpha_prime > 0:
-        raise ValidationError(f"alpha_prime must be positive, got {alpha_prime!r}")
+    if not (math.isfinite(alpha_prime) and alpha_prime > 0):
+        raise ValidationError(
+            f"alpha_prime must be finite and positive, got {alpha_prime!r}"
+        )
     b = canonicalize(b)
     bs = BundleClass(k1=alpha_prime * b.k1, k2=alpha_prime * b.k2,
                      conjugated=b.conjugated)

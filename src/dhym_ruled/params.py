@@ -42,12 +42,17 @@ class BundleClass:
 
     ``conjugated`` records that the input had k1 > 0 and was reduced via the
     symmetry (k1, k2) -> (-k1, -k2); solutions for the original data are the
-    negatives of the solutions computed from the reduced data.
+    negatives of the solutions computed from the reduced data.  Non-finite
+    k1 or k2 is rejected on construction.
     """
 
     k1: float
     k2: float
     conjugated: bool = False
+
+    def __post_init__(self):
+        _require_finite("k1", self.k1)
+        _require_finite("k2", self.k2)
 
 
 class StabilityClass(enum.Enum):
@@ -88,6 +93,11 @@ class CohClass:
     b: float
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 def make_surface(k: int, h: int, kprime: float) -> SurfaceParams:
     """Build SurfaceParams, deriving x and s_sigma."""
     if not (isinstance(k, int) and k >= 1):
@@ -95,6 +105,7 @@ def make_surface(k: int, h: int, kprime: float) -> SurfaceParams:
     if not (isinstance(h, int) and h >= 0):
         raise ValidationError(f"h must be a non-negative integer, got {h!r}")
     kprime = float(kprime)
+    _require_finite("kprime", kprime)
     if not (kprime > 0):
         raise ValidationError(f"kprime must be positive, got {kprime!r}")
     x = k / (k + kprime)
@@ -123,6 +134,7 @@ def stability_margin(s: SurfaceParams, b: BundleClass) -> float:
 
 
 def classify(margin: float, tol: float = DEFAULT_STABILITY_TOL) -> StabilityClass:
+    _require_finite("tol", tol)
     if tol < 0:
         raise ValidationError("tol must be >= 0")
     if abs(margin) <= tol:
@@ -180,6 +192,7 @@ def from_complexified(
     would require a constant-scalar-curvature metric, which does not exist on
     these surfaces.
     """
+    _require_finite("kpp", kpp)
     if kpp == 0.0:
         raise ValidationError("kpp = 0: no canonical representative exists")
     s = make_surface(k, h, kprime)

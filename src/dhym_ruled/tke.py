@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coupled import beta_infinity
 from .errors import PoleError, TkeNotFoundError, ValidationError
 from .params import BundleClass, CohClass, SurfaceParams, canonicalize
@@ -60,14 +62,25 @@ def beta_asymptote(k: int, kprime: float, h: int) -> float:
     )
 
 
-def H_beta(k: int, kprime: float, h: int, beta: float) -> float:
-    """The matching function H(k, k', h, beta); pole at the asymptote."""
+def _H_beta_values(k: int, kprime: float, h: int, beta):
+    """H(k, k', h, beta) and a mask of the samples at its pole.
+
+    Plain arithmetic, so a float ``beta`` costs no array round trip and an
+    array ``beta`` is evaluated in one pass; values under the mask are NaN.
+    """
     num = 2.0 * (1.0 - h) / (k + kprime) + 2.0 * (beta - 1.0) * k / kprime - 1.0
     den = 2.0 * (1.0 - h) / (k + kprime) + 3.0 * (kprime / k) * (1.0 - beta) + 4.0 - 6.0 * beta
     scale = max(1.0, abs(2.0 * (1.0 - h) / (k + kprime)), 3.0 * kprime / k + 6.0)
-    if abs(den) < 1e-12 * scale:
+    pole = abs(den) < 1e-12 * scale
+    return 2.0 * num / np.where(pole, np.nan, den), pole
+
+
+def H_beta(k: int, kprime: float, h: int, beta: float) -> float:
+    """The matching function H(k, k', h, beta); pole at the asymptote."""
+    value, pole = _H_beta_values(k, kprime, h, beta)
+    if pole:
         raise PoleError(f"beta = {beta} is the vertical asymptote")
-    return 2.0 * num / den
+    return float(value)
 
 
 def ricci_class(s: SurfaceParams, beta0: float, beta_inf: float) -> CohClass:

@@ -3,9 +3,11 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from dhym_ruled.cli import parse_descriptor, reverify
+from dhym_ruled import BundleClass, canonicalize, coupled, dhym, make_surface
+from dhym_ruled.cli import THRESHOLDS, parse_descriptor, reverify
 
 BASE = [sys.executable, "-m", "dhym_ruled"]
 FIG1 = ["--k", "1", "--h", "0", "--kprime", "5", "--k1", "-1", "--k2", "1"]
@@ -178,3 +180,112 @@ def test_limits_small(tmp_path):
     )
     assert r.returncode == 0
     assert "# branch = 1" in out.read_text()
+
+
+@pytest.mark.parametrize("command", ["profile", "figure2"])
+@pytest.mark.parametrize("samples", ["-3", "0", "1"])
+def test_samples_below_two_usage_error(command, samples):
+    cls = FIG1 if command == "profile" else FIG1[:6]
+    r = run(command, *cls, "--samples", samples)
+    assert r.returncode == 1
+    assert "--samples" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+NONFINITE_ARGV = {
+    "--kprime": ["solve", "--k", "1", "--k1", "-1", "--k2", "1", "--kprime"],
+    "figure2 --kprime": ["figure2", "--k", "1", "--h", "6", "--kprime"],
+    "--k1": ["check", "--k", "1", "--kprime", "5", "--k2", "1", "--k1"],
+    "--k2": ["check", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2"],
+    "--kpp": ["check", "--k", "1", "--kprime", "5", "--complexified", "--kpp"],
+    "--alpha-prime": ["solve", *FIG1, "--alpha-prime"],
+    "--tol": ["solve", *FIG1, "--tol"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", list(NONFINITE_ARGV))
+def test_nonfinite_input_usage_error(flag, value):
+    r = run(*NONFINITE_ARGV[flag], value)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_negative_scientific_notation_is_a_value():
+    base = ["check", "--k", "1", "--h", "0", "--kprime", "5"]
+    r = run(*base, "--k1", "-1e-4", "--k2", "-2.5E+3")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run(*base, "--k1=-1e-4", "--k2=-2.5E+3").stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *FIG1, "--alpha-prime", "1e-4"],
+    ["profile", "--k", "1", "--h", "0", "--kprime", "5", "--k1", "-1e-4", "--k2", "1e-4"],
+])
+def test_residual_failure_names_the_check(argv):
+    r = run(*argv)
+    assert r.returncode == 4
+    msg = r.stderr.strip().splitlines()[-1]
+    assert msg.startswith("residual suite failed: ")
+    key, _, rest = msg.removeprefix("residual suite failed: ").partition(" = ")
+    value, _, bound = rest.partition(" > ")
+    assert float(bound) == THRESHOLDS[key]
+    assert float(value) > THRESHOLDS[key]
+
+
+def _basis_scale(prof, t):
+    """Largest single basis term of psi at t (the cancellation scale)."""
+    u = max(t ** 2 + prof.Cprime, 0.0)
+    return max(1.0, abs(prof.d0), abs(prof.d1 * t), abs(prof.c2 * t ** 2),
+               abs(prof.c3 * t ** 3), abs(prof.cR * u ** 1.5))
+
+
+@pytest.mark.parametrize("cls, beta0, extra, code", [
+    ((1, 0, 5.0, -1.0, 1.0), 1.0, [], 0),
+    ((3, 2, 9.0, 1.3, 0.7), 0.3, ["--beta0", "0.3"], 0),
+    ((1, 0, 4.0, -1.0, 1.0), 1.0, ["--allow-semistable"], 2),
+])
+def test_profile_columns_match_pointwise_calls(tmp_path, cls, beta0, extra, code):
+    k, h, kp, k1, k2 = cls
+    out = tmp_path / "prof.csv"
+    r = run("profile", "--k", str(k), "--h", str(h), f"--kprime={kp!r}",
+            f"--k1={k1!r}", f"--k2={k2!r}", "--samples", "401", *extra,
+            "--out", str(out))
+    assert r.returncode == code
+    assert r.stderr == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 401
+
+    s = make_surface(k, h, kp)
+    b = canonicalize(BundleClass(k1=k1, k2=k2))
+    sol = dhym.solve_dhym(s, b)
+    prof = coupled.conical_coefficients(s, b, beta0)
+    holder = sol.regularity == "holder12"
+    assert holder == (code == 2)
+    blank = [i for i, row in enumerate(rows) if row[4] == "" or row[5] == ""]
+    assert blank == ([0] if holder else [])
+
+    for i in np.linspace(0, len(rows) - 1, 16).astype(int):
+        t = float(rows[i][0])
+        psi = coupled.eval_psi(prof, t)
+        want = [psi / (2.0 * t), psi, dhym.eval_H(sol, t)]
+        if not (holder and i == 0):
+            want.append(coupled.phase_and_radius(prof, s, b, sol, t)[0])
+            want.append(coupled.scalar_residual(prof, s, b, t))
+        bound = 1e-12 * _basis_scale(prof, t)
+        got = [float(cell) for cell in rows[i][1:1 + len(want)]]
+        assert np.all(np.abs(np.subtract(got, want)) <= bound), (i, got, want)
+
+
+def test_figure2_blank_cell_at_pole(tmp_path):
+    out = tmp_path / "fig2.csv"
+    r = run("figure2", "--k", "1", "--h", "6", "--kprime", "1",
+            "--samples", "10", "--out", str(out))
+    assert r.returncode == 0
+    assert r.stderr == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 10
+    # beta = 2/9 is the third sample and the vertical asymptote
+    assert float(rows[2][0]) == pytest.approx(2.0 / 9.0, rel=1e-15)
+    assert [i for i, row in enumerate(rows) if row[1] == ""] == [2]

@@ -46,6 +46,19 @@ def test_H_beta_closed_form(fig2_surface):
         tke.H_beta(1, 1.0, 6, 2.0 / 9.0)
 
 
+@pytest.mark.parametrize("k, kprime, h", [(1, 1.0, 6), (3, 9.0, 2), (2, 0.5, 0)])
+def test_H_beta_grid_matches_scalar_calls(k, kprime, h):
+    beta = np.linspace(0.0, 1.0, 10)
+    values, pole = tke._H_beta_values(k, kprime, h, beta)
+    for b, v, p in zip(beta.tolist(), values.tolist(), pole.tolist()):
+        if p:
+            with pytest.raises(PoleError):
+                tke.H_beta(k, kprime, h, b)
+        else:
+            assert v == tke.H_beta(k, kprime, h, b)
+    assert pole.any() == ((k, kprime, h) == (1, 1.0, 6))
+
+
 def test_beta_asymptote(fig2_surface):
     s = fig2_surface
     # rational check: beta_bar = 2/9 exactly for (1, 1, 6)
