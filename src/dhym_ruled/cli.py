@@ -19,7 +19,12 @@ from itertools import chain
 import numpy as np
 
 from . import coupled, dhym, limits, tke
-from .errors import DhymRuledError, NoSolutionError, TkeNotFoundError
+from .errors import (
+    DhymRuledError,
+    NoSolutionError,
+    TkeNotFoundError,
+    ValidationError,
+)
 from .params import (
     BundleClass,
     StabilityClass,
@@ -29,6 +34,7 @@ from .params import (
     from_complexified,
     make_surface,
     phase_constant,
+    require_cone_angle,
     stability_margin,
 )
 
@@ -74,6 +80,14 @@ def _samples(text: str) -> int:
     if n < 2:
         raise argparse.ArgumentTypeError(f"must be >= 2, got {n}")
     return n
+
+
+def _beta0(text: str) -> float:
+    """A cone angle: finite and in (0, 1]."""
+    try:
+        return require_cone_angle(float(text))
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_surface_args(p):
@@ -247,7 +261,7 @@ def _solve_pipeline(args):
         b = BundleClass(k1=alpha_prime * b.k1, k2=alpha_prime * b.k2,
                         conjugated=b.conjugated)
         return s, b, sol, prof, alpha_prime
-    beta0 = getattr(args, "beta0", None) or 1.0
+    beta0 = 1.0 if args.beta0 is None else args.beta0
     cls = classify(stability_margin(s, b), args.tol)
     if cls is StabilityClass.SEMISTABLE and not getattr(
         args, "allow_semistable", False
@@ -329,7 +343,7 @@ def cmd_tke(args) -> int:
         print(f"beta0 = {beta0!r}")
         print(f"condition_residual = {tke.condition_residual(s, b, beta0)!r}")
     else:
-        beta0 = args.beta0 or 1.0
+        beta0 = 1.0 if args.beta0 is None else args.beta0
         a = tke.analyze(s, b, beta0)
         print(f"gamma = {a.gamma!r}")
         print(f"F_value = {a.F_value!r}")
@@ -389,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p)
     _add_bundle_args(p)
     _add_common_args(p)
-    p.add_argument("--beta0", type=float, default=None)
+    p.add_argument("--beta0", type=_beta0, default=None)
     p.add_argument("--alpha-prime", dest="alpha_prime", type=float, default=None)
     p.add_argument("--allow-semistable", action="store_true")
     p.set_defaults(func=cmd_solve)
@@ -398,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p)
     _add_bundle_args(p)
     _add_common_args(p)
-    p.add_argument("--beta0", type=float, default=None)
+    p.add_argument("--beta0", type=_beta0, default=None)
     p.add_argument("--samples", type=_samples, default=1001)
     p.add_argument("--allow-semistable", action="store_true")
     p.set_defaults(func=cmd_profile)
@@ -407,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p)
     _add_bundle_args(p)
     _add_common_args(p)
-    p.add_argument("--beta0", type=float, default=None)
+    p.add_argument("--beta0", type=_beta0, default=None)
     p.add_argument("--solve-beta", action="store_true")
     p.set_defaults(func=cmd_tke)
 

@@ -28,6 +28,7 @@ from .params import (
     canonicalize,
     classify,
     phase_constant,
+    require_cone_angle,
     stability_margin,
 )
 from .dhym import integration_constants
@@ -129,8 +130,7 @@ def conical_coefficients(
     d0 and d1 come from the boundary linear system psi(t_-) = psi(t_+) = 0;
     the boundary slopes are then verified as a consistency postcondition.
     """
-    if not (0.0 < beta0 <= 1.0):
-        raise ValidationError(f"beta0 must lie in (0, 1], got {beta0!r}")
+    require_cone_angle(beta0)
     b = canonicalize(b)
     margin = stability_margin(s, b)
     cls = classify(margin)

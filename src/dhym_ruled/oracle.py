@@ -15,13 +15,16 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from .errors import IntegrationError, PositivityError, SingularSystemError
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A sampled function: strictly increasing nodes, finite values."""
+    """A sampled function: strictly increasing nodes, finite values.
+
+    Nodes run along the last axis; a leading axis, if any, holds lanes
+    (independent draws sampled on grids of equal length).
+    """
 
     nodes: np.ndarray
     values: np.ndarray
@@ -39,101 +42,156 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
 
-def rk4_solve(
-    rhs: Callable[[float, float], float],
-    t0: float,
-    y0: float,
-    t1: float,
-    step: float,
-) -> GridFunction:
-    """Classical fixed-step RK4 from (t0, y0) to t1.
+def _lanes(*xs):
+    """Python floats for one draw; equal-shape float arrays for many.
+
+    One draw stays on Python floats: on one-element arrays, numpy's per-call
+    overhead would make the RK4 loop about 40 times slower.
+    """
+    if all(np.ndim(x) == 0 for x in xs):
+        return tuple(float(x) for x in xs)
+    return tuple(np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
+
+
+def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
+    """Classical fixed-step RK4 from (t0, y0) to t1, for one draw or many.
+
+    Scalars integrate one draw.  Equal-length arrays integrate one lane per
+    element in lockstep, calling ``rhs`` on arrays: the lanes must share the
+    step count round(|t1 - t0| / step), and each takes its own step size.
+    The arithmetic is the same either way, so each lane is bitwise equal to
+    the scalar call for its draw.  Lanes are the rows of the result.
 
     Integrates backwards when t1 < t0.  Blow-up of the right-hand side
-    raises IntegrationError with the failure location.
+    raises IntegrationError located at the last finite node: a float for
+    one draw, an array for lanes (NaN on the lanes that finished).
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    n = max(1, int(round(abs(t1 - t0) / step)))
+    t0, y0, t1 = _lanes(t0, y0, t1)
+    counts = np.maximum(1.0, np.rint(np.abs(np.subtract(t1, t0)) / step))
+    if counts.min() != counts.max():
+        raise ValueError("lanes must share a step count")
+    n = int(counts.flat[0])
     h = (t1 - t0) / n
-    t, y = float(t0), float(y0)
-    nodes = np.empty(n + 1)
-    values = np.empty(n + 1)
-    nodes[0], values[0] = t, y
-    for i in range(n):
-        try:
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise IntegrationError(
-                f"right-hand side blew up near t = {t}", location=t
-            ) from exc
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (i + 1) * h
-        if not math.isfinite(y):
-            raise IntegrationError(
-                f"integration diverged near t = {t}", location=t
-            )
-        nodes[i + 1], values[i + 1] = t, y
-    if h < 0:
-        nodes, values = nodes[::-1].copy(), values[::-1].copy()
-    return GridFunction(nodes=nodes, values=values)
-
-
-def rk4_solve_phase_ode(
-    cos_theta: float, sin_theta: float, t0: float, y0: float, t1: float, step: float
-) -> GridFunction:
-    """RK4 specialized to the constant-phase ODE (JIT-compiled hot path)."""
-    n = max(1, int(round(abs(t1 - t0) / step)))
-    nodes, values, ok = _kernels.rk4_phase_ode(cos_theta, sin_theta, t0, y0, t1, n)
-    if not ok:
+    half, sixth = 0.5 * h, h / 6.0
+    t, y = t0, y0
+    values = [y]
+    try:
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                th = t + half
+                k1 = rhs(t, y)
+                k2 = rhs(th, y + half * k1)
+                k3 = rhs(th, y + half * k2)
+                k4 = rhs(t + h, y + h * k3)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t = t0 + (i + 1) * h
+                values.append(y)
+    except (ZeroDivisionError, OverflowError) as exc:  # Python floats only
         raise IntegrationError(
-            f"right-hand side blew up near t = {nodes[-1]}", location=float(nodes[-1])
+            f"right-hand side blew up near t = {t}", location=t
+        ) from exc
+    # the same t0 + i h as in the loop, so the nodes match it bitwise
+    nodes = np.moveaxis(t0 + np.multiply.outer(np.arange(n + 1.0), h), 0, -1)
+    values = np.moveaxis(np.array(values), 0, -1)
+    # arithmetic never turns NaN or inf finite again: checking once suffices
+    finite = np.isfinite(values)
+    if not finite.all():
+        last = np.maximum(np.argmin(finite, axis=-1) - 1, 0)
+        location = np.where(
+            finite.all(axis=-1),
+            np.nan,
+            np.take_along_axis(nodes, last[..., None], axis=-1)[..., 0],
         )
-    if t1 < t0:
-        nodes, values = nodes[::-1].copy(), values[::-1].copy()
-    return GridFunction(nodes=nodes, values=values)
+        if location.ndim == 0:
+            location = float(location)
+        raise IntegrationError(
+            f"integration diverged near t = {location}", location=location
+        )
+    backward = np.asarray(h < 0)[..., None]
+    return GridFunction(
+        nodes=np.where(backward, nodes[..., ::-1], nodes),
+        values=np.where(backward, values[..., ::-1], values),
+    )
+
+
+def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
+    """rk4_solve of the constant-phase ODE y' = (t sin + y cos)/(y sin - t cos).
+
+    Takes one draw as scalars or many as equal-length arrays.
+    """
+    cos_t, sin_t, t0, y0, t1 = _lanes(cos_theta, sin_theta, t0, y0, t1)
+
+    def rhs(t, y):
+        return (t * sin_t + y * cos_t) / (y * sin_t - t * cos_t)
+
+    return rk4_solve(rhs, t0, y0, t1, step)
+
+
+#: Most Simpson panels refined by one call of the integrand.  Quadrature
+#: works through the panels of a level as a depth-first stack of batches of
+#: at most this size, so memory stays bounded and an integrand that never
+#: converges reaches max_depth after O(max_depth * _PANEL_BATCH) points.
+_PANEL_BATCH = 1024
 
 
 def quadrature(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-10,
     max_depth: int = 40,
 ) -> float:
-    """Adaptive Simpson integration of f over [a, b] to absolute tolerance."""
+    """Adaptive Simpson integration of f over [a, b] to absolute tolerance.
+
+    ``f`` maps an array of points to an array of values.  A panel is
+    accepted when its two halves agree with it to 15 eps, with the
+    Richardson correction; otherwise each half is refined with eps / 2.
+    The panels of one level are evaluated together, in batches.  A panel
+    still unaccepted at level max_depth raises IntegrationError at its
+    midpoint, with its estimate.
+    """
     if not a < b:
         raise ValueError("need a < b")
 
-    def simpson(lo, flo, hi, fhi, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    def values(t):
+        return np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
 
-    def recurse(lo, flo, hi, fhi, fmid, whole, eps, depth):
+    fa, fm, fb = values(np.array([a, 0.5 * (a + b), b])).tolist()
+    root = [a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)]
+    # a batch: its level, and one column per panel with the rows lo, hi,
+    # f(lo), f(mid), f(hi) and the panel's Simpson estimate
+    stack = [(0, np.array(root)[:, None])]
+    accepted = []
+    while stack:
+        level, (lo, hi, flo, fmid, fhi, whole) = stack.pop()
         mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flmid = f(lmid)
-        frmid = f(rmid)
-        left = simpson(lo, flo, mid, fmid, flmid)
-        right = simpson(mid, fmid, hi, fhi, frmid)
-        if depth <= 0:
+        flmid, frmid = values(
+            np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi)))
+        ).reshape(2, -1)
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flmid + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frmid + fhi)
+        if level >= max_depth:
             raise IntegrationError(
                 "quadrature failed to converge",
-                location=mid,
-                estimate=left + right,
+                location=float(mid[0]),
+                estimate=float(left[0] + right[0]),
             )
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, flo, mid, fmid, flmid, left, eps / 2.0, depth - 1) + recurse(
-            mid, fmid, hi, fhi, frmid, right, eps / 2.0, depth - 1
-        )
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, tol, max_depth)
+        diff = left + right - whole
+        done = np.abs(diff) <= 15.0 * (tol / 2.0 ** level)
+        accepted.append((left + right + diff / 15.0)[done])
+        # children in left-to-right order, the leftmost batch on top
+        children = np.stack(
+            (
+                np.stack((lo, mid, flo, flmid, fmid, left)),
+                np.stack((mid, hi, fmid, frmid, fhi, right)),
+            ),
+            axis=-1,
+        )[:, ~done].reshape(6, -1)
+        for first in reversed(range(0, children.shape[1], _PANEL_BATCH)):
+            stack.append((level + 1, children[:, first:first + _PANEL_BATCH]))
+    return math.fsum(np.concatenate(accepted).tolist())
 
 
 _FD_COEFFS = {

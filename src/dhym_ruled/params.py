@@ -98,6 +98,13 @@ def _require_finite(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+def require_cone_angle(beta0: float) -> float:
+    """beta0 itself, when it lies in (0, 1]; NaN never does."""
+    if not (0.0 < beta0 <= 1.0):
+        raise ValidationError(f"beta0 must lie in (0, 1], got {beta0!r}")
+    return beta0
+
+
 def make_surface(k: int, h: int, kprime: float) -> SurfaceParams:
     """Build SurfaceParams, deriving x and s_sigma."""
     if not (isinstance(k, int) and k >= 1):
@@ -208,8 +215,7 @@ def bfield_alpha(k: int, h: int, kprime: float, kpp: float, beta0: float) -> flo
     """
     if kpp == 0.0:
         raise ValidationError("kpp must be nonzero")
-    if not (0.0 < beta0 <= 1.0):
-        raise ValidationError(f"beta0 must lie in (0, 1], got {beta0!r}")
+    require_cone_angle(beta0)
     s = make_surface(k, h, kprime)
     bracket = (
         k ** 2 * (-6.0 * beta0 + s.s_sigma + 4.0)

@@ -15,7 +15,13 @@ import numpy as np
 
 from .coupled import beta_infinity
 from .errors import PoleError, TkeNotFoundError, ValidationError
-from .params import BundleClass, CohClass, SurfaceParams, canonicalize
+from .params import (
+    BundleClass,
+    CohClass,
+    SurfaceParams,
+    canonicalize,
+    require_cone_angle,
+)
 
 #: Bisection tolerance for the cone-angle solve.
 BETA_TOL = 1e-12
@@ -131,6 +137,7 @@ def system_residuals(
 
 
 def analyze(s: SurfaceParams, b: BundleClass, beta0: float) -> TkeAnalysis:
+    require_cone_angle(beta0)
     b = canonicalize(b)
     return TkeAnalysis(
         gamma=gamma_quantity(s, beta0),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dhym_ruled import BundleClass, canonicalize, coupled, dhym, make_surface
-from dhym_ruled.cli import THRESHOLDS, parse_descriptor, reverify
+from dhym_ruled.cli import THRESHOLDS, main, parse_descriptor, reverify
 
 BASE = [sys.executable, "-m", "dhym_ruled"]
 FIG1 = ["--k", "1", "--h", "0", "--kprime", "5", "--k1", "-1", "--k2", "1"]
@@ -210,6 +210,33 @@ def test_nonfinite_input_usage_error(flag, value):
     r = run(*NONFINITE_ARGV[flag], value)
     assert r.returncode == 1, r.stderr
     assert "Traceback" not in r.stderr
+
+
+def run_in_process(argv, capsys):
+    """(exit code, stdout, stderr) of cli.main, without a subprocess."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5", "1.5"])
+@pytest.mark.parametrize("command", ["solve", "profile", "tke"])
+def test_beta0_outside_unit_interval_usage_error(command, value, capsys):
+    code, out, err = run_in_process([command, *FIG1, "--beta0", value], capsys)
+    assert code == 1
+    assert "--beta0" in err
+    assert out == ""
+
+
+def test_tke_beta0_default_is_one(capsys):
+    default = run_in_process(["tke", *FIG1], capsys)
+    assert default[0] == 0
+    assert run_in_process(["tke", *FIG1, "--beta0", "1"], capsys) == default
+    half = run_in_process(["tke", *FIG1, "--beta0", "0.5"], capsys)
+    assert half[0] == 0 and half[1] != default[1]
 
 
 def test_negative_scientific_notation_is_a_value():

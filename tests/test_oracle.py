@@ -9,12 +9,18 @@ from dhym_ruled import (
     BundleClass,
     IntegrationError,
     SingularSystemError,
+    boundary_targets,
+    canonicalize,
     conical_coefficients,
     make_surface,
+    phase_and_radius,
     smooth_coefficients,
+    solve_dhym,
 )
 from dhym_ruled import oracle
 from dhym_ruled.coupled import eval_psi, eval_psi_deriv
+
+from conftest import draw_stable
 
 
 def test_rk4_calibration_exponential():
@@ -33,6 +39,42 @@ def test_rk4_divergence_reported():
     with pytest.raises(IntegrationError) as exc:
         oracle.rk4_solve(lambda t, y: y ** 2, 0.0, 1.0, 2.0, 1e-3)
     assert exc.value.location is not None
+
+
+def test_rk4_lanes_match_scalar_calls(rng):
+    draws = [draw_stable(rng) for _ in range(5)]
+    sols = [solve_dhym(s, b) for s, b in draws]
+    tps = [boundary_targets(s, canonicalize(b))[1] for s, b in draws]
+    args = [
+        [sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3]
+        for sol, tp in zip(sols, tps)
+    ]
+    lanes = oracle.rk4_solve_phase_ode(*np.transpose(args), 1e-3)
+    assert lanes.nodes.shape == (5, 1999 + 1)
+    for i, row in enumerate(args):
+        one = oracle.rk4_solve_phase_ode(*row, 1e-3)
+        assert np.array_equal(lanes.nodes[i], one.nodes)
+        assert np.array_equal(lanes.values[i], one.values)
+
+
+def test_rk4_blow_up_in_one_lane():
+    # y' = y^2 blows up at t = 1 / y0: only the middle lane reaches it
+    def rhs(t, y):
+        return y ** 2
+
+    with pytest.raises(IntegrationError) as one:
+        oracle.rk4_solve(rhs, 0.0, 1.0, 2.0, 1e-3)
+    with pytest.raises(IntegrationError) as lanes:
+        oracle.rk4_solve(rhs, 0.0, np.array([0.1, 1.0, 0.2]), 2.0, 1e-3)
+    loc = lanes.value.location
+    assert 0.9 < one.value.location < 1.1
+    assert loc[1] == one.value.location
+    assert np.isnan(loc[0]) and np.isnan(loc[2])
+
+
+def test_rk4_lanes_must_share_a_step_count():
+    with pytest.raises(ValueError):
+        oracle.rk4_solve(lambda t, y: y, 0.0, 1.0, np.array([1.0, 2.0]), 1e-2)
 
 
 def test_rk4_phase_kernel_matches_generic():
@@ -63,9 +105,70 @@ def test_quadrature_volume_identities():
 
 def test_quadrature_failure_carries_estimate():
     with pytest.raises(IntegrationError) as exc:
-        oracle.quadrature(lambda t: math.sin(1.0 / (t + 1e-9)), 0.0, 1.0,
+        oracle.quadrature(lambda t: np.sin(1.0 / (t + 1e-9)), 0.0, 1.0,
                           tol=1e-15, max_depth=3)
     assert exc.value.estimate is not None
+
+
+def _recursive_simpson(f, a, b, tol=1e-10, max_depth=40):
+    """Depth-first adaptive Simpson on scalars, the reference for oracle.quadrature."""
+
+    def simpson(lo, flo, hi, fhi, fmid):
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def recurse(lo, flo, hi, fhi, fmid, whole, eps, depth):
+        mid = 0.5 * (lo + hi)
+        flmid = f(0.5 * (lo + mid))
+        frmid = f(0.5 * (mid + hi))
+        left = simpson(lo, flo, mid, fmid, flmid)
+        right = simpson(mid, fmid, hi, fhi, frmid)
+        if depth <= 0:
+            raise IntegrationError("no convergence", location=mid, estimate=left + right)
+        if abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(lo, flo, mid, fmid, flmid, left, eps / 2.0, depth - 1) + recurse(
+            mid, fmid, hi, fhi, frmid, right, eps / 2.0, depth - 1
+        )
+
+    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
+    return recurse(a, fa, b, fb, fm, simpson(a, fa, b, fb, fm), tol, max_depth)
+
+
+@pytest.mark.parametrize("beta0", [1.0, 0.5])
+def test_quadrature_matches_recursive_simpson(figure1, beta0):
+    s, b = figure1
+    sol = solve_dhym(s, b)
+    p = conical_coefficients(s, b, beta0)
+    points = []
+
+    def integrand(t):
+        points.append(np.size(t))
+        return t * phase_and_radius(p, s, b, sol, t)[1]
+
+    want = _recursive_simpson(integrand, sol.t_minus, sol.t_plus)
+    want_points = len(points)
+    points.clear()
+    got = oracle.quadrature(integrand, sol.t_minus, sol.t_plus)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert sum(points) == want_points
+
+
+def test_quadrature_failure_is_early_and_bounded():
+    points = 0
+
+    def f(t):
+        nonlocal points
+        points += np.size(t)
+        return np.sin(1.0 / (t + 1e-9))
+
+    with pytest.raises(IntegrationError) as exc:
+        oracle.quadrature(f, 0.0, 1.0)
+    assert points <= 2 ** 17
+    # the same panel fails first as in the depth-first reference
+    with pytest.raises(IntegrationError) as ref:
+        _recursive_simpson(f, 0.0, 1.0)
+    assert exc.value.location == ref.value.location
+    assert exc.value.estimate == ref.value.estimate
 
 
 def test_finite_difference():

@@ -76,6 +76,12 @@ def test_gamma_forms_agree(rng):
         )
 
 
+@pytest.mark.parametrize("beta0", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_analyze_rejects_beta0_outside_unit_interval(fig2_surface, fig2_class, beta0):
+    with pytest.raises(ValidationError):
+        tke.analyze(fig2_surface, fig2_class, beta0)
+
+
 def test_solve_beta0(fig2_surface, fig2_class):
     beta0 = tke.solve_beta0(fig2_surface, fig2_class)
     assert beta0 == pytest.approx(42.0 / 53.0, abs=1e-10)
