@@ -26,7 +26,6 @@ from .dhym import (
     eval_H,
     eval_H_deriv,
     eval_nu,
-    integration_constants,
     ode_residual_H,
     solve_dhym,
 )
@@ -56,6 +55,7 @@ from .params import (
     BundleClass,
     CohClass,
     Phase,
+    Problem,
     StabilityClass,
     SurfaceParams,
     bfield_alpha,
@@ -67,6 +67,7 @@ from .params import (
     jy_class,
     make_surface,
     phase_constant,
+    pose,
     stability_margin,
 )
 from .tke import (

@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from itertools import chain
@@ -28,15 +29,16 @@ from .errors import (
 from .params import (
     BundleClass,
     StabilityClass,
-    canonicalize,
-    classify,
     cohomology_classes,
     from_complexified,
     make_surface,
-    phase_constant,
+    pose,
     require_cone_angle,
-    stability_margin,
 )
+
+# perfbench/spans.py wraps these module attributes when it traces a run; the
+# CLI itself reaches them only through ``pose``
+from .params import canonicalize, classify, phase_constant, stability_margin  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,10 +92,15 @@ def _beta0(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_surface_args(p):
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", type=int, default=0)
-    p.add_argument("--kprime", type=float, required=True)
+def _alphas(text: str) -> list[float]:
+    """Scale factors: a non-empty comma-separated list of finite positive floats."""
+    try:
+        alphas = [float(a) for a in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
+    if not all(math.isfinite(a) and a > 0 for a in alphas):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return alphas
 
 
 def _add_bundle_args(p):
@@ -104,19 +111,22 @@ def _add_bundle_args(p):
 
 
 def _add_common_args(p):
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--h", type=int, default=0)
+    p.add_argument("--kprime", type=float, required=True)
     p.add_argument("--out", type=str, default=None)
 
 
-def _resolve_params(args):
-    if getattr(args, "complexified", False):
+def _pose_args(args):
+    """The Problem of the class given on the command line."""
+    if args.complexified:
         if args.kpp is None:
             raise DhymRuledError("--complexified requires --kpp")
-        return from_complexified(args.k, args.h, args.kprime, args.kpp)
+        return pose(*from_complexified(args.k, args.h, args.kprime, args.kpp))
     if args.k1 is None or args.k2 is None:
         raise DhymRuledError("--k1 and --k2 are required (or use --complexified)")
-    s = make_surface(args.k, args.h, args.kprime)
-    return s, canonicalize(BundleClass(k1=args.k1, k2=args.k2))
+    return pose(make_surface(args.k, args.h, args.kprime),
+                BundleClass(k1=args.k1, k2=args.k2))
 
 
 def residual_summary(s, b, sol, prof, num: int = 1001) -> dict:
@@ -159,10 +169,9 @@ def residual_failure(summary: dict) -> str | None:
 
 
 def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
-    phase = phase_constant(b, s)
-    margin = stability_margin(s, b)
+    pr = pose(s, b)
+    b, phase = pr.bundle, pr.phase
     pos = coupled.positivity_certificate(prof)
-    C, Cprime = dhym.integration_constants(s, b)
     d = {
         "k": s.k,
         "h": s.h,
@@ -178,7 +187,7 @@ def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
         "sin_theta": phase.sin_theta,
         "r_hat": phase.r_hat,
         "s_hat": phase.s_hat,
-        "C": C,
+        "C": pr.C,
         "Cprime": prof.Cprime,
         "alpha": prof.alpha,
         "d0": prof.d0,
@@ -189,8 +198,8 @@ def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
         "beta_inf": prof.beta_inf,
         "t_minus": prof.t_minus,
         "t_plus": prof.t_plus,
-        "stability_class": classify(margin).value,
-        "stability_margin": margin,
+        "stability_class": pr.stability.value,
+        "stability_margin": pr.margin,
         "regularity": sol.regularity,
         "positivity_method": pos.method,
         "positivity_min": pos.min_value,
@@ -254,32 +263,27 @@ def _write(text: str, out: str | None):
 
 
 def _solve_pipeline(args):
-    s, b = _resolve_params(args)
+    pr = _pose_args(args)
+    s, b = pr.surface, pr.bundle
     alpha_prime = getattr(args, "alpha_prime", None)
     if alpha_prime is not None:
         sol, prof = limits.scaled_solution(s, b, alpha_prime)
         b = BundleClass(k1=alpha_prime * b.k1, k2=alpha_prime * b.k2,
                         conjugated=b.conjugated)
         return s, b, sol, prof, alpha_prime
-    beta0 = 1.0 if args.beta0 is None else args.beta0
-    cls = classify(stability_margin(s, b), args.tol)
-    if cls is StabilityClass.SEMISTABLE and not getattr(
-        args, "allow_semistable", False
-    ):
+    if pr.stability is StabilityClass.SEMISTABLE and not args.allow_semistable:
         print("semistable class: pass --allow-semistable to proceed", file=sys.stderr)
         raise SystemExit(EXIT_SEMISTABLE)
-    sol = dhym.solve_dhym(s, b, args.tol)
-    prof = coupled.conical_coefficients(s, b, beta0)
+    sol = dhym.solve_dhym(s, b)
+    prof = coupled.conical_coefficients(s, b, args.beta0)
     return s, b, sol, prof, None
 
 
 def cmd_check(args) -> int:
-    s, b = _resolve_params(args)
-    margin = stability_margin(s, b)
-    cls = classify(margin, args.tol)
-    phase = phase_constant(b, s)
-    om, f = cohomology_classes(s, b)
-    print(f"stability_margin = {margin!r}")
+    pr = _pose_args(args)
+    cls, phase = pr.stability, pr.phase
+    om, f = cohomology_classes(pr.surface, pr.bundle)
+    print(f"stability_margin = {pr.margin!r}")
     print(f"stability_class = {cls.value}")
     print(f"cos_theta = {phase.cos_theta!r}")
     print(f"sin_theta = {phase.sin_theta!r}")
@@ -337,14 +341,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_tke(args) -> int:
-    s, b = _resolve_params(args)
+    pr = _pose_args(args)
+    s, b = pr.surface, pr.bundle
     if args.solve_beta:
         beta0 = tke.solve_beta0(s, b)
         print(f"beta0 = {beta0!r}")
         print(f"condition_residual = {tke.condition_residual(s, b, beta0)!r}")
     else:
-        beta0 = 1.0 if args.beta0 is None else args.beta0
-        a = tke.analyze(s, b, beta0)
+        a = tke.analyze(s, b, args.beta0)
         print(f"gamma = {a.gamma!r}")
         print(f"F_value = {a.F_value!r}")
         print(f"H_at_1 = {a.H_at_1!r}")
@@ -366,9 +370,8 @@ def cmd_figure2(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    s, b = _resolve_params(args)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    fam = limits.build_family(s, b, alphas)
+    pr = _pose_args(args)
+    fam = limits.build_family(pr.surface, pr.bundle, args.alphas)
     if args.mode == "large":
         rep = limits.large_radius_check(fam)
     else:
@@ -394,49 +397,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="stability and class data")
-    _add_surface_args(p)
-    _add_bundle_args(p)
     _add_common_args(p)
+    _add_bundle_args(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="solve and emit a descriptor")
-    _add_surface_args(p)
-    _add_bundle_args(p)
     _add_common_args(p)
-    p.add_argument("--beta0", type=_beta0, default=None)
+    _add_bundle_args(p)
+    p.add_argument("--beta0", type=_beta0, default=1.0)
     p.add_argument("--alpha-prime", dest="alpha_prime", type=float, default=None)
     p.add_argument("--allow-semistable", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("profile", help="emit the sampled profile table")
-    _add_surface_args(p)
-    _add_bundle_args(p)
     _add_common_args(p)
-    p.add_argument("--beta0", type=_beta0, default=None)
+    _add_bundle_args(p)
+    p.add_argument("--beta0", type=_beta0, default=1.0)
     p.add_argument("--samples", type=_samples, default=1001)
     p.add_argument("--allow-semistable", action="store_true")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("tke", help="twisted Kaehler-Einstein reduction")
-    _add_surface_args(p)
-    _add_bundle_args(p)
     _add_common_args(p)
-    p.add_argument("--beta0", type=_beta0, default=None)
+    _add_bundle_args(p)
+    p.add_argument("--beta0", type=_beta0, default=1.0)
     p.add_argument("--solve-beta", action="store_true")
     p.set_defaults(func=cmd_tke)
 
     p = sub.add_parser("figure2", help="emit the cone-angle matching curve")
-    _add_surface_args(p)
     _add_common_args(p)
     p.add_argument("--samples", type=_samples, default=101)
     p.set_defaults(func=cmd_figure2)
 
     p = sub.add_parser("limits", help="scaled-family convergence study")
-    _add_surface_args(p)
-    _add_bundle_args(p)
     _add_common_args(p)
+    _add_bundle_args(p)
     p.add_argument("--mode", choices=("large", "small"), required=True)
-    p.add_argument("--alphas", type=str, required=True)
+    p.add_argument("--alphas", type=_alphas, required=True)
     p.set_defaults(func=cmd_limits)
 
     return parser

@@ -14,26 +14,22 @@ beta0 = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import oracle
-from .dhym import DhymSolution, eval_H, eval_H_deriv
-from .errors import NoSolutionError, DomainError, ValidationError
+from .dhym import DhymSolution, check_domain, eval_H, eval_H_deriv
+from .errors import NoSolutionError, ValidationError
 from .params import (
     BundleClass,
+    Problem,
     StabilityClass,
     SurfaceParams,
-    canonicalize,
-    classify,
-    phase_constant,
+    pose,
     require_cone_angle,
-    stability_margin,
 )
-from .dhym import integration_constants
 
-_ENDPOINT_SLACK = 1e-12
 #: Tolerance for the boundary-slope consistency postcondition.
 SLOPE_TOL = 1e-9
 
@@ -72,32 +68,32 @@ def beta_infinity(x: float, beta0: float) -> float:
 
 def conical_alpha(s: SurfaceParams, b: BundleClass, beta0: float) -> float:
     """The unique coupling constant for cone angle beta0."""
-    b = canonicalize(b)
-    x = s.x
-    r_hat = phase_constant(b).r_hat
-    bracket = s.s_sigma * x ** 2 - 3.0 * beta0 * (x + 1.0) + x + 3.0
-    return r_hat * bracket / (2.0 * b.k2 ** 2 * x * (1.0 + (b.k1 - b.k2) ** 2))
+    return _coupling(pose(s, b), beta0)
+
+
+def _coupling(pr: Problem, beta0: float) -> float:
+    b, x = pr.bundle, pr.surface.x
+    bracket = pr.surface.s_sigma * x ** 2 - 3.0 * beta0 * (x + 1.0) + x + 3.0
+    return pr.phase.r_hat * bracket / (2.0 * b.k2 ** 2 * x * (1.0 + (b.k1 - b.k2) ** 2))
 
 
 def smooth_alpha(s: SurfaceParams, b: BundleClass) -> float:
     """Coupling constant of the smooth solution (always negative)."""
-    b = canonicalize(b)
-    r_hat = phase_constant(b).r_hat
+    pr = pose(s, b)
+    b = pr.bundle
     return (
-        r_hat
+        pr.phase.r_hat
         / (2.0 * (1.0 + (b.k1 - b.k2) ** 2) * b.k2 ** 2)
         * (-2.0 + s.s_sigma * s.x)
     )
 
 
-def smooth_d0_d1_closed_form(
-    s: SurfaceParams, b: BundleClass
-) -> tuple[float, float]:
+def _smooth_d0_d1(pr: Problem) -> tuple[float, float]:
     """Closed-form constant and linear coefficients of the smooth profile.
 
     Used as an independent cross-check against the boundary linear system.
     """
-    b = canonicalize(b)
+    b, s = pr.bundle, pr.surface
     x, ss = s.x, s.s_sigma
     k1, k2 = b.k1, b.k2
     B2 = 1.0 + (k1 - k2) ** 2
@@ -111,9 +107,9 @@ def smooth_d0_d1_closed_form(
     return d0, d1
 
 
-def _radical_coeffs(s: SurfaceParams, b: BundleClass, alpha: float):
+def _radical_coeffs(pr: Problem, alpha: float):
     """Cubic and radical coefficients shared by smooth and conical paths."""
-    phase = phase_constant(b, s)
+    phase = pr.phase
     sin_t, cos_t = phase.sin_theta, phase.cos_theta
     s_hat = phase.s_hat
     c3 = (alpha / 3.0) * cos_t / sin_t ** 2 - (s_hat - alpha * phase.r_hat) / 6.0
@@ -131,23 +127,20 @@ def conical_coefficients(
     the boundary slopes are then verified as a consistency postcondition.
     """
     require_cone_angle(beta0)
-    b = canonicalize(b)
-    margin = stability_margin(s, b)
-    cls = classify(margin)
+    return _profile(pose(s, b), beta0)
+
+
+def _profile(pr: Problem, beta0: float) -> ProfilePoly:
+    cls = pr.stability
     if cls is StabilityClass.UNSTABLE:
-        raise NoSolutionError(margin)
+        raise NoSolutionError(pr.margin)
     if cls is StabilityClass.SEMISTABLE and beta0 != 1.0:
         raise ValidationError("conical profiles require strict stability")
 
-    x = s.x
-    alpha = conical_alpha(s, b, beta0)
-    c3, cR = _radical_coeffs(s, b, alpha)
-    c2 = s.s_sigma
-    _, Cprime = integration_constants(s, b)
-    t_minus = 1.0 / x - 1.0
-    t_plus = 1.0 / x + 1.0
-    if cls is StabilityClass.SEMISTABLE:
-        Cprime = -(t_minus ** 2)
+    alpha = _coupling(pr, beta0)
+    c3, cR = _radical_coeffs(pr, alpha)
+    c2 = pr.surface.s_sigma
+    Cprime, t_minus, t_plus = pr.Cprime, pr.t_minus, pr.t_plus
 
     def inhom(t):
         u = max(t ** 2 + Cprime, 0.0)
@@ -166,7 +159,7 @@ def conical_coefficients(
         t_minus=t_minus,
         t_plus=t_plus,
         beta0=beta0,
-        beta_inf=beta_infinity(x, beta0),
+        beta_inf=beta_infinity(pr.surface.x, beta0),
         alpha=alpha,
     )
     _check_boundary_slopes(p, cls)
@@ -211,10 +204,11 @@ def smooth_coefficients(s: SurfaceParams, b: BundleClass) -> ProfilePoly:
     as a cross-check with a cancellation-aware tolerance.  The semistable
     case has no separate closed form and uses the system path.
     """
-    p = conical_coefficients(s, b, 1.0)
-    if classify(stability_margin(s, canonicalize(b))) is not StabilityClass.STABLE:
+    pr = pose(s, b)
+    p = _profile(pr, 1.0)
+    if pr.stability is not StabilityClass.STABLE:
         return p
-    d0c, d1c = smooth_d0_d1_closed_form(s, b)
+    d0c, d1c = _smooth_d0_d1(pr)
     # the system's own rounding floor: machine epsilon times the magnitude
     # of the (nearly cancelling) cubic and radical columns
     u = p.t_plus ** 2 + p.Cprime
@@ -224,32 +218,11 @@ def smooth_coefficients(s: SurfaceParams, b: BundleClass) -> ProfilePoly:
         raise ValidationError(
             "smooth closed-form coefficients disagree with boundary system"
         )
-    return ProfilePoly(
-        d0=d0c,
-        d1=d1c,
-        c2=p.c2,
-        c3=p.c3,
-        cR=p.cR,
-        Cprime=p.Cprime,
-        t_minus=p.t_minus,
-        t_plus=p.t_plus,
-        beta0=p.beta0,
-        beta_inf=p.beta_inf,
-        alpha=p.alpha,
-    )
-
-
-def _check_domain(p: ProfilePoly, t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < p.t_minus - _ENDPOINT_SLACK) or np.any(
-        t > p.t_plus + _ENDPOINT_SLACK
-    ):
-        raise DomainError(f"t outside [{p.t_minus}, {p.t_plus}]")
-    return t
+    return replace(p, d0=d0c, d1=d1c)
 
 
 def eval_psi(p: ProfilePoly, t):
-    t = _check_domain(p, t)
+    t = check_domain(p, t)
     u = np.maximum(t ** 2 + p.Cprime, 0.0)
     out = p.d0 + p.d1 * t + p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5
     return float(out) if out.ndim == 0 else out
@@ -261,7 +234,7 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
         return eval_psi(p, t)
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 0..4, got {order}")
-    t = _check_domain(p, t)
+    t = check_domain(p, t)
     u = np.maximum(t ** 2 + p.Cprime, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 1:
@@ -282,7 +255,7 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
 
 def eval_phi(p: ProfilePoly, t):
     """Momentum profile phi(t) = psi(t) / (2 t)."""
-    t_arr = _check_domain(p, t)
+    t_arr = check_domain(p, t)
     out = eval_psi(p, t) / (2.0 * t_arr)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -291,7 +264,7 @@ def psi_pp_difference_closed_form(
     s: SurfaceParams, b: BundleClass, beta0: float = 1.0
 ) -> float:
     """Closed form of psi''(t_-) - psi''(t_+), valid for strict stability."""
-    b = canonicalize(b)
+    b = pose(s, b).bundle
     x, ss = s.x, s.s_sigma
     A2 = (1.0 + (b.k1 + b.k2) ** 2) ** 2
     B2 = (1.0 + (b.k1 - b.k2) ** 2) ** 2
@@ -350,12 +323,11 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
     the kernel of psi'', so this residual cannot detect d0/d1 errors; the
     boundary checks cover those.
     """
-    b = canonicalize(b)
-    phase = phase_constant(b, s)
+    phase = pose(s, b).phase
     sin_t, cos_t = phase.sin_theta, phase.cos_theta
     s_hat, r_hat = phase.s_hat, phase.r_hat
     alpha = p.alpha
-    t = _check_domain(p, t)
+    t = check_domain(p, t)
     u = np.maximum(t ** 2 + p.Cprime, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt((1.0 / sin_t ** 2) * u)  # sqrt((cot^2+1)(t^2+C'))
@@ -380,7 +352,7 @@ def phase_and_radius(
     """
     sign = -1.0 if dh.conjugated else 1.0
     sin_t, cos_t = sign * dh.sin_theta, dh.cos_theta
-    t_arr = _check_domain(p, t)
+    t_arr = check_domain(p, t)
     H = eval_H(dh, t)
     Hp = eval_H_deriv(dh, t)
     one_minus = 1.0 - H * Hp / t_arr

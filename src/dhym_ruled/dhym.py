@@ -19,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoSolutionError
-from .params import (
-    BundleClass,
-    StabilityClass,
-    SurfaceParams,
-    canonicalize,
-    classify,
-    phase_constant,
-    stability_margin,
-)
+from .params import BundleClass, StabilityClass, SurfaceParams, pose
 
 #: Absolute slack accepted at interval endpoints before raising DomainError.
 _ENDPOINT_SLACK = 1e-12
@@ -59,27 +51,14 @@ class DhymSolution:
         return self.cot_theta * self.sin_theta
 
 
-def integration_constants(s: SurfaceParams, b: BundleClass) -> tuple[float, float]:
-    """The integration constant C of the separated ODE and C' = C sin(theta)."""
-    b = canonicalize(b)
-    phase = phase_constant(b)
-    x = s.x
-    num = -2.0 * b.k2 * (
-        1.0 + (b.k1 + b.k2) ** 2 - x ** 2 - (b.k1 - b.k2) ** 2 * x ** 2
-    )
-    C = num / (x ** 2 * phase.r_hat)
-    return C, C * phase.sin_theta
-
-
 def boundary_targets(s: SurfaceParams, b: BundleClass) -> tuple[float, float]:
     """Required values (H(t_minus), H(t_plus)) from exactness of the potential.
 
     A class carrying the conjugation flag refers to the mirrored original
     input, so its targets are the negatives of the canonical ones.
     """
-    x = s.x
-    t_minus = 1.0 / x - 1.0
-    t_plus = 1.0 / x + 1.0
+    pr = pose(s, b)
+    b, t_minus, t_plus = pr.bundle, pr.t_minus, pr.t_plus
     sign = -1.0 if b.conjugated else 1.0
     return (
         sign * (b.k1 * t_minus + b.k2 * t_plus),
@@ -87,41 +66,33 @@ def boundary_targets(s: SurfaceParams, b: BundleClass) -> tuple[float, float]:
     )
 
 
-def solve_dhym(
-    s: SurfaceParams, b: BundleClass, tol: float = 1e-12
-) -> DhymSolution:
+def solve_dhym(s: SurfaceParams, b: BundleClass) -> DhymSolution:
     """Build the solution descriptor; raises NoSolutionError when unstable."""
-    b = canonicalize(b)
-    margin = stability_margin(s, b)
-    cls = classify(margin, tol)
-    if cls is StabilityClass.UNSTABLE:
-        raise NoSolutionError(margin)
-    phase = phase_constant(b)
-    _, Cprime = integration_constants(s, b)
-    t_minus = 1.0 / s.x - 1.0
-    t_plus = 1.0 / s.x + 1.0
-    regularity = "holder12" if cls is StabilityClass.SEMISTABLE else "smooth"
-    if regularity == "holder12":
-        # pin the degeneracy exactly: t_minus^2 + C' = 0 up to rounding
-        Cprime = -(t_minus ** 2)
+    pr = pose(s, b)
+    if pr.stability is StabilityClass.UNSTABLE:
+        raise NoSolutionError(pr.margin)
+    semistable = pr.stability is StabilityClass.SEMISTABLE
     return DhymSolution(
-        cot_theta=phase.cot_theta,
-        Cprime=Cprime,
-        t_minus=t_minus,
-        t_plus=t_plus,
-        regularity=regularity,
-        conjugated=b.conjugated,
+        cot_theta=pr.phase.cot_theta,
+        Cprime=pr.Cprime,
+        t_minus=pr.t_minus,
+        t_plus=pr.t_plus,
+        regularity="holder12" if semistable else "smooth",
+        conjugated=pr.bundle.conjugated,
     )
 
 
-def _check_domain(sol: DhymSolution, t):
+def check_domain(interval, t):
+    """t as a float array, when it lies in [interval.t_minus, interval.t_plus].
+
+    ``interval`` is a DhymSolution or a ProfilePoly; an absolute slack of
+    _ENDPOINT_SLACK is accepted at either end before raising DomainError.
+    """
     t = np.asarray(t, dtype=float)
-    if np.any(t < sol.t_minus - _ENDPOINT_SLACK) or np.any(
-        t > sol.t_plus + _ENDPOINT_SLACK
+    if np.any(t < interval.t_minus - _ENDPOINT_SLACK) or np.any(
+        t > interval.t_plus + _ENDPOINT_SLACK
     ):
-        raise DomainError(
-            f"t outside [{sol.t_minus}, {sol.t_plus}]"
-        )
+        raise DomainError(f"t outside [{interval.t_minus}, {interval.t_plus}]")
     return t
 
 
@@ -137,7 +108,7 @@ def eval_H(sol: DhymSolution, t):
     (k1, k2) -> (-k1, -k2) symmetry) this is the negative of the
     canonical-branch value.
     """
-    t = _check_domain(sol, t)
+    t = check_domain(sol, t)
     cot = sol.cot_theta
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
     u = np.maximum(t ** 2 + sol.Cprime, 0.0)
@@ -155,7 +126,7 @@ def eval_H(sol: DhymSolution, t):
 
 def eval_H_deriv(sol: DhymSolution, t):
     """Analytic H'(t); diverges at t_minus in the holder12 case."""
-    t = _check_domain(sol, t)
+    t = check_domain(sol, t)
     cot = sol.cot_theta
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
     u = t ** 2 + sol.Cprime
@@ -193,8 +164,8 @@ def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):
     nu(t) = k1 t + (k2/t)(1 - x^2)/x^2 - H(t), with (k1, k2) and H both
     taken on the same branch as the descriptor.
     """
-    b = canonicalize(b)
-    t_arr = _check_domain(sol, t)
+    b = pose(s, b).bundle
+    t_arr = check_domain(sol, t)
     x = s.x
     sign = _sign(sol)
     out = sign * (

@@ -19,12 +19,7 @@ import numpy as np
 from .coupled import ProfilePoly, eval_psi, smooth_coefficients
 from .dhym import DhymSolution, eval_H, eval_nu, solve_dhym
 from .errors import NoSolutionError, ValidationError
-from .params import (
-    BundleClass,
-    SurfaceParams,
-    canonicalize,
-    stability_margin,
-)
+from .params import BundleClass, StabilityClass, SurfaceParams, pose
 
 #: Relative tolerance for the scaled-constant consistency check.
 _CPRIME_RTOL = 1e-12
@@ -74,13 +69,13 @@ def scaled_solution(
         raise ValidationError(
             f"alpha_prime must be finite and positive, got {alpha_prime!r}"
         )
-    b = canonicalize(b)
+    b = pose(s, b).bundle
     bs = BundleClass(k1=alpha_prime * b.k1, k2=alpha_prime * b.k2,
                      conjugated=b.conjugated)
-    margin = stability_margin(s, bs)
-    if margin <= 0:
+    pr = pose(s, bs)
+    if pr.stability is StabilityClass.UNSTABLE:
         raise NoSolutionError(
-            margin, f"scaled class unstable at alpha' = {alpha_prime}"
+            pr.margin, f"scaled class unstable at alpha' = {alpha_prime}"
         )
     sol = solve_dhym(s, bs)
     expected = scaled_Cprime(s, b, alpha_prime)
@@ -96,7 +91,7 @@ def build_family(
 ) -> ScaledFamily:
     alphas = tuple(float(a) for a in alphas)
     sols = tuple(scaled_solution(s, b, a) for a in alphas)
-    return ScaledFamily(base=(s, canonicalize(b)), alphas=alphas, solutions=sols)
+    return ScaledFamily(base=(s, pose(s, b).bundle), alphas=alphas, solutions=sols)
 
 
 def _fit_order(x: np.ndarray, err: np.ndarray) -> float:
@@ -151,7 +146,7 @@ def large_radius_check(fam: ScaledFamily, num: int = 401) -> ConvergenceReport:
         from . import oracle
 
         idx = np.argsort(fam.alphas)[:2]
-        tt = np.linspace(1.0 / x - 1.0, 1.0 / x + 1.0, num)
+        tt = np.linspace(sol0.t_minus, sol0.t_plus, num)
         vals = [
             oracle.eval_psi_highprec(
                 s.k, s.h, s.kprime, fam.alphas[int(i)] * b.k1,
@@ -174,7 +169,7 @@ def small_radius_constants(s: SurfaceParams, b: BundleClass):
     Returns (C_hat, branch, K) where K(t) = t + branch * sqrt(t^2 + C_hat)
     and the limit of H/alpha' is (k1^2 - k2^2)/(2 k1) * K(t).
     """
-    b = canonicalize(b)
+    b = pose(s, b).bundle
     x = s.x
     k1, k2 = b.k1, b.k2
     if (k1 + k2) ** 2 <= x * (k1 - k2) ** 2:

@@ -4,7 +4,7 @@ The surface is the projectivization of (degree-k line bundle) + (trivial
 bundle) over a genus-h curve, carrying the Kaehler class 2*pi*[2 E0 + k' C].
 The curvature class is parametrized by the two reals (k1, k2).  Everything
 downstream (phase constant, stability, cohomology bookkeeping) is a pure
-function of these inputs.
+function of these inputs, resolved once per class by ``pose``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 from .errors import DegenerateClassError, DegeneratePhaseError, ValidationError
 
-#: Default half-width of the semistable band around margin = 0.
-DEFAULT_STABILITY_TOL = 1e-12
+#: Semistable half-band.  Pinning C' = -t_minus^2 moves H(t_minus) by 2.5x the
+#: margin (over 4e-11 that fails the 1e-10 bound); unpinned it misses by ~1e-7.
+STABILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,11 @@ def make_surface(k: int, h: int, kprime: float) -> SurfaceParams:
     _require_finite("kprime", kprime)
     if not (kprime > 0):
         raise ValidationError(f"kprime must be positive, got {kprime!r}")
-    x = k / (k + kprime)
-    s_sigma = 2.0 * (1 - h) / k
+    try:
+        x = k / (k + kprime)
+        s_sigma = 2.0 * (1 - h) / k
+    except OverflowError:
+        raise ValidationError(f"k = {k!r} or h = {h!r} is out of float range") from None
     return SurfaceParams(k=k, h=h, kprime=kprime, x=x, s_sigma=s_sigma)
 
 
@@ -131,7 +135,7 @@ def canonicalize(b: BundleClass) -> BundleClass:
     if b.k2 == 0.0:
         raise DegenerateClassError("degenerate bundle class: k2 = 0")
     if b.k1 > 0:
-        return BundleClass(k1=-b.k1, k2=-b.k2, conjugated=not b.conjugated)
+        return replace(b, k1=-b.k1, k2=-b.k2, conjugated=not b.conjugated)
     return b
 
 
@@ -140,11 +144,8 @@ def stability_margin(s: SurfaceParams, b: BundleClass) -> float:
     return (1.0 + (b.k1 + b.k2) ** 2) - s.x * (1.0 + (b.k1 - b.k2) ** 2)
 
 
-def classify(margin: float, tol: float = DEFAULT_STABILITY_TOL) -> StabilityClass:
-    _require_finite("tol", tol)
-    if tol < 0:
-        raise ValidationError("tol must be >= 0")
-    if abs(margin) <= tol:
+def classify(margin: float) -> StabilityClass:
+    if abs(margin) <= STABILITY_TOL:
         return StabilityClass.SEMISTABLE
     return StabilityClass.STABLE if margin > 0 else StabilityClass.UNSTABLE
 
@@ -158,6 +159,72 @@ def phase_constant(b: BundleClass, s: SurfaceParams | None = None) -> Phase:
         raise DegeneratePhaseError("phase numerator vanishes")
     s_hat = None if s is None else 2.0 * s.x * s.s_sigma + 2.0
     return Phase(cos_theta=re / r_hat, sin_theta=im / r_hat, r_hat=r_hat, s_hat=s_hat)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Everything the class data fixes, resolved once by ``pose``.
+
+    ``bundle`` is the canonical (k1 < 0) class with its conjugation flag and
+    ``phase`` carries s_hat.  C is the integration constant of the separated
+    ODE and C' = C sin(theta), except that a semistable class pins C' to
+    -t_minus^2, where t^2 + C' vanishes.  [t_minus, t_plus] is the momentum
+    interval [1/x - 1, 1/x + 1].
+    """
+
+    surface: SurfaceParams
+    bundle: BundleClass
+    phase: Phase
+    margin: float
+    stability: StabilityClass
+    C: float
+    Cprime: float
+    t_minus: float
+    t_plus: float
+
+
+def pose(s: SurfaceParams, b: BundleClass) -> Problem:
+    """Canonicalize, classify and phase the class; the gate of every solver.
+
+    Raises ValidationError when a derived quantity is not finite, or when a
+    divisor of the closed forms downstream is zero: inputs so large or so
+    small that double precision over- or underflows on them.
+    """
+    b = canonicalize(b)
+    x = s.x
+    try:
+        margin = stability_margin(s, b)
+        phase = phase_constant(b, s)
+        num = -2.0 * b.k2 * (
+            1.0 + (b.k1 + b.k2) ** 2 - x ** 2 - (b.k1 - b.k2) ** 2 * x ** 2
+        )
+        C = num / (x ** 2 * phase.r_hat)
+        t_minus = 1.0 / x - 1.0
+        t_plus = 1.0 / x + 1.0
+        # the coupling constant, the radical coefficient, d0, d1 and
+        # phi = psi/(2t) divide by these
+        divisors = (b.k2 ** 2 * x, phase.sin_theta ** 3, x ** 3,
+                    b.k1 * b.k2 * x ** 2, t_minus)
+        # (t_plus^2 + |C|)^1.5 bounds the largest basis term of the profile
+        in_range = 0.0 not in divisors and all(
+            map(math.isfinite, (margin, phase.r_hat, C, (t_plus ** 2 + abs(C)) ** 1.5))
+        )
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise ValidationError(
+            f"class (k1, k2) = ({b.k1!r}, {b.k2!r}) at x = {x!r} is out of"
+            " double-precision range"
+        )
+    stability = classify(margin)
+    Cprime = C * phase.sin_theta
+    if stability is StabilityClass.SEMISTABLE:
+        # pin the degeneracy exactly: t_minus^2 + C' = 0 up to rounding
+        Cprime = -(t_minus ** 2)
+    return Problem(
+        surface=s, bundle=b, phase=phase, margin=margin, stability=stability,
+        C=C, Cprime=Cprime, t_minus=t_minus, t_plus=t_plus,
+    )
 
 
 def cohomology_classes(s: SurfaceParams, b: BundleClass) -> tuple[CohClass, CohClass]:
@@ -223,8 +290,3 @@ def bfield_alpha(k: int, h: int, kprime: float, kpp: float, beta0: float) -> flo
         - 3.0 * (beta0 - 1.0) * kprime ** 2
     )
     return 2.0 * math.hypot(k + kprime, kpp) * bracket / (k * kpp ** 2)
-
-
-def conjugate_bundle(b: BundleClass) -> BundleClass:
-    """The mirror class (-k1, -k2) with the conjugation flag toggled."""
-    return replace(b, k1=-b.k1, k2=-b.k2, conjugated=not b.conjugated)

@@ -15,13 +15,7 @@ import numpy as np
 
 from .coupled import beta_infinity
 from .errors import PoleError, TkeNotFoundError, ValidationError
-from .params import (
-    BundleClass,
-    CohClass,
-    SurfaceParams,
-    canonicalize,
-    require_cone_angle,
-)
+from .params import BundleClass, CohClass, SurfaceParams, pose, require_cone_angle
 
 #: Bisection tolerance for the cone-angle solve.
 BETA_TOL = 1e-12
@@ -138,7 +132,7 @@ def system_residuals(
 
 def analyze(s: SurfaceParams, b: BundleClass, beta0: float) -> TkeAnalysis:
     require_cone_angle(beta0)
-    b = canonicalize(b)
+    b = pose(s, b).bundle
     return TkeAnalysis(
         gamma=gamma_quantity(s, beta0),
         F_value=F_value(b),
@@ -156,7 +150,7 @@ def solve_beta0(s: SurfaceParams, b: BundleClass, tol: float = BETA_TOL) -> floa
     F(k1, k2) > 2 is attained exactly once.  Requires k1 < 0 and k2 < 0
     (stability is then automatic).
     """
-    b = canonicalize(b)
+    b = pose(s, b).bundle
     if b.k2 >= 0:
         raise ValidationError("cone-angle solve requires k2 < 0 after reduction")
     f = F_value(b)

@@ -1,13 +1,19 @@
 """End-to-end command-line checks (subprocess, exit codes, round-trips)."""
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dhym_ruled import BundleClass, canonicalize, coupled, dhym, make_surface
 from dhym_ruled.cli import THRESHOLDS, main, parse_descriptor, reverify
+
+from conftest import draw_stable
 
 BASE = [sys.executable, "-m", "dhym_ruled"]
 FIG1 = ["--k", "1", "--h", "0", "--kprime", "5", "--k1", "-1", "--k2", "1"]
@@ -200,7 +206,6 @@ NONFINITE_ARGV = {
     "--k2": ["check", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2"],
     "--kpp": ["check", "--k", "1", "--kprime", "5", "--complexified", "--kpp"],
     "--alpha-prime": ["solve", *FIG1, "--alpha-prime"],
-    "--tol": ["solve", *FIG1, "--tol"],
 }
 
 
@@ -316,3 +321,155 @@ def test_figure2_blank_cell_at_pole(tmp_path):
     # beta = 2/9 is the third sample and the vertical asymptote
     assert float(rows[2][0]) == pytest.approx(2.0 / 9.0, rel=1e-15)
     assert [i for i, row in enumerate(rows) if row[1] == ""] == [2]
+
+
+def _class_argv(s, b):
+    return ["--k", str(s.k), "--h", str(s.h), f"--kprime={s.kprime!r}",
+            f"--k1={b.k1!r}", f"--k2={b.k2!r}"]
+
+
+#: Margin 4.0e-13: inside the semistable band, a quarter of its half-width.
+BAND_EDGE = (make_surface(1, 0, 4), BundleClass(k1=-1.0, k2=0.9999999999995))
+
+
+def test_band_edge_class_one_answer(capsys):
+    s, b = BAND_EDGE
+    code, out, _ = run_in_process(["check", *_class_argv(s, b)], capsys)
+    assert code == 2 and "stability_class = Semistable" in out
+    code, out, err = run_in_process(
+        ["solve", *_class_argv(s, b), "--allow-semistable"], capsys)
+    assert code == 2, err
+    d = parse_descriptor(out)
+    assert 0.0 < d["stability_margin"] < 1e-12
+    assert (d["stability_class"], d["regularity"]) == ("Semistable", "holder12")
+    assert all(d[key] <= bound for key, bound in THRESHOLDS.items() if key in d)
+    assert dhym.solve_dhym(s, b).Cprime == coupled.conical_coefficients(s, b, 1.0).Cprime
+
+
+_rng = np.random.default_rng(20261018)
+ONE_ANSWER_CLASSES = [
+    (make_surface(1, 0, 5), BundleClass(k1=-1.0, k2=1.0)),  # figure 1
+    (make_surface(1, 0, 4), BundleClass(k1=-1.0, k2=1.0)),  # semistable
+    *(draw_stable(_rng) for _ in range(25)),
+]
+
+
+@pytest.mark.parametrize("s, b", ONE_ANSWER_CLASSES)
+def test_descriptor_agrees_with_itself(s, b, capsys):
+    code, out, err = run_in_process(
+        ["solve", *_class_argv(s, b), "--allow-semistable"], capsys)
+    assert code in (0, 2), err
+    d = parse_descriptor(out)
+    expected = {"Stable": "smooth", "Semistable": "holder12"}[d["stability_class"]]
+    assert d["regularity"] == expected
+    assert d["Cprime"] == dhym.solve_dhym(s, b).Cprime
+
+
+#: Inputs that ended in a Python traceback before the class data went through
+#: one gate: underflowing divisors and overflowing squares.
+OUT_OF_RANGE_ARGV = [
+    ["solve", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2", "1e-300"],
+    ["solve", "--k", "1", "--kprime", "5", "--k1", "-1e-170", "--k2", "1e-170"],
+    ["solve", "--k", "1", "--kprime", "1e300", "--k1", "-1", "--k2", "1"],
+    ["solve", "--k", "1", "--kprime", "5", "--complexified", "--kpp", "1e-300"],
+    ["check", "--k", "1", "--kprime", "5", "--k1", "-1e300", "--k2", "1"],
+    ["solve", "--k", "1", "--kprime", "5", "--k1", "-1e300", "--k2", "1"],
+    ["tke", "--k", "1", "--kprime", "5", "--k1", "-1e300", "--k2", "-1"],
+    ["limits", *FIG1, "--mode", "large", "--alphas", "1e-200,1e-100"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGV, ids=" ".join)
+def test_out_of_range_class_usage_error(argv, capsys):
+    code, out, err = run_in_process(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("alphas", ["1e-1,abc", ",", "", "1e-1,-1", "0", "1,nan", "inf"])
+def test_limits_alphas_usage_error(alphas, capsys):
+    code, out, err = run_in_process(
+        ["limits", *FIG1, "--mode", "large", "--alphas", alphas], capsys)
+    assert code == 1
+    assert "--alphas" in err
+    assert out == ""
+
+
+def test_tol_option_is_gone(capsys):
+    for command in ("check", "solve", "profile", "tke", "figure2", "limits"):
+        code, out, _ = run_in_process([command, "--help"], capsys)
+        assert code == 0 and "--tol" not in out, command
+
+
+#: One argv value, ordinary four times in five so that runs get past the
+#: parser; otherwise any float (extremes, subnormals, +-inf, NaN), an integer
+#: of any size, or text that is not a number.
+_TEXT = st.sampled_from(["abc", "", "1e", "-", "0x10", "1,2"])
+_WILD = st.one_of(st.floats(), st.integers(), _TEXT)
+
+
+def _value(ordinary):
+    return st.integers(0, 9).flatmap(lambda i: ordinary if i < 8 else _WILD).map(str)
+
+
+_NUMBER = _value(st.floats(-8.0, 8.0))
+_FLAGS = {
+    "--k": _value(st.integers(1, 4)),
+    "--h": _value(st.integers(0, 6)),
+    "--kprime": _value(st.floats(0.1, 8.0)),
+    "--k1": _NUMBER,
+    "--k2": _NUMBER,
+    "--kpp": _NUMBER,
+    "--beta0": _value(st.floats(0.05, 1.0)),
+    "--alpha-prime": _value(st.floats(1e-3, 10.0)),
+    # no integers beyond 40: a grid of 10^9 rows would only test the memory
+    "--samples": st.one_of(st.integers(-2, 40), st.floats(), _TEXT).map(str),
+    "--alphas": st.lists(_value(st.floats(1e-3, 1e3)), min_size=1, max_size=3).map(",".join),
+}
+_COMMAND_FLAGS = {
+    "check": ("--k", "--h", "--kprime", "--k1", "--k2", "--kpp"),
+    "solve": ("--k", "--h", "--kprime", "--k1", "--k2", "--kpp", "--beta0",
+              "--alpha-prime"),
+    "profile": ("--k", "--h", "--kprime", "--k1", "--k2", "--kpp", "--beta0",
+                "--samples"),
+    "tke": ("--k", "--h", "--kprime", "--k1", "--k2", "--kpp", "--beta0"),
+    "figure2": ("--k", "--h", "--kprime", "--samples"),
+    "limits": ("--k", "--h", "--kprime", "--k1", "--k2", "--kpp", "--alphas"),
+}
+_SWITCHES = {
+    "check": ("--complexified",),
+    "solve": ("--complexified", "--allow-semistable"),
+    "profile": ("--complexified", "--allow-semistable"),
+    "tke": ("--complexified", "--solve-beta"),
+    "figure2": (),
+    "limits": ("--complexified",),
+}
+
+
+@st.composite
+def cli_argv(draw, command):
+    """argv for one subcommand, each of its optional flags present or not."""
+    argv = [command]
+    for flag in _COMMAND_FLAGS[command]:
+        if flag in ("--k", "--kprime", "--k1", "--k2", "--alphas") or draw(st.booleans()):
+            argv.append(f"{flag}={draw(_FLAGS[flag])}")
+    argv += [s for s in _SWITCHES[command] if draw(st.booleans())]
+    if command == "limits":
+        argv.append(draw(st.sampled_from(["--mode=large", "--mode=small"])))
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_exit_code_contract(command, data):
+    argv = data.draw(cli_argv(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(5), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -15,9 +15,9 @@ from dhym_ruled import (
     eval_H,
     eval_H_deriv,
     eval_nu,
-    integration_constants,
     make_surface,
     ode_residual_H,
+    pose,
     solve_dhym,
 )
 from dhym_ruled.dhym import default_grid
@@ -28,7 +28,8 @@ from conftest import draw_stable
 
 def test_integration_constants_showcase(figure1):
     s, b = figure1
-    C, Cprime = integration_constants(s, b)
+    pr = pose(s, b)
+    C, Cprime = pr.C, pr.Cprime
     assert Cprime == pytest.approx(-124.0 / 5.0, rel=1e-14)
     phase_sin = 2.0 / math.sqrt(5.0)
     assert C == pytest.approx(Cprime / phase_sin, rel=1e-14)
@@ -70,13 +71,10 @@ def test_unstable_closed_form_misses_target():
     # t_minus boundary condition: that failure is the content of instability
     s = make_surface(1, 0, 2)
     b = BundleClass(k1=-1.0, k2=1.0)
-    from dhym_ruled.params import phase_constant
-
-    phase = phase_constant(b)
-    _, Cprime = integration_constants(s, b)
+    pr = pose(s, b)
     sol = DhymSolution(
-        cot_theta=phase.cot_theta,
-        Cprime=Cprime,
+        cot_theta=pr.phase.cot_theta,
+        Cprime=pr.Cprime,
         t_minus=2.0,
         t_plus=4.0,
         regularity="smooth",
