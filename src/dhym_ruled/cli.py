@@ -129,9 +129,9 @@ def _pose_args(args):
                 BundleClass(k1=args.k1, k2=args.k2))
 
 
-def residual_summary(s, b, sol, prof, num: int = 1001) -> dict:
+def residual_summary(s, b, sol, prof) -> dict:
     """Max-abs residuals of both equations plus all boundary errors."""
-    interior = np.linspace(sol.t_minus, sol.t_plus, num)[1:-1]
+    interior = np.linspace(sol.t_minus, sol.t_plus, 1001)[1:-1]
     tgt_minus, tgt_plus = dhym.boundary_targets(s, b)
     im, _ = coupled.phase_and_radius(prof, s, b, sol, interior)
     out = {
@@ -262,18 +262,24 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _semistable_gate(pr, args):
+    if pr.stability is StabilityClass.SEMISTABLE and not args.allow_semistable:
+        print("semistable class: pass --allow-semistable to proceed", file=sys.stderr)
+        raise SystemExit(EXIT_SEMISTABLE)
+
+
 def _solve_pipeline(args):
     pr = _pose_args(args)
     s, b = pr.surface, pr.bundle
     alpha_prime = getattr(args, "alpha_prime", None)
     if alpha_prime is not None:
+        # scaled_solution validates alpha' before the scaled class is posed
         sol, prof = limits.scaled_solution(s, b, alpha_prime)
         b = BundleClass(k1=alpha_prime * b.k1, k2=alpha_prime * b.k2,
                         conjugated=b.conjugated)
+        _semistable_gate(pose(s, b), args)
         return s, b, sol, prof, alpha_prime
-    if pr.stability is StabilityClass.SEMISTABLE and not args.allow_semistable:
-        print("semistable class: pass --allow-semistable to proceed", file=sys.stderr)
-        raise SystemExit(EXIT_SEMISTABLE)
+    _semistable_gate(pr, args)
     sol = dhym.solve_dhym(s, b)
     prof = coupled.conical_coefficients(s, b, args.beta0)
     return s, b, sol, prof, None
@@ -439,9 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser main uses, built by its first call.  build_parser itself
+#: returns a new parser on every call.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the parser is built once per process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except NoSolutionError as exc:

@@ -139,6 +139,12 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
 
     alpha = _coupling(pr, beta0)
     c3, cR = _radical_coeffs(pr, alpha)
+    # a subnormal divisor passes the gate of pose but overflows here
+    if not all(map(math.isfinite, (alpha, c3, cR))):
+        raise ValidationError(
+            f"profile coefficients out of double-precision range:"
+            f" alpha = {alpha!r}, c3 = {c3!r}, cR = {cR!r}"
+        )
     c2 = pr.surface.s_sigma
     Cprime, t_minus, t_plus = pr.Cprime, pr.t_minus, pr.t_plus
 
@@ -273,43 +279,53 @@ def psi_pp_difference_closed_form(
     return 4.0 * num / den
 
 
-def positivity_certificate(
-    p: ProfilePoly, num: int = 1001, refine_width: float = 1e-10
-) -> PositivityReport:
+#: Points of the positivity scan over [t_-, t_+], both endpoints included.
+POSITIVITY_GRID = 1001
+#: Zoom rounds after the scan.  Each evaluates ZOOM_POINTS over the bracket
+#: around the last argmin and keeps that argmin's neighbours, so the bracket
+#: shrinks (ZOOM_POINTS - 1) / 2 = 16x a round: from two grid steps (4e-3,
+#: the interval is always 2 wide) to 2.4e-10 after six rounds.
+ZOOM_ROUNDS = 6
+ZOOM_POINTS = 33
+
+
+def positivity_certificate(p: ProfilePoly) -> PositivityReport:
     """Certify psi > 0 on the open interior.
 
-    For alpha <= 0 the fourth derivative of psi is non-negative, so psi''
-    is convex; together with psi''(t_-) > psi''(t_+) and the boundary data
-    this certifies positivity.  For alpha > 0 no such argument is available
-    and an adaptively refined grid scan is reported instead.
+    The minimum of psi is found by a grid scan refined by array zooms.  The
+    reported minimum is the lowest value seen over the grid and every zoom
+    point, so it is never above the grid minimum.
+
+    For alpha <= 0 the certificate is convexity.  With u = t^2 + C' > 0 on
+    the open interior, psi'''' = cR * 9 C'^2 / u^(5/2), so cR >= 0 makes
+    the fourth derivative non-negative there and psi'' convex, with no grid
+    needed (a NaN cR is not certified); for alpha <= 0,
+    cR = -(alpha/3) / sin^2(theta) >= 0.  A convex psi'' with
+    psi''(t_-) > psi''(t_+) and the boundary data then certifies positivity.
+    For alpha > 0 no such argument is available and the scan is reported
+    instead.
     """
-    interior = np.linspace(p.t_minus, p.t_plus, num)[1:-1]
-    vals = eval_psi(p, interior)
+    t = np.linspace(p.t_minus, p.t_plus, POSITIVITY_GRID)[1:-1]
+    vals = eval_psi(p, t)
     i = int(np.argmin(vals))
-    lo = interior[max(i - 1, 0)]
-    hi = interior[min(i + 1, len(interior) - 1)]
-    # golden-section style bisection refinement around the grid minimum
-    while hi - lo > refine_width:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if eval_psi(p, m1) <= eval_psi(p, m2):
-            hi = m2
-        else:
-            lo = m1
-    argmin = 0.5 * (lo + hi)
-    min_value = float(min(np.min(vals), eval_psi(p, argmin)))
+    min_value, argmin = float(vals[i]), float(t[i])
+    for _ in range(ZOOM_ROUNDS):
+        t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], ZOOM_POINTS)
+        vals = eval_psi(p, t)
+        i = int(np.argmin(vals))
+        if vals[i] < min_value:
+            min_value, argmin = float(vals[i]), float(t[i])
 
     if min_value <= 0.0:
         return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
 
     if p.alpha <= 0.0:
-        fourth = eval_psi_deriv(p, interior, 4)
         degenerate = p.t_minus ** 2 + p.Cprime <= 0.0
         pp_minus = (
             math.inf if degenerate else eval_psi_deriv(p, p.t_minus, 2)
         )
         pp_plus = eval_psi_deriv(p, p.t_plus, 2)
-        if np.all(fourth >= 0.0) and pp_minus > pp_plus:
+        if p.cR >= 0.0 and pp_minus > pp_plus:
             return PositivityReport(
                 method="ConvexityCertified", min_value=min_value, argmin=argmin
             )
@@ -322,6 +338,11 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
     Zero (to rounding) for exact solutions.  The affine part of psi is in
     the kernel of psi'', so this residual cannot detect d0/d1 errors; the
     boundary checks cover those.
+
+    The source term is algebraically the same expression as psi'' of the
+    closed form, so this residual checks the coefficient bookkeeping, not
+    the ODE itself.  The finite-difference and RK4 oracles remain the
+    independent checks.
     """
     phase = pose(s, b).phase
     sin_t, cos_t = phase.sin_theta, phase.cos_theta

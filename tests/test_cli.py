@@ -4,6 +4,7 @@ import contextlib
 import io
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dhym_ruled import BundleClass, canonicalize, coupled, dhym, make_surface
-from dhym_ruled.cli import THRESHOLDS, main, parse_descriptor, reverify
+from dhym_ruled.cli import THRESHOLDS, build_parser, main, parse_descriptor, reverify
 
 from conftest import draw_stable
 
@@ -366,7 +367,8 @@ def test_descriptor_agrees_with_itself(s, b, capsys):
 
 
 #: Inputs that ended in a Python traceback before the class data went through
-#: one gate: underflowing divisors and overflowing squares.
+#: one gate: underflowing divisors and overflowing squares; and a subnormal
+#: k2^2 that overflows the coupling constant.
 OUT_OF_RANGE_ARGV = [
     ["solve", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2", "1e-300"],
     ["solve", "--k", "1", "--kprime", "5", "--k1", "-1e-170", "--k2", "1e-170"],
@@ -376,6 +378,7 @@ OUT_OF_RANGE_ARGV = [
     ["solve", "--k", "1", "--kprime", "5", "--k1", "-1e300", "--k2", "1"],
     ["tke", "--k", "1", "--kprime", "5", "--k1", "-1e300", "--k2", "-1"],
     ["limits", *FIG1, "--mode", "large", "--alphas", "1e-200,1e-100"],
+    ["solve", "--k", "1", "--kprime", "1", "--k1", "1", "--k2", "1.1e-161"],
 ]
 
 
@@ -384,6 +387,40 @@ def test_out_of_range_class_usage_error(argv, capsys):
     code, out, err = run_in_process(argv, capsys)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_scaled_semistable_class_gate(capsys):
+    # (1, 0, 4, -1, 1) scaled by alpha' = 1 is the semistable class itself
+    argv = ["solve", "--k", "1", "--kprime", "4", "--k1", "-1", "--k2", "1",
+            "--alpha-prime", "1"]
+    code, out, err = run_in_process(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "--allow-semistable" in err
+    code, out, err = run_in_process([*argv, "--allow-semistable"], capsys)
+    assert code == 2, err
+    d = parse_descriptor(out)
+    assert (d["stability_class"], d["regularity"]) == ("Semistable", "holder12")
+
+
+def test_main_reuses_one_parser_without_state(capsys):
+    """Each main call answers as a fresh parser's subcommand would."""
+    sequence = [
+        ["solve", *FIG1, "--beta0", "0.5"],
+        ["solve", *FIG1, "--beta0", "2"],
+        ["solve", *FIG1],
+        ["check", *FIG1],
+        ["profile", *FIG1, "--samples", "11"],
+        ["limits", *FIG1, "--mode", "large", "--alphas", "0.1,0.01"],
+    ]
+    for argv in sequence:
+        got = run_in_process(argv, capsys)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:
+            code = exc.code
+        want = (code, *capsys.readouterr())
+        assert got == want, argv
 
 
 @pytest.mark.parametrize("alphas", ["1e-1,abc", ",", "", "1e-1,-1", "0", "1,nan", "inf"])
@@ -466,7 +503,9 @@ def cli_argv(draw, command):
 def test_exit_code_contract(command, data):
     argv = data.draw(cli_argv(command), label="argv")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -1,6 +1,7 @@
 """Profile polynomial, coupling constants, residuals, positivity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,11 +25,13 @@ from dhym_ruled import (
     solve_dhym,
 )
 from dhym_ruled.coupled import (
+    PositivityReport,
     ProfilePoly,
     average_radius_quadrature,
     beta_infinity,
     psi_pp_difference_closed_form,
 )
+from dhym_ruled.limits import scaled_solution
 from dhym_ruled.params import phase_constant
 
 from conftest import draw_stable
@@ -169,6 +172,97 @@ def test_positivity_failure_detected(figure1):
     rep = positivity_certificate(bad)
     assert rep.method == "Failed"
     assert rep.min_value <= 0
+
+
+def ternary_positivity(p, num=1001, refine_width=1e-10):
+    """The scalar ternary search the array zooms replaced, kept as reference."""
+    interior = np.linspace(p.t_minus, p.t_plus, num)[1:-1]
+    vals = eval_psi(p, interior)
+    i = int(np.argmin(vals))
+    lo = interior[max(i - 1, 0)]
+    hi = interior[min(i + 1, len(interior) - 1)]
+    while hi - lo > refine_width:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if eval_psi(p, m1) <= eval_psi(p, m2):
+            hi = m2
+        else:
+            lo = m1
+    argmin = 0.5 * (lo + hi)
+    min_value = float(min(np.min(vals), eval_psi(p, argmin)))
+    if min_value <= 0.0:
+        return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
+    if p.alpha <= 0.0:
+        fourth = eval_psi_deriv(p, interior, 4)
+        degenerate = p.t_minus ** 2 + p.Cprime <= 0.0
+        pp_minus = math.inf if degenerate else eval_psi_deriv(p, p.t_minus, 2)
+        pp_plus = eval_psi_deriv(p, p.t_plus, 2)
+        if np.all(fourth >= 0.0) and pp_minus > pp_plus:
+            return PositivityReport(
+                method="ConvexityCertified", min_value=min_value, argmin=argmin
+            )
+    return PositivityReport(method="GridVerified", min_value=min_value, argmin=argmin)
+
+
+def largest_basis_term(p):
+    """Largest single basis term of psi on [t_-, t_+]; each grows with t."""
+    t = p.t_plus
+    return max(abs(p.d0), abs(p.d1 * t), abs(p.c2 * t ** 2), abs(p.c3 * t ** 3),
+               abs(p.cR) * (t ** 2 + p.Cprime) ** 1.5)
+
+
+def seeded_profiles(n):
+    """Smooth, conical and scaled (alpha' in 1e-4..1) profiles, in turn."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for i in range(n):
+        s, b = draw_stable(rng)
+        if i % 3 == 0:
+            out.append(smooth_coefficients(s, b))
+        elif i % 3 == 1:
+            out.append(conical_coefficients(s, b, float(rng.uniform(0.05, 1.0))))
+        else:
+            out.append(scaled_solution(s, b, 10.0 ** rng.uniform(-4.0, 0.0))[1])
+    return out
+
+
+PROFILES = seeded_profiles(240)
+
+
+def dipped(p):
+    """p plus e (t - t_-)(t - t_+), e = 2 max|psi|: a negative interior minimum.
+
+    The profiles themselves are smallest next to an endpoint, where the grid
+    already holds the minimum; a dip makes the refinement do the work.
+    """
+    e = 2.0 * np.max(np.abs(eval_psi(p, np.linspace(p.t_minus, p.t_plus, 101))))
+    return replace(p, d0=p.d0 + e * p.t_minus * p.t_plus,
+                   d1=p.d1 - e * (p.t_minus + p.t_plus), c2=p.c2 + e)
+
+
+def test_zoom_never_above_ternary_search():
+    compared = 0
+    for p in PROFILES:
+        if not ternary_positivity(p).min_value > 1e-13 * largest_basis_term(p):
+            continue  # psi is rounding noise there; the search order decides
+        for q in (p, dipped(p)):
+            ref, rep = ternary_positivity(q), positivity_certificate(q)
+            assert rep.min_value <= ref.min_value + 1e-15 * largest_basis_term(q), (q, rep, ref)
+            assert rep.method == ref.method, (q, rep, ref)
+            assert q.t_minus < rep.argmin < q.t_plus
+        compared += 1
+    assert compared >= 200
+
+
+def test_convexity_condition_is_the_sign_of_cR():
+    checked = 0
+    for p in PROFILES:
+        if p.alpha > 0.0:
+            continue
+        interior = np.linspace(p.t_minus, p.t_plus, 1001)[1:-1]
+        assert (p.cR >= 0.0) == bool(np.all(eval_psi_deriv(p, interior, 4) >= 0.0))
+        checked += 1
+    assert checked >= 100
 
 
 def test_phase_and_radius(figure1):
