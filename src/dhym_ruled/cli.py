@@ -92,15 +92,17 @@ def _beta0(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _alphas(text: str) -> list[float]:
-    """Scale factors: a non-empty comma-separated list of finite positive floats."""
-    try:
-        alphas = [float(a) for a in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
-    if not all(math.isfinite(a) and a > 0 for a in alphas):
+def _alpha_prime(text: str) -> float:
+    """A scale factor: finite and positive."""
+    a = float(text)
+    if not (math.isfinite(a) and a > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return alphas
+    return a
+
+
+def _alphas(text: str) -> list[float]:
+    """Scale factors: a non-empty comma-separated list of _alpha_prime values."""
+    return [_alpha_prime(a) for a in text.split(",")]
 
 
 def _add_bundle_args(p):
@@ -122,7 +124,11 @@ def _pose_args(args):
     if args.complexified:
         if args.kpp is None:
             raise DhymRuledError("--complexified requires --kpp")
+        if args.k1 is not None or args.k2 is not None:
+            raise DhymRuledError("--k1 and --k2 cannot be given with --complexified")
         return pose(*from_complexified(args.k, args.h, args.kprime, args.kpp))
+    if args.kpp is not None:
+        raise DhymRuledError("--kpp requires --complexified")
     if args.k1 is None or args.k2 is None:
         raise DhymRuledError("--k1 and --k2 are required (or use --complexified)")
     return pose(make_surface(args.k, args.h, args.kprime),
@@ -241,7 +247,10 @@ def parse_descriptor(text: str) -> dict:
         elif val.startswith("'"):
             out[key] = val.strip("'")
         else:
-            out[key] = float(val) if ("." in val or "e" in val or "inf" in val) else int(val)
+            try:
+                out[key] = int(val)
+            except ValueError:  # repr of a float, nan and inf included
+                out[key] = float(val)
     return out
 
 
@@ -269,34 +278,33 @@ def _semistable_gate(pr, args):
 
 
 def _solve_pipeline(args):
+    """Pose the class, scaled by --alpha-prime if given, and solve it."""
     pr = _pose_args(args)
-    s, b = pr.surface, pr.bundle
     alpha_prime = getattr(args, "alpha_prime", None)
     if alpha_prime is not None:
-        # scaled_solution validates alpha' before the scaled class is posed
-        sol, prof = limits.scaled_solution(s, b, alpha_prime)
-        b = BundleClass(k1=alpha_prime * b.k1, k2=alpha_prime * b.k2,
-                        conjugated=b.conjugated)
-        _semistable_gate(pose(s, b), args)
-        return s, b, sol, prof, alpha_prime
+        pr = pose(pr.surface, limits.scaled_class(pr.bundle, alpha_prime))
     _semistable_gate(pr, args)
+    s, b = pr.surface, pr.bundle
     sol = dhym.solve_dhym(s, b)
     prof = coupled.conical_coefficients(s, b, args.beta0)
-    return s, b, sol, prof, None
+    return s, b, sol, prof, alpha_prime
 
 
 def cmd_check(args) -> int:
     pr = _pose_args(args)
     cls, phase = pr.stability, pr.phase
     om, f = cohomology_classes(pr.surface, pr.bundle)
-    print(f"stability_margin = {pr.margin!r}")
-    print(f"stability_class = {cls.value}")
-    print(f"cos_theta = {phase.cos_theta!r}")
-    print(f"sin_theta = {phase.sin_theta!r}")
-    print(f"r_hat = {phase.r_hat!r}")
-    print(f"s_hat = {phase.s_hat!r}")
-    print(f"omega_class = ({om.a!r}, {om.b!r})")
-    print(f"F_class = ({f.a!r}, {f.b!r})")
+    lines = [
+        f"stability_margin = {pr.margin!r}",
+        f"stability_class = {cls.value}",
+        f"cos_theta = {phase.cos_theta!r}",
+        f"sin_theta = {phase.sin_theta!r}",
+        f"r_hat = {phase.r_hat!r}",
+        f"s_hat = {phase.s_hat!r}",
+        f"omega_class = ({om.a!r}, {om.b!r})",
+        f"F_class = ({f.a!r}, {f.b!r})",
+    ]
+    _write("\n".join(lines) + "\n", args.out)
     if cls is StabilityClass.STABLE:
         return EXIT_OK
     return EXIT_SEMISTABLE if cls is StabilityClass.SEMISTABLE else EXIT_UNSTABLE
@@ -351,15 +359,20 @@ def cmd_tke(args) -> int:
     s, b = pr.surface, pr.bundle
     if args.solve_beta:
         beta0 = tke.solve_beta0(s, b)
-        print(f"beta0 = {beta0!r}")
-        print(f"condition_residual = {tke.condition_residual(s, b, beta0)!r}")
+        lines = [
+            f"beta0 = {beta0!r}",
+            f"condition_residual = {tke.condition_residual(s, b, beta0)!r}",
+        ]
     else:
         a = tke.analyze(s, b, args.beta0)
-        print(f"gamma = {a.gamma!r}")
-        print(f"F_value = {a.F_value!r}")
-        print(f"H_at_1 = {a.H_at_1!r}")
-        print(f"beta_bar = {a.beta_bar!r}")
-        print(f"condition_residual = {a.condition_residual!r}")
+        lines = [
+            f"gamma = {a.gamma!r}",
+            f"F_value = {a.F_value!r}",
+            f"H_at_1 = {a.H_at_1!r}",
+            f"beta_bar = {a.beta_bar!r}",
+            f"condition_residual = {a.condition_residual!r}",
+        ]
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -411,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     _add_bundle_args(p)
     p.add_argument("--beta0", type=_beta0, default=1.0)
-    p.add_argument("--alpha-prime", dest="alpha_prime", type=float, default=None)
+    p.add_argument("--alpha-prime", dest="alpha_prime", type=_alpha_prime, default=None)
     p.add_argument("--allow-semistable", action="store_true")
     p.set_defaults(func=cmd_solve)
 

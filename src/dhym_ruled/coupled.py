@@ -14,7 +14,7 @@ beta0 = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,27 +88,8 @@ def smooth_alpha(s: SurfaceParams, b: BundleClass) -> float:
     )
 
 
-def _smooth_d0_d1(pr: Problem) -> tuple[float, float]:
-    """Closed-form constant and linear coefficients of the smooth profile.
-
-    Used as an independent cross-check against the boundary linear system.
-    """
-    b, s = pr.bundle, pr.surface
-    x, ss = s.x, s.s_sigma
-    k1, k2 = b.k1, b.k2
-    B2 = 1.0 + (k1 - k2) ** 2
-    d0 = -(
-        (-2.0 + ss * x)
-        * (-3.0 - 3.0 * k1 ** 2 - 2.0 * k1 * k2 - 3.0 * k2 ** 2 + 3.0 * B2 * x ** 2)
-    ) / (3.0 * B2 * x ** 3)
-    d1 = -(
-        (-2.0 * (1.0 + k1 ** 2 + k2 ** 2) + B2 * ss * x) * (-1.0 + x ** 2)
-    ) / (4.0 * k1 * k2 * x ** 2)
-    return d0, d1
-
-
 def _radical_coeffs(pr: Problem, alpha: float):
-    """Cubic and radical coefficients shared by smooth and conical paths."""
+    """Cubic and radical coefficients of the profile for coupling alpha."""
     phase = pr.phase
     sin_t, cos_t = phase.sin_theta, phase.cos_theta
     s_hat = phase.s_hat
@@ -204,27 +185,11 @@ def _check_boundary_slopes(p: ProfilePoly, cls: StabilityClass) -> None:
 def smooth_coefficients(s: SurfaceParams, b: BundleClass) -> ProfilePoly:
     """Smooth profile (both cone angles equal to one).
 
-    In the strictly stable case d0, d1 come from their closed forms, which
-    stay accurate even when the radical and cubic columns of the boundary
-    system nearly cancel (extreme class scalings); the linear system is kept
-    as a cross-check with a cancellation-aware tolerance.  The semistable
-    case has no separate closed form and uses the system path.
+    This is conical_coefficients(s, b, 1.0): the smooth solution is the
+    beta0 = 1 member of the conical family, with d0, d1 from the same
+    boundary system.
     """
-    pr = pose(s, b)
-    p = _profile(pr, 1.0)
-    if pr.stability is not StabilityClass.STABLE:
-        return p
-    d0c, d1c = _smooth_d0_d1(pr)
-    # the system's own rounding floor: machine epsilon times the magnitude
-    # of the (nearly cancelling) cubic and radical columns
-    u = p.t_plus ** 2 + p.Cprime
-    floor = 1e-14 * (abs(p.c3) * p.t_plus ** 3 + abs(p.cR) * u ** 1.5)
-    tol = 1e-9 * max(abs(d0c), abs(d1c), 1.0) + floor
-    if abs(p.d0 - d0c) > tol or abs(p.d1 - d1c) > tol:
-        raise ValidationError(
-            "smooth closed-form coefficients disagree with boundary system"
-        )
-    return replace(p, d0=d0c, d1=d1c)
+    return conical_coefficients(s, b, 1.0)
 
 
 def eval_psi(p: ProfilePoly, t):
@@ -386,7 +351,7 @@ def phase_and_radius(
 
 
 def average_radius_quadrature(
-    s: SurfaceParams, b: BundleClass, dh: DhymSolution, p: ProfilePoly, tol=1e-10
+    s: SurfaceParams, b: BundleClass, dh: DhymSolution, p: ProfilePoly
 ) -> float:
     """Average of the pointwise radius against the volume weight x*t dt."""
 
@@ -394,5 +359,5 @@ def average_radius_quadrature(
         _, re = phase_and_radius(p, s, b, dh, t)
         return t * re
 
-    val = oracle.quadrature(integrand, dh.t_minus, dh.t_plus, tol=tol)
+    val = oracle.quadrature(integrand, dh.t_minus, dh.t_plus, tol=1e-10)
     return 0.5 * s.x * val

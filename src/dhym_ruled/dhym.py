@@ -174,6 +174,6 @@ def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):
     return float(out) if out.ndim == 0 else out
 
 
-def default_grid(sol: DhymSolution, num: int = 1001) -> np.ndarray:
-    """Uniform evaluation grid on [t_minus, t_plus]."""
-    return np.linspace(sol.t_minus, sol.t_plus, num)
+def default_grid(sol: DhymSolution) -> np.ndarray:
+    """Uniform 1001-point evaluation grid on [t_minus, t_plus]."""
+    return np.linspace(sol.t_minus, sol.t_plus, 1001)

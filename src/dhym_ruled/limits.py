@@ -12,7 +12,7 @@ t-independent values; t-independence itself is the verified claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .params import BundleClass, StabilityClass, SurfaceParams, pose
 
 #: Relative tolerance for the scaled-constant consistency check.
 _CPRIME_RTOL = 1e-12
+#: Points per scale sample of the sup-norm grids of both limit checks.
+_SUP_GRID = 401
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,11 @@ def scaled_Cprime(s: SurfaceParams, b: BundleClass, alpha_prime: float) -> float
     )
 
 
+def scaled_class(b: BundleClass, alpha_prime: float) -> BundleClass:
+    """The class (alpha' k1, alpha' k2), with b's conjugation flag."""
+    return replace(b, k1=alpha_prime * b.k1, k2=alpha_prime * b.k2)
+
+
 def scaled_solution(
     s: SurfaceParams, b: BundleClass, alpha_prime: float
 ) -> tuple[DhymSolution, ProfilePoly]:
@@ -70,8 +77,7 @@ def scaled_solution(
             f"alpha_prime must be finite and positive, got {alpha_prime!r}"
         )
     b = pose(s, b).bundle
-    bs = BundleClass(k1=alpha_prime * b.k1, k2=alpha_prime * b.k2,
-                     conjugated=b.conjugated)
+    bs = scaled_class(b, alpha_prime)
     pr = pose(s, bs)
     if pr.stability is StabilityClass.UNSTABLE:
         raise NoSolutionError(
@@ -102,7 +108,7 @@ def _fit_order(x: np.ndarray, err: np.ndarray) -> float:
     return float(np.polyfit(np.log(x[mask]), np.log(err[mask]), 1)[0])
 
 
-def large_radius_check(fam: ScaledFamily, num: int = 401) -> ConvergenceReport:
+def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     """Convergence of H/alpha' to its affine-plus-1/t limit as alpha' -> 0.
 
     Also reports the limit coupling constant recovered from the per-sample
@@ -115,11 +121,11 @@ def large_radius_check(fam: ScaledFamily, num: int = 401) -> ConvergenceReport:
     nu_sup = []
     alpha_scaled = []
     for a, (sol, prof) in zip(fam.alphas, fam.solutions):
-        t = np.linspace(sol.t_minus, sol.t_plus, num)
+        t = np.linspace(sol.t_minus, sol.t_plus, _SUP_GRID)
         target = b.k1 * t + (b.k2 / t) * (1.0 / x ** 2 - 1.0)
         sup_errors.append(float(np.max(np.abs(eval_H(sol, t) / a - target))))
-        bs = BundleClass(k1=a * b.k1, k2=a * b.k2)
-        nu_sup.append(float(np.max(np.abs(eval_nu(sol, s, bs, t) / a))))
+        nu = eval_nu(sol, s, scaled_class(b, a), t)
+        nu_sup.append(float(np.max(np.abs(nu / a))))
         alpha_scaled.append(a ** 2 * prof.alpha)
     order = _fit_order(np.asarray(fam.alphas), np.asarray(sup_errors))
 
@@ -146,7 +152,7 @@ def large_radius_check(fam: ScaledFamily, num: int = 401) -> ConvergenceReport:
         from . import oracle
 
         idx = np.argsort(fam.alphas)[:2]
-        tt = np.linspace(sol0.t_minus, sol0.t_plus, num)
+        tt = np.linspace(sol0.t_minus, sol0.t_plus, _SUP_GRID)
         vals = [
             oracle.eval_psi_highprec(
                 s.k, s.h, s.kprime, fam.alphas[int(i)] * b.k1,
@@ -190,7 +196,7 @@ def small_radius_constants(s: SurfaceParams, b: BundleClass):
     return C_hat, branch, K
 
 
-def small_radius_check(fam: ScaledFamily, num: int = 401) -> ConvergenceReport:
+def small_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     """Convergence of H/alpha' to the closed-form limit as alpha' -> infinity.
 
     Reports the fitted order in 1/alpha', the t-independence of the limit
@@ -202,7 +208,7 @@ def small_radius_check(fam: ScaledFamily, num: int = 401) -> ConvergenceReport:
     sup_errors = []
     alpha_scaled = []
     for a, (sol, prof) in zip(fam.alphas, fam.solutions):
-        t = np.linspace(sol.t_minus, sol.t_plus, num)
+        t = np.linspace(sol.t_minus, sol.t_plus, _SUP_GRID)
         sup_errors.append(float(np.max(np.abs(eval_H(sol, t) / a - gamma * K(t)))))
         alpha_scaled.append(a ** 2 * prof.alpha)
     inv_alphas = 1.0 / np.asarray(fam.alphas)

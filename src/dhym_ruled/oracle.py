@@ -225,11 +225,11 @@ def solve_2x2(a11, a12, a21, a22, b1, b2) -> tuple[float, float]:
     return x1, x2
 
 
-def eval_psi_highprec(k, h, kprime, k1, k2, ts, digits: int = 60) -> np.ndarray:
+def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
     """Smooth-profile values recomputed in extended-precision decimal.
 
-    Re-derives every constant (phase, coupling, coefficients) from scratch at
-    the requested precision and evaluates psi(t).  Used where the double
+    Re-derives every constant (phase, coupling, coefficients) from scratch
+    with 60 significant digits and evaluates psi(t).  Used where the double
     evaluation of the basis loses all significance: for strongly scaled
     classes the cubic and radical terms are ~1e15 times larger than psi
     itself.  Requires k1 < 0, k2 != 0 and strict stability.
@@ -237,7 +237,7 @@ def eval_psi_highprec(k, h, kprime, k1, k2, ts, digits: int = 60) -> np.ndarray:
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 60
         D = Decimal
         k_, h_, kp = D(k), D(h), D(kprime)
         k1_, k2_ = D(k1), D(k2)
@@ -276,33 +276,27 @@ def eval_psi_highprec(k, h, kprime, k1, k2, ts, digits: int = 60) -> np.ndarray:
     return np.asarray(out)
 
 
-def reconstruct_s_of_tau(
-    p,
-    tau0: float = 0.0,
-    num: int = 20001,
-    edge: float = 1e-8,
-) -> GridFunction:
+def reconstruct_s_of_tau(p) -> GridFunction:
     """Invert the momentum profile to the log-norm coordinate s(tau).
 
-    s(tau) = integral of d sigma / phi(sigma) from tau0, on a grid of the
-    profile variable tau in (-1 + edge, 1 - edge).  The grid is uniform in
-    tau; s diverges logarithmically at both ends, at rates set by the cone
-    angles.  Raises PositivityError if the profile is not positive on the
-    requested range.
+    s(tau) = integral of d sigma / phi(sigma) from 0, on a uniform grid of
+    20001 nodes of the profile variable tau in (-1 + 1e-8, 1 - 1e-8).  s
+    diverges logarithmically at both ends, at rates set by the cone angles.
+    Raises PositivityError if the profile is not positive on that range.
     """
     from .coupled import eval_phi  # local import: avoids a module cycle
 
     half = 0.5 * (p.t_minus + p.t_plus)  # equals 1/x
-    tau = np.linspace(-1.0 + edge, 1.0 - edge, num)
+    tau = np.linspace(-1.0 + 1e-8, 1.0 - 1e-8, 20001)
     t = half - tau
     phi = eval_phi(p, t)
     if np.any(phi <= 0.0):
         bad = tau[np.argmin(phi)]
         raise PositivityError(f"profile non-positive near tau = {bad}")
     inv = 1.0 / phi
-    # cumulative trapezoid, then shift so that s(tau0) = 0
+    # cumulative trapezoid, then shift so that s(0) = 0
     s_vals = np.concatenate(
         ([0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(tau)))
     )
-    s_at_tau0 = float(np.interp(tau0, tau, s_vals))
-    return GridFunction(nodes=tau, values=s_vals - s_at_tau0)
+    s_at_0 = float(np.interp(0.0, tau, s_vals))
+    return GridFunction(nodes=tau, values=s_vals - s_at_0)

@@ -142,7 +142,7 @@ def analyze(s: SurfaceParams, b: BundleClass, beta0: float) -> TkeAnalysis:
     )
 
 
-def solve_beta0(s: SurfaceParams, b: BundleClass, tol: float = BETA_TOL) -> float:
+def solve_beta0(s: SurfaceParams, b: BundleClass) -> float:
     """The unique cone angle in (beta_bar, 1) realizing the reduction.
 
     Bisection on the bracket guaranteed by the asymptote structure: H
@@ -170,7 +170,7 @@ def solve_beta0(s: SurfaceParams, b: BundleClass, tol: float = BETA_TOL) -> floa
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= BETA_TOL:
             break
     beta0 = 0.5 * (lo + hi)
     if abs(condition_residual(s, b, beta0)) > 1e-9 * max(1.0, abs(f)):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dhym_ruled import BundleClass, canonicalize, coupled, dhym, make_surface
-from dhym_ruled.cli import THRESHOLDS, build_parser, main, parse_descriptor, reverify
+from dhym_ruled.cli import (
+    THRESHOLDS,
+    build_parser,
+    format_descriptor,
+    main,
+    parse_descriptor,
+    reverify,
+)
 
 from conftest import draw_stable
 
@@ -102,6 +110,14 @@ def test_solve_roundtrip_bitwise(tmp_path):
         assert abs(val - d[key]) <= 1e-12, key
 
 
+def test_descriptor_roundtrip_nonfinite():
+    d = {"a": float("nan"), "b": float("inf"), "c": float("-inf"), "n": 3}
+    back = parse_descriptor(format_descriptor(d))
+    assert math.isnan(back["a"]) and back["b"] == math.inf and back["c"] == -math.inf
+    assert back["n"] == 3 and isinstance(back["n"], int)
+    assert format_descriptor(back) == format_descriptor(d)
+
+
 def test_solve_semistable_gate():
     r = run("solve", "--k", "1", "--h", "0", "--kprime", "4", "--k1", "-1", "--k2", "1")
     assert r.returncode == 2
@@ -153,6 +169,21 @@ def test_tke_solve():
     assert r.returncode == 0
     beta0 = float(r.stdout.splitlines()[0].split(" = ")[1])
     assert beta0 == pytest.approx(42.0 / 53.0, abs=1e-10)
+
+
+TKE_CLASS = ["--k", "1", "--h", "6", "--kprime", "1", "--k1", "-1", "--k2", "-1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", *FIG1],
+    ["tke", *TKE_CLASS],
+    ["tke", *TKE_CLASS, "--solve-beta"],
+], ids=" ".join)
+def test_out_receives_the_text(argv, tmp_path, capsys):
+    code, text, _ = run_in_process(argv, capsys)
+    out = tmp_path / "out.txt"
+    assert run_in_process([*argv, "--out", str(out)], capsys) == (code, "", "")
+    assert out.read_text() == text != ""
 
 
 def test_figure2(tmp_path):
@@ -366,9 +397,11 @@ def test_descriptor_agrees_with_itself(s, b, capsys):
     assert d["Cprime"] == dhym.solve_dhym(s, b).Cprime
 
 
-#: Inputs that ended in a Python traceback before the class data went through
-#: one gate: underflowing divisors and overflowing squares; and a subnormal
-#: k2^2 that overflows the coupling constant.
+#: Inputs that must exit 1 with one `error:` line.  Before the class data went
+#: through one gate, the first ones ended in a Python traceback: underflowing
+#: divisors and overflowing squares, and a subnormal k2^2 that overflows the
+#: coupling constant.  The last two give class options that conflict; one of
+#: them used to be dropped without a word.
 OUT_OF_RANGE_ARGV = [
     ["solve", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2", "1e-300"],
     ["solve", "--k", "1", "--kprime", "5", "--k1", "-1e-170", "--k2", "1e-170"],
@@ -379,6 +412,9 @@ OUT_OF_RANGE_ARGV = [
     ["tke", "--k", "1", "--kprime", "5", "--k1", "-1e300", "--k2", "-1"],
     ["limits", *FIG1, "--mode", "large", "--alphas", "1e-200,1e-100"],
     ["solve", "--k", "1", "--kprime", "1", "--k1", "1", "--k2", "1.1e-161"],
+    ["check", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2", "1", "--kpp", "3"],
+    ["check", "--k", "1", "--kprime", "5", "--complexified", "--kpp", "3",
+     "--k1", "-1", "--k2", "1"],
 ]
 
 
@@ -400,6 +436,38 @@ def test_scaled_semistable_class_gate(capsys):
     assert code == 2, err
     d = parse_descriptor(out)
     assert (d["stability_class"], d["regularity"]) == ("Semistable", "holder12")
+
+
+_scale_rng = np.random.default_rng(20261021)
+#: (surface, class with k1 < 0, alpha'): figure 1 at three scalings, and draws
+SCALED_CASES = [
+    *((make_surface(1, 0, 5), BundleClass(k1=-1.0, k2=1.0), a)
+      for a in (1.0, 1e-2, 1e-4)),
+    *((*draw_stable(_scale_rng), float(10.0 ** _scale_rng.uniform(-4.0, 0.0)))
+      for _ in range(5)),
+]
+
+
+@pytest.mark.parametrize("beta0", [[], ["--beta0", "0.5"]], ids=["smooth", "conical"])
+@pytest.mark.parametrize("s, b, a", SCALED_CASES)
+def test_alpha_prime_is_solve_on_the_scaled_class(s, b, a, beta0, capsys):
+    code, out, err = run_in_process(
+        ["solve", *_class_argv(s, b), f"--alpha-prime={a!r}", *beta0], capsys)
+    scaled = BundleClass(k1=a * b.k1, k2=a * b.k2)
+    assert run_in_process(["solve", *_class_argv(s, scaled), *beta0], capsys) == (
+        code, out.replace(f"alpha_prime = {a!r}", "alpha_prime = None"), err)
+    d = parse_descriptor(out)
+    assert d["alpha_prime"] == a
+    redone = reverify(d)
+    assert redone == {key: d[key] for key in redone}
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-3", "nan", "inf", "abc"])
+def test_alpha_prime_usage_error(value, capsys):
+    code, out, err = run_in_process(["solve", *FIG1, "--alpha-prime", value], capsys)
+    assert code == 1
+    assert "--alpha-prime" in err
+    assert out == ""
 
 
 def test_main_reuses_one_parser_without_state(capsys):

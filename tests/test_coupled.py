@@ -31,7 +31,7 @@ from dhym_ruled.coupled import (
     beta_infinity,
     psi_pp_difference_closed_form,
 )
-from dhym_ruled.limits import scaled_solution
+from dhym_ruled.limits import scaled_class, scaled_solution
 from dhym_ruled.params import phase_constant
 
 from conftest import draw_stable
@@ -131,6 +131,47 @@ def test_psi_pp_difference_hand_values(figure1):
     assert psi_pp_difference_closed_form(s, b, 0.5) == pytest.approx(
         -3640.0 / 33.0, rel=1e-12
     )
+
+
+def smooth_d0_d1_closed_form(s, b):
+    """Closed-form d0, d1 of the smooth profile of a strictly stable class."""
+    b = canonicalize(b)
+    x, ss, k1, k2 = s.x, s.s_sigma, b.k1, b.k2
+    B2 = 1.0 + (k1 - k2) ** 2
+    d0 = -(
+        (-2.0 + ss * x)
+        * (-3.0 - 3.0 * k1 ** 2 - 2.0 * k1 * k2 - 3.0 * k2 ** 2 + 3.0 * B2 * x ** 2)
+    ) / (3.0 * B2 * x ** 3)
+    d1 = -(
+        (-2.0 * (1.0 + k1 ** 2 + k2 ** 2) + B2 * ss * x) * (-1.0 + x ** 2)
+    ) / (4.0 * k1 * k2 * x ** 2)
+    return d0, d1
+
+
+def test_boundary_system_matches_smooth_closed_form():
+    """d0, d1 of the boundary system agree with their closed form.
+
+    Every other draw is scaled by alpha' in [1e-4, 1], where the cubic and
+    radical columns of the system nearly cancel; the tolerance adds the
+    system's rounding floor, eps times the size of those columns.
+    """
+    rng = np.random.default_rng(20261019)
+    for i in range(240):
+        s, b = draw_stable(rng)
+        if i % 2:
+            b = scaled_class(canonicalize(b), 10.0 ** rng.uniform(-4.0, 0.0))
+        p = conical_coefficients(s, b, 1.0)
+        d0, d1 = smooth_d0_d1_closed_form(s, b)
+        u = p.t_plus ** 2 + p.Cprime
+        floor = 1e-14 * (abs(p.c3) * p.t_plus ** 3 + abs(p.cR) * u ** 1.5)
+        tol = 1e-9 * max(abs(d0), abs(d1), 1.0) + floor
+        assert abs(p.d0 - d0) <= tol and abs(p.d1 - d1) <= tol, (s, b)
+
+
+def test_smooth_is_conical_with_beta0_one(figure1, semistable_case):
+    rng = np.random.default_rng(20261020)
+    for s, b in [figure1, semistable_case, *(draw_stable(rng) for _ in range(20))]:
+        assert smooth_coefficients(s, b) == conical_coefficients(s, b, 1.0)
 
 
 def test_positivity_smooth_convexity(figure1, rng):
