@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .dhym import DhymSolution, check_domain, eval_H, eval_H_deriv
+from .dhym import DhymSolution, check_domain, eval_H_pair
 from .errors import NoSolutionError, ValidationError
 from .params import (
     BundleClass,
@@ -166,8 +166,8 @@ def _slope_scale(p: ProfilePoly, t: float) -> float:
 
 
 def _check_boundary_slopes(p: ProfilePoly, cls: StabilityClass) -> None:
+    got_minus, got_plus = eval_psi_deriv(p, np.array([p.t_minus, p.t_plus]), 1).tolist()
     target_plus = -2.0 * p.beta0 * p.t_plus
-    got_plus = eval_psi_deriv(p, p.t_plus, 1)
     if abs(got_plus - target_plus) > SLOPE_TOL * _slope_scale(p, p.t_plus):
         raise ValidationError(
             f"boundary slope mismatch at t_plus: {got_plus} vs {target_plus}"
@@ -175,7 +175,6 @@ def _check_boundary_slopes(p: ProfilePoly, cls: StabilityClass) -> None:
     if cls is StabilityClass.SEMISTABLE:
         return  # psi' only extends with a square-root singularity factor
     target_minus = 2.0 * p.beta_inf * p.t_minus
-    got_minus = eval_psi_deriv(p, p.t_minus, 1)
     if abs(got_minus - target_minus) > SLOPE_TOL * _slope_scale(p, p.t_minus):
         raise ValidationError(
             f"boundary slope mismatch at t_minus: {got_minus} vs {target_minus}"
@@ -252,6 +251,7 @@ POSITIVITY_GRID = 1001
 #: the interval is always 2 wide) to 2.4e-10 after six rounds.
 ZOOM_ROUNDS = 6
 ZOOM_POINTS = 33
+_ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
 
 
 def positivity_certificate(p: ProfilePoly) -> PositivityReport:
@@ -275,7 +275,14 @@ def positivity_certificate(p: ProfilePoly) -> PositivityReport:
     i = int(np.argmin(vals))
     min_value, argmin = float(vals[i]), float(t[i])
     for _ in range(ZOOM_ROUNDS):
-        t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], ZOOM_POINTS)
+        lo, hi = t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)]
+        # np.linspace(lo, hi, ZOOM_POINTS) without its call overhead: the same
+        # lo + k * step with the last point set to hi.  linspace rounds
+        # differently only when the step underflows to 0, which for ends at
+        # least 2e-3 from 0 (interior points, t_minus >= 0) means hi == lo,
+        # and then both give lo.
+        t = lo + (hi - lo) / (ZOOM_POINTS - 1) * _ZOOM_STEPS
+        t[-1] = hi
         vals = eval_psi(p, t)
         i = int(np.argmin(vals))
         if vals[i] < min_value:
@@ -285,11 +292,11 @@ def positivity_certificate(p: ProfilePoly) -> PositivityReport:
         return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
 
     if p.alpha <= 0.0:
-        degenerate = p.t_minus ** 2 + p.Cprime <= 0.0
-        pp_minus = (
-            math.inf if degenerate else eval_psi_deriv(p, p.t_minus, 2)
-        )
-        pp_plus = eval_psi_deriv(p, p.t_plus, 2)
+        pp_minus, pp_plus = eval_psi_deriv(
+            p, np.array([p.t_minus, p.t_plus]), 2
+        ).tolist()
+        if p.t_minus ** 2 + p.Cprime <= 0.0:
+            pp_minus = math.inf
         if p.cR >= 0.0 and pp_minus > pp_plus:
             return PositivityReport(
                 method="ConvexityCertified", min_value=min_value, argmin=argmin
@@ -336,18 +343,21 @@ def phase_and_radius(
     real part is the pointwise radius, whose average against the volume
     weight is the cohomological average radius.
     """
-    sign = -1.0 if dh.conjugated else 1.0
-    sin_t, cos_t = sign * dh.sin_theta, dh.cos_theta
     t_arr = check_domain(p, t)
-    H = eval_H(dh, t)
-    Hp = eval_H_deriv(dh, t)
-    one_minus = 1.0 - H * Hp / t_arr
-    sum_part = Hp + H / t_arr
-    im_part = sin_t * one_minus + cos_t * sum_part
-    re_part = cos_t * one_minus - sin_t * sum_part
+    H, Hp = eval_H_pair(dh, t)
+    im_part, re_part = phase_and_radius_of(dh, t_arr, H, Hp)
     if np.ndim(im_part) == 0:
         return float(im_part), float(re_part)
     return im_part, re_part
+
+
+def phase_and_radius_of(dh: DhymSolution, t, H, Hp):
+    """The parts of phase_and_radius from given values H = H(t), Hp = H'(t)."""
+    sign = -1.0 if dh.conjugated else 1.0
+    sin_t, cos_t = sign * dh.sin_theta, dh.cos_theta
+    one_minus = 1.0 - H * Hp / t
+    sum_part = Hp + H / t
+    return sin_t * one_minus + cos_t * sum_part, cos_t * one_minus - sin_t * sum_part
 
 
 def average_radius_quadrature(

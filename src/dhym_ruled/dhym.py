@@ -87,10 +87,13 @@ def check_domain(interval, t):
 
     ``interval`` is a DhymSolution or a ProfilePoly; an absolute slack of
     _ENDPOINT_SLACK is accepted at either end before raising DomainError.
+    A NaN t lies nowhere and is rejected.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < interval.t_minus - _ENDPOINT_SLACK) or np.any(
-        t > interval.t_plus + _ENDPOINT_SLACK
+    # min and max propagate NaN, which then fails both comparisons
+    if t.size and not (
+        t.min() >= interval.t_minus - _ENDPOINT_SLACK
+        and t.max() <= interval.t_plus + _ENDPOINT_SLACK
     ):
         raise DomainError(f"t outside [{interval.t_minus}, {interval.t_plus}]")
     return t
@@ -101,6 +104,30 @@ def _sign(sol: DhymSolution) -> float:
     return -1.0 if sol.conjugated else 1.0
 
 
+def _H_of(sol: DhymSolution, t, u, root):
+    """Canonical-branch H at a checked t, from u = max(t^2 + C', 0) and
+    root = sqrt(u)."""
+    sin_t, cos_t = sol.sin_theta, sol.cos_theta
+    if cos_t > 0.0:
+        # rationalized form: avoids the t*cos - sqrt(u) cancellation that
+        # dominates for near-degenerate phases (e.g. small scaled classes)
+        return (-(t * sin_t) ** 2 - sol.Cprime) / (sin_t * (t * cos_t + root))
+    cot = sol.cot_theta
+    return t * cot - np.sqrt((cot ** 2 + 1.0) * u)
+
+
+def _H_deriv_of(sol: DhymSolution, t, root):
+    """Canonical-branch H' at a checked t, from root = sqrt(t^2 + C'), which
+    is NaN where rounding leaves t^2 + C' below 0."""
+    sin_t, cos_t = sol.sin_theta, sol.cos_theta
+    if cos_t > 0.0:
+        return (cos_t ** 2 * sol.Cprime - (t * sin_t) ** 2) / (
+            sin_t * root * (cos_t * root + t)
+        )
+    cot = sol.cot_theta
+    return cot - t * math.sqrt(cot ** 2 + 1.0) / root
+
+
 def eval_H(sol: DhymSolution, t):
     """H(t) on [t_minus, t_plus]; accepts scalars or arrays.
 
@@ -109,36 +136,40 @@ def eval_H(sol: DhymSolution, t):
     canonical-branch value.
     """
     t = check_domain(sol, t)
-    cot = sol.cot_theta
-    sin_t, cos_t = sol.sin_theta, sol.cos_theta
     u = np.maximum(t ** 2 + sol.Cprime, 0.0)
-    if cos_t > 0.0:
-        # rationalized form: avoids the t*cos - sqrt(u) cancellation that
-        # dominates for near-degenerate phases (e.g. small scaled classes)
-        out = (-(t * sin_t) ** 2 - sol.Cprime) / (
-            sin_t * (t * cos_t + np.sqrt(u))
-        )
-    else:
-        out = t * cot - np.sqrt((cot ** 2 + 1.0) * u)
-    out = _sign(sol) * out
+    out = _sign(sol) * _H_of(sol, t, u, np.sqrt(u))
     return float(out) if out.ndim == 0 else out
 
 
 def eval_H_deriv(sol: DhymSolution, t):
     """Analytic H'(t); diverges at t_minus in the holder12 case."""
     t = check_domain(sol, t)
-    cot = sol.cot_theta
-    sin_t, cos_t = sol.sin_theta, sol.cos_theta
-    u = t ** 2 + sol.Cprime
-    if cos_t > 0.0:
-        root = np.sqrt(u)
-        out = (cos_t ** 2 * sol.Cprime - (t * sin_t) ** 2) / (
-            sin_t * root * (cos_t * root + t)
-        )
-    else:
-        out = cot - t * math.sqrt(cot ** 2 + 1.0) / np.sqrt(u)
-    out = _sign(sol) * out
+    out = _sign(sol) * _H_deriv_of(sol, t, np.sqrt(t ** 2 + sol.Cprime))
     return float(out) if np.ndim(out) == 0 else out
+
+
+def eval_H_pair(sol: DhymSolution, t):
+    """(H(t), H'(t)) from one domain check, one t^2 and one square root.
+
+    Bitwise equal to (eval_H(sol, t), eval_H_deriv(sol, t)).
+    """
+    t = check_domain(sol, t)
+    u = t ** 2 + sol.Cprime
+    root = np.sqrt(u)
+    sign = _sign(sol)
+    # fmax(NaN, 0) = 0 = sqrt(max(u, 0)) where u < 0
+    H = sign * _H_of(sol, t, np.maximum(u, 0.0), np.fmax(root, 0.0))
+    Hp = sign * _H_deriv_of(sol, t, root)
+    if np.ndim(H) == 0:
+        return float(H), float(Hp)
+    return H, Hp
+
+
+def ode_residual_of(sol: DhymSolution, t, H, Hp):
+    """The residual of ode_residual_H from given values H = H(t), Hp = H'(t)."""
+    sin_t = _sign(sol) * sol.sin_theta
+    cos_t = sol.cos_theta
+    return Hp * (H * sin_t - t * cos_t) - (t * sin_t + H * cos_t)
 
 
 def ode_residual_H(sol: DhymSolution, t):
@@ -149,13 +180,9 @@ def ode_residual_H(sol: DhymSolution, t):
     conjugated descriptor the phase has the opposite sine, which the residual
     accounts for.
     """
-    sin_t = _sign(sol) * sol.sin_theta
-    cos_t = sol.cos_theta
-    H = eval_H(sol, t)
-    Hp = eval_H_deriv(sol, t)
-    t = np.asarray(t, dtype=float)
-    out = Hp * (H * sin_t - t * cos_t) - (t * sin_t + H * cos_t)
-    return float(out) if out.ndim == 0 else out
+    H, Hp = eval_H_pair(sol, t)
+    out = ode_residual_of(sol, np.asarray(t, dtype=float), H, Hp)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):

@@ -10,6 +10,7 @@ function of these inputs, resolved once per class by ``pose``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -44,7 +45,8 @@ class BundleClass:
     ``conjugated`` records that the input had k1 > 0 and was reduced via the
     symmetry (k1, k2) -> (-k1, -k2); solutions for the original data are the
     negatives of the solutions computed from the reduced data.  Non-finite
-    k1 or k2 is rejected on construction.
+    k1 or k2 is rejected on construction, and both are stored as floats, so
+    that equal classes (which share one memoised ``pose``) print alike.
     """
 
     k1: float
@@ -52,8 +54,10 @@ class BundleClass:
     conjugated: bool = False
 
     def __post_init__(self):
-        _require_finite("k1", self.k1)
-        _require_finite("k2", self.k2)
+        for name in ("k1", "k2"):
+            value = getattr(self, name)
+            _require_finite(name, value)
+            object.__setattr__(self, name, float(value))
 
 
 class StabilityClass(enum.Enum):
@@ -183,12 +187,17 @@ class Problem:
     t_plus: float
 
 
+@functools.lru_cache(maxsize=16)
 def pose(s: SurfaceParams, b: BundleClass) -> Problem:
     """Canonicalize, classify and phase the class; the gate of every solver.
 
     Raises ValidationError when a derived quantity is not finite, or when a
     divisor of the closed forms downstream is zero: inputs so large or so
     small that double precision over- or underflows on them.
+
+    Memoised: each stage of one solve poses the same class again, and the
+    inputs and the result are frozen.  Equal inputs share one Problem; an
+    input that raises is not remembered and raises again.
     """
     b = canonicalize(b)
     x = s.x

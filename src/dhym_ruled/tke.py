@@ -9,6 +9,7 @@ asymptote of H, and solves for the cone angle realizing the reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,19 @@ def beta_asymptote(k: int, kprime: float, h: int) -> float:
 def _H_beta_values(k: int, kprime: float, h: int, beta):
     """H(k, k', h, beta) and a mask of the samples at its pole.
 
-    Plain arithmetic, so a float ``beta`` costs no array round trip and an
-    array ``beta`` is evaluated in one pass; values under the mask are NaN.
+    Plain arithmetic, so a float ``beta`` gives a float and a bool with no
+    array round trip, and an array ``beta`` is evaluated in one pass; values
+    at the pole are NaN.
     """
     num = 2.0 * (1.0 - h) / (k + kprime) + 2.0 * (beta - 1.0) * k / kprime - 1.0
     den = 2.0 * (1.0 - h) / (k + kprime) + 3.0 * (kprime / k) * (1.0 - beta) + 4.0 - 6.0 * beta
     scale = max(1.0, abs(2.0 * (1.0 - h) / (k + kprime)), 3.0 * kprime / k + 6.0)
     pole = abs(den) < 1e-12 * scale
-    return 2.0 * num / np.where(pole, np.nan, den), pole
+    if isinstance(den, float):
+        den = math.nan if pole else den
+    else:
+        den = np.where(pole, np.nan, den)
+    return 2.0 * num / den, pole
 
 
 def H_beta(k: int, kprime: float, h: int, beta: float) -> float:

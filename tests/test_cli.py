@@ -12,13 +12,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dhym_ruled import BundleClass, canonicalize, coupled, dhym, make_surface
+from dhym_ruled import (
+    BundleClass,
+    ValidationError,
+    canonicalize,
+    coupled,
+    dhym,
+    from_complexified,
+    limits,
+    make_surface,
+    pose,
+)
 from dhym_ruled.cli import (
     THRESHOLDS,
     build_parser,
     format_descriptor,
     main,
     parse_descriptor,
+    residual_summary,
     reverify,
 )
 
@@ -340,6 +351,99 @@ def test_profile_columns_match_pointwise_calls(tmp_path, cls, beta0, extra, code
         bound = 1e-12 * _basis_scale(prof, t)
         got = [float(cell) for cell in rows[i][1:1 + len(want)]]
         assert np.all(np.abs(np.subtract(got, want)) <= bound), (i, got, want)
+
+
+def _pointwise_summary(s, b, sol, prof):
+    """residual_summary as separate calls: the ODE residual, the phase and the
+    scalar residual each on the 999-point interior grid, 0-d calls at the
+    ends."""
+    interior = np.linspace(sol.t_minus, sol.t_plus, 1001)[1:-1]
+    tgt_minus, tgt_plus = dhym.boundary_targets(s, b)
+    im, _ = coupled.phase_and_radius(prof, s, b, sol, interior)
+    out = {
+        "max_dhym_residual": float(np.max(np.abs(dhym.ode_residual_H(sol, interior)))),
+        "max_im_part": float(np.max(np.abs(im))),
+        "max_scalar_residual": float(
+            np.max(np.abs(coupled.scalar_residual(prof, s, b, interior)))
+        ),
+        "boundary_err_minus": abs(dhym.eval_H(sol, sol.t_minus) - tgt_minus),
+        "boundary_err_plus": abs(dhym.eval_H(sol, sol.t_plus) - tgt_plus),
+        "psi_err_minus": abs(coupled.eval_psi(prof, prof.t_minus)),
+        "psi_err_plus": abs(coupled.eval_psi(prof, prof.t_plus)),
+        "slope_err_plus": abs(
+            coupled.eval_psi_deriv(prof, prof.t_plus, 1) + 2.0 * prof.beta0 * prof.t_plus
+        ),
+    }
+    if sol.regularity == "smooth":
+        out["slope_err_minus"] = abs(
+            coupled.eval_psi_deriv(prof, prof.t_minus, 1)
+            - 2.0 * prof.beta_inf * prof.t_minus
+        )
+    return out
+
+
+def _summary_cases():
+    """(surface, class as given, beta0) for the fused-pass comparison."""
+    fig1 = make_surface(1, 0, 5)
+    cases = [
+        (fig1, BundleClass(k1=-1.0, k2=1.0), 1.0),
+        (fig1, BundleClass(k1=-1.0, k2=1.0), 0.5),
+        (make_surface(1, 0, 4), BundleClass(k1=-1.0, k2=1.0), 1.0),  # semistable
+        (fig1, BundleClass(k1=1.0, k2=-1.0), 1.0),  # conjugated
+        (*from_complexified(1, 0, 5.0, 3.0), 1.0),
+    ]
+    rng = np.random.default_rng(20261018)
+    cases += [(*draw_stable(rng), 1.0) for _ in range(50)]
+    for _ in range(20):
+        s, b = draw_stable(rng)
+        a = float(10.0 ** rng.uniform(-3.0, 0.0))
+        cases.append((s, limits.scaled_class(canonicalize(b), a), 1.0))
+    return cases
+
+
+def test_residual_summary_matches_pointwise_calls():
+    """The one-pass summary is bitwise the summary of separate calls."""
+    two_point_differs = 0
+    branches = set()
+    for s, b, beta0 in _summary_cases():
+        pr = pose(s, b)
+        s, b = pr.surface, pr.bundle
+        sol = dhym.solve_dhym(s, b)
+        prof = coupled.conical_coefficients(s, b, beta0)
+        got = residual_summary(s, b, sol, prof)
+        assert got == _pointwise_summary(s, b, sol, prof), (s, b, beta0)
+        assert all(type(v) is float for v in got.values())
+        branches.add(sol.cos_theta > 0.0)
+        # psi at the ends from one 2-point call rounds differently, which
+        # this comparison must be able to see
+        ends = coupled.eval_psi(prof, np.array([prof.t_minus, prof.t_plus]))
+        two_point_differs += np.abs(ends).tolist() != [got["psi_err_minus"],
+                                                       got["psi_err_plus"]]
+    assert branches == {True, False}  # both forms of H and H'
+    assert two_point_differs > 0
+
+
+def test_solve_poses_each_class_once(capsys):
+    """Each class one solve touches is posed once, however many stages read it."""
+    cases = [
+        (FIG1, 1),
+        # the input class, then its canonical form
+        (["--k", "1", "--h", "0", "--kprime", "5", "--k1", "1", "--k2", "-1"], 2),
+        # the input class, then the scaled class
+        ([*FIG1, "--alpha-prime", "0.5"], 2),
+    ]
+    for class_argv, misses in cases:
+        pose.cache_clear()
+        for _ in range(2):
+            before = pose.cache_info().misses
+            code, _, err = run_in_process(["solve", *class_argv], capsys)
+            assert code == 0, err
+            assert pose.cache_info().misses - before == misses, class_argv
+            misses = 0  # the second run poses nothing new
+    s, b = make_surface(1, 0, 5), BundleClass(k1=-1.0, k2=1e-300)
+    for _ in range(2):  # an input that raises is not remembered
+        with pytest.raises(ValidationError, match="double-precision range"):
+            pose(s, b)
 
 
 def test_figure2_blank_cell_at_pole(tmp_path):

@@ -12,15 +12,18 @@ from dhym_ruled import (
     NoSolutionError,
     boundary_targets,
     canonicalize,
+    conical_coefficients,
     eval_H,
     eval_H_deriv,
     eval_nu,
+    eval_psi,
+    eval_psi_deriv,
     make_surface,
     ode_residual_H,
     pose,
     solve_dhym,
 )
-from dhym_ruled.dhym import default_grid
+from dhym_ruled.dhym import default_grid, eval_H_pair
 from dhym_ruled import oracle
 
 from conftest import draw_stable
@@ -91,6 +94,45 @@ def test_domain_error(figure1):
         eval_H(sol, 4.9)
     with pytest.raises(DomainError):
         eval_H(sol, np.array([6.0, 7.1]))
+
+
+def test_check_domain_rejects_nan(figure1):
+    s, b = figure1
+    sol = solve_dhym(s, b)
+    prof = conical_coefficients(s, b, 1.0)
+    calls = [
+        lambda t: eval_H(sol, t),
+        lambda t: eval_psi(prof, t),
+        lambda t: eval_psi_deriv(prof, t, 2),
+    ]
+    slack = 1e-12  # accepted at either end of [5, 7]
+    for f in calls:
+        for bad in (math.nan, 4.99, 7.01, 5.0 - 2 * slack, 7.0 + 2 * slack):
+            for t in (bad, np.array([6.0, bad, 6.5])):
+                with pytest.raises(DomainError):
+                    f(t)
+        assert np.all(np.isfinite(f(np.array([5.0 - slack / 2, 6.0, 7.0 + slack / 2]))))
+        assert math.isfinite(f(7.0 + slack / 2))
+        assert f(np.array([])).shape == (0,)
+
+
+def test_eval_H_pair_matches_separate_calls(rng, semistable_case):
+    """Bitwise (eval_H, eval_H_deriv), on both forms of H and at both ends."""
+    cases = [semistable_case, *(draw_stable(rng) for _ in range(20))]
+    branches = set()
+    for s, given in cases:
+        for b in (given, BundleClass(k1=-given.k1, k2=-given.k2)):
+            sol = solve_dhym(s, b)
+            branches.add(sol.cos_theta > 0.0)
+            t = default_grid(sol)
+            if sol.regularity == "holder12":
+                t = t[1:]  # H' diverges at t_minus
+            H, Hp = eval_H_pair(sol, t)
+            assert H.tobytes() == eval_H(sol, t).tobytes()
+            assert Hp.tobytes() == eval_H_deriv(sol, t).tobytes()
+            for t0 in (sol.t_plus, float(t[0])):
+                assert eval_H_pair(sol, t0) == (eval_H(sol, t0), eval_H_deriv(sol, t0))
+    assert branches == {True, False}
 
 
 def test_residual_and_oracle_on_draws(rng):

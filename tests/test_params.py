@@ -22,6 +22,7 @@ from dhym_ruled import (
     jy_class,
     make_surface,
     phase_constant,
+    pose,
     stability_margin,
 )
 
@@ -54,6 +55,20 @@ def test_canonicalize():
         canonicalize(BundleClass(k1=0.0, k2=1.0))
     with pytest.raises(DegenerateClassError):
         canonicalize(BundleClass(k1=-1.0, k2=0.0))
+
+
+def test_equal_classes_pose_alike():
+    """pose is memoised on equality, so an int class and the equal float
+    class must give a Problem that prints the same."""
+    s = make_surface(1, 0, 5)
+    b = BundleClass(k1=-1, k2=np.float64(1.0))
+    assert (repr(b.k1), repr(b.k2)) == ("-1.0", "1.0")
+    pose.cache_clear()
+    first = pose(s, b)
+    assert pose(s, BundleClass(k1=-1.0, k2=1.0)) is first
+    assert repr(first.bundle) == repr(BundleClass(k1=-1.0, k2=1.0))
+    with pytest.raises(TypeError):
+        BundleClass(k1="-1", k2=1.0)
 
 
 def test_stability_margin_and_classify(figure1):

@@ -56,6 +56,9 @@ def test_H_beta_grid_matches_scalar_calls(k, kprime, h):
                 tke.H_beta(k, kprime, h, b)
         else:
             assert v == tke.H_beta(k, kprime, h, b)
+        value, at_pole = tke._H_beta_values(k, kprime, h, b)
+        assert (type(value), type(at_pole)) == (float, bool)
+        assert at_pole == p and (math.isnan(value) if p else value == v)
     assert pole.any() == ((k, kprime, h) == (1, 1.0, 6))
 
 
