@@ -20,12 +20,7 @@ from itertools import chain
 import numpy as np
 
 from . import coupled, dhym, limits, tke
-from .errors import (
-    DhymRuledError,
-    NoSolutionError,
-    TkeNotFoundError,
-    ValidationError,
-)
+from .errors import DhymRuledError, NoSolutionError, ValidationError
 from .params import (
     BundleClass,
     StabilityClass,
@@ -169,15 +164,18 @@ def residual_summary(s, b, sol, prof) -> dict:
     return out
 
 
-def residual_failure(summary: dict) -> str | None:
-    """The exit-4 message naming the first THRESHOLDS key over its bound.
+def _verdict(summary: dict, sol) -> int:
+    """The exit code of a solve or profile from its residual summary.
 
-    None when every residual in the summary passes (NaN never passes).
+    The first THRESHOLDS key over its bound (NaN never passes) is named on
+    stderr and gives exit 4; otherwise a holder12 solution gives 2, else 0.
     """
     for key, bound in THRESHOLDS.items():
         if key in summary and not summary[key] <= bound:
-            return f"residual suite failed: {key} = {summary[key]!r} > {bound!r}"
-    return None
+            print(f"residual suite failed: {key} = {summary[key]!r} > {bound!r}",
+                  file=sys.stderr)
+            return EXIT_RESIDUAL
+    return EXIT_SEMISTABLE if sol.regularity == "holder12" else EXIT_OK
 
 
 def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
@@ -320,13 +318,7 @@ def cmd_solve(args) -> int:
     s, b, sol, prof, alpha_prime = _solve_pipeline(args)
     d = build_descriptor(s, b, sol, prof, alpha_prime)
     _write(format_descriptor(d), args.out)
-    failure = residual_failure(d)
-    if failure:
-        print(failure, file=sys.stderr)
-        return EXIT_RESIDUAL
-    if sol.regularity == "holder12":
-        return EXIT_SEMISTABLE
-    return EXIT_OK
+    return _verdict(d, sol)
 
 
 def _reprs(a: np.ndarray):
@@ -353,11 +345,7 @@ def cmd_profile(args) -> int:
     )
     header = "t,phi,psi,H,im_residual,scalar_residual"
     _write("\n".join(chain([header], map(",".join, rows))) + "\n", args.out)
-    failure = residual_failure(residual_summary(s, b, sol, prof))
-    if failure:
-        print(failure, file=sys.stderr)
-        return EXIT_RESIDUAL
-    return EXIT_SEMISTABLE if holder else EXIT_OK
+    return _verdict(residual_summary(s, b, sol, prof), sol)
 
 
 def cmd_tke(args) -> int:
@@ -480,9 +468,6 @@ def main(argv=None) -> int:
     except NoSolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except TkeNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DhymRuledError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,8 +21,6 @@ from .dhym import DhymSolution, eval_H, eval_nu, solve_dhym
 from .errors import NoSolutionError, ValidationError
 from .params import BundleClass, StabilityClass, SurfaceParams, pose
 
-#: Relative tolerance for the scaled-constant consistency check.
-_CPRIME_RTOL = 1e-12
 #: Points per scale sample of the sup-norm grids of both limit checks.
 _SUP_GRID = 401
 
@@ -47,7 +45,7 @@ class ConvergenceReport:
 
 
 def scaled_Cprime(s: SurfaceParams, b: BundleClass, alpha_prime: float) -> float:
-    """Closed form of C' for the scaled class, used as a consistency check."""
+    """Closed form of C' for the scaled class: the tests' reference."""
     a = alpha_prime
     k1, k2 = b.k1, b.k2
     x = s.x
@@ -71,7 +69,11 @@ def scaled_class(b: BundleClass, alpha_prime: float) -> BundleClass:
 def scaled_solution(
     s: SurfaceParams, b: BundleClass, alpha_prime: float
 ) -> tuple[DhymSolution, ProfilePoly]:
-    """Solve the coupled system for the class scaled by alpha'."""
+    """Solve the coupled system for the class scaled by alpha'.
+
+    tests/test_limits.py::test_scaled_Cprime_consistency holds its C' to the
+    closed form scaled_Cprime.
+    """
     if not (math.isfinite(alpha_prime) and alpha_prime > 0):
         raise ValidationError(
             f"alpha_prime must be finite and positive, got {alpha_prime!r}"
@@ -83,13 +85,7 @@ def scaled_solution(
         raise NoSolutionError(
             pr.margin, f"scaled class unstable at alpha' = {alpha_prime}"
         )
-    sol = solve_dhym(s, bs)
-    expected = scaled_Cprime(s, b, alpha_prime)
-    if abs(sol.Cprime - expected) > _CPRIME_RTOL * max(1.0, abs(expected)):
-        raise ValidationError(
-            f"scaled C' mismatch: {sol.Cprime} vs {expected} at alpha'={alpha_prime}"
-        )
-    return sol, smooth_coefficients(s, bs)
+    return solve_dhym(s, bs), smooth_coefficients(s, bs)
 
 
 def build_family(
@@ -101,9 +97,12 @@ def build_family(
 
 
 def _fit_order(x: np.ndarray, err: np.ndarray) -> float:
-    """Least-squares slope of log(err) against log(x)."""
+    """Least-squares slope of log(err) against log(x).
+
+    NaN unless at least two distinct x have a positive error.
+    """
     mask = err > 0
-    if np.count_nonzero(mask) < 2:
+    if len(set(x[mask].tolist())) < 2:
         return math.nan
     return float(np.polyfit(np.log(x[mask]), np.log(err[mask]), 1)[0])
 

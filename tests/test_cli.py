@@ -309,6 +309,58 @@ def test_residual_failure_names_the_check(argv):
     assert float(value) > THRESHOLDS[key]
 
 
+def _near_semistable_argvs(n, seed=20261018):
+    """solve argvs of stable classes with margins 10^U(-6, -4)."""
+    rng = np.random.default_rng(seed)
+    argvs = []
+    while len(argvs) < n:
+        s = make_surface(int(rng.integers(1, 4)), int(rng.integers(0, 3)),
+                         float(rng.integers(1, 7)))
+        k1, eps = -rng.uniform(0.2, 3.0), 10.0 ** rng.uniform(-6.0, -4.0)
+        # margin(k2) = (1-x) k2^2 + 2 k1 (1+x) k2 + (1-x)(1+k1^2)
+        x = s.x
+        qa, qb = 1.0 - x, 2.0 * k1 * (1.0 + x)
+        disc = qb * qb - 4.0 * qa * ((1.0 - x) * (1.0 + k1 * k1) - eps)
+        if disc < 0.0:
+            continue
+        b = BundleClass(k1=k1, k2=(-qb + math.sqrt(disc)) / (2.0 * qa))
+        if eps / 2 < pose(s, b).margin < 2 * eps:
+            argvs.append(["solve", *_class_argv(s, b)])
+    return argvs
+
+
+#: solve argvs whose boundary slope at t_minus misses its target by ~2e-8.
+SLOPE_MISS = [
+    ["solve", "--k", "3", "--h", "1", "--kprime=6.0",
+     "--k1=-2.8915504820619056", "--k2=10.690564382531623"],
+    ["solve", "--k", "2", "--h", "0", "--kprime=5.0",
+     "--k1=-1.8158211301628686", "--k2=5.795481209340961"],
+]
+
+
+def test_numerical_failure_exits_4(capsys):
+    """A residual over its bound is exit 4 with the descriptor, never exit 1."""
+    codes = []
+    for argv in [*SLOPE_MISS, *_near_semistable_argvs(100)]:
+        code, out, err = run_in_process(argv, capsys)
+        assert code in (0, 4), (argv, err)
+        codes.append(code)
+        d = parse_descriptor(out)
+        assert format_descriptor(d) == out
+        over = [k for k, bound in THRESHOLDS.items() if k in d and not d[k] <= bound]
+        if code == 0:
+            assert over == [] and err == "", argv
+        else:
+            assert over and err.startswith(f"residual suite failed: {over[0]} = ")
+        if argv in SLOPE_MISS:
+            assert "slope_err_minus" in over
+    assert codes[:2] == [4, 4] and 0 in codes
+    code, out, err = run_in_process(
+        ["profile", *SLOPE_MISS[0][1:], "--samples", "11"], capsys)
+    assert code == 4 and len(out.splitlines()) == 12
+    assert err.startswith("residual suite failed: ")
+
+
 def _basis_scale(prof, t):
     """Largest single basis term of psi at t (the cancellation scale)."""
     u = max(t ** 2 + prof.Cprime, 0.0)

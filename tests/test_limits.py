@@ -1,6 +1,7 @@
 """Scaled families and the zero / infinite slope limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,22 @@ def test_scaled_Cprime_consistency(rng):
             sol, _ = scaled_solution(s, b, a)
             want = limits.scaled_Cprime(s, canonicalize(b), a)
             assert sol.Cprime == pytest.approx(want, rel=1e-12)
+
+
+def test_repeated_scales_give_no_order():
+    s = make_surface(1, 0, 5)
+    for check, k2, alphas in (
+        (limits.large_radius_check, 1.0, [1e-1, 1e-1]),
+        (limits.small_radius_check, -2.0, [1e3, 1e3]),
+    ):
+        b = BundleClass(k1=-1.0, k2=k2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check(limits.build_family(s, b, alphas))
+            assert rep.sup_errors[0] > 0 and math.isnan(rep.order)
+            # one more distinct scale is enough for a fit
+            rep = check(limits.build_family(s, b, [*alphas, 10 * alphas[0]]))
+            assert math.isfinite(rep.order)
 
 
 def test_validation():
