@@ -53,47 +53,28 @@ def _lanes(*xs):
     return tuple(np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
 
 
-def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
-    """Classical fixed-step RK4 from (t0, y0) to t1, for one draw or many.
-
-    Scalars integrate one draw.  Equal-length arrays integrate one lane per
-    element in lockstep, calling ``rhs`` on arrays: the lanes must share the
-    step count round(|t1 - t0| / step), and each takes its own step size.
-    The arithmetic is the same either way, so each lane is bitwise equal to
-    the scalar call for its draw.  Lanes are the rows of the result.
-
-    Integrates backwards when t1 < t0.  Blow-up of the right-hand side
-    raises IntegrationError located at the last finite node: a float for
-    one draw, an array for lanes (NaN on the lanes that finished).
-    """
+def _steps(t0, t1, step: float):
+    """The step count n the lanes share, and each lane's step size h."""
     if step <= 0:
         raise ValueError("step must be positive")
-    t0, y0, t1 = _lanes(t0, y0, t1)
     counts = np.maximum(1.0, np.rint(np.abs(np.subtract(t1, t0)) / step))
     if counts.min() != counts.max():
         raise ValueError("lanes must share a step count")
     n = int(counts.flat[0])
-    h = (t1 - t0) / n
-    half, sixth = 0.5 * h, h / 6.0
-    t, y = t0, y0
-    values = [y]
-    try:
-        with np.errstate(all="ignore"):
-            for i in range(n):
-                th = t + half
-                k1 = rhs(t, y)
-                k2 = rhs(th, y + half * k1)
-                k3 = rhs(th, y + half * k2)
-                k4 = rhs(t + h, y + h * k3)
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = t0 + (i + 1) * h
-                values.append(y)
-    except (ZeroDivisionError, OverflowError) as exc:  # Python floats only
-        raise IntegrationError(
-            f"right-hand side blew up near t = {t}", location=t
-        ) from exc
-    # the same t0 + i h as in the loop, so the nodes match it bitwise
-    nodes = np.moveaxis(t0 + np.multiply.outer(np.arange(n + 1.0), h), 0, -1)
+    return n, (t1 - t0) / n
+
+
+def _grid(t0, h, values: list) -> GridFunction:
+    """The RK4 values at the nodes t0 + i h, ordered by increasing node.
+
+    A non-finite value raises IntegrationError located at the last finite
+    node: a float for one draw, an array for lanes (NaN on the lanes that
+    finished).
+    """
+    # the same t0 + i h as in the loops, so the nodes match them bitwise
+    nodes = np.moveaxis(
+        t0 + np.multiply.outer(np.arange(float(len(values))), h), 0, -1
+    )
     values = np.moveaxis(np.array(values), 0, -1)
     # arithmetic never turns NaN or inf finite again: checking once suffices
     finite = np.isfinite(values)
@@ -116,17 +97,83 @@ def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
     )
 
 
-def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
-    """rk4_solve of the constant-phase ODE y' = (t sin + y cos)/(y sin - t cos).
+def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
+    """Classical fixed-step RK4 from (t0, y0) to t1, for one draw or many.
 
-    Takes one draw as scalars or many as equal-length arrays.
+    Scalars integrate one draw.  Equal-length arrays integrate one lane per
+    element in lockstep, calling ``rhs`` on arrays: the lanes must share the
+    step count round(|t1 - t0| / step), and each takes its own step size.
+    The arithmetic is the same either way, so each lane is bitwise equal to
+    the scalar call for its draw.  Lanes are the rows of the result.
+
+    Integrates backwards when t1 < t0.  Blow-up of the right-hand side
+    raises IntegrationError located at the last finite node: a float for
+    one draw, an array for lanes (NaN on the lanes that finished).
+    """
+    t0, y0, t1 = _lanes(t0, y0, t1)
+    n, h = _steps(t0, t1, step)
+    half, sixth = 0.5 * h, h / 6.0
+    t, y = t0, y0
+    values = [y]
+    try:
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                th = t + half
+                k1 = rhs(t, y)
+                k2 = rhs(th, y + half * k1)
+                k3 = rhs(th, y + half * k2)
+                k4 = rhs(t + h, y + h * k3)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t = t0 + (i + 1) * h
+                values.append(y)
+    except (ZeroDivisionError, OverflowError) as exc:  # Python floats only
+        raise IntegrationError(
+            f"right-hand side blew up near t = {t}", location=t
+        ) from exc
+    return _grid(t0, h, values)
+
+
+def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
+    """RK4 of the constant-phase ODE y' = (t sin + y cos)/(y sin - t cos).
+
+    The ODE is integrated in the normalised form y' = (t + y r)/(y - t r),
+    with r = cos/sin, so it requires sin != 0 (ValueError otherwise).  The
+    right-hand side is written into the loop: t r is formed once per node
+    and once per half step, and the last stage is taken at the node
+    t0 + (i + 1) h that the loop records.  Steps, lanes, blow-up and the
+    result are as in rk4_solve, to which it agrees to rounding.
     """
     cos_t, sin_t, t0, y0, t1 = _lanes(cos_theta, sin_theta, t0, y0, t1)
-
-    def rhs(t, y):
-        return (t * sin_t + y * cos_t) / (y * sin_t - t * cos_t)
-
-    return rk4_solve(rhs, t0, y0, t1, step)
+    if np.any(sin_t == 0.0):
+        raise ValueError("the phase ODE needs sin(theta) != 0")
+    n, h = _steps(t0, t1, step)
+    half, sixth = 0.5 * h, h / 6.0
+    r = cos_t / sin_t
+    t, y, tr = t0, y0, t0 * r
+    values = [y]
+    try:
+        with np.errstate(all="ignore"):
+            for i in range(1, n + 1):
+                k1 = (t + y * r) / (y - tr)
+                th = t + half
+                thr = th * r
+                ya = y + half * k1
+                k2 = (th + ya * r) / (ya - thr)
+                yb = y + half * k2
+                k3 = (th + yb * r) / (yb - thr)
+                t = t0 + i * h
+                tr = t * r
+                yc = y + h * k3
+                k4 = (t + yc * r) / (yc - tr)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                values.append(y)
+    except ZeroDivisionError as exc:  # Python floats only
+        # the last node recorded: t may already be the next one
+        last = t0 + (len(values) - 1) * h
+        raise IntegrationError(
+            f"right-hand side blew up near t = {last}", location=last
+        ) from exc
+    return _grid(t0, h, values)
 
 
 #: Most Simpson panels refined by one call of the integrand.  Quadrature

@@ -77,15 +77,62 @@ def test_rk4_lanes_must_share_a_step_count():
         oracle.rk4_solve(lambda t, y: y, 0.0, 1.0, np.array([1.0, 2.0]), 1e-2)
 
 
-def test_rk4_phase_kernel_matches_generic():
-    cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
-
+def _textbook_rhs(cos_t, sin_t):
     def rhs(t, y):
         return (t * sin_t + y * cos_t) / (y * sin_t - t * cos_t)
 
-    a = oracle.rk4_solve(rhs, 7.0, -2.0, 5.1, 1e-3)
-    b = oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, -2.0, 5.1, 1e-3)
+    return rhs
+
+
+def test_rk4_phase_kernel_matches_generic(rng, figure1):
+    # the benchmark's call: t_plus to t_minus + 1e-3 at step 1e-4
+    draws = [figure1] + [draw_stable(rng) for _ in range(10)]
+    args = []
+    for s, b in draws:
+        sol = solve_dhym(s, b)
+        tp = boundary_targets(s, canonicalize(b))[1]
+        args.append(
+            [sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3]
+        )
+    for cos_t, sin_t, *ends in args:
+        a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
+        b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
+        assert np.array_equal(a.nodes, b.nodes)
+        assert np.max(np.abs(a.values - b.values)) < 1e-12
+    cos_t, sin_t, *ends = np.transpose(args)
+    a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
+    b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
+    assert b.nodes.shape == (len(draws), 19990 + 1)
+    assert np.array_equal(a.nodes, b.nodes)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
+
+
+def test_rk4_phase_kernel_rejects_zero_sin():
+    with pytest.raises(ValueError, match="sin"):
+        oracle.rk4_solve_phase_ode(1.0, 0.0, 7.0, -2.0, 5.1, 1e-3)
+    with pytest.raises(ValueError, match="sin"):
+        oracle.rk4_solve_phase_ode(
+            np.array([0.6, 1.0, 0.6]),
+            np.array([0.8, 0.0, 0.8]),
+            7.0, -2.0, 5.1, 1e-3,
+        )
+
+
+def test_rk4_phase_kernel_blow_up():
+    # y0 = t0 cot(theta) starts on the line where the denominator vanishes
+    cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
+    singular = 7.0 * (cos_t / sin_t)
+    with pytest.raises(IntegrationError) as one:
+        oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, singular, 5.1, 1e-3)
+    assert isinstance(one.value.location, float)
+    assert one.value.location == 7.0
+    with pytest.raises(IntegrationError) as lanes:
+        oracle.rk4_solve_phase_ode(
+            cos_t, sin_t, 7.0, np.array([-2.0, singular, -2.5]), 5.1, 1e-3
+        )
+    loc = lanes.value.location
+    assert loc[1] == one.value.location
+    assert np.isnan(loc[0]) and np.isnan(loc[2])
 
 
 def test_quadrature_volume_identities():
