@@ -2,13 +2,13 @@
 
 The profile lives in the exact five-element basis
 
-    {1, t, t^2, t^3, (t^2 + C')^(3/2)}
+    {1, t, t^2, t^3, (t^2 + C')^(3/2)},
 
-with hand-derived derivative rules through order four, so residuals of both
-coupled equations and the convexity-based positivity certificate are
-evaluated analytically, never by numerical differentiation.  The conical
-path (cone angle beta0 along the zero section) contains the smooth case as
-beta0 = 1.
+with t^2 + C' from dhym.radicand and hand-derived derivative rules through
+order four, so residuals of both coupled equations and the convexity-based
+positivity certificate are evaluated analytically, never by numerical
+differentiation.  The conical path (cone angle beta0 along the zero section)
+contains the smooth case as beta0 = 1.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .dhym import DhymSolution, check_domain, eval_H_pair
+from .dhym import DhymSolution, check_domain, eval_H_pair, radicand
 from .errors import NoSolutionError, ValidationError
 from .params import (
     BundleClass,
@@ -41,6 +41,7 @@ class ProfilePoly:
     c3: float
     cR: float
     Cprime: float
+    u_minus: float
     t_minus: float
     t_plus: float
     beta0: float
@@ -125,14 +126,13 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
             f" alpha = {alpha!r}, c3 = {c3!r}, cR = {cR!r}"
         )
     c2 = pr.surface.s_sigma
-    Cprime, t_minus, t_plus = pr.Cprime, pr.t_minus, pr.t_plus
 
     def inhom(t):
-        u = max(t ** 2 + Cprime, 0.0)
+        u = max(radicand(pr, t), 0.0)
         return c2 * t ** 2 + c3 * t ** 3 + cR * u ** 1.5
 
     d0, d1 = oracle.solve_2x2(
-        1.0, t_minus, 1.0, t_plus, -inhom(t_minus), -inhom(t_plus)
+        1.0, pr.t_minus, 1.0, pr.t_plus, -inhom(pr.t_minus), -inhom(pr.t_plus)
     )
     return ProfilePoly(
         d0=d0,
@@ -140,9 +140,10 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
         c2=c2,
         c3=c3,
         cR=cR,
-        Cprime=Cprime,
-        t_minus=t_minus,
-        t_plus=t_plus,
+        Cprime=pr.Cprime,
+        u_minus=pr.u_minus,
+        t_minus=pr.t_minus,
+        t_plus=pr.t_plus,
         beta0=beta0,
         beta_inf=beta_infinity(pr.surface.x, beta0),
         alpha=alpha,
@@ -161,7 +162,7 @@ def smooth_coefficients(s: SurfaceParams, b: BundleClass) -> ProfilePoly:
 
 def eval_psi(p: ProfilePoly, t):
     t = check_domain(p, t)
-    u = np.maximum(t ** 2 + p.Cprime, 0.0)
+    u = np.maximum(radicand(p, t), 0.0)
     out = p.d0 + p.d1 * t + p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5
     return float(out) if out.ndim == 0 else out
 
@@ -173,16 +174,16 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 0..4, got {order}")
     t = check_domain(p, t)
-    u = np.maximum(t ** 2 + p.Cprime, 0.0)
+    u = np.maximum(radicand(p, t), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 1:
             rad = 3.0 * t * np.sqrt(u)
             poly = p.d1 + 2.0 * p.c2 * t + 3.0 * p.c3 * t ** 2
         elif order == 2:
-            rad = 3.0 * (2.0 * t ** 2 + p.Cprime) / np.sqrt(u)
+            rad = 3.0 * (t ** 2 + u) / np.sqrt(u)
             poly = 2.0 * p.c2 + 6.0 * p.c3 * t
         elif order == 3:
-            rad = 3.0 * t * (2.0 * t ** 2 + 3.0 * p.Cprime) / u ** 1.5
+            rad = 3.0 * t * (3.0 * u - t ** 2) / u ** 1.5
             poly = 6.0 * p.c3 + 0.0 * t
         else:
             rad = 9.0 * p.Cprime ** 2 / u ** 2.5
@@ -263,8 +264,6 @@ def positivity_certificate(p: ProfilePoly) -> PositivityReport:
         pp_minus, pp_plus = eval_psi_deriv(
             p, np.array([p.t_minus, p.t_plus]), 2
         ).tolist()
-        if p.t_minus ** 2 + p.Cprime <= 0.0:
-            pp_minus = math.inf
         if p.cR >= 0.0 and pp_minus > pp_plus:
             return PositivityReport(
                 method="ConvexityCertified", min_value=min_value, argmin=argmin
@@ -289,7 +288,7 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
     s_hat, r_hat = phase.s_hat, phase.r_hat
     alpha = p.alpha
     t = check_domain(p, t)
-    u = np.maximum(t ** 2 + p.Cprime, 0.0)
+    u = np.maximum(radicand(p, t), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt((1.0 / sin_t ** 2) * u)  # sqrt((cot^2+1)(t^2+C'))
         rhs = (

@@ -13,7 +13,6 @@ and exposes pointwise residuals of the ODE in denominator-cleared form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,26 +28,24 @@ _ENDPOINT_SLACK = 1e-12
 class DhymSolution:
     """Descriptor of the explicit solution branch.
 
-    regularity is "smooth" in the strictly stable case and "holder12" in the
-    semistable one, where t^2 + C' vanishes at t_minus and H only extends
-    with Hoelder exponent 1/2 there.
+    (cos_theta, sin_theta) is the phase of ``pose`` (sin_theta > 0) and
+    u_minus = t_minus^2 + C', exact.  regularity is "smooth" in the strictly
+    stable case and "holder12" in the semistable one, where t^2 + C' vanishes
+    at t_minus and H only extends with Hoelder exponent 1/2 there.
     """
 
-    cot_theta: float
+    cos_theta: float
+    sin_theta: float
     Cprime: float
+    u_minus: float
     t_minus: float
     t_plus: float
     regularity: str
     conjugated: bool = False
 
     @property
-    def sin_theta(self) -> float:
-        # sin(theta) > 0 on the canonical k1 < 0 branch
-        return 1.0 / math.sqrt(1.0 + self.cot_theta ** 2)
-
-    @property
-    def cos_theta(self) -> float:
-        return self.cot_theta * self.sin_theta
+    def cot_theta(self) -> float:
+        return self.cos_theta / self.sin_theta
 
 
 def boundary_targets(s: SurfaceParams, b: BundleClass) -> tuple[float, float]:
@@ -73,8 +70,10 @@ def solve_dhym(s: SurfaceParams, b: BundleClass) -> DhymSolution:
         raise NoSolutionError(pr.margin)
     semistable = pr.stability is StabilityClass.SEMISTABLE
     return DhymSolution(
-        cot_theta=pr.phase.cot_theta,
+        cos_theta=pr.phase.cos_theta,
+        sin_theta=pr.phase.sin_theta,
         Cprime=pr.Cprime,
+        u_minus=pr.u_minus,
         t_minus=pr.t_minus,
         t_plus=pr.t_plus,
         regularity="holder12" if semistable else "smooth",
@@ -99,21 +98,25 @@ def check_domain(interval, t):
     return t
 
 
+def radicand(iv, t):
+    """t^2 + C' of a Problem, DhymSolution or ProfilePoly ``iv``, formed
+    without the cancellation of t^2 against C' near t_minus."""
+    return (t - iv.t_minus) * (t + iv.t_minus) + iv.u_minus
+
+
 def _sign(sol: DhymSolution) -> float:
     # conjugated descriptors evaluate the mirrored solution H -> -H
     return -1.0 if sol.conjugated else 1.0
 
 
-def _H_of(sol: DhymSolution, t, u, root):
-    """Canonical-branch H at a checked t, from u = max(t^2 + C', 0) and
-    root = sqrt(u)."""
+def _H_of(sol: DhymSolution, t, root):
+    """Canonical-branch H at a checked t, from root = sqrt(max(t^2 + C', 0))."""
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
     if cos_t > 0.0:
         # rationalized form: avoids the t*cos - sqrt(u) cancellation that
         # dominates for near-degenerate phases (e.g. small scaled classes)
         return (-(t * sin_t) ** 2 - sol.Cprime) / (sin_t * (t * cos_t + root))
-    cot = sol.cot_theta
-    return t * cot - np.sqrt((cot ** 2 + 1.0) * u)
+    return (t * cos_t - root) / sin_t
 
 
 def _H_deriv_of(sol: DhymSolution, t, root):
@@ -124,8 +127,7 @@ def _H_deriv_of(sol: DhymSolution, t, root):
         return (cos_t ** 2 * sol.Cprime - (t * sin_t) ** 2) / (
             sin_t * root * (cos_t * root + t)
         )
-    cot = sol.cot_theta
-    return cot - t * math.sqrt(cot ** 2 + 1.0) / root
+    return (cos_t - t / root) / sin_t
 
 
 def eval_H(sol: DhymSolution, t):
@@ -136,29 +138,27 @@ def eval_H(sol: DhymSolution, t):
     canonical-branch value.
     """
     t = check_domain(sol, t)
-    u = np.maximum(t ** 2 + sol.Cprime, 0.0)
-    out = _sign(sol) * _H_of(sol, t, u, np.sqrt(u))
+    out = _sign(sol) * _H_of(sol, t, np.sqrt(np.maximum(radicand(sol, t), 0.0)))
     return float(out) if out.ndim == 0 else out
 
 
 def eval_H_deriv(sol: DhymSolution, t):
     """Analytic H'(t); diverges at t_minus in the holder12 case."""
     t = check_domain(sol, t)
-    out = _sign(sol) * _H_deriv_of(sol, t, np.sqrt(t ** 2 + sol.Cprime))
+    out = _sign(sol) * _H_deriv_of(sol, t, np.sqrt(radicand(sol, t)))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def eval_H_pair(sol: DhymSolution, t):
-    """(H(t), H'(t)) from one domain check, one t^2 and one square root.
+    """(H(t), H'(t)) from one domain check, one radicand and one square root.
 
     Bitwise equal to (eval_H(sol, t), eval_H_deriv(sol, t)).
     """
     t = check_domain(sol, t)
-    u = t ** 2 + sol.Cprime
-    root = np.sqrt(u)
+    root = np.sqrt(radicand(sol, t))
     sign = _sign(sol)
     # fmax(NaN, 0) = 0 = sqrt(max(u, 0)) where u < 0
-    H = sign * _H_of(sol, t, np.maximum(u, 0.0), np.fmax(root, 0.0))
+    H = sign * _H_of(sol, t, np.fmax(root, 0.0))
     Hp = sign * _H_deriv_of(sol, t, root)
     if np.ndim(H) == 0:
         return float(H), float(Hp)

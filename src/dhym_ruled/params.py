@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 from .errors import DegenerateClassError, DegeneratePhaseError, ValidationError
 
-#: Semistable half-band.  Pinning C' = -t_minus^2 moves H(t_minus) by 2.5x the
-#: margin (over 4e-11 that fails the 1e-10 bound); unpinned it misses by ~1e-7.
+#: Semistable half-band, the exit-code contract: margins within rounding of 0.
+#: It guards no accuracy, as H(t_minus) is exact for every margin (u_minus).
 STABILITY_TOL = 1e-12
 
 
@@ -171,9 +171,9 @@ class Problem:
 
     ``bundle`` is the canonical (k1 < 0) class with its conjugation flag and
     ``phase`` carries s_hat.  C is the integration constant of the separated
-    ODE and C' = C sin(theta), except that a semistable class pins C' to
-    -t_minus^2, where t^2 + C' vanishes.  [t_minus, t_plus] is the momentum
-    interval [1/x - 1, 1/x + 1].
+    ODE and C' = C sin(theta).  [t_minus, t_plus] is the momentum interval
+    [1/x - 1, 1/x + 1], and u_minus = t_minus^2 + C' = (margin / (x r_hat))^2
+    without cancellation, so H(t_minus) is exact for every margin.
     """
 
     surface: SurfaceParams
@@ -183,6 +183,7 @@ class Problem:
     stability: StabilityClass
     C: float
     Cprime: float
+    u_minus: float
     t_minus: float
     t_plus: float
 
@@ -208,6 +209,8 @@ def pose(s: SurfaceParams, b: BundleClass) -> Problem:
             1.0 + (b.k1 + b.k2) ** 2 - x ** 2 - (b.k1 - b.k2) ** 2 * x ** 2
         )
         C = num / (x ** 2 * phase.r_hat)
+        # t_minus^2 + C' = margin^2 / (x^2 A B), and r_hat^2 = A B
+        u_minus = (margin / (x * phase.r_hat)) ** 2
         t_minus = 1.0 / x - 1.0
         t_plus = 1.0 / x + 1.0
         # the coupling constant, the radical coefficient, d0, d1 and
@@ -225,14 +228,10 @@ def pose(s: SurfaceParams, b: BundleClass) -> Problem:
             f"class (k1, k2) = ({b.k1!r}, {b.k2!r}) at x = {x!r} is out of"
             " double-precision range"
         )
-    stability = classify(margin)
-    Cprime = C * phase.sin_theta
-    if stability is StabilityClass.SEMISTABLE:
-        # pin the degeneracy exactly: t_minus^2 + C' = 0 up to rounding
-        Cprime = -(t_minus ** 2)
     return Problem(
-        surface=s, bundle=b, phase=phase, margin=margin, stability=stability,
-        C=C, Cprime=Cprime, t_minus=t_minus, t_plus=t_plus,
+        surface=s, bundle=b, phase=phase, margin=margin, stability=classify(margin),
+        C=C, Cprime=C * phase.sin_theta, u_minus=u_minus, t_minus=t_minus,
+        t_plus=t_plus,
     )
 
 

@@ -310,13 +310,13 @@ def test_residual_failure_names_the_check(argv):
 
 
 def _near_semistable_argvs(n, seed=20261018):
-    """solve argvs of stable classes with margins 10^U(-6, -4)."""
+    """solve argvs of stable classes with margins 10^U(-11, -2)."""
     rng = np.random.default_rng(seed)
     argvs = []
     while len(argvs) < n:
         s = make_surface(int(rng.integers(1, 4)), int(rng.integers(0, 3)),
                          float(rng.integers(1, 7)))
-        k1, eps = -rng.uniform(0.2, 3.0), 10.0 ** rng.uniform(-6.0, -4.0)
+        k1, eps = -rng.uniform(0.2, 3.0), 10.0 ** rng.uniform(-11.0, -2.0)
         # margin(k2) = (1-x) k2^2 + 2 k1 (1+x) k2 + (1-x)(1+k1^2)
         x = s.x
         qa, qb = 1.0 - x, 2.0 * k1 * (1.0 + x)
@@ -329,19 +329,29 @@ def _near_semistable_argvs(n, seed=20261018):
     return argvs
 
 
-#: solve argvs whose boundary slope at t_minus misses its target by ~2e-8.
-SLOPE_MISS = [
-    ["solve", "--k", "3", "--h", "1", "--kprime=6.0",
-     "--k1=-2.8915504820619056", "--k2=10.690564382531623"],
-    ["solve", "--k", "2", "--h", "0", "--kprime=5.0",
-     "--k1=-1.8158211301628686", "--k2=5.795481209340961"],
+#: solve argvs that exit 4, each with the first key over its bound: a profile
+#: whose basis terms round above the absolute psi bound (2^-33), a small
+#: complexified class, and a class whose H' is large near t_minus.
+EXIT_4 = [
+    (["solve", "--k", "3", "--h", "1", "--kprime=4.0", "--k1=-0.630065252448106",
+      "--k2=-2.9694126750620833", "--alpha-prime=0.03465137816458235"],
+     "psi_err_plus"),
+    (["solve", "--k", "3", "--h", "2", "--kprime=6.0", "--complexified",
+      "--kpp=0.49273741318747977"], "max_scalar_residual"),
+    (["solve", "--k", "3", "--h", "0", "--kprime=1.0", "--k1=-2.4910099422827905",
+      "--k2=34.66629688665694"], "max_im_part"),
 ]
 
 
 def test_numerical_failure_exits_4(capsys):
-    """A residual over its bound is exit 4 with the descriptor, never exit 1."""
+    """A residual over its bound is exit 4 with the descriptor, never exit 1.
+
+    Near the semistable band H is exact at t_minus, so a class there either
+    passes or misses only max_im_part, where a large H' rounds H H'/t.
+    """
+    expected = {tuple(argv): key for argv, key in EXIT_4}
     codes = []
-    for argv in [*SLOPE_MISS, *_near_semistable_argvs(100)]:
+    for argv in [*(argv for argv, _ in EXIT_4), *_near_semistable_argvs(100)]:
         code, out, err = run_in_process(argv, capsys)
         assert code in (0, 4), (argv, err)
         codes.append(code)
@@ -352,13 +362,54 @@ def test_numerical_failure_exits_4(capsys):
             assert over == [] and err == "", argv
         else:
             assert over and err.startswith(f"residual suite failed: {over[0]} = ")
-        if argv in SLOPE_MISS:
-            assert "slope_err_minus" in over
-    assert codes[:2] == [4, 4] and 0 in codes
+        if tuple(argv) in expected:
+            assert over == [expected[tuple(argv)]], argv
+        else:
+            assert over in ([], ["max_im_part"]), (argv, over)
+    assert codes[:len(EXIT_4)] == [4] * len(EXIT_4) and 0 in codes
     code, out, err = run_in_process(
-        ["profile", *SLOPE_MISS[0][1:], "--samples", "11"], capsys)
+        ["profile", *EXIT_4[2][0][1:], "--samples", "11"], capsys)
     assert code == 4 and len(out.splitlines()) == 12
-    assert err.startswith("residual suite failed: ")
+    assert err.startswith("residual suite failed: max_im_part = ")
+
+
+#: solve argvs of near-semistable classes on which t^2 + C' formed by
+#: subtraction misses the boundary value and slope at t_minus by ~1e-7 and
+#: ~2e-8.
+SLOPE_MISS = [
+    ["solve", "--k", "3", "--h", "1", "--kprime=6.0",
+     "--k1=-2.8915504820619056", "--k2=10.690564382531623"],
+    ["solve", "--k", "2", "--h", "0", "--kprime=5.0",
+     "--k1=-1.8158211301628686", "--k2=5.795481209340961"],
+]
+
+
+@pytest.mark.parametrize("argv", SLOPE_MISS, ids=" ".join)
+def test_near_semistable_boundary_is_exact(argv, capsys):
+    code, out, err = run_in_process(argv, capsys)
+    assert code == 0, err
+    d = parse_descriptor(out)
+    assert d["boundary_err_minus"] <= 1e-12
+    assert d["slope_err_minus"] <= 1e-12
+
+
+#: (k1, k2, k'/k) of semistable classes whose float margin is exactly 0.
+SEMISTABLE_FAMILIES = [(-1.0, 1.0, 4.0), (-2.0, 1.0, 4.0), (-1.0, 2.0, 4.0),
+                       (-2.0, 2.0, 16.0), (-0.5, 0.5, 1.0), (-1.5, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("mirror", [1.0, -1.0], ids=["canonical", "mirrored"])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("k1, k2, ratio", SEMISTABLE_FAMILIES)
+def test_semistable_family_radicand_is_zero(k1, k2, ratio, k, mirror, capsys):
+    s = make_surface(k, 0, ratio * k)
+    b = BundleClass(k1=mirror * k1, k2=mirror * k2)
+    assert pose(s, b).u_minus == 0.0
+    code, out, err = run_in_process(
+        ["solve", *_class_argv(s, b), "--allow-semistable"], capsys)
+    assert code == 2, err
+    d = parse_descriptor(out)
+    assert (d["stability_class"], d["regularity"]) == ("Semistable", "holder12")
 
 
 def _basis_scale(prof, t):

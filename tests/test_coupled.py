@@ -106,7 +106,7 @@ def test_scalar_residual_blind_to_affine_part(figure1):
     p = smooth_coefficients(s, b)
     bad = ProfilePoly(
         d0=p.d0, d1=p.d1 + 1.0, c2=p.c2, c3=p.c3, cR=p.cR,
-        Cprime=p.Cprime, t_minus=p.t_minus, t_plus=p.t_plus,
+        Cprime=p.Cprime, u_minus=p.u_minus, t_minus=p.t_minus, t_plus=p.t_plus,
         beta0=p.beta0, beta_inf=p.beta_inf, alpha=p.alpha,
     )
     t = np.linspace(p.t_minus, p.t_plus, 101)[1:-1]
@@ -207,7 +207,7 @@ def test_positivity_failure_detected(figure1):
     p = smooth_coefficients(s, b)
     bad = ProfilePoly(
         d0=p.d0 - 50.0, d1=p.d1, c2=p.c2, c3=p.c3, cR=p.cR,
-        Cprime=p.Cprime, t_minus=p.t_minus, t_plus=p.t_plus,
+        Cprime=p.Cprime, u_minus=p.u_minus, t_minus=p.t_minus, t_plus=p.t_plus,
         beta0=p.beta0, beta_inf=p.beta_inf, alpha=p.alpha,
     )
     rep = positivity_certificate(bad)
@@ -334,7 +334,8 @@ def test_validation():
 def test_semistable_profile(semistable_case):
     s, b = semistable_case
     p = conical_coefficients(s, b, 1.0)
-    assert p.Cprime == -16.0
+    assert p.u_minus == 0.0
+    assert p.Cprime == pytest.approx(-16.0, rel=1e-14)
     assert abs(eval_psi(p, 4.0)) < 1e-10
     assert abs(eval_psi(p, 6.0)) < 1e-10
     # C^{1,1/2}: psi' picks up a square-root term at t_minus

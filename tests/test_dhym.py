@@ -76,8 +76,10 @@ def test_unstable_closed_form_misses_target():
     b = BundleClass(k1=-1.0, k2=1.0)
     pr = pose(s, b)
     sol = DhymSolution(
-        cot_theta=pr.phase.cot_theta,
+        cos_theta=pr.phase.cos_theta,
+        sin_theta=pr.phase.sin_theta,
         Cprime=pr.Cprime,
+        u_minus=pr.u_minus,
         t_minus=2.0,
         t_plus=4.0,
         regularity="smooth",
@@ -162,11 +164,13 @@ def test_deriv_matches_finite_difference(figure1):
         assert eval_H_deriv(sol, t) == pytest.approx(fd, abs=1e-7)
 
 
-def test_semistable_pinning_and_holder(semistable_case):
+def test_semistable_radicand_and_holder(semistable_case):
     s, b = semistable_case
     sol = solve_dhym(s, b)
     assert sol.regularity == "holder12"
-    assert sol.Cprime == -16.0
+    # C' carries its rounding; the radicand at t_minus is exactly 0
+    assert sol.u_minus == 0.0
+    assert sol.Cprime == pytest.approx(-16.0, rel=1e-14)
     assert sol.t_minus == 4.0
     # log-log slope of |H(t) - H(t_minus)| against t - t_minus
     eps = np.logspace(-8, -2, 25)
@@ -196,9 +200,12 @@ def test_perturbed_constant_fails_residual(figure1):
     # the residual check must reject a wrong integration constant
     s, b = figure1
     sol = solve_dhym(s, b)
+    Cprime_bad = sol.Cprime * (1.0 + 1e-6)
     bad = DhymSolution(
-        cot_theta=sol.cot_theta,
-        Cprime=sol.Cprime * (1.0 + 1e-6),
+        cos_theta=sol.cos_theta,
+        sin_theta=sol.sin_theta,
+        Cprime=Cprime_bad,
+        u_minus=sol.t_minus ** 2 + Cprime_bad,
         t_minus=sol.t_minus,
         t_plus=sol.t_plus,
         regularity="smooth",
