@@ -136,7 +136,7 @@ def residual_summary(s, b, sol, prof) -> dict:
     One array pass: H and H' are evaluated once on the interior grid, and
     both the ODE residual and the imaginary part are formed from them.
     """
-    interior = np.linspace(sol.t_minus, sol.t_plus, 1001)[1:-1]
+    interior = dhym.default_grid(sol)[1:-1]
     tgt_minus, tgt_plus = dhym.boundary_targets(s, b)
     H, Hp = dhym.eval_H_pair(sol, interior)
     im, _ = coupled.phase_and_radius_of(sol, interior, H, Hp)
@@ -408,6 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # subcommand name -> its parser, filled in by add_parser below
+    parser.commands = sub.choices
 
     p = sub.add_parser("check", help="stability and class data")
     _add_common_args(p)
@@ -458,11 +460,19 @@ _PARSER = None
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the parser is built once per process."""
+    """Run one subcommand; the parser is built once per process.
+
+    An argv that starts with a subcommand's name is parsed by that
+    subcommand's parser alone; the top-level parser would classify every
+    argument a second time.  Anything else (no arguments, -h, an unknown
+    command) goes through the top-level parser.
+    """
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    args = sub.parse_args(argv[1:]) if sub else _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except NoSolutionError as exc:

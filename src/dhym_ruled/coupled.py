@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .dhym import DhymSolution, check_domain, eval_H_pair, radicand
+from .dhym import DhymSolution, check_domain, default_grid, eval_H_pair, radicand
 from .errors import NoSolutionError, ValidationError
 from .params import (
     BundleClass,
@@ -162,9 +162,19 @@ def smooth_coefficients(s: SurfaceParams, b: BundleClass) -> ProfilePoly:
 
 def eval_psi(p: ProfilePoly, t):
     t = check_domain(p, t)
-    u = np.maximum(radicand(p, t), 0.0)
-    out = p.d0 + p.d1 * t + p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5
+    out = _psi_of(p, t, np.maximum(radicand(p, t), 0.0))
     return float(out) if out.ndim == 0 else out
+
+
+def _psi_of(p: ProfilePoly, t, u):
+    """psi at a checked t, from u = max(t^2 + C', 0)."""
+    return p.d0 + p.d1 * t + p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5
+
+
+def _psi_pp_of(p: ProfilePoly, t, u):
+    """psi'' at a checked t, from u = max(t^2 + C', 0).  Divides by sqrt(u),
+    so callers that reach u = 0 set np.errstate."""
+    return 2.0 * p.c2 + 6.0 * p.c3 * t + p.cR * (3.0 * (t ** 2 + u) / np.sqrt(u))
 
 
 def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
@@ -177,18 +187,14 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
     u = np.maximum(radicand(p, t), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 1:
-            rad = 3.0 * t * np.sqrt(u)
-            poly = p.d1 + 2.0 * p.c2 * t + 3.0 * p.c3 * t ** 2
+            out = (p.d1 + 2.0 * p.c2 * t + 3.0 * p.c3 * t ** 2
+                   + p.cR * (3.0 * t * np.sqrt(u)))
         elif order == 2:
-            rad = 3.0 * (t ** 2 + u) / np.sqrt(u)
-            poly = 2.0 * p.c2 + 6.0 * p.c3 * t
+            out = _psi_pp_of(p, t, u)
         elif order == 3:
-            rad = 3.0 * t * (3.0 * u - t ** 2) / u ** 1.5
-            poly = 6.0 * p.c3 + 0.0 * t
+            out = 6.0 * p.c3 + 0.0 * t + p.cR * (3.0 * t * (3.0 * u - t ** 2) / u ** 1.5)
         else:
-            rad = 9.0 * p.Cprime ** 2 / u ** 2.5
-            poly = 0.0 * t
-    out = poly + p.cR * rad
+            out = 0.0 * t + p.cR * (9.0 * p.Cprime ** 2 / u ** 2.5)
     return float(out) if out.ndim == 0 else out
 
 
@@ -212,9 +218,8 @@ def psi_pp_difference_closed_form(
     return 4.0 * num / den
 
 
-#: Points of the positivity scan over [t_-, t_+], both endpoints included.
-POSITIVITY_GRID = 1001
-#: Zoom rounds after the scan.  Each evaluates ZOOM_POINTS over the bracket
+#: Zoom rounds after the scan, run only when the scan's minimum is bracketed
+#: by two interior nodes.  Each evaluates ZOOM_POINTS over the bracket
 #: around the last argmin and keeps that argmin's neighbours, so the bracket
 #: shrinks (ZOOM_POINTS - 1) / 2 = 16x a round: from two grid steps (4e-3,
 #: the interval is always 2 wide) to 2.4e-10 after six rounds.
@@ -226,9 +231,17 @@ _ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
 def positivity_certificate(p: ProfilePoly) -> PositivityReport:
     """Certify psi > 0 on the open interior.
 
-    The minimum of psi is found by a grid scan refined by array zooms.  The
-    reported minimum is the lowest value seen over the grid and every zoom
-    point, so it is never above the grid minimum.
+    The minimum of psi is found by a scan of the interior nodes of
+    dhym.default_grid.  When the scan's minimum lies strictly between the
+    first and the last interior node, its two neighbours bracket it and
+    array zooms refine it; the reported minimum is the lowest value seen
+    over the grid and every zoom point, so it is never above the grid
+    minimum.  At the first or last interior node there is no bracket: the
+    values rise from that node towards the interior, and the cell on the
+    other side ends at t_minus or t_plus, where psi takes its boundary value
+    0 with the slope the residual suite checks.  A zoom there would only
+    find the node's value again, or rounding noise in the end cell, so the
+    node and its grid value are reported.
 
     For alpha <= 0 the certificate is convexity.  With u = t^2 + C' > 0 on
     the open interior, psi'''' = cR * 9 C'^2 / u^(5/2), so cR >= 0 makes
@@ -239,23 +252,25 @@ def positivity_certificate(p: ProfilePoly) -> PositivityReport:
     For alpha > 0 no such argument is available and the scan is reported
     instead.
     """
-    t = np.linspace(p.t_minus, p.t_plus, POSITIVITY_GRID)[1:-1]
+    t = default_grid(p)[1:-1]
     vals = eval_psi(p, t)
     i = int(np.argmin(vals))
     min_value, argmin = float(vals[i]), float(t[i])
-    for _ in range(ZOOM_ROUNDS):
-        lo, hi = t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)]
-        # np.linspace(lo, hi, ZOOM_POINTS) without its call overhead: the same
-        # lo + k * step with the last point set to hi.  linspace rounds
-        # differently only when the step underflows to 0, which for ends at
-        # least 2e-3 from 0 (interior points, t_minus >= 0) means hi == lo,
-        # and then both give lo.
-        t = lo + (hi - lo) / (ZOOM_POINTS - 1) * _ZOOM_STEPS
-        t[-1] = hi
-        vals = eval_psi(p, t)
-        i = int(np.argmin(vals))
-        if vals[i] < min_value:
-            min_value, argmin = float(vals[i]), float(t[i])
+    if 0 < i < len(t) - 1:
+        for _ in range(ZOOM_ROUNDS):
+            lo, hi = t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)]
+            # np.linspace(lo, hi, ZOOM_POINTS) without its call overhead: the
+            # same lo + k * step with the last point set to hi.  linspace
+            # rounds differently only when the step underflows to 0, which
+            # for ends at least 2e-3 from 0 (interior points, t_minus >= 0)
+            # means hi == lo, and then both give lo.  The bracket lies in the
+            # scanned grid, so it needs no domain check.
+            t = lo + (hi - lo) / (ZOOM_POINTS - 1) * _ZOOM_STEPS
+            t[-1] = hi
+            vals = _psi_of(p, t, np.maximum(radicand(p, t), 0.0))
+            i = int(np.argmin(vals))
+            if vals[i] < min_value:
+                min_value, argmin = float(vals[i]), float(t[i])
 
     if min_value <= 0.0:
         return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
@@ -297,7 +312,8 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
             - (alpha / sin_t ** 3) * t ** 2 / root
             + 2.0 * s.s_sigma
         )
-    out = eval_psi_deriv(p, t, 2) - rhs
+        psi_pp = _psi_pp_of(p, t, u)
+    out = psi_pp - rhs
     return float(out) if np.ndim(out) == 0 else out
 
 

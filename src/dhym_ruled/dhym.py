@@ -201,6 +201,17 @@ def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):
     return float(out) if out.ndim == 0 else out
 
 
-def default_grid(sol: DhymSolution) -> np.ndarray:
-    """Uniform 1001-point evaluation grid on [t_minus, t_plus]."""
-    return np.linspace(sol.t_minus, sol.t_plus, 1001)
+_GRID_STEPS = np.arange(1001, dtype=float)
+
+
+def default_grid(iv) -> np.ndarray:
+    """Uniform 1001-point grid on [t_minus, t_plus] of a DhymSolution or a
+    ProfilePoly ``iv``.
+
+    Bitwise equal to np.linspace(t_minus, t_plus, 1001), without its call
+    overhead: the same t_minus + k * step, with the last node set to t_plus
+    (the step never underflows, the interval is 2 wide).
+    """
+    t = iv.t_minus + (iv.t_plus - iv.t_minus) / 1000 * _GRID_STEPS
+    t[-1] = iv.t_plus
+    return t

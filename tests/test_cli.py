@@ -80,6 +80,31 @@ def test_unknown_command_usage_error():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("argv, code, prog", [
+    ([], 1, "dhym-ruled"),
+    (["bogus"], 1, "dhym-ruled"),
+    (["--help"], 0, "dhym-ruled"),
+    (["solve", "--help"], 0, "dhym-ruled solve"),
+    (["solve", *FIG1, "--bogus", "1"], 1, "dhym-ruled solve"),
+])
+def test_dispatch_exit_codes(argv, code, prog, capsys):
+    """An argv that starts with a subcommand reaches that subcommand's parser,
+    whose usage line a help request or an error prints; any other argv
+    reaches the top-level parser."""
+    got, out, err = run_in_process(argv, capsys)
+    assert got == code
+    assert (out if code == 0 else err).startswith(f"usage: {prog} [-h]")
+    if "--bogus" in argv:
+        assert "unrecognized arguments: --bogus 1" in err
+
+
+@pytest.mark.parametrize("argv, code", [(["check", *FIG1], 0), (["bogus"], 1),
+                                        (["check", *FIG1, "--bogus"], 1)])
+def test_main_reads_sys_argv(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["dhym-ruled", *argv])
+    assert run_in_process(None, capsys)[0] == code
+
+
 def test_solve_descriptor(tmp_path):
     out = tmp_path / "sol.txt"
     r = run("solve", *FIG1, "--out", str(out))
@@ -311,12 +336,18 @@ def test_residual_failure_names_the_check(argv):
 
 def _near_semistable_argvs(n, seed=20261018):
     """solve argvs of stable classes with margins 10^U(-11, -2)."""
+    return [["solve", *_class_argv(s, b)]
+            for s, b in _near_semistable_classes(n, seed, -11.0, -2.0)]
+
+
+def _near_semistable_classes(n, seed, lo, hi):
+    """(surface, class) pairs, stable with margins 10^U(lo, hi)."""
     rng = np.random.default_rng(seed)
-    argvs = []
-    while len(argvs) < n:
+    classes = []
+    while len(classes) < n:
         s = make_surface(int(rng.integers(1, 4)), int(rng.integers(0, 3)),
                          float(rng.integers(1, 7)))
-        k1, eps = -rng.uniform(0.2, 3.0), 10.0 ** rng.uniform(-11.0, -2.0)
+        k1, eps = -rng.uniform(0.2, 3.0), 10.0 ** rng.uniform(lo, hi)
         # margin(k2) = (1-x) k2^2 + 2 k1 (1+x) k2 + (1-x)(1+k1^2)
         x = s.x
         qa, qb = 1.0 - x, 2.0 * k1 * (1.0 + x)
@@ -325,8 +356,8 @@ def _near_semistable_argvs(n, seed=20261018):
             continue
         b = BundleClass(k1=k1, k2=(-qb + math.sqrt(disc)) / (2.0 * qa))
         if eps / 2 < pose(s, b).margin < 2 * eps:
-            argvs.append(["solve", *_class_argv(s, b)])
-    return argvs
+            classes.append((s, b))
+    return classes
 
 
 #: solve argvs that exit 4, each with the first key over its bound: a profile
@@ -501,6 +532,13 @@ def _summary_cases():
         s, b = draw_stable(rng)
         a = float(10.0 ** rng.uniform(-3.0, 0.0))
         cases.append((s, limits.scaled_class(canonicalize(b), a), 1.0))
+    # the classes whose exit codes are fragile: near the semistable band, and
+    # scaled by alpha' in [1e-4, 1e-3)
+    cases += [(s, b, 1.0) for s, b in _near_semistable_classes(30, 20261019, -10.0, -3.0)]
+    for _ in range(20):
+        s, b = draw_stable(rng)
+        a = float(10.0 ** rng.uniform(-4.0, -3.0))
+        cases.append((s, limits.scaled_class(canonicalize(b), a), 1.0))
     return cases
 
 
@@ -513,6 +551,9 @@ def test_residual_summary_matches_pointwise_calls():
         s, b = pr.surface, pr.bundle
         sol = dhym.solve_dhym(s, b)
         prof = coupled.conical_coefficients(s, b, beta0)
+        for iv in (sol, prof):
+            grid = np.linspace(iv.t_minus, iv.t_plus, 1001)
+            assert dhym.default_grid(iv).tobytes() == grid.tobytes(), (s, b)
         got = residual_summary(s, b, sol, prof)
         assert got == _pointwise_summary(s, b, sol, prof), (s, b, beta0)
         assert all(type(v) is float for v in got.values())
@@ -686,6 +727,10 @@ def test_main_reuses_one_parser_without_state(capsys):
         ["check", *FIG1],
         ["profile", *FIG1, "--samples", "11"],
         ["limits", *FIG1, "--mode", "large", "--alphas", "0.1,0.01"],
+        [],
+        ["bogus"],
+        ["--help"],
+        ["solve", "--help"],
     ]
     for argv in sequence:
         got = run_in_process(argv, capsys)

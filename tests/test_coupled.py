@@ -31,6 +31,7 @@ from dhym_ruled.coupled import (
     beta_infinity,
     psi_pp_difference_closed_form,
 )
+from dhym_ruled.dhym import default_grid
 from dhym_ruled.limits import scaled_class, scaled_solution
 from dhym_ruled.params import phase_constant
 
@@ -293,6 +294,41 @@ def test_zoom_never_above_ternary_search():
             assert q.t_minus < rep.argmin < q.t_plus
         compared += 1
     assert compared >= 200
+
+
+def test_end_node_minimum_is_reported_as_scanned():
+    """A scan minimum at the first or last interior node has no bracket: the
+    report is that node and its grid value, with no zoom below it."""
+    ends = 0
+    for p in PROFILES:
+        t = default_grid(p)[1:-1]
+        vals = eval_psi(p, t)
+        i = int(np.argmin(vals))
+        if i not in (0, len(t) - 1):
+            continue
+        rep = positivity_certificate(p)
+        assert (rep.argmin, rep.min_value) == (float(t[i]), float(vals[i])), p
+        ends += 1
+    assert ends >= 200
+
+
+def test_bracketed_minimum_is_refined():
+    """A dip between two interior nodes is still zoomed: the reported argmin
+    lies off the grid and the minimum is at most the grid minimum."""
+    refined = 0
+    for p in PROFILES:
+        if not ternary_positivity(p).min_value > 1e-13 * largest_basis_term(p):
+            continue  # psi is rounding noise there; the search order decides
+        q = dipped(p)
+        t = default_grid(q)[1:-1]
+        vals = eval_psi(q, t)
+        i = int(np.argmin(vals))
+        assert 0 < i < len(t) - 1
+        rep = positivity_certificate(q)
+        assert rep.argmin not in t.tolist(), q
+        assert rep.min_value <= vals[i], q
+        refined += 1
+    assert refined >= 200
 
 
 def test_convexity_condition_is_the_sign_of_cR():

@@ -127,6 +127,7 @@ def test_eval_H_pair_matches_separate_calls(rng, semistable_case):
             sol = solve_dhym(s, b)
             branches.add(sol.cos_theta > 0.0)
             t = default_grid(sol)
+            assert t.tobytes() == np.linspace(sol.t_minus, sol.t_plus, 1001).tobytes()
             if sol.regularity == "holder12":
                 t = t[1:]  # H' diverges at t_minus
             H, Hp = eval_H_pair(sol, t)
