@@ -41,18 +41,24 @@ def test_rk4_divergence_reported():
     assert exc.value.location is not None
 
 
-def test_rk4_lanes_match_scalar_calls(rng):
-    draws = [draw_stable(rng) for _ in range(5)]
-    sols = [solve_dhym(s, b) for s, b in draws]
-    tps = [boundary_targets(s, canonicalize(b))[1] for s, b in draws]
-    args = [
-        [sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3]
-        for sol, tp in zip(sols, tps)
-    ]
-    lanes = oracle.rk4_solve_phase_ode(*np.transpose(args), 1e-3)
-    assert lanes.nodes.shape == (5, 1999 + 1)
-    for i, row in enumerate(args):
-        one = oracle.rk4_solve_phase_ode(*row, 1e-3)
+def _benchmark_starts(draws):
+    """The benchmark's call: t_plus to t_minus + 1e-3, one row a draw."""
+    rows = []
+    for s, b in draws:
+        sol = solve_dhym(s, b)
+        tp = boundary_targets(s, canonicalize(b))[1]
+        rows.append(
+            [sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3]
+        )
+    return rows
+
+
+def test_rk4_lanes_match_scalar_calls(rng, figure1):
+    rows = _benchmark_starts([figure1] + [draw_stable(rng) for _ in range(4)])
+    lanes = oracle.rk4_solve_phase_ode(*np.transpose(rows), 1e-4)
+    assert lanes.nodes.shape == (5, 19990 + 1)
+    for i, row in enumerate(rows):
+        one = oracle.rk4_solve_phase_ode(*row, 1e-4)
         assert np.array_equal(lanes.nodes[i], one.nodes)
         assert np.array_equal(lanes.values[i], one.values)
 
@@ -133,6 +139,75 @@ def test_rk4_phase_kernel_blow_up():
     loc = lanes.value.location
     assert loc[1] == one.value.location
     assert np.isnan(loc[0]) and np.isnan(loc[2])
+
+
+def test_rk4_phase_kernel_agrees_with_generic_on_many_classes(rng):
+    # the z form rounds differently from the textbook form: bound the
+    # difference relative to the size of the values, lane by lane
+    rows = _benchmark_starts([draw_stable(rng) for _ in range(120)])
+    cos_t, sin_t, *ends = np.transpose(rows)
+    a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
+    b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
+    assert np.array_equal(a.nodes, b.nodes)
+    dev = np.max(np.abs(a.values - b.values), axis=-1)
+    scale = np.maximum(1.0, np.max(np.abs(a.values), axis=-1))
+    assert np.all(dev <= 1e-12 * scale)
+
+
+def test_rk4_phase_kernel_blow_up_inside_the_interval():
+    # the start 2^-6 off the origin lies on z = 5/4 t, the solution that
+    # meets the singular line z = 0 at t = 0.  With cos = 0.6, sin = 0.8,
+    # c = 25/16 and z0 come out exact, every stage is then exact on the
+    # dyadic nodes, and the last stage of the step onto t = 0 is 0 / 0
+    t0, step = 2.0 ** -6, 2.0 ** -10
+    with pytest.raises(IntegrationError) as one:
+        oracle.rk4_solve_phase_ode(0.6, 0.8, t0, 2.0 * t0, -t0, step)
+    loc = one.value.location
+    assert isinstance(loc, float)
+    assert -t0 < loc < t0
+    with pytest.raises(IntegrationError) as lanes:
+        oracle.rk4_solve_phase_ode(
+            0.6, 0.8, t0, np.array([0.05, 2.0 * t0, 0.06]), -t0, step
+        )
+    locs = lanes.value.location
+    assert locs[1] == loc
+    assert np.isnan(locs[0]) and np.isnan(locs[2])
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "t1, step, message",
+    [
+        (_NAN, 1e-3, "t1 must be finite, got nan"),
+        (_INF, 1e-3, "t1 must be finite, got inf"),
+        (-_INF, 1e-3, "t1 must be finite, got -inf"),
+        (5.1, _NAN, "step must be finite and positive, got nan"),
+        (5.1, _INF, "step must be finite and positive, got inf"),
+        (5.1, 0.0, "step must be finite and positive, got 0.0"),
+        (5.1, -1e-3, "step must be finite and positive, got -0.001"),
+        (5.1, 5e-324, "step 5e-324 is too small for the interval"),
+        (7.0, 1e-3, "t1 equals t0 = 7.0"),
+    ],
+)
+@pytest.mark.parametrize("lanes", [False, True], ids=["one", "lanes"])
+def test_rk4_rejects_bad_steps_and_ends(t1, step, message, lanes):
+    y0 = -2.0
+    if lanes:
+        # a bad end sits on the second lane only; the step is shared
+        t1, y0 = np.array([5.1, t1]), np.array([-2.0, -2.5])
+    with pytest.raises(ValueError, match=message):
+        oracle.rk4_solve_phase_ode(0.6, 0.8, 7.0, y0, t1, step)
+    with pytest.raises(ValueError, match=message):
+        oracle.rk4_solve(lambda t, y: y, 7.0, y0, t1, step)
+
+
+def test_rk4_rejects_non_finite_start():
+    with pytest.raises(ValueError, match="t0 must be finite, got nan"):
+        oracle.rk4_solve_phase_ode(0.6, 0.8, _NAN, -2.0, 5.1, 1e-3)
+    with pytest.raises(ValueError, match="t0 must be finite, got inf"):
+        oracle.rk4_solve(lambda t, y: y, np.array([7.0, _INF]), -2.0, 5.1, 1e-3)
 
 
 def test_quadrature_volume_identities():
