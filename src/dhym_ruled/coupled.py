@@ -128,8 +128,7 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
     c2 = pr.surface.s_sigma
 
     def inhom(t):
-        u = max(radicand(pr, t), 0.0)
-        return c2 * t ** 2 + c3 * t ** 3 + cR * u ** 1.5
+        return c2 * t ** 2 + c3 * t ** 3 + cR * radicand(pr, t) ** 1.5
 
     d0, d1 = oracle.solve_2x2(
         1.0, pr.t_minus, 1.0, pr.t_plus, -inhom(pr.t_minus), -inhom(pr.t_plus)
@@ -162,17 +161,17 @@ def smooth_coefficients(s: SurfaceParams, b: BundleClass) -> ProfilePoly:
 
 def eval_psi(p: ProfilePoly, t):
     t = check_domain(p, t)
-    out = _psi_of(p, t, np.maximum(radicand(p, t), 0.0))
+    out = _psi_of(p, t, radicand(p, t))
     return float(out) if out.ndim == 0 else out
 
 
 def _psi_of(p: ProfilePoly, t, u):
-    """psi at a checked t, from u = max(t^2 + C', 0)."""
+    """psi at a checked t, from u = t^2 + C'."""
     return p.d0 + p.d1 * t + p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5
 
 
 def _psi_pp_of(p: ProfilePoly, t, u):
-    """psi'' at a checked t, from u = max(t^2 + C', 0).  Divides by sqrt(u),
+    """psi'' at a checked t, from u = t^2 + C'.  Divides by sqrt(u),
     so callers that reach u = 0 set np.errstate."""
     return 2.0 * p.c2 + 6.0 * p.c3 * t + p.cR * (3.0 * (t ** 2 + u) / np.sqrt(u))
 
@@ -184,7 +183,7 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 0..4, got {order}")
     t = check_domain(p, t)
-    u = np.maximum(radicand(p, t), 0.0)
+    u = radicand(p, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 1:
             out = (p.d1 + 2.0 * p.c2 * t + 3.0 * p.c3 * t ** 2
@@ -201,7 +200,7 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
 def eval_phi(p: ProfilePoly, t):
     """Momentum profile phi(t) = psi(t) / (2 t)."""
     t_arr = check_domain(p, t)
-    out = eval_psi(p, t) / (2.0 * t_arr)
+    out = eval_psi(p, t_arr) / (2.0 * t_arr)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -225,7 +224,6 @@ def psi_pp_difference_closed_form(
 #: the interval is always 2 wide) to 2.4e-10 after six rounds.
 ZOOM_ROUNDS = 6
 ZOOM_POINTS = 33
-_ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
 
 
 def positivity_certificate(p: ProfilePoly) -> PositivityReport:
@@ -258,16 +256,9 @@ def positivity_certificate(p: ProfilePoly) -> PositivityReport:
     min_value, argmin = float(vals[i]), float(t[i])
     if 0 < i < len(t) - 1:
         for _ in range(ZOOM_ROUNDS):
-            lo, hi = t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)]
-            # np.linspace(lo, hi, ZOOM_POINTS) without its call overhead: the
-            # same lo + k * step with the last point set to hi.  linspace
-            # rounds differently only when the step underflows to 0, which
-            # for ends at least 2e-3 from 0 (interior points, t_minus >= 0)
-            # means hi == lo, and then both give lo.  The bracket lies in the
-            # scanned grid, so it needs no domain check.
-            t = lo + (hi - lo) / (ZOOM_POINTS - 1) * _ZOOM_STEPS
-            t[-1] = hi
-            vals = _psi_of(p, t, np.maximum(radicand(p, t), 0.0))
+            # the bracket lies in the scanned grid: no domain check
+            t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], ZOOM_POINTS)
+            vals = _psi_of(p, t, radicand(p, t))
             i = int(np.argmin(vals))
             if vals[i] < min_value:
                 min_value, argmin = float(vals[i]), float(t[i])
@@ -303,7 +294,7 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
     s_hat, r_hat = phase.s_hat, phase.r_hat
     alpha = p.alpha
     t = check_domain(p, t)
-    u = np.maximum(radicand(p, t), 0.0)
+    u = radicand(p, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt((1.0 / sin_t ** 2) * u)  # sqrt((cot^2+1)(t^2+C'))
         rhs = (
@@ -327,7 +318,7 @@ def phase_and_radius(
     weight is the cohomological average radius.
     """
     t_arr = check_domain(p, t)
-    H, Hp = eval_H_pair(dh, t)
+    H, Hp = eval_H_pair(dh, t_arr)
     im_part, re_part = phase_and_radius_of(dh, t_arr, H, Hp)
     if np.ndim(im_part) == 0:
         return float(im_part), float(re_part)

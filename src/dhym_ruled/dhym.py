@@ -82,19 +82,23 @@ def solve_dhym(s: SurfaceParams, b: BundleClass) -> DhymSolution:
 
 
 def check_domain(interval, t):
-    """t as a float array, when it lies in [interval.t_minus, interval.t_plus].
+    """t as a float array in [interval.t_minus, interval.t_plus].
 
-    ``interval`` is a DhymSolution or a ProfilePoly; an absolute slack of
-    _ENDPOINT_SLACK is accepted at either end before raising DomainError.
-    A NaN t lies nowhere and is rejected.
+    ``interval`` is a DhymSolution or a ProfilePoly.  A point at most
+    _ENDPOINT_SLACK outside an end is moved onto that end; a point further
+    out, or a NaN, raises DomainError.  On the interval every factor and
+    term of radicand is non-negative, so t^2 + C' >= 0 in floating point
+    and no caller clamps it.
     """
     t = np.asarray(t, dtype=float)
-    # min and max propagate NaN, which then fails both comparisons
-    if t.size and not (
-        t.min() >= interval.t_minus - _ENDPOINT_SLACK
-        and t.max() <= interval.t_plus + _ENDPOINT_SLACK
-    ):
-        raise DomainError(f"t outside [{interval.t_minus}, {interval.t_plus}]")
+    if t.size:
+        lo, hi = t.min(), t.max()
+        # min and max propagate NaN, which then fails both comparisons
+        if not (lo >= interval.t_minus - _ENDPOINT_SLACK
+                and hi <= interval.t_plus + _ENDPOINT_SLACK):
+            raise DomainError(f"t outside [{interval.t_minus}, {interval.t_plus}]")
+        if lo < interval.t_minus or hi > interval.t_plus:
+            t = np.asarray(np.clip(t, interval.t_minus, interval.t_plus))
     return t
 
 
@@ -109,24 +113,44 @@ def _sign(sol: DhymSolution) -> float:
     return -1.0 if sol.conjugated else 1.0
 
 
+def _near_root(sol: DhymSolution) -> bool:
+    """Whether the cos(theta) > 0 numerators come from (t_minus, u_minus),
+    the constants radicand forms u from, instead of C'.
+
+    Near the semistable band u is tiny near t_minus, and C' rounded apart
+    from u_minus is then a large relative change of u; where
+    |C'| << t_minus^2, t_minus^2 - u_minus cancels instead.
+    """
+    return sol.u_minus <= 0.5 * sol.t_minus ** 2
+
+
 def _H_of(sol: DhymSolution, t, root):
-    """Canonical-branch H at a checked t, from root = sqrt(max(t^2 + C', 0))."""
+    """Canonical-branch H at a checked t, from root = sqrt(t^2 + C')."""
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
     if cos_t > 0.0:
         # rationalized form: avoids the t*cos - sqrt(u) cancellation that
-        # dominates for near-degenerate phases (e.g. small scaled classes)
-        return (-(t * sin_t) ** 2 - sol.Cprime) / (sin_t * (t * cos_t + root))
+        # dominates for near-degenerate phases (e.g. small scaled classes);
+        # the numerator is -(t sin)^2 - C'
+        ts = t * sin_t
+        if _near_root(sol):
+            num = (sol.t_minus - ts) * (sol.t_minus + ts) - sol.u_minus
+        else:
+            num = -ts ** 2 - sol.Cprime
+        return num / (sin_t * (t * cos_t + root))
     return (t * cos_t - root) / sin_t
 
 
 def _H_deriv_of(sol: DhymSolution, t, root):
-    """Canonical-branch H' at a checked t, from root = sqrt(t^2 + C'), which
-    is NaN where rounding leaves t^2 + C' below 0."""
+    """Canonical-branch H' at a checked t, from root = sqrt(t^2 + C')."""
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
     if cos_t > 0.0:
-        return (cos_t ** 2 * sol.Cprime - (t * sin_t) ** 2) / (
-            sin_t * root * (cos_t * root + t)
-        )
+        # the numerator is cos^2 C' - (t sin)^2
+        ts = t * sin_t
+        if _near_root(sol):
+            num = cos_t ** 2 * sol.u_minus - (cos_t * sol.t_minus) ** 2 - ts ** 2
+        else:
+            num = cos_t ** 2 * sol.Cprime - ts ** 2
+        return num / (sin_t * root * (cos_t * root + t))
     return (cos_t - t / root) / sin_t
 
 
@@ -138,7 +162,7 @@ def eval_H(sol: DhymSolution, t):
     canonical-branch value.
     """
     t = check_domain(sol, t)
-    out = _sign(sol) * _H_of(sol, t, np.sqrt(np.maximum(radicand(sol, t), 0.0)))
+    out = _sign(sol) * _H_of(sol, t, np.sqrt(radicand(sol, t)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -157,8 +181,7 @@ def eval_H_pair(sol: DhymSolution, t):
     t = check_domain(sol, t)
     root = np.sqrt(radicand(sol, t))
     sign = _sign(sol)
-    # fmax(NaN, 0) = 0 = sqrt(max(u, 0)) where u < 0
-    H = sign * _H_of(sol, t, np.fmax(root, 0.0))
+    H = sign * _H_of(sol, t, root)
     Hp = sign * _H_deriv_of(sol, t, root)
     if np.ndim(H) == 0:
         return float(H), float(Hp)
@@ -180,8 +203,9 @@ def ode_residual_H(sol: DhymSolution, t):
     conjugated descriptor the phase has the opposite sine, which the residual
     accounts for.
     """
+    t = check_domain(sol, t)
     H, Hp = eval_H_pair(sol, t)
-    out = ode_residual_of(sol, np.asarray(t, dtype=float), H, Hp)
+    out = ode_residual_of(sol, t, H, Hp)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -197,7 +221,7 @@ def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):
     sign = _sign(sol)
     out = sign * (
         b.k1 * t_arr + (b.k2 / t_arr) * (1.0 - x ** 2) / x ** 2
-    ) - eval_H(sol, t)
+    ) - eval_H(sol, t_arr)
     return float(out) if out.ndim == 0 else out
 
 

@@ -58,12 +58,16 @@ def _first(x, mask) -> float:
     return float(np.ravel(x)[np.ravel(mask)][0])
 
 
+#: Most steps one RK4 call takes; the tests and the benchmark need about 2e4.
+MAX_STEPS = 10 ** 7
+
+
 def _steps(t0, t1, step: float):
     """The step count n the lanes share, and each lane's step size h.
 
     A step that is not finite and positive, or so small that the count
-    overflows, an end that is not finite and t1 == t0 raise ValueError
-    naming the value, on any lane.
+    exceeds MAX_STEPS, an end that is not finite and t1 == t0 raise
+    ValueError naming the value, on any lane.
     """
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be finite and positive, got {step!r}")
@@ -76,8 +80,12 @@ def _steps(t0, t1, step: float):
         raise ValueError(f"t1 equals t0 = {same!r}: the interval is empty")
     with np.errstate(over="ignore"):
         counts = np.maximum(1.0, np.rint(np.abs(np.subtract(t1, t0)) / step))
-    if not np.all(np.isfinite(counts)):
-        raise ValueError(f"step {step!r} is too small for the interval")
+    # an overflowing count is inf, which fails the comparison too
+    if not counts.max() <= MAX_STEPS:
+        raise ValueError(
+            f"step {step!r} is too small for the interval:"
+            f" more than MAX_STEPS = {MAX_STEPS} steps"
+        )
     if counts.min() != counts.max():
         raise ValueError("lanes must share a step count")
     n = int(counts.flat[0])
@@ -87,10 +95,15 @@ def _steps(t0, t1, step: float):
 def _grid(t0, h, values: list, slope=None) -> GridFunction:
     """The RK4 values at the nodes t0 + i h, ordered by increasing node.
 
-    With a slope, the value at node t is values[i] + t * slope.  A
-    non-finite value raises IntegrationError located at the last finite
-    node: a float for one draw, an array for lanes (NaN on the lanes that
-    finished).
+    With a slope, the values are z = y - t * slope of z' = c t / z, with
+    c = 1 + slope^2, and the value at node t is z + t * slope.  A step
+    that ends on a non-finite value raises IntegrationError located at the
+    node it starts from: a float for one draw, an array for lanes (NaN on
+    the lanes that finished).  With a slope, so does a step that leaves
+    the solution: z^2 - c t^2 is constant along it, so it ends where z = 0
+    (z' diverges there) and changes the sign of z only at t = 0.  A step
+    whose start continues to z = 0 before its end, or over which z changes
+    sign with both nodes on one side of t = 0, has left it.
     """
     # the same t0 + i h as in the loops, so the nodes match them bitwise
     nodes = np.moveaxis(
@@ -101,16 +114,23 @@ def _grid(t0, h, values: list, slope=None) -> GridFunction:
         values = np.fromiter(values, float, len(values))
     else:
         values = np.moveaxis(np.array(values), 0, -1)
+    leaves = False
     if slope is not None:
-        values = values + nodes * np.asarray(slope)[..., None]
+        slope = np.asarray(slope)[..., None]
+        lo, hi, z = nodes[..., :-1], nodes[..., 1:], values
+        c = 1.0 + slope * slope
+        leaves = (z[..., :-1] ** 2 + c * ((hi - lo) * (hi + lo)) < 0.0) | (
+            ((z[..., :-1] < 0.0) != (z[..., 1:] < 0.0)) & (lo * hi > 0.0)
+        )
+        values = z + nodes * slope
     # arithmetic never turns NaN or inf finite again: checking once suffices
-    finite = np.isfinite(values)
-    if not finite.all():
-        last = np.maximum(np.argmin(finite, axis=-1) - 1, 0)
+    bad = leaves | ~np.isfinite(values[..., 1:])
+    if bad.any():
+        first = np.argmax(bad, axis=-1)
         location = np.where(
-            finite.all(axis=-1),
+            bad.any(axis=-1),
+            np.take_along_axis(nodes, first[..., None], axis=-1)[..., 0],
             np.nan,
-            np.take_along_axis(nodes, last[..., None], axis=-1)[..., 0],
         )
         if location.ndim == 0:
             location = float(location)
@@ -174,7 +194,8 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
     step is 22 float operations, c t carried from one node to the next.
     The kernel reads only cos, sin and the ends, no closed-form quantity.
     Steps, nodes, lanes and blow-up (z = 0 is the singular line) are as
-    in rk4_solve.
+    in rk4_solve; a step that leaves the solution (see _grid) is a blow-up
+    too, because the solution ends on the singular line there.
     """
     cos_t, sin_t, t0, y0, t1 = _lanes(cos_theta, sin_theta, t0, y0, t1)
     if np.any(sin_t == 0.0):

@@ -2,9 +2,11 @@
 
 Under a cohomological condition on the cone angles and the class data, the
 scalar-curvature equation collapses to a Ricci-form equation.  This module
-evaluates that condition in its two equivalent forms, the matching functions
-F(k1, k2) and H(k, k', h, beta) of the cone-angle analysis, the vertical
-asymptote of H, and solves for the cone angle realizing the reduction.
+evaluates that condition, the matching functions F(k1, k2) and
+H(k, k', h, beta) of the cone-angle analysis and the vertical asymptote of
+H, and gives the cone angle realizing the reduction in closed form.
+tests/test_certificate.py proves the paper's second forms of these
+quantities equal to the ones here.
 """
 
 from __future__ import annotations
@@ -14,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import beta_infinity
 from .errors import PoleError, TkeNotFoundError, ValidationError
 from .params import BundleClass, CohClass, SurfaceParams, pose, require_cone_angle
-
-#: Bisection tolerance for the cone-angle solve.
-BETA_TOL = 1e-12
-#: Exclusion band around the asymptote and the interval ends.
-_EDGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,16 +35,6 @@ def gamma_quantity(s: SurfaceParams, beta0: float) -> float:
     """(3 + x + s_sigma x^2 - 3 (1 + x) beta0) / x."""
     x = s.x
     return (3.0 + x + s.s_sigma * x ** 2 - 3.0 * (1.0 + x) * beta0) / x
-
-
-def gamma_quantity_alt(s: SurfaceParams, beta0: float) -> float:
-    """Equivalent form 4 - 6 beta0 + 3 (k'/k)(1 - beta0) + 2 (1-h)/(k+k')."""
-    return (
-        4.0
-        - 6.0 * beta0
-        + 3.0 * (s.kprime / s.k) * (1.0 - beta0)
-        + 2.0 * (1.0 - s.h) / (s.k + s.kprime)
-    )
 
 
 def F_value(b: BundleClass) -> float:
@@ -110,32 +96,6 @@ def condition_residual(s: SurfaceParams, b: BundleClass, beta0: float) -> float:
     return lhs - rhs
 
 
-def condition_residual_alt(s: SurfaceParams, b: BundleClass, beta0: float) -> float:
-    """Second form of the condition: F(k1,k2)*Gamma-normalized difference."""
-    gamma = gamma_quantity(s, beta0)
-    lhs = F_value(b) * gamma
-    rhs = 2.0 * (
-        2.0 * (1.0 - s.h) / (s.k + s.kprime)
-        + 2.0 * (s.k / s.kprime) * (beta0 - 1.0)
-        - 1.0
-    )
-    return lhs - rhs
-
-
-def system_residuals(
-    s: SurfaceParams, b: BundleClass, beta0: float
-) -> tuple[float, float]:
-    """Residuals of the two class equations of the reduction system."""
-    k, kp, h = s.k, s.kprime, s.h
-    beta_inf = beta_infinity(s.x, beta0)
-    lhs = F_value(b) * gamma_quantity(s, beta0)
-    r1 = lhs - (2.0 + 4.0 * (1.0 - h) / (k + kp) - 2.0 * (beta0 + beta_inf))
-    r2 = lhs * (kp / 2.0 + k) - (
-        2.0 * (1.0 - h) * (2.0 * k + kp) / (k + kp) - 2.0 * k * beta_inf - kp
-    )
-    return r1, r2
-
-
 def analyze(s: SurfaceParams, b: BundleClass, beta0: float) -> TkeAnalysis:
     require_cone_angle(beta0)
     b = pose(s, b).bundle
@@ -151,36 +111,37 @@ def analyze(s: SurfaceParams, b: BundleClass, beta0: float) -> TkeAnalysis:
 def solve_beta0(s: SurfaceParams, b: BundleClass) -> float:
     """The unique cone angle in (beta_bar, 1) realizing the reduction.
 
-    Bisection on the bracket guaranteed by the asymptote structure: H
-    decreases from +infinity at the asymptote to H(1) < 2, so any target
-    F(k1, k2) > 2 is attained exactly once.  Requires k1 < 0 and k2 < 0
-    (stability is then automatic).
+    H(k, k', h, beta) = 2 (A + B beta) / (D - E beta) is a Moebius map in
+    beta, with a = 2 (1 - h) / (k + k'), A = a - 1 - 2k/k', B = 2k/k',
+    D = a + 3k'/k + 4, E = 3k'/k + 6 and its pole at beta_bar = D / E.  So
+    H(beta) = F(k1, k2) has the one root beta0 = (F D - 2A) / (2B + F E),
+    which realizes the reduction when F > 2 and beta0 lies in (beta_bar, 1).
+    Requires k1 < 0 and k2 < 0 (stability is then automatic).
     """
     b = pose(s, b).bundle
     if b.k2 >= 0:
         raise ValidationError("cone-angle solve requires k2 < 0 after reduction")
     f = F_value(b)
-    beta_bar = beta_asymptote(s.k, s.kprime, s.h)
-    lo = beta_bar + _EDGE
-    hi = 1.0 - _EDGE
+    k, kp, h = s.k, s.kprime, s.h
+    beta_bar = beta_asymptote(k, kp, h)
     if not (0.0 < beta_bar < 1.0):
         raise TkeNotFoundError(f, attained=None,
                                message=f"asymptote {beta_bar} outside (0, 1)")
-    h_lo = H_beta(s.k, s.kprime, s.h, lo)
-    h_hi = H_beta(s.k, s.kprime, s.h, hi)
-    if f <= 2.0 or not (h_hi <= f <= h_lo):
-        raise TkeNotFoundError(f, attained=(h_hi, h_lo))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if H_beta(s.k, s.kprime, s.h, mid) >= f:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BETA_TOL:
-            break
-    beta0 = 0.5 * (lo + hi)
-    if abs(condition_residual(s, b, beta0)) > 1e-9 * max(1.0, abs(f)):
+    a = 2.0 * (1.0 - h) / (k + kp)
+    A, B = a - 1.0 - 2.0 * k / kp, 2.0 * k / kp
+    D, E = a + 3.0 * kp / k + 4.0, 3.0 * kp / k + 6.0
+    # B, E > 0, so the denominator is positive for f > 2
+    beta0 = (f * D - 2.0 * A) / (2.0 * B + f * E)
+    # H runs over (beta_bar, 1) from its pole, +inf where A + B beta_bar < 0,
+    # to H(1) = 2 (A + B) / (D - E) = 2 (a - 1) / (a - 2), and a < 2
+    h_at_1 = 2.0 * (a - 1.0) / (a - 2.0)
+    attained = (h_at_1, math.inf) if A + B * beta_bar < 0.0 else (-math.inf, h_at_1)
+    if f <= 2.0 or not (beta_bar < beta0 < 1.0):
+        raise TkeNotFoundError(f, attained=attained)
+    residual = condition_residual(s, b, beta0)
+    if abs(residual) > 1e-9 * max(1.0, abs(f)):
         raise TkeNotFoundError(
-            f, attained=(h_hi, h_lo), message="bisection converged but condition residual too large"
+            f, attained=attained,
+            message=f"condition residual {residual!r} at beta0 = {beta0!r}",
         )
     return beta0

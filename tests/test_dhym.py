@@ -20,7 +20,9 @@ from dhym_ruled import (
     eval_psi_deriv,
     make_surface,
     ode_residual_H,
+    phase_and_radius,
     pose,
+    scalar_residual,
     solve_dhym,
 )
 from dhym_ruled.dhym import default_grid, eval_H_pair
@@ -116,6 +118,31 @@ def test_check_domain_rejects_nan(figure1):
         assert np.all(np.isfinite(f(np.array([5.0 - slack / 2, 6.0, 7.0 + slack / 2]))))
         assert math.isfinite(f(7.0 + slack / 2))
         assert f(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("beta0", [1.0, 0.5])
+def test_slack_band_gives_the_end_values(figure1, beta0):
+    """A point in the accepted slack just outside an end is that end: every
+    evaluator gives bitwise its value there, in an array and as a scalar."""
+    s, b = figure1
+    sol = solve_dhym(s, b)
+    prof = conical_coefficients(s, b, beta0)
+    calls = {
+        "eval_H": lambda t: eval_H(sol, t),
+        "eval_H_pair": lambda t: eval_H_pair(sol, t),
+        "ode_residual_H": lambda t: ode_residual_H(sol, t),
+        "phase_and_radius": lambda t: phase_and_radius(prof, s, b, sol, t),
+        "scalar_residual": lambda t: scalar_residual(prof, s, b, t),
+        **{f"eval_psi_deriv order {n}": lambda t, n=n: eval_psi_deriv(prof, t, n)
+           for n in range(5)},
+    }
+    ends = np.array([sol.t_minus, 6.0, sol.t_plus])
+    outside = np.array([sol.t_minus - 5e-13, 6.0, sol.t_plus + 5e-13])
+    for name, f in calls.items():
+        assert np.asarray(f(outside)).tobytes() == np.asarray(f(ends)).tobytes(), name
+        for i in (0, 2):
+            got, want = f(float(outside[i])), f(float(ends[i]))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, i)
 
 
 def test_eval_H_pair_matches_separate_calls(rng, semistable_case):

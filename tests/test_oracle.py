@@ -174,6 +174,35 @@ def test_rk4_phase_kernel_blow_up_inside_the_interval():
     assert np.isnan(locs[0]) and np.isnan(locs[2])
 
 
+def test_rk4_phase_kernel_stops_at_the_fold():
+    # z^2 = c (t^2 - 49) + d^2 from the start z = d at t = 7, so towards 5.1
+    # the solution ends at z = 0, t = sqrt(49 - d^2 / c): the step from the
+    # node before it raises, on either side of the singular line and in
+    # lanes, where a sign test alone let most starts run past the end
+    cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
+    r, c, step = 0.5, 1.25, 1e-3
+    d = np.array([-2.9, -1.3, -0.2, -1e-9, 1e-9, 0.2, 1.3, 2.9])
+    fold = np.sqrt(49.0 - d * d / c)
+    with pytest.raises(IntegrationError) as lanes:
+        oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 7.0 * r + d, 5.1, step)
+    loc = lanes.value.location
+    assert np.all((fold <= loc) & (loc < fold + step))
+    for one_d, one_loc in zip(d.tolist(), loc.tolist()):
+        with pytest.raises(IntegrationError) as one:
+            oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 7.0 * r + one_d, 5.1, step)
+        assert one.value.location == one_loc
+    # away from the line the same call runs through
+    oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 7.0 * r + 5.5, 5.1, step)
+
+
+def test_step_count_is_capped():
+    # _steps raises before any loop could start; the largest count passes
+    assert oracle._steps(0.0, 1.0, 1.0 / oracle.MAX_STEPS)[0] == oracle.MAX_STEPS
+    for t1, step in ((1.0, 1.0 / (oracle.MAX_STEPS + 1)), (-0.9, 1e-300)):
+        with pytest.raises(ValueError, match=f"step {step!r} is too small"):
+            oracle._steps(0.0, t1, step)
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 
