@@ -3,9 +3,9 @@
 The src/ functions below are plain arithmetic, so they run unchanged on
 sympy symbols (a SimpleNamespace stands in for a surface, a class or a
 descriptor), and each identity reduces to 0 exactly.  The paper's second
-forms of the reduction quantities live here, as the references the proofs
-compare against.  Float constants of the code (2.0, 4.0 / 3.0, ...) are
-read back as the rationals they stand for.
+forms of the reduction quantities, the references the proofs compare
+against, live in second_forms.py.  Float constants of the code (2.0,
+4.0 / 3.0, ...) are read back as the rationals they stand for.
 """
 
 from types import SimpleNamespace
@@ -15,7 +15,13 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from dhym_ruled import dhym, tke  # noqa: E402
-from dhym_ruled.coupled import beta_infinity  # noqa: E402
+
+from second_forms import (  # noqa: E402
+    class_equations,
+    condition_second_form,
+    gamma_second_form,
+    matching_numerator,
+)
 
 k, kp = sp.symbols("k kprime", positive=True)
 h, k1, k2, beta = sp.symbols("h k1 k2 beta", real=True)
@@ -29,38 +35,7 @@ def is_zero(expr) -> bool:
     return sp.simplify(sp.nsimplify(expr)) == 0
 
 
-# ------------------------------------------------ the paper's second forms
-
-
-def gamma_second_form(s, beta0):
-    """4 - 6 beta0 + 3 (k'/k)(1 - beta0) + 2 (1 - h)/(k + k')."""
-    return (4 - 6 * beta0 + 3 * (s.kprime / s.k) * (1 - beta0)
-            + 2 * (1 - s.h) / (s.k + s.kprime))
-
-
-def matching_numerator(s, beta0):
-    """2 (1 - h)/(k + k') + 2 (k/k')(beta0 - 1) - 1, so that
-    H(k, k', h, beta0) = 2 matching_numerator / gamma_second_form."""
-    return 2 * (1 - s.h) / (s.k + s.kprime) + 2 * (s.k / s.kprime) * (beta0 - 1) - 1
-
-
-def condition_second_form(s, b, beta0):
-    """F(k1, k2) Gamma - 2 matching_numerator: zero exactly where
-    H(k, k', h, beta0) = F(k1, k2)."""
-    f = tke.F_value(b)
-    return f * tke.gamma_quantity(s, beta0) - 2 * matching_numerator(s, beta0)
-
-
-def class_equations(s, b, beta0):
-    """Residuals of the two class equations of the reduction system."""
-    k_, kp_, h_ = s.k, s.kprime, s.h
-    beta_inf = beta_infinity(s.x, beta0)
-    lhs = tke.F_value(b) * tke.gamma_quantity(s, beta0)
-    r1 = lhs - (2 + 4 * (1 - h_) / (k_ + kp_) - 2 * (beta0 + beta_inf))
-    r2 = lhs * (kp_ / 2 + k_) - (
-        2 * (1 - h_) * (2 * k_ + kp_) / (k_ + kp_) - 2 * k_ * beta_inf - kp_
-    )
-    return r1, r2
+# -------------------------------------------------------- Moebius form
 
 
 def moebius(s):

@@ -1,7 +1,7 @@
 """Twisted Kaehler-Einstein reduction: matching functions and cone-angle solve.
 
 The identities between the forms of the reduction are proved in
-test_certificate.py.
+test_certificate.py; the second forms themselves are in second_forms.py.
 """
 
 import math
@@ -22,6 +22,7 @@ from dhym_ruled.errors import PoleError
 from dhym_ruled import oracle
 
 from conftest import draw_surface
+from second_forms import class_equations, condition_second_form
 
 
 @pytest.fixture
@@ -91,6 +92,19 @@ def test_d1_vanishes_at_solution(fig2_surface, fig2_class):
     beta0 = tke.solve_beta0(fig2_surface, fig2_class)
     p = conical_coefficients(fig2_surface, fig2_class, beta0)
     assert abs(p.d1) < 1e-8
+
+
+def test_condition_forms_proportional_at_zero(fig2_surface, fig2_class):
+    beta0 = tke.solve_beta0(fig2_surface, fig2_class)
+    assert abs(tke.condition_residual(fig2_surface, fig2_class, beta0)) < 1e-9
+    assert abs(condition_second_form(fig2_surface, fig2_class, beta0)) < 1e-9
+
+
+def test_system_residuals_vanish_at_solution(fig2_surface, fig2_class):
+    beta0 = tke.solve_beta0(fig2_surface, fig2_class)
+    r1, r2 = class_equations(fig2_surface, fig2_class, beta0)
+    assert abs(r1) < 1e-9
+    assert abs(r2) < 1e-9
 
 
 def test_solve_requires_negative_k2(fig2_surface):
