@@ -130,29 +130,23 @@ def _pose_args(args):
                 BundleClass(k1=args.k1, k2=args.k2))
 
 
-def residual_summary(s, b, sol, prof) -> dict:
+def residual_summary(s, b, sol, prof, interior=None) -> dict:
     """Max-abs residuals of both equations plus all boundary errors.
 
-    One array pass: H and H' are evaluated once on the interior grid, and
-    both the ODE residual and the imaginary part are formed from them.
+    The interior residuals are read from ``interior``, the
+    coupled.InteriorPass of the solve, which is evaluated here if not given.
     """
-    interior = dhym.default_grid(sol)[1:-1]
+    if interior is None:
+        interior = coupled.interior_pass(prof, s, b, sol)
     tgt_minus, tgt_plus = dhym.boundary_targets(s, b)
-    H, Hp = dhym.eval_H_pair(sol, interior)
-    im, _ = coupled.phase_and_radius_of(sol, interior, H, Hp)
-    # psi' at both ends in one call is bitwise equal to two 0-d calls; psi
-    # and H stay 0-d calls, because as 2-point arrays they round differently
-    dpsi_minus, dpsi_plus = coupled.eval_psi_deriv(
-        prof, np.array([prof.t_minus, prof.t_plus]), 1
-    ).tolist()
+    # psi' at both ends from one 2-point evaluation is bitwise equal to two
+    # 0-d calls; psi and H stay 0-d calls, because as 2-point arrays they
+    # round differently
+    dpsi_minus, dpsi_plus = interior.dpsi_ends
     out = {
-        "max_dhym_residual": float(
-            np.max(np.abs(dhym.ode_residual_of(sol, interior, H, Hp)))
-        ),
-        "max_im_part": float(np.max(np.abs(im))),
-        "max_scalar_residual": float(
-            np.max(np.abs(coupled.scalar_residual(prof, s, b, interior)))
-        ),
+        "max_dhym_residual": float(np.abs(interior.ode_residual).max()),
+        "max_im_part": float(np.abs(interior.im_part).max()),
+        "max_scalar_residual": float(np.abs(interior.scalar_residual).max()),
         "boundary_err_minus": abs(dhym.eval_H(sol, sol.t_minus) - tgt_minus),
         "boundary_err_plus": abs(dhym.eval_H(sol, sol.t_plus) - tgt_plus),
         "psi_err_minus": abs(coupled.eval_psi(prof, prof.t_minus)),
@@ -179,9 +173,15 @@ def _verdict(summary: dict, sol) -> int:
 
 
 def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
+    """The solve's class data, positivity report and residual summary.
+
+    The positivity scan and the residual summary read one InteriorPass.
+    Every value is None, a bool, an int, a float or a str.
+    """
     pr = pose(s, b)
     b, phase = pr.bundle, pr.phase
-    pos = coupled.positivity_certificate(prof)
+    interior = coupled.interior_pass(prof, s, b, sol)
+    pos = coupled.positivity_certificate(prof, interior)
     d = {
         "k": s.k,
         "h": s.h,
@@ -215,7 +215,7 @@ def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
         "positivity_min": pos.min_value,
         "positivity_argmin": pos.argmin,
     }
-    d.update(residual_summary(s, b, sol, prof))
+    d.update(residual_summary(s, b, sol, prof, interior))
     return d
 
 
@@ -231,8 +231,9 @@ def format_descriptor(d: dict) -> str:
         "# coupled-solution descriptor; classes in [./(2 pi)] basis,",
         "# floats serialized via repr (lossless round-trip)",
     ]
+    # every value of build_descriptor is a builtin, so repr needs no _r
     for k, v in d.items():
-        lines.append(f"{k} = {_r(v)}")
+        lines.append(f"{k} = {v!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -329,14 +330,17 @@ def _reprs(a: np.ndarray):
 def cmd_profile(args) -> int:
     s, b, sol, prof, _ = _solve_pipeline(args)
     t = np.linspace(sol.t_minus, sol.t_plus, args.samples)
-    H = dhym.eval_H(sol, t)
+    # H' diverges at the square-root endpoint of a holder12 solution
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H, Hp = dhym.eval_H_pair(sol, t)
     psi = coupled.eval_psi(prof, t)
     phi = psi / (2.0 * t)
-    # the derivative-based columns are undefined at the square-root endpoint
-    # of a holder12 solution, so row 0 gets blank cells there
+    # the derivative-based columns are undefined at that endpoint, so row 0
+    # gets blank cells there
     holder = sol.regularity == "holder12"
-    td = t[1:] if holder else t
-    im, _ = coupled.phase_and_radius(prof, s, b, sol, td)
+    i = 1 if holder else 0
+    td = t[i:]
+    im, _ = coupled.phase_and_radius_of(sol, td, H[i:], Hp[i:])
     scal = coupled.scalar_residual(prof, s, b, td)
     blank = [""] if holder else []
     rows = zip(

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .dhym import DhymSolution, check_domain, default_grid, eval_H_pair, radicand
+from .dhym import (
+    DhymSolution,
+    H_pair_of,
+    check_domain,
+    default_grid,
+    eval_H_pair,
+    ode_residual_of,
+    radicand,
+)
 from .errors import NoSolutionError, ValidationError
 from .params import (
     BundleClass,
@@ -56,6 +64,26 @@ class PositivityReport:
     method: str  # "ConvexityCertified" | "GridVerified" | "Failed"
     min_value: float
     argmin: float
+
+
+@dataclass(frozen=True)
+class InteriorPass:
+    """A solve evaluated once on the interior nodes t of dhym.default_grid.
+
+    From one radicand u and one root = sqrt(u) on t: psi, the ODE residual
+    of H and the imaginary part (both from one H and H'), and the scalar
+    residual; psi' and psi'' at (t_minus, t_plus) come from one 2-point
+    evaluation.  Each is bitwise what the public function gives on the same
+    points.
+    """
+
+    t: np.ndarray
+    psi: np.ndarray
+    ode_residual: np.ndarray
+    im_part: np.ndarray
+    scalar_residual: np.ndarray
+    dpsi_ends: list
+    psi_pp_ends: list
 
 
 def beta_infinity(x: float, beta0: float) -> float:
@@ -170,10 +198,15 @@ def _psi_of(p: ProfilePoly, t, u):
     return p.d0 + p.d1 * t + p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5
 
 
-def _psi_pp_of(p: ProfilePoly, t, u):
-    """psi'' at a checked t, from u = t^2 + C'.  Divides by sqrt(u),
-    so callers that reach u = 0 set np.errstate."""
-    return 2.0 * p.c2 + 6.0 * p.c3 * t + p.cR * (3.0 * (t ** 2 + u) / np.sqrt(u))
+def _psi_p_of(p: ProfilePoly, t, root):
+    """psi' at a checked t, from root = sqrt(t^2 + C')."""
+    return p.d1 + 2.0 * p.c2 * t + 3.0 * p.c3 * t ** 2 + p.cR * (3.0 * t * root)
+
+
+def _psi_pp_of(p: ProfilePoly, t, u, root):
+    """psi'' at a checked t, from u = t^2 + C' and root = sqrt(u).  Divides
+    by root, so callers that reach u = 0 set np.errstate."""
+    return 2.0 * p.c2 + 6.0 * p.c3 * t + p.cR * (3.0 * (t ** 2 + u) / root)
 
 
 def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
@@ -186,10 +219,9 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
     u = radicand(p, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 1:
-            out = (p.d1 + 2.0 * p.c2 * t + 3.0 * p.c3 * t ** 2
-                   + p.cR * (3.0 * t * np.sqrt(u)))
+            out = _psi_p_of(p, t, np.sqrt(u))
         elif order == 2:
-            out = _psi_pp_of(p, t, u)
+            out = _psi_pp_of(p, t, u, np.sqrt(u))
         elif order == 3:
             out = 6.0 * p.c3 + 0.0 * t + p.cR * (3.0 * t * (3.0 * u - t ** 2) / u ** 1.5)
         else:
@@ -204,19 +236,6 @@ def eval_phi(p: ProfilePoly, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def psi_pp_difference_closed_form(
-    s: SurfaceParams, b: BundleClass, beta0: float = 1.0
-) -> float:
-    """Closed form of psi''(t_-) - psi''(t_+), valid for strict stability."""
-    b = pose(s, b).bundle
-    x, ss = s.x, s.s_sigma
-    A2 = (1.0 + (b.k1 + b.k2) ** 2) ** 2
-    B2 = (1.0 + (b.k1 - b.k2) ** 2) ** 2
-    num = (3.0 * (1.0 + x) * beta0 - 3.0) * A2 - x ** 2 * B2 * (ss * x ** 2 + x)
-    den = A2 * x - B2 * x ** 3
-    return 4.0 * num / den
-
-
 #: Zoom rounds after the scan, run only when the scan's minimum is bracketed
 #: by two interior nodes.  Each evaluates ZOOM_POINTS over the bracket
 #: around the last argmin and keeps that argmin's neighbours, so the bracket
@@ -226,8 +245,13 @@ ZOOM_ROUNDS = 6
 ZOOM_POINTS = 33
 
 
-def positivity_certificate(p: ProfilePoly) -> PositivityReport:
+def positivity_certificate(
+    p: ProfilePoly, interior: InteriorPass | None = None
+) -> PositivityReport:
     """Certify psi > 0 on the open interior.
+
+    ``interior`` is the InteriorPass of p, if the caller has one: the scan
+    and the end values of psi'' are then read from it, with the same report.
 
     The minimum of psi is found by a scan of the interior nodes of
     dhym.default_grid.  When the scan's minimum lies strictly between the
@@ -250,8 +274,11 @@ def positivity_certificate(p: ProfilePoly) -> PositivityReport:
     For alpha > 0 no such argument is available and the scan is reported
     instead.
     """
-    t = default_grid(p)[1:-1]
-    vals = eval_psi(p, t)
+    if interior is None:
+        t = default_grid(p)[1:-1]
+        vals = eval_psi(p, t)
+    else:
+        t, vals = interior.t, interior.psi
     i = int(np.argmin(vals))
     min_value, argmin = float(vals[i]), float(t[i])
     if 0 < i < len(t) - 1:
@@ -267,9 +294,11 @@ def positivity_certificate(p: ProfilePoly) -> PositivityReport:
         return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
 
     if p.alpha <= 0.0:
-        pp_minus, pp_plus = eval_psi_deriv(
-            p, np.array([p.t_minus, p.t_plus]), 2
-        ).tolist()
+        if interior is None:
+            ends = np.array([p.t_minus, p.t_plus])
+            pp_minus, pp_plus = eval_psi_deriv(p, ends, 2).tolist()
+        else:
+            pp_minus, pp_plus = interior.psi_pp_ends
         if p.cR >= 0.0 and pp_minus > pp_plus:
             return PositivityReport(
                 method="ConvexityCertified", min_value=min_value, argmin=argmin
@@ -289,23 +318,58 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
     the ODE itself.  The finite-difference and RK4 oracles remain the
     independent checks.
     """
-    phase = pose(s, b).phase
-    sin_t, cos_t = phase.sin_theta, phase.cos_theta
-    s_hat, r_hat = phase.s_hat, phase.r_hat
-    alpha = p.alpha
     t = check_domain(p, t)
     u = radicand(p, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt((1.0 / sin_t ** 2) * u)  # sqrt((cot^2+1)(t^2+C'))
-        rhs = (
-            (2.0 * alpha * cos_t / sin_t ** 2 - s_hat + alpha * r_hat) * t
-            - (alpha / sin_t) * root
-            - (alpha / sin_t ** 3) * t ** 2 / root
-            + 2.0 * s.s_sigma
-        )
-        psi_pp = _psi_pp_of(p, t, u)
+        rhs = _scalar_source(p, pose(s, b).phase, s.s_sigma, t, u)
+        psi_pp = _psi_pp_of(p, t, u, np.sqrt(u))
     out = psi_pp - rhs
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _scalar_source(p: ProfilePoly, phase, s_sigma: float, t, u):
+    """The source term of scalar_residual at a checked t, from u = t^2 + C'.
+    Divides by a root of u, so callers that reach u = 0 set np.errstate."""
+    sin_t, cos_t = phase.sin_theta, phase.cos_theta
+    alpha = p.alpha
+    root = np.sqrt((1.0 / sin_t ** 2) * u)  # sqrt((cot^2+1)(t^2+C'))
+    return (
+        (2.0 * alpha * cos_t / sin_t ** 2 - phase.s_hat + alpha * phase.r_hat) * t
+        - (alpha / sin_t) * root
+        - (alpha / sin_t ** 3) * t ** 2 / root
+        + 2.0 * s_sigma
+    )
+
+
+def interior_pass(
+    p: ProfilePoly, s: SurfaceParams, b: BundleClass, dh: DhymSolution
+) -> InteriorPass:
+    """Evaluate the solve (dh, p) once on the interior of dhym.default_grid.
+
+    The interior nodes lie inside [t_minus, t_plus], so they need no domain
+    check.
+    """
+    t = default_grid(p)[1:-1]
+    u = radicand(p, t)
+    root = np.sqrt(u)
+    H, Hp = H_pair_of(dh, t, root)
+    ends = np.array([p.t_minus, p.t_plus])
+    u_ends = radicand(p, ends)
+    root_ends = np.sqrt(u_ends)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = _scalar_source(p, pose(s, b).phase, s.s_sigma, t, u)
+        psi_pp = _psi_pp_of(p, t, u, root)
+        dpsi_ends = _psi_p_of(p, ends, root_ends).tolist()
+        psi_pp_ends = _psi_pp_of(p, ends, u_ends, root_ends).tolist()
+    return InteriorPass(
+        t=t,
+        psi=_psi_of(p, t, u),
+        ode_residual=ode_residual_of(dh, t, H, Hp),
+        im_part=phase_and_radius_of(dh, t, H, Hp)[0],
+        scalar_residual=psi_pp - rhs,
+        dpsi_ends=dpsi_ends,
+        psi_pp_ends=psi_pp_ends,
+    )
 
 
 def phase_and_radius(

@@ -91,14 +91,16 @@ def check_domain(interval, t):
     and no caller clamps it.
     """
     t = np.asarray(t, dtype=float)
-    if t.size:
-        lo, hi = t.min(), t.max()
-        # min and max propagate NaN, which then fails both comparisons
-        if not (lo >= interval.t_minus - _ENDPOINT_SLACK
-                and hi <= interval.t_plus + _ENDPOINT_SLACK):
-            raise DomainError(f"t outside [{interval.t_minus}, {interval.t_plus}]")
-        if lo < interval.t_minus or hi > interval.t_plus:
-            t = np.asarray(np.clip(t, interval.t_minus, interval.t_plus))
+    if not t.size:
+        return t
+    # a 0-d t is read by float(), cheaper than two 0-d reductions; min and
+    # max propagate NaN, which then fails both comparisons
+    lo, hi = (float(t),) * 2 if t.ndim == 0 else (t.min(), t.max())
+    if not (lo >= interval.t_minus - _ENDPOINT_SLACK
+            and hi <= interval.t_plus + _ENDPOINT_SLACK):
+        raise DomainError(f"t outside [{interval.t_minus}, {interval.t_plus}]")
+    if lo < interval.t_minus or hi > interval.t_plus:
+        t = np.asarray(np.clip(t, interval.t_minus, interval.t_plus))
     return t
 
 
@@ -179,13 +181,16 @@ def eval_H_pair(sol: DhymSolution, t):
     Bitwise equal to (eval_H(sol, t), eval_H_deriv(sol, t)).
     """
     t = check_domain(sol, t)
-    root = np.sqrt(radicand(sol, t))
-    sign = _sign(sol)
-    H = sign * _H_of(sol, t, root)
-    Hp = sign * _H_deriv_of(sol, t, root)
+    H, Hp = H_pair_of(sol, t, np.sqrt(radicand(sol, t)))
     if np.ndim(H) == 0:
         return float(H), float(Hp)
     return H, Hp
+
+
+def H_pair_of(sol: DhymSolution, t, root):
+    """(H(t), H'(t)) at a checked t, from root = sqrt(t^2 + C')."""
+    sign = _sign(sol)
+    return sign * _H_of(sol, t, root), sign * _H_deriv_of(sol, t, root)
 
 
 def ode_residual_of(sol: DhymSolution, t, H, Hp):

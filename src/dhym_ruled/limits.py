@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupled import ProfilePoly, eval_psi, smooth_coefficients
+from .coupled import ProfilePoly, smooth_coefficients
 from .dhym import DhymSolution, eval_H, eval_nu, solve_dhym
 from .errors import NoSolutionError, ValidationError
 from .params import BundleClass, StabilityClass, SurfaceParams, pose
@@ -44,23 +44,6 @@ class ConvergenceReport:
     constants: dict = field(default_factory=dict)
 
 
-def scaled_Cprime(s: SurfaceParams, b: BundleClass, alpha_prime: float) -> float:
-    """Closed form of C' for the scaled class: the tests' reference."""
-    a = alpha_prime
-    k1, k2 = b.k1, b.k2
-    x = s.x
-    return (
-        4.0
-        * a ** 2
-        * k1
-        * k2
-        * (
-            1.0 / (x ** 2 * ((a * k1 - a * k2) ** 2 + 1.0))
-            - 1.0 / ((a * k1 + a * k2) ** 2 + 1.0)
-        )
-    )
-
-
 def scaled_class(b: BundleClass, alpha_prime: float) -> BundleClass:
     """The class (alpha' k1, alpha' k2), with b's conjugation flag."""
     return replace(b, k1=alpha_prime * b.k1, k2=alpha_prime * b.k2)
@@ -72,7 +55,7 @@ def scaled_solution(
     """Solve the coupled system for the class scaled by alpha'.
 
     tests/test_limits.py::test_scaled_Cprime_consistency holds its C' to the
-    closed form scaled_Cprime.
+    closed form in tests/second_forms.py.
     """
     if not (math.isfinite(alpha_prime) and alpha_prime > 0):
         raise ValidationError(

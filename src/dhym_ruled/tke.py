@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError, TkeNotFoundError, ValidationError
-from .params import BundleClass, CohClass, SurfaceParams, pose, require_cone_angle
+from .params import BundleClass, SurfaceParams, pose, require_cone_angle
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,13 @@ def _H_beta_values(k: int, kprime: float, h: int, beta):
 
     Plain arithmetic, so a float ``beta`` gives a float and a bool with no
     array round trip, and an array ``beta`` is evaluated in one pass; values
-    at the pole are NaN.
+    at the pole are NaN.  A sample is at the pole where the denominator is
+    below 1e-12 of the sum of the magnitudes of its terms at that beta.
     """
-    num = 2.0 * (1.0 - h) / (k + kprime) + 2.0 * (beta - 1.0) * k / kprime - 1.0
-    den = 2.0 * (1.0 - h) / (k + kprime) + 3.0 * (kprime / k) * (1.0 - beta) + 4.0 - 6.0 * beta
-    scale = max(1.0, abs(2.0 * (1.0 - h) / (k + kprime)), 3.0 * kprime / k + 6.0)
+    a = 2.0 * (1.0 - h) / (k + kprime)
+    num = a + 2.0 * (beta - 1.0) * k / kprime - 1.0
+    den = a + 3.0 * (kprime / k) * (1.0 - beta) + 4.0 - 6.0 * beta
+    scale = abs(a) + 3.0 * (kprime / k) * abs(1.0 - beta) + 4.0 + 6.0 * abs(beta)
     pole = abs(den) < 1e-12 * scale
     if isinstance(den, float):
         den = math.nan if pole else den
@@ -75,25 +77,34 @@ def H_beta(k: int, kprime: float, h: int, beta: float) -> float:
     return float(value)
 
 
-def ricci_class(s: SurfaceParams, beta0: float, beta_inf: float) -> CohClass:
-    """Class of the Ricci form with the given cone-angle pair."""
-    return CohClass(
-        a=beta0 + beta_inf,
-        b=2.0 * (1.0 - s.h) - s.k * beta_inf,
-    )
+def _condition_terms(s: SurfaceParams, b: BundleClass, beta0: float):
+    """(p, left terms, q, right terms) of the reduction condition, whose
+    residual is p * sum(left terms) - q * sum(right terms)."""
+    x, ss = s.x, s.s_sigma
+    k1, k2 = b.k1, b.k2
+    p = (1.0 + k1 ** 2 + k2 ** 2) * (x - 1.0)
+    left = (ss * x ** 2, -3.0 * beta0 * (x + 1.0), x, 3.0)
+    q = 2.0 * k1 * k2
+    right = (-3.0 * beta0, ss * x ** 3, -(x ** 2) * (beta0 + ss - 1.0), 3.0)
+    return p, left, q, right
 
 
 def condition_residual(s: SurfaceParams, b: BundleClass, beta0: float) -> float:
     """Left minus right side of the reduction condition (first form)."""
-    x, ss = s.x, s.s_sigma
-    k1, k2 = b.k1, b.k2
-    lhs = (1.0 + k1 ** 2 + k2 ** 2) * (x - 1.0) * (
-        ss * x ** 2 - 3.0 * beta0 * (x + 1.0) + x + 3.0
-    )
-    rhs = 2.0 * k1 * k2 * (
-        -3.0 * beta0 + ss * x ** 3 - x ** 2 * (beta0 + ss - 1.0) + 3.0
-    )
-    return lhs - rhs
+    p, left, q, right = _condition_terms(s, b, beta0)
+    return p * sum(left) - q * sum(right)
+
+
+def _residual_bound(s: SurfaceParams, b: BundleClass, beta0: float) -> float:
+    """The largest |condition_residual| at beta0 that counts as zero.
+
+    1e-9 max(1, |F|), or 64 rounding steps of the sum of the magnitudes of
+    the terms the residual adds, whichever is larger: for large k'/k and
+    |k1|, |k2| those terms lie far above 1e9.
+    """
+    p, left, q, right = _condition_terms(s, b, beta0)
+    terms = abs(p) * sum(map(abs, left)) + abs(q) * sum(map(abs, right))
+    return max(1e-9 * max(1.0, abs(F_value(b))), 64.0 * math.ulp(1.0) * terms)
 
 
 def analyze(s: SurfaceParams, b: BundleClass, beta0: float) -> TkeAnalysis:
@@ -139,7 +150,7 @@ def solve_beta0(s: SurfaceParams, b: BundleClass) -> float:
     if f <= 2.0 or not (beta_bar < beta0 < 1.0):
         raise TkeNotFoundError(f, attained=attained)
     residual = condition_residual(s, b, beta0)
-    if abs(residual) > 1e-9 * max(1.0, abs(f)):
+    if abs(residual) > _residual_bound(s, b, beta0):
         raise TkeNotFoundError(
             f, attained=attained,
             message=f"condition residual {residual!r} at beta0 = {beta0!r}",

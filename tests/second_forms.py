@@ -1,12 +1,15 @@
-"""The paper's second forms of the reduction quantities.
+"""The paper's second forms, kept only as the tests' references.
 
-Plain arithmetic, so each runs on floats and on sympy symbols alike:
-test_certificate.py proves the closed forms of tke equal to these
-exactly, and test_tke.py checks them numerically at a solved cone angle.
+The reduction quantities are plain arithmetic, so each runs on floats and
+on sympy symbols alike: test_certificate.py proves the closed forms of tke
+equal to these exactly, and test_tke.py checks them numerically at a solved
+cone angle.  The Ricci class, the closed form of psi''(t_-) - psi''(t_+)
+and the scaled C' are checked numerically against the package.
 """
 
 from dhym_ruled import tke
 from dhym_ruled.coupled import beta_infinity
+from dhym_ruled.params import CohClass, pose
 
 
 def gamma_second_form(s, beta0):
@@ -38,3 +41,39 @@ def class_equations(s, b, beta0):
         2 * (1 - h_) * (2 * k_ + kp_) / (k_ + kp_) - 2 * k_ * beta_inf - kp_
     )
     return r1, r2
+
+
+def ricci_class(s, beta0, beta_inf):
+    """Class of the Ricci form with the given cone-angle pair."""
+    return CohClass(
+        a=beta0 + beta_inf,
+        b=2.0 * (1.0 - s.h) - s.k * beta_inf,
+    )
+
+
+def psi_pp_difference_closed_form(s, b, beta0=1.0):
+    """Closed form of psi''(t_-) - psi''(t_+), valid for strict stability."""
+    b = pose(s, b).bundle
+    x, ss = s.x, s.s_sigma
+    A2 = (1.0 + (b.k1 + b.k2) ** 2) ** 2
+    B2 = (1.0 + (b.k1 - b.k2) ** 2) ** 2
+    num = (3.0 * (1.0 + x) * beta0 - 3.0) * A2 - x ** 2 * B2 * (ss * x ** 2 + x)
+    den = A2 * x - B2 * x ** 3
+    return 4.0 * num / den
+
+
+def scaled_Cprime(s, b, alpha_prime):
+    """Closed form of C' for the class scaled by alpha'."""
+    a = alpha_prime
+    k1, k2 = b.k1, b.k2
+    x = s.x
+    return (
+        4.0
+        * a ** 2
+        * k1
+        * k2
+        * (
+            1.0 / (x ** 2 * ((a * k1 - a * k2) ** 2 + 1.0))
+            - 1.0 / ((a * k1 + a * k2) ** 2 + 1.0)
+        )
+    )

@@ -9,10 +9,10 @@ import pytest
 
 import dhym_ruled as dr
 from dhym_ruled import limits, oracle, tke
-from dhym_ruled.coupled import psi_pp_difference_closed_form
 from dhym_ruled.dhym import default_grid
 
 from conftest import draw_stable
+from second_forms import psi_pp_difference_closed_form
 
 SEED = 715517
 

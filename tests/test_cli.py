@@ -26,6 +26,7 @@ from dhym_ruled import (
 )
 from dhym_ruled.cli import (
     THRESHOLDS,
+    build_descriptor,
     build_parser,
     format_descriptor,
     main,
@@ -206,6 +207,20 @@ def test_tke_solve():
     assert r.returncode == 0
     beta0 = float(r.stdout.splitlines()[0].split(" = ")[1])
     assert beta0 == pytest.approx(42.0 / 53.0, rel=1e-14)
+
+
+def test_tke_at_large_kprime_over_k(capsys):
+    """H(1) is a value when k'/k = 1e12, though the asymptote lies 7e-13
+    below 1, and both subcommand forms exit 0."""
+    argv = ["tke", "--k", "1", "--h", "0", "--kprime", "1e12", "--k1", "-1", "--k2", "-2"]
+    code, out, err = run_in_process(argv, capsys)
+    assert (code, err) == (0, "")
+    values = dict(line.split(" = ") for line in out.splitlines())
+    assert float(values["H_at_1"]) == pytest.approx(1.0 - 1e-12, rel=1e-14)
+    assert float(values["beta_bar"]) < 1.0
+    code, out, err = run_in_process([*argv, "--solve-beta"], capsys)
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[0].split(" = ")[1]) < 1.0
 
 
 TKE_CLASS = ["--k", "1", "--h", "6", "--kprime", "1", "--k1", "-1", "--k2", "-1"]
@@ -575,6 +590,61 @@ def test_residual_summary_matches_pointwise_calls():
                                                        got["psi_err_plus"]]
     assert branches == {True, False}  # both forms of H and H'
     assert two_point_differs > 0
+
+
+def _descriptor_cases():
+    """The fused-pass cases plus conical and complexified draws, so that
+    every kind of class a solve meets is in the set: smooth, conical,
+    conjugated, complexified, semistable, near-semistable and alpha'-scaled."""
+    cases = _summary_cases()
+    rng = np.random.default_rng(20261020)
+    cases += [(*draw_stable(rng), float(rng.uniform(0.1, 1.0))) for _ in range(30)]
+    n = len(cases) + 20
+    while len(cases) < n:
+        k, h, kprime = int(rng.integers(1, 4)), int(rng.integers(0, 3)), float(rng.integers(1, 7))
+        s, b = from_complexified(k, h, kprime, float(rng.uniform(0.2, 4.0)))
+        if pose(s, b).margin > 0:
+            cases.append((s, b, float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))))
+    return cases
+
+
+def _posed_solve(s, b, beta0):
+    pr = pose(s, b)
+    s, b = pr.surface, pr.bundle
+    return s, b, dhym.solve_dhym(s, b), coupled.conical_coefficients(s, b, beta0)
+
+
+def test_descriptor_matches_separate_calls():
+    """The descriptor read from one InteriorPass is bitwise the descriptor of
+    the separate public calls: positivity_certificate on its own grid, and
+    the residual suite as separate calls."""
+    branches, methods = set(), set()
+    for case in _descriptor_cases():
+        s, b, sol, prof = _posed_solve(*case)
+        got = build_descriptor(s, b, sol, prof)
+        pos = coupled.positivity_certificate(prof)
+        want = {
+            **got,
+            "positivity_method": pos.method,
+            "positivity_min": pos.min_value,
+            "positivity_argmin": pos.argmin,
+            **_pointwise_summary(s, b, sol, prof),
+        }
+        assert list(got) == list(want), case
+        assert format_descriptor(got) == format_descriptor(want), case
+        branches.add(sol.cos_theta > 0.0)
+        methods.add(pos.method)
+    assert branches == {True, False}
+    assert {"ConvexityCertified", "GridVerified"} <= methods
+
+
+def test_descriptor_values_are_builtins():
+    """format_descriptor writes repr of each value, so none may be a numpy
+    scalar (np.float64 is a float subclass; its repr is not a float's)."""
+    for case in _descriptor_cases():
+        d = build_descriptor(*_posed_solve(*case))
+        for k, v in d.items():
+            assert v is None or type(v) in (bool, int, float, str), (k, type(v))
 
 
 def test_solve_poses_each_class_once(capsys):

@@ -29,13 +29,13 @@ from dhym_ruled.coupled import (
     ProfilePoly,
     average_radius_quadrature,
     beta_infinity,
-    psi_pp_difference_closed_form,
 )
 from dhym_ruled.dhym import default_grid
 from dhym_ruled.limits import scaled_class, scaled_solution
 from dhym_ruled.params import phase_constant
 
 from conftest import draw_stable
+from second_forms import psi_pp_difference_closed_form
 
 
 FIG1_COEFFS = {

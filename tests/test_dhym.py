@@ -25,7 +25,7 @@ from dhym_ruled import (
     scalar_residual,
     solve_dhym,
 )
-from dhym_ruled.dhym import default_grid, eval_H_pair
+from dhym_ruled.dhym import check_domain, default_grid, eval_H_pair
 from dhym_ruled import oracle
 
 from conftest import draw_stable
@@ -118,6 +118,16 @@ def test_check_domain_rejects_nan(figure1):
         assert np.all(np.isfinite(f(np.array([5.0 - slack / 2, 6.0, 7.0 + slack / 2]))))
         assert math.isfinite(f(7.0 + slack / 2))
         assert f(np.array([])).shape == (0,)
+    # a 0-d t, as a float, a numpy scalar or a 0-d array, is range-checked
+    # from float(t): the same verdicts and clipped values as an array
+    for zero_d in (float, np.float64, np.array):
+        for bad in (math.nan, 5.0 - 2 * slack, 7.0 + 2 * slack):
+            with pytest.raises(DomainError):
+                check_domain(sol, zero_d(bad))
+        for t, want in ((5.0 - slack / 2, 5.0), (7.0 + slack / 2, 7.0), (6.0, 6.0)):
+            got = check_domain(sol, zero_d(t))
+            assert got.ndim == 0 and got.dtype == float and float(got) == want
+            assert got.tobytes() == check_domain(sol, np.array([t])).tobytes()
 
 
 @pytest.mark.parametrize("beta0", [1.0, 0.5])

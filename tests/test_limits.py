@@ -20,6 +20,7 @@ from dhym_ruled import (
 from dhym_ruled import limits
 
 from conftest import draw_stable
+from second_forms import scaled_Cprime
 
 
 @pytest.fixture
@@ -61,7 +62,7 @@ def test_scaled_Cprime_consistency(rng):
             )) <= 0:
                 continue
             sol, _ = scaled_solution(s, b, a)
-            want = limits.scaled_Cprime(s, canonicalize(b), a)
+            want = scaled_Cprime(s, canonicalize(b), a)
             assert sol.Cprime == pytest.approx(want, rel=1e-12)
 
 

@@ -1,7 +1,8 @@
 """Twisted Kaehler-Einstein reduction: matching functions and cone-angle solve.
 
 The identities between the forms of the reduction are proved in
-test_certificate.py; the second forms themselves are in second_forms.py.
+test_certificate.py; the second forms themselves, and the Ricci class, are
+in second_forms.py.
 """
 
 import math
@@ -22,7 +23,7 @@ from dhym_ruled.errors import PoleError
 from dhym_ruled import oracle
 
 from conftest import draw_surface
-from second_forms import class_equations, condition_second_form
+from second_forms import class_equations, condition_second_form, ricci_class
 
 
 @pytest.fixture
@@ -64,6 +65,25 @@ def test_H_beta_grid_matches_scalar_calls(k, kprime, h):
         assert (type(value), type(at_pole)) == (float, bool)
         assert at_pole == p and (math.isnan(value) if p else value == v)
     assert pole.any() == ((k, kprime, h) == (1, 1.0, 6))
+
+
+def test_pole_guard_at_large_kprime_over_k():
+    """The pole test scales with the terms of the denominator at each beta:
+    for k'/k = 1e12 the asymptote lies 7e-13 below 1, and H(1) and the
+    floats next to the asymptote are values, not the pole."""
+    k, h, kprime = 1, 0, 1e12
+    a = 2.0 * (1 - h) / (k + kprime)
+    assert tke.H_beta(k, kprime, h, 1.0) == pytest.approx(
+        2.0 * (a - 1.0) / (a - 2.0), rel=1e-14
+    )
+    beta_bar = tke.beta_asymptote(k, kprime, h)
+    assert 1.0 - beta_bar == pytest.approx((2.0 - a) / (3.0 * kprime / k + 6.0), rel=1e-3)
+    # one float step moves the denominator by about 3e12 * 1.1e-16 = 3e-4, so
+    # no float is within rounding of the pole
+    for beta in (beta_bar, np.nextafter(beta_bar, 0.0), np.nextafter(beta_bar, 1.0)):
+        assert math.isfinite(tke.H_beta(k, kprime, h, float(beta)))
+    _, pole = tke._H_beta_values(k, kprime, h, np.linspace(0.0, 1.0, 101))
+    assert not pole.any()
 
 
 def test_beta_asymptote(fig2_surface):
@@ -138,6 +158,56 @@ def test_solve_target_outside_the_range(cls, why):
     assert (low, high) == (2.0 * (a - 1.0) / (a - 2.0), math.inf)
 
 
+#: (k, h, k', k1, k2) with k'/k above 1e12 and large |k1|, |k2|: the terms
+#: condition_residual adds lie far above 1e9, and the closed-form cone angle
+#: leaves a residual of about 1e-16 of their magnitudes
+LARGE_RATIO_CLASSES = [
+    (1, 1, 46216627321054.914, -67820.39404729864, -67820.39404729864),
+    (2, 0, 1930067941550.9297, -6784844.636672999, -6791629.481309671),
+]
+
+
+def _term_magnitudes(s, b, beta0):
+    p, left, q, right = tke._condition_terms(s, b, beta0)
+    return abs(p) * sum(map(abs, left)) + abs(q) * sum(map(abs, right))
+
+
+@pytest.mark.parametrize("cls", LARGE_RATIO_CLASSES)
+def test_solve_beta0_at_large_kprime_over_k(cls):
+    k, h, kprime, k1, k2 = cls
+    s, b = make_surface(k, h, kprime), BundleClass(k1=k1, k2=k2)
+    beta0 = tke.solve_beta0(s, b)
+    assert tke.beta_asymptote(k, kprime, h) < beta0 < 1.0
+    residual = tke.condition_residual(s, b, beta0)
+    # far above the absolute 1e-9 max(1, F), far below the relative bound
+    assert abs(residual) > 1e-9 * tke.F_value(b)
+    assert abs(residual) < 1e-16 * _term_magnitudes(s, b, beta0)
+    assert abs(residual) <= tke._residual_bound(s, b, beta0)
+
+
+def test_residual_bound_rejects_a_wrong_cone_angle():
+    """Halfway between the asymptote and the cone angle the residual is
+    8.6e-14 of the term magnitudes, above 64 rounding steps."""
+    k, h, kprime, k1, k2 = LARGE_RATIO_CLASSES[1]
+    s, b = make_surface(k, h, kprime), BundleClass(k1=k1, k2=k2)
+    beta0 = tke.solve_beta0(s, b)
+    wrong = 0.5 * (tke.beta_asymptote(k, kprime, h) + beta0)
+    assert wrong != beta0
+    residual = tke.condition_residual(s, b, wrong)
+    assert abs(residual) / _term_magnitudes(s, b, wrong) == pytest.approx(8.6e-14, rel=0.01)
+    assert abs(residual) > tke._residual_bound(s, b, wrong)
+
+
+def test_residual_bound_unchanged_on_small_classes(rng, fig2_surface, fig2_class):
+    cases = [(fig2_surface, fig2_class)]
+    cases += [(draw_surface(rng), BundleClass(k1=-float(rng.uniform(0.2, 3.0)),
+                                              k2=-float(rng.uniform(0.2, 3.0))))
+              for _ in range(200)]
+    for s, b in cases:
+        for beta0 in (0.1, 0.5, 1.0):
+            assert tke._residual_bound(s, b, beta0) == 1e-9 * max(1.0, tke.F_value(b))
+
+
 def test_cone_angle_compatibility(rng):
     # class-level compatibility: 2(k + k') = (2k + k') beta0 + k' beta_inf,
     # the closed relation tying the two cone angles
@@ -170,6 +240,6 @@ def test_ricci_class(fig2_surface):
     s = fig2_surface
     beta0 = 42.0 / 53.0
     beta_inf = beta_infinity(s.x, beta0)
-    c = tke.ricci_class(s, beta0, beta_inf)
+    c = ricci_class(s, beta0, beta_inf)
     assert c.a == pytest.approx(beta0 + beta_inf, rel=1e-14)
     assert c.b == pytest.approx(2.0 * (1 - s.h) - s.k * beta_inf, rel=1e-14)
