@@ -133,11 +133,12 @@ def _pose_args(args):
 def residual_summary(s, b, sol, prof, interior=None) -> dict:
     """Max-abs residuals of both equations plus all boundary errors.
 
-    The interior residuals are read from ``interior``, the
-    coupled.InteriorPass of the solve, which is evaluated here if not given.
+    The interior residuals are read from ``interior``, the coupled.SolvePass
+    of the solve on the interior nodes of dhym.default_grid, which is
+    evaluated here if not given.
     """
     if interior is None:
-        interior = coupled.interior_pass(prof, s, b, sol)
+        interior = coupled.solve_pass(prof, s, b, sol, dhym.default_grid(prof)[1:-1])
     tgt_minus, tgt_plus = dhym.boundary_targets(s, b)
     # psi' at both ends from one 2-point evaluation is bitwise equal to two
     # 0-d calls; psi and H stay 0-d calls, because as 2-point arrays they
@@ -175,12 +176,13 @@ def _verdict(summary: dict, sol) -> int:
 def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
     """The solve's class data, positivity report and residual summary.
 
-    The positivity scan and the residual summary read one InteriorPass.
-    Every value is None, a bool, an int, a float or a str.
+    The positivity scan and the residual summary read one SolvePass, on the
+    interior nodes of dhym.default_grid.  Every value is None, a bool, an
+    int, a float or a str.
     """
     pr = pose(s, b)
     b, phase = pr.bundle, pr.phase
-    interior = coupled.interior_pass(prof, s, b, sol)
+    interior = coupled.solve_pass(prof, s, b, sol, dhym.default_grid(prof)[1:-1])
     pos = coupled.positivity_certificate(prof, interior)
     d = {
         "k": s.k,
@@ -196,7 +198,7 @@ def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
         "cos_theta": phase.cos_theta,
         "sin_theta": phase.sin_theta,
         "r_hat": phase.r_hat,
-        "s_hat": phase.s_hat,
+        "s_hat": pr.s_hat,
         "C": pr.C,
         "Cprime": prof.Cprime,
         "alpha": prof.alpha,
@@ -219,19 +221,12 @@ def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
     return d
 
 
-def _r(v) -> str:
-    """repr with numpy scalars demoted to builtin floats."""
-    if isinstance(v, np.floating):
-        v = float(v)
-    return repr(v)
-
-
 def format_descriptor(d: dict) -> str:
     lines = [
         "# coupled-solution descriptor; classes in [./(2 pi)] basis,",
         "# floats serialized via repr (lossless round-trip)",
     ]
-    # every value of build_descriptor is a builtin, so repr needs no _r
+    # every value of build_descriptor is a builtin, so its repr round-trips
     for k, v in d.items():
         lines.append(f"{k} = {v!r}")
     return "\n".join(lines) + "\n"
@@ -305,7 +300,7 @@ def cmd_check(args) -> int:
         f"cos_theta = {phase.cos_theta!r}",
         f"sin_theta = {phase.sin_theta!r}",
         f"r_hat = {phase.r_hat!r}",
-        f"s_hat = {phase.s_hat!r}",
+        f"s_hat = {pr.s_hat!r}",
         f"omega_class = ({om.a!r}, {om.b!r})",
         f"F_class = ({f.a!r}, {f.b!r})",
     ]
@@ -330,22 +325,16 @@ def _reprs(a: np.ndarray):
 def cmd_profile(args) -> int:
     s, b, sol, prof, _ = _solve_pipeline(args)
     t = np.linspace(sol.t_minus, sol.t_plus, args.samples)
-    # H' diverges at the square-root endpoint of a holder12 solution
-    with np.errstate(divide="ignore", invalid="ignore"):
-        H, Hp = dhym.eval_H_pair(sol, t)
-    psi = coupled.eval_psi(prof, t)
-    phi = psi / (2.0 * t)
-    # the derivative-based columns are undefined at that endpoint, so row 0
-    # gets blank cells there
+    sp = coupled.solve_pass(prof, s, b, sol, t)
+    # the derivative-based columns are undefined at the square-root endpoint
+    # of a holder12 solution, so row 0 gets blank cells there
     holder = sol.regularity == "holder12"
     i = 1 if holder else 0
-    td = t[i:]
-    im, _ = coupled.phase_and_radius_of(sol, td, H[i:], Hp[i:])
-    scal = coupled.scalar_residual(prof, s, b, td)
     blank = [""] if holder else []
     rows = zip(
-        _reprs(t), _reprs(phi), _reprs(psi), _reprs(H),
-        chain(blank, _reprs(im)), chain(blank, _reprs(scal)),
+        _reprs(t), _reprs(sp.psi / (2.0 * t)), _reprs(sp.psi), _reprs(sp.H),
+        chain(blank, _reprs(sp.im_part[i:])),
+        chain(blank, _reprs(sp.scalar_residual[i:])),
     )
     header = "t,phi,psi,H,im_residual,scalar_residual"
     _write("\n".join(chain([header], map(",".join, rows))) + "\n", args.out)
@@ -395,10 +384,10 @@ def cmd_limits(args) -> int:
         rep = limits.small_radius_check(fam)
     lines = ["alpha_prime,sup_error"]
     for a, e in zip(rep.alphas, rep.sup_errors):
-        lines.append(f"{_r(a)},{_r(e)}")
-    lines.append(f"# fitted_order = {_r(rep.order)}")
+        lines.append(f"{a!r},{e!r}")
+    lines.append(f"# fitted_order = {rep.order!r}")
     for k, v in rep.constants.items():
-        lines.append(f"# {k} = {_r(v)}")
+        lines.append(f"# {k} = {v!r}")
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -418,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="stability and class data")
     _add_common_args(p)
     _add_bundle_args(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="solve and emit a descriptor")
     _add_common_args(p)
@@ -426,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=_beta0, default=1.0)
     p.add_argument("--alpha-prime", dest="alpha_prime", type=_alpha_prime, default=None)
     p.add_argument("--allow-semistable", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("profile", help="emit the sampled profile table")
     _add_common_args(p)
@@ -434,26 +421,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=_beta0, default=1.0)
     p.add_argument("--samples", type=_samples, default=1001)
     p.add_argument("--allow-semistable", action="store_true")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("tke", help="twisted Kaehler-Einstein reduction")
     _add_common_args(p)
     _add_bundle_args(p)
     p.add_argument("--beta0", type=_beta0, default=1.0)
     p.add_argument("--solve-beta", action="store_true")
-    p.set_defaults(func=cmd_tke)
 
     p = sub.add_parser("figure2", help="emit the cone-angle matching curve")
     _add_common_args(p)
     p.add_argument("--samples", type=_samples, default=101)
-    p.set_defaults(func=cmd_figure2)
 
     p = sub.add_parser("limits", help="scaled-family convergence study")
     _add_common_args(p)
     _add_bundle_args(p)
     p.add_argument("--mode", choices=("large", "small"), required=True)
     p.add_argument("--alphas", type=_alphas, required=True)
-    p.set_defaults(func=cmd_limits)
 
     return parser
 
@@ -469,7 +452,9 @@ def main(argv=None) -> int:
     An argv that starts with a subcommand's name is parsed by that
     subcommand's parser alone; the top-level parser would classify every
     argument a second time.  Anything else (no arguments, -h, an unknown
-    command) goes through the top-level parser.
+    command) goes through the top-level parser.  The subcommand ``name`` runs
+    the module's ``cmd_<name>``, looked up at call time, so that a wrapper
+    set on that attribute (perfbench/spans.py) is the one called.
     """
     global _PARSER
     if _PARSER is None:
@@ -478,7 +463,7 @@ def main(argv=None) -> int:
     sub = _PARSER.commands.get(argv[0]) if argv else None
     args = sub.parse_args(argv[1:]) if sub else _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{argv[0] if sub else args.command}"](args)
     except NoSolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

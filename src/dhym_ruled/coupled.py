@@ -24,7 +24,6 @@ from .dhym import (
     H_pair_of,
     check_domain,
     default_grid,
-    eval_H_pair,
     ode_residual_of,
     radicand,
 )
@@ -67,10 +66,10 @@ class PositivityReport:
 
 
 @dataclass(frozen=True)
-class InteriorPass:
-    """A solve evaluated once on the interior nodes t of dhym.default_grid.
+class SolvePass:
+    """A solve evaluated once on nodes t of its interval.
 
-    From one radicand u and one root = sqrt(u) on t: psi, the ODE residual
+    From one radicand u and one root = sqrt(u) on t: H, psi, the ODE residual
     of H and the imaginary part (both from one H and H'), and the scalar
     residual; psi' and psi'' at (t_minus, t_plus) come from one 2-point
     evaluation.  Each is bitwise what the public function gives on the same
@@ -78,6 +77,7 @@ class InteriorPass:
     """
 
     t: np.ndarray
+    H: np.ndarray
     psi: np.ndarray
     ode_residual: np.ndarray
     im_part: np.ndarray
@@ -118,8 +118,7 @@ def _radical_coeffs(pr: Problem, alpha: float):
     """Cubic and radical coefficients of the profile for coupling alpha."""
     phase = pr.phase
     sin_t, cos_t = phase.sin_theta, phase.cos_theta
-    s_hat = phase.s_hat
-    c3 = (alpha / 3.0) * cos_t / sin_t ** 2 - (s_hat - alpha * phase.r_hat) / 6.0
+    c3 = (alpha / 3.0) * cos_t / sin_t ** 2 - (pr.s_hat - alpha * phase.r_hat) / 6.0
     # sin * (cot^2 + 1)^(3/2) = 1/sin^2 for sin > 0
     cR = -(alpha / 3.0) / sin_t ** 2
     return c3, cR
@@ -231,9 +230,9 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
 
 def eval_phi(p: ProfilePoly, t):
     """Momentum profile phi(t) = psi(t) / (2 t)."""
-    t_arr = check_domain(p, t)
-    out = eval_psi(p, t_arr) / (2.0 * t_arr)
-    return float(out) if np.ndim(out) == 0 else out
+    t = check_domain(p, t)
+    out = _psi_of(p, t, radicand(p, t)) / (2.0 * t)
+    return float(out) if out.ndim == 0 else out
 
 
 #: Zoom rounds after the scan, run only when the scan's minimum is bracketed
@@ -246,12 +245,13 @@ ZOOM_POINTS = 33
 
 
 def positivity_certificate(
-    p: ProfilePoly, interior: InteriorPass | None = None
+    p: ProfilePoly, interior: SolvePass | None = None
 ) -> PositivityReport:
     """Certify psi > 0 on the open interior.
 
-    ``interior`` is the InteriorPass of p, if the caller has one: the scan
-    and the end values of psi'' are then read from it, with the same report.
+    ``interior`` is the SolvePass of p on the interior nodes of
+    dhym.default_grid, if the caller has one: the scan and the end values of
+    psi'' are then read from it, with the same report.
 
     The minimum of psi is found by a scan of the interior nodes of
     dhym.default_grid.  When the scan's minimum lies strictly between the
@@ -321,55 +321,54 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
     t = check_domain(p, t)
     u = radicand(p, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = _scalar_source(p, pose(s, b).phase, s.s_sigma, t, u)
+        rhs = _scalar_source(p, pose(s, b), t, u)
         psi_pp = _psi_pp_of(p, t, u, np.sqrt(u))
     out = psi_pp - rhs
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _scalar_source(p: ProfilePoly, phase, s_sigma: float, t, u):
+def _scalar_source(p: ProfilePoly, pr: Problem, t, u):
     """The source term of scalar_residual at a checked t, from u = t^2 + C'.
     Divides by a root of u, so callers that reach u = 0 set np.errstate."""
+    phase = pr.phase
     sin_t, cos_t = phase.sin_theta, phase.cos_theta
     alpha = p.alpha
     root = np.sqrt((1.0 / sin_t ** 2) * u)  # sqrt((cot^2+1)(t^2+C'))
     return (
-        (2.0 * alpha * cos_t / sin_t ** 2 - phase.s_hat + alpha * phase.r_hat) * t
+        (2.0 * alpha * cos_t / sin_t ** 2 - pr.s_hat + alpha * phase.r_hat) * t
         - (alpha / sin_t) * root
         - (alpha / sin_t ** 3) * t ** 2 / root
-        + 2.0 * s_sigma
+        + 2.0 * pr.surface.s_sigma
     )
 
 
-def interior_pass(
-    p: ProfilePoly, s: SurfaceParams, b: BundleClass, dh: DhymSolution
-) -> InteriorPass:
-    """Evaluate the solve (dh, p) once on the interior of dhym.default_grid.
+def solve_pass(
+    p: ProfilePoly, s: SurfaceParams, b: BundleClass, dh: DhymSolution, t
+) -> SolvePass:
+    """Evaluate the solve (dh, p) once on the nodes t.
 
-    The interior nodes lie inside [t_minus, t_plus], so they need no domain
-    check.
+    No domain check: t must lie in [t_minus, t_plus].  It may include the
+    ends, where H', the imaginary part and the scalar residual of a holder12
+    solution divide by zero, so no warning is raised.
     """
-    t = default_grid(p)[1:-1]
-    u = radicand(p, t)
-    root = np.sqrt(u)
-    H, Hp = H_pair_of(dh, t, root)
     ends = np.array([p.t_minus, p.t_plus])
-    u_ends = radicand(p, ends)
-    root_ends = np.sqrt(u_ends)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = _scalar_source(p, pose(s, b).phase, s.s_sigma, t, u)
-        psi_pp = _psi_pp_of(p, t, u, root)
-        dpsi_ends = _psi_p_of(p, ends, root_ends).tolist()
-        psi_pp_ends = _psi_pp_of(p, ends, u_ends, root_ends).tolist()
-    return InteriorPass(
-        t=t,
-        psi=_psi_of(p, t, u),
-        ode_residual=ode_residual_of(dh, t, H, Hp),
-        im_part=phase_and_radius_of(dh, t, H, Hp)[0],
-        scalar_residual=psi_pp - rhs,
-        dpsi_ends=dpsi_ends,
-        psi_pp_ends=psi_pp_ends,
-    )
+        u = radicand(p, t)
+        root = np.sqrt(u)
+        H, Hp = H_pair_of(dh, t, root)
+        u_ends = radicand(p, ends)
+        root_ends = np.sqrt(u_ends)
+        return SolvePass(
+            t=t,
+            H=H,
+            psi=_psi_of(p, t, u),
+            ode_residual=ode_residual_of(dh, t, H, Hp),
+            im_part=phase_and_radius_of(dh, t, H, Hp)[0],
+            scalar_residual=_psi_pp_of(p, t, u, root)
+            - _scalar_source(p, pose(s, b), t, u),
+            dpsi_ends=_psi_p_of(p, ends, root_ends).tolist(),
+            psi_pp_ends=_psi_pp_of(p, ends, u_ends, root_ends).tolist(),
+        )
 
 
 def phase_and_radius(
@@ -381,9 +380,9 @@ def phase_and_radius(
     real part is the pointwise radius, whose average against the volume
     weight is the cohomological average radius.
     """
-    t_arr = check_domain(p, t)
-    H, Hp = eval_H_pair(dh, t_arr)
-    im_part, re_part = phase_and_radius_of(dh, t_arr, H, Hp)
+    t = check_domain(p, t)
+    H, Hp = H_pair_of(dh, t, np.sqrt(radicand(dh, t)))
+    im_part, re_part = phase_and_radius_of(dh, t, H, Hp)
     if np.ndim(im_part) == 0:
         return float(im_part), float(re_part)
     return im_part, re_part

@@ -175,18 +175,6 @@ def eval_H_deriv(sol: DhymSolution, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def eval_H_pair(sol: DhymSolution, t):
-    """(H(t), H'(t)) from one domain check, one radicand and one square root.
-
-    Bitwise equal to (eval_H(sol, t), eval_H_deriv(sol, t)).
-    """
-    t = check_domain(sol, t)
-    H, Hp = H_pair_of(sol, t, np.sqrt(radicand(sol, t)))
-    if np.ndim(H) == 0:
-        return float(H), float(Hp)
-    return H, Hp
-
-
 def H_pair_of(sol: DhymSolution, t, root):
     """(H(t), H'(t)) at a checked t, from root = sqrt(t^2 + C')."""
     sign = _sign(sol)
@@ -209,7 +197,7 @@ def ode_residual_H(sol: DhymSolution, t):
     accounts for.
     """
     t = check_domain(sol, t)
-    H, Hp = eval_H_pair(sol, t)
+    H, Hp = H_pair_of(sol, t, np.sqrt(radicand(sol, t)))
     out = ode_residual_of(sol, t, H, Hp)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -221,12 +209,11 @@ def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):
     taken on the same branch as the descriptor.
     """
     b = pose(s, b).bundle
-    t_arr = check_domain(sol, t)
+    t = check_domain(sol, t)
     x = s.x
     sign = _sign(sol)
-    out = sign * (
-        b.k1 * t_arr + (b.k2 / t_arr) * (1.0 - x ** 2) / x ** 2
-    ) - eval_H(sol, t_arr)
+    H = sign * _H_of(sol, t, np.sqrt(radicand(sol, t)))
+    out = sign * (b.k1 * t + (b.k2 / t) * (1.0 - x ** 2) / x ** 2) - H
     return float(out) if out.ndim == 0 else out
 
 

@@ -71,14 +71,12 @@ class Phase:
     """The constant phase, stored as a (cos, sin) pair.
 
     The angle itself is never materialized: every closed form downstream uses
-    only cos, sin and cot.  r_hat is the average radius and s_hat the average
-    scalar curvature (filled when a surface is supplied).
+    only cos, sin and cot.  r_hat is the average radius.
     """
 
     cos_theta: float
     sin_theta: float
     r_hat: float
-    s_hat: float | None = None
 
     @property
     def cot_theta(self) -> float:
@@ -154,24 +152,24 @@ def classify(margin: float) -> StabilityClass:
     return StabilityClass.STABLE if margin > 0 else StabilityClass.UNSTABLE
 
 
-def phase_constant(b: BundleClass, s: SurfaceParams | None = None) -> Phase:
+def phase_constant(b: BundleClass) -> Phase:
     """Phase of the class pairing: (cos, sin) = (1 - k1^2 + k2^2, -2 k1)/r_hat."""
     re = 1.0 - b.k1 ** 2 + b.k2 ** 2
     im = -2.0 * b.k1
     r_hat = math.hypot(re, im)
     if r_hat == 0.0:
         raise DegeneratePhaseError("phase numerator vanishes")
-    s_hat = None if s is None else 2.0 * s.x * s.s_sigma + 2.0
-    return Phase(cos_theta=re / r_hat, sin_theta=im / r_hat, r_hat=r_hat, s_hat=s_hat)
+    return Phase(cos_theta=re / r_hat, sin_theta=im / r_hat, r_hat=r_hat)
 
 
 @dataclass(frozen=True)
 class Problem:
     """Everything the class data fixes, resolved once by ``pose``.
 
-    ``bundle`` is the canonical (k1 < 0) class with its conjugation flag and
-    ``phase`` carries s_hat.  C is the integration constant of the separated
-    ODE and C' = C sin(theta).  [t_minus, t_plus] is the momentum interval
+    ``bundle`` is the canonical (k1 < 0) class with its conjugation flag, and
+    s_hat = 2 x s_sigma + 2 is the average scalar curvature of the surface.
+    C is the integration constant of the separated ODE and
+    C' = C sin(theta).  [t_minus, t_plus] is the momentum interval
     [1/x - 1, 1/x + 1], and u_minus = t_minus^2 + C' = (margin / (x r_hat))^2
     without cancellation, so H(t_minus) is exact for every margin.
     """
@@ -179,6 +177,7 @@ class Problem:
     surface: SurfaceParams
     bundle: BundleClass
     phase: Phase
+    s_hat: float
     margin: float
     stability: StabilityClass
     C: float
@@ -204,7 +203,7 @@ def pose(s: SurfaceParams, b: BundleClass) -> Problem:
     x = s.x
     try:
         margin = stability_margin(s, b)
-        phase = phase_constant(b, s)
+        phase = phase_constant(b)
         num = -2.0 * b.k2 * (
             1.0 + (b.k1 + b.k2) ** 2 - x ** 2 - (b.k1 - b.k2) ** 2 * x ** 2
         )
@@ -229,7 +228,8 @@ def pose(s: SurfaceParams, b: BundleClass) -> Problem:
             " double-precision range"
         )
     return Problem(
-        surface=s, bundle=b, phase=phase, margin=margin, stability=classify(margin),
+        surface=s, bundle=b, phase=phase, s_hat=2.0 * x * s.s_sigma + 2.0,
+        margin=margin, stability=classify(margin),
         C=C, Cprime=C * phase.sin_theta, u_minus=u_minus, t_minus=t_minus,
         t_plus=t_plus,
     )
@@ -256,10 +256,7 @@ def jy_class(s: SurfaceParams, b: BundleClass) -> tuple[CohClass, bool]:
     Positivity of this class is equivalent to the strict stability
     inequality.
     """
-    phase = phase_constant(b)
-    if phase.sin_theta == 0.0:
-        raise DegeneratePhaseError("sin(theta) = 0")
-    cot = phase.cot_theta
+    cot = phase_constant(b).cot_theta
     omega, f = cohomology_classes(s, b)
     cls = CohClass(a=cot * omega.a - f.a, b=cot * omega.b - f.b)
     return cls, (cls.a > 0 and cls.b > 0)

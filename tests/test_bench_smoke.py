@@ -15,7 +15,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["solve_mix", "profile_table", "verify_oracles"])
+#: Per-layer metrics that each workload must feed: their spans wrap module
+#: attributes (cli.build_descriptor, cli.coupled.positivity_certificate, ...),
+#: and a call that bypasses the attribute leaves the metric at 0.
+LIVE_METRICS = {
+    "solve_mix": ("cli.build_descriptor_ms", "cli.residual_summary_ms",
+                  "coupled.positivity_ms"),
+    "profile_table": ("cli.cmd_profile_ms",),
+    "verify_oracles": ("oracle.quadrature_ms",),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LIVE_METRICS))
 def test_workload_runs_correct(workload):
     r = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
@@ -25,3 +36,5 @@ def test_workload_runs_correct(workload):
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+    for name in LIVE_METRICS[workload]:
+        assert result["metrics"][name]["value"] > 0, name

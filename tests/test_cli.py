@@ -17,6 +17,7 @@ from dhym_ruled import (
     BundleClass,
     ValidationError,
     canonicalize,
+    cli,
     coupled,
     dhym,
     from_complexified,
@@ -311,6 +312,44 @@ def run_in_process(argv, capsys):
     return code, out, err
 
 
+def _is_builtin_number(v):
+    if type(v) is tuple:
+        return all(map(_is_builtin_number, v))
+    return type(v) in (int, float)
+
+
+LIMITS_CASES = [
+    ("large", FIG1, "0.1,0.01,0.001,0.0001"),
+    ("large", ["--k", "2", "--h", "1", "--kprime", "3", "--k1", "1.3", "--k2", "0.4"],
+     "0.1,0.01"),
+    ("small", ["--k", "1", "--h", "0", "--kprime", "5", "--k1", "-2", "--k2", "-1"],
+     "100,1000,10000"),
+    # one scale: no order can be fitted (NaN)
+    ("small", ["--k", "1", "--h", "0", "--kprime", "5", "--k1", "-2", "--k2", "-1"],
+     "100"),
+]
+
+
+@pytest.mark.parametrize("mode, class_argv, alphas", LIMITS_CASES)
+def test_limits_report_values_are_builtins(mode, class_argv, alphas, capsys):
+    """cmd_limits writes repr of each report value, so none may be a numpy
+    scalar (np.float64 is a float subclass; its repr is not a float's)."""
+    args = build_parser().parse_args(
+        ["limits", *class_argv, "--mode", mode, "--alphas", alphas])
+    pr = cli._pose_args(args)
+    fam = limits.build_family(pr.surface, pr.bundle, args.alphas)
+    check = limits.large_radius_check if mode == "large" else limits.small_radius_check
+    rep = check(fam)
+    values = {"alphas": rep.alphas, "sup_errors": rep.sup_errors, "order": rep.order,
+              **rep.constants}
+    for k, v in values.items():
+        assert _is_builtin_number(v), (k, v)
+    code, out, err = run_in_process(
+        ["limits", *class_argv, "--mode", mode, "--alphas", alphas], capsys)
+    assert (code, err) == (0, "")
+    assert "np." not in out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5", "1.5"])
 @pytest.mark.parametrize("command", ["solve", "profile", "tke"])
 def test_beta0_outside_unit_interval_usage_error(command, value, capsys):
@@ -468,13 +507,6 @@ def test_semistable_family_radicand_is_zero(k1, k2, ratio, k, mirror, capsys):
     assert (d["stability_class"], d["regularity"]) == ("Semistable", "holder12")
 
 
-def _basis_scale(prof, t):
-    """Largest single basis term of psi at t (the cancellation scale)."""
-    u = max(t ** 2 + prof.Cprime, 0.0)
-    return max(1.0, abs(prof.d0), abs(prof.d1 * t), abs(prof.c2 * t ** 2),
-               abs(prof.c3 * t ** 3), abs(prof.cR * u ** 1.5))
-
-
 @pytest.mark.parametrize("cls, beta0, extra, code", [
     ((1, 0, 5.0, -1.0, 1.0), 1.0, [], 0),
     ((3, 2, 9.0, 1.3, 0.7), 0.3, ["--beta0", "0.3"], 0),
@@ -500,16 +532,19 @@ def test_profile_columns_match_pointwise_calls(tmp_path, cls, beta0, extra, code
     blank = [i for i, row in enumerate(rows) if row[4] == "" or row[5] == ""]
     assert blank == ([0] if holder else [])
 
-    for i in np.linspace(0, len(rows) - 1, 16).astype(int):
-        t = float(rows[i][0])
-        psi = coupled.eval_psi(prof, t)
-        want = [psi / (2.0 * t), psi, dhym.eval_H(sol, t)]
-        if not (holder and i == 0):
-            want.append(coupled.phase_and_radius(prof, s, b, sol, t)[0])
-            want.append(coupled.scalar_residual(prof, s, b, t))
-        bound = 1e-12 * _basis_scale(prof, t)
-        got = [float(cell) for cell in rows[i][1:1 + len(want)]]
-        assert np.all(np.abs(np.subtract(got, want)) <= bound), (i, got, want)
+    # every row bitwise against the public calls on the same arrays; the
+    # derivative-based columns on t[i:], past a holder12 end
+    t = np.linspace(sol.t_minus, sol.t_plus, 401)
+    i = 1 if holder else 0
+    psi = coupled.eval_psi(prof, t)
+    columns = [
+        t, psi / (2.0 * t), psi, dhym.eval_H(sol, t),
+        coupled.phase_and_radius(prof, s, b, sol, t[i:])[0],
+        coupled.scalar_residual(prof, s, b, t[i:]),
+    ]
+    for j, want in enumerate(columns):
+        got = [row[j] for row in rows[len(rows) - len(want):]]
+        assert got == [repr(v) for v in want.tolist()], j
 
 
 def _pointwise_summary(s, b, sol, prof):
@@ -615,7 +650,7 @@ def _posed_solve(s, b, beta0):
 
 
 def test_descriptor_matches_separate_calls():
-    """The descriptor read from one InteriorPass is bitwise the descriptor of
+    """The descriptor read from one SolvePass is bitwise the descriptor of
     the separate public calls: positivity_certificate on its own grid, and
     the residual suite as separate calls."""
     branches, methods = set(), set()
@@ -816,7 +851,7 @@ def test_main_reuses_one_parser_without_state(capsys):
         got = run_in_process(argv, capsys)
         try:
             args = build_parser().parse_args(argv)
-            code = args.func(args)
+            code = getattr(cli, f"cmd_{args.command}")(args)
         except SystemExit as exc:
             code = exc.code
         want = (code, *capsys.readouterr())

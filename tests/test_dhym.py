@@ -16,6 +16,7 @@ from dhym_ruled import (
     eval_H,
     eval_H_deriv,
     eval_nu,
+    eval_phi,
     eval_psi,
     eval_psi_deriv,
     make_surface,
@@ -25,7 +26,7 @@ from dhym_ruled import (
     scalar_residual,
     solve_dhym,
 )
-from dhym_ruled.dhym import check_domain, default_grid, eval_H_pair
+from dhym_ruled.dhym import H_pair_of, check_domain, default_grid, radicand
 from dhym_ruled import oracle
 
 from conftest import draw_stable
@@ -139,8 +140,9 @@ def test_slack_band_gives_the_end_values(figure1, beta0):
     prof = conical_coefficients(s, b, beta0)
     calls = {
         "eval_H": lambda t: eval_H(sol, t),
-        "eval_H_pair": lambda t: eval_H_pair(sol, t),
         "ode_residual_H": lambda t: ode_residual_H(sol, t),
+        "eval_nu": lambda t: eval_nu(sol, s, b, t),
+        "eval_phi": lambda t: eval_phi(prof, t),
         "phase_and_radius": lambda t: phase_and_radius(prof, s, b, sol, t),
         "scalar_residual": lambda t: scalar_residual(prof, s, b, t),
         **{f"eval_psi_deriv order {n}": lambda t, n=n: eval_psi_deriv(prof, t, n)
@@ -155,8 +157,14 @@ def test_slack_band_gives_the_end_values(figure1, beta0):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, i)
 
 
-def test_eval_H_pair_matches_separate_calls(rng, semistable_case):
-    """Bitwise (eval_H, eval_H_deriv), on both forms of H and at both ends."""
+def _checked_pair(sol, t):
+    t = check_domain(sol, t)
+    return H_pair_of(sol, t, np.sqrt(radicand(sol, t)))
+
+
+def test_H_pair_of_matches_separate_calls(rng, semistable_case):
+    """H_pair_of on checked nodes is bitwise (eval_H, eval_H_deriv), on both
+    forms of H and at both ends."""
     cases = [semistable_case, *(draw_stable(rng) for _ in range(20))]
     branches = set()
     for s, given in cases:
@@ -167,11 +175,13 @@ def test_eval_H_pair_matches_separate_calls(rng, semistable_case):
             assert t.tobytes() == np.linspace(sol.t_minus, sol.t_plus, 1001).tobytes()
             if sol.regularity == "holder12":
                 t = t[1:]  # H' diverges at t_minus
-            H, Hp = eval_H_pair(sol, t)
+            H, Hp = _checked_pair(sol, t)
             assert H.tobytes() == eval_H(sol, t).tobytes()
             assert Hp.tobytes() == eval_H_deriv(sol, t).tobytes()
             for t0 in (sol.t_plus, float(t[0])):
-                assert eval_H_pair(sol, t0) == (eval_H(sol, t0), eval_H_deriv(sol, t0))
+                got = np.array(_checked_pair(sol, t0))
+                want = np.array([eval_H(sol, t0), eval_H_deriv(sol, t0)])
+                assert got.tobytes() == want.tobytes()
     assert branches == {True, False}
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dhym_ruled import (
     BundleClass,
     DegenerateClassError,
+    DegeneratePhaseError,
     StabilityClass,
     ValidationError,
     bfield_alpha,
@@ -102,8 +103,8 @@ def test_phase_constant_showcase():
 
 def test_s_hat():
     s = make_surface(1, 0, 5)
-    p = phase_constant(BundleClass(k1=-1.0, k2=1.0), s)
-    assert p.s_hat == pytest.approx(2.0 * s.x * s.s_sigma + 2.0, rel=1e-14)
+    pr = pose(s, BundleClass(k1=-1.0, k2=1.0))
+    assert pr.s_hat == pytest.approx(2.0 * s.x * s.s_sigma + 2.0, rel=1e-14)
 
 
 @given(
@@ -166,6 +167,13 @@ def test_jy_class_iff_stable(rng):
         assert positive == (margin > 0)
         hits += 1
     assert hits >= 1000
+
+
+@pytest.mark.parametrize("k1", [0.0, -0.0])
+def test_jy_class_rejects_zero_sine(k1):
+    """k1 = 0 puts the phase on the real axis, where cot(theta) is undefined."""
+    with pytest.raises(DegeneratePhaseError, match="sin"):
+        jy_class(make_surface(1, 0, 5), BundleClass(k1=k1, k2=1.0))
 
 
 def test_from_complexified():
