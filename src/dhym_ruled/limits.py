@@ -128,21 +128,22 @@ def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
         "mu_spread": float(np.max(mu) - np.min(mu)),
     }
     # sup-norm Cauchy gap between the two smallest scale samples; evaluated
-    # in extended precision because the double basis evaluation loses all
-    # significance at strong scalings
+    # in extended precision because the double evaluation of the basis loses
+    # all significance at strong scalings.  That evaluation needs strictly
+    # stable classes: the gap is NaN when a semistable scale is among them
     if len(fam.alphas) >= 2:
         from . import oracle
 
-        idx = np.argsort(fam.alphas)[:2]
-        tt = np.linspace(sol0.t_minus, sol0.t_plus, _SUP_GRID)
-        vals = [
-            oracle.eval_psi_highprec(
-                s.k, s.h, s.kprime, fam.alphas[int(i)] * b.k1,
-                fam.alphas[int(i)] * b.k2, tt,
-            )
-            for i in idx
-        ]
-        constants["profile_cauchy_gap"] = float(np.max(np.abs(vals[0] - vals[1])))
+        pair = [scaled_class(b, fam.alphas[i]) for i in np.argsort(fam.alphas)[:2]]
+        gap = math.nan
+        if all(pose(s, c).stability is StabilityClass.STABLE for c in pair):
+            tt = np.linspace(sol0.t_minus, sol0.t_plus, _SUP_GRID)
+            vals = [
+                oracle.eval_psi_highprec(s.k, s.h, s.kprime, c.k1, c.k2, tt)
+                for c in pair
+            ]
+            gap = float(np.max(np.abs(vals[0] - vals[1])))
+        constants["profile_cauchy_gap"] = gap
     return ConvergenceReport(
         alphas=fam.alphas,
         sup_errors=tuple(sup_errors),

@@ -92,8 +92,13 @@ def _steps(t0, t1, step: float):
     return n, (t1 - t0) / n
 
 
-def _grid(t0, h, values: list, slope=None) -> GridFunction:
-    """The RK4 values at the nodes t0 + i h, ordered by increasing node.
+def _nodes(t0, h, n: int) -> np.ndarray:
+    """t0 + i h for i = 0..n, one row per node: bitwise rk4_solve's nodes."""
+    return t0 + np.multiply.outer(np.arange(float(n + 1)), h)
+
+
+def _grid(nodes: np.ndarray, h, values: list, slope=None) -> GridFunction:
+    """The RK4 values at the nodes (from _nodes), ordered by increasing node.
 
     With a slope, the values are z = y - t * slope of z' = c t / z, with
     c = 1 + slope^2, and the value at node t is z + t * slope.  A step
@@ -105,10 +110,7 @@ def _grid(t0, h, values: list, slope=None) -> GridFunction:
     whose start continues to z = 0 before its end, or over which z changes
     sign with both nodes on one side of t = 0, has left it.
     """
-    # the same t0 + i h as in the loops, so the nodes match them bitwise
-    nodes = np.moveaxis(
-        t0 + np.multiply.outer(np.arange(float(len(values))), h), 0, -1
-    )
+    nodes = np.moveaxis(nodes, 0, -1)
     # one draw is a list of Python floats, which np.fromiter reads faster
     if np.ndim(h) == 0:
         values = np.fromiter(values, float, len(values))
@@ -137,7 +139,11 @@ def _grid(t0, h, values: list, slope=None) -> GridFunction:
         raise IntegrationError(
             f"integration diverged near t = {location}", location=location
         )
-    backward = np.asarray(h < 0)[..., None]
+    if np.ndim(h) == 0:
+        if h < 0:
+            nodes, values = nodes[::-1], values[::-1]
+        return GridFunction(nodes=nodes, values=values)
+    backward = (h < 0)[..., None]
     return GridFunction(
         nodes=np.where(backward, nodes[..., ::-1], nodes),
         values=np.where(backward, values[..., ::-1], values),
@@ -177,7 +183,7 @@ def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
         raise IntegrationError(
             f"right-hand side blew up near t = {t}", location=t
         ) from exc
-    return _grid(t0, h, values)
+    return _grid(_nodes(t0, h, n), h, values)
 
 
 def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
@@ -190,8 +196,12 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
     offset is the sum of its coefficients), so integrating z and forming
     y = z + t r once, at the nodes, gives rk4_solve's iterates up to
     rounding: on 301 seeded stable classes of the benchmark's call the two
-    differ by at most 2.9e-13 times max(1, max |y|), 1.1e-12 absolute.  A
-    step is 22 float operations, c t carried from one node to the next.
+    differ by at most 2.9e-13 times max(1, max |y|), 1.1e-12 absolute.
+    The stage numerators A_i = (h/2) c t_i and M_i = (h/2) c (t_i + h/2)
+    depend on the node alone, so they are formed as arrays first; the
+    stages scaled by h/2 are then p1 = A_i / z, p2 = M_i / (z + p1),
+    p3 = M_i / (z + p2) and p4 = A_{i+1} / (z + 2 p3), and a step is the
+    14 float operations of those and z += (p1 + p4 + 2 (p2 + p3)) / 3.
     The kernel reads only cos, sin and the ends, no closed-form quantity.
     Steps, nodes, lanes and blow-up (z = 0 is the singular line) are as
     in rk4_solve; a step that leaves the solution (see _grid) is a blow-up
@@ -201,30 +211,32 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
     if np.any(sin_t == 0.0):
         raise ValueError("the phase ODE needs sin(theta) != 0")
     n, h = _steps(t0, t1, step)
-    half, sixth = 0.5 * h, h / 6.0
+    half = 0.5 * h
     r = cos_t / sin_t
     c = 1.0 + r * r
-    t, z, ct = t0, y0 - t0 * r, c * t0
+    nodes = _nodes(t0, h, n)
+    A = (half * c) * nodes
+    M = (half * c) * (nodes[:-1] + half)
+    if np.ndim(h) == 0:
+        # one draw: memoryviews hand out Python floats one at a time
+        A, M = memoryview(A), memoryview(M)
+    z = y0 - t0 * r
     values = [z]
     try:
         with np.errstate(all="ignore"):
-            for i in range(1, n + 1):
-                q1 = ct / z
-                cth = c * (t + half)
-                q2 = cth / (z + half * q1)
-                q3 = cth / (z + half * q2)
-                t = t0 + i * h
-                ct = c * t
-                q4 = ct / (z + h * q3)
-                z = z + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            for a, m, a1 in zip(A, M, A[1:]):
+                p1 = a / z
+                p2 = m / (z + p1)
+                p3 = m / (z + p2)
+                p4 = a1 / (z + 2.0 * p3)
+                z = z + (p1 + p4 + 2.0 * (p2 + p3)) / 3.0
                 values.append(z)
     except ZeroDivisionError as exc:  # Python floats only
-        # the last node recorded: t may already be the next one
-        last = t0 + (len(values) - 1) * h
+        last = float(nodes[len(values) - 1])  # the last node recorded
         raise IntegrationError(
             f"right-hand side blew up near t = {last}", location=last
         ) from exc
-    return _grid(t0, h, values, slope=r)
+    return _grid(nodes, h, values, slope=r)
 
 
 #: Most Simpson panels refined by one call of the integrand.  Quadrature
@@ -323,14 +335,24 @@ def solve_2x2(a11, a12, a21, a22, b1, b2) -> tuple[float, float]:
     return x1, x2
 
 
-def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
-    """Smooth-profile values recomputed in extended-precision decimal.
+#: Fraction bits of the fixed point in which eval_psi_highprec evaluates.
+_FIX = 200
 
-    Re-derives every constant (phase, coupling, coefficients) from scratch
-    with 60 significant digits and evaluates psi(t).  Used where the double
-    evaluation of the basis loses all significance: for strongly scaled
-    classes the cubic and radical terms are ~1e15 times larger than psi
-    itself.  Requires k1 < 0, k2 != 0 and strict stability.
+
+def _to_fixed(v) -> int:
+    """floor(v 2^_FIX) of an exact rational (a Decimal or a float)."""
+    n, d = v.as_integer_ratio()
+    return (n << _FIX) // d
+
+
+def _highprec_constants(k, h, kprime, k1, k2):
+    """(C', c2, c3, cR, d0, d1) of the smooth profile in 60-digit Decimal.
+
+    Re-derives every constant (phase, coupling, coefficients) from scratch,
+    from the inputs, which float -> Decimal takes exactly.  Raises
+    ValueError unless k1 < 0, k2 != 0 and the class is strictly stable,
+    its margin (1 + (k1 + k2)^2) - x (1 + (k1 - k2)^2) computed in the same
+    60 digits.
     """
     from decimal import Decimal, localcontext
 
@@ -339,6 +361,8 @@ def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
         D = Decimal
         k_, h_, kp = D(k), D(h), D(kprime)
         k1_, k2_ = D(k1), D(k2)
+        if k2_ == 0:
+            raise ValueError("requires k2 != 0")
         x = k_ / (k_ + kp)
         ss = 2 * (1 - h_) / k_
         s_hat = 2 * x * ss + 2
@@ -347,6 +371,9 @@ def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
         cos_t = (1 - k1_ ** 2 + k2_ ** 2) / r_hat
         if sin_t <= 0:
             raise ValueError("requires the canonical branch k1 < 0")
+        margin = (1 + (k1_ + k2_) ** 2) - x * (1 + (k1_ - k2_) ** 2)
+        if margin <= 0:
+            raise ValueError(f"requires strict stability, margin {float(margin)!r}")
         num = -2 * k2_ * (
             1 + (k1_ + k2_) ** 2 - x ** 2 - (k1_ - k2_) ** 2 * x ** 2
         )
@@ -363,14 +390,37 @@ def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
         d1 = -(
             (-2 * (1 + k1_ ** 2 + k2_ ** 2) + B2 * ss * x) * (-1 + x ** 2)
         ) / (4 * k1_ * k2_ * x ** 2)
-        out = []
-        for t in np.atleast_1d(np.asarray(ts, dtype=float)):
-            t_ = D(float(t))
-            u = t_ ** 2 + Cprime
-            if u < 0:
-                u = D(0)
-            psi = d0 + d1 * t_ + c2 * t_ ** 2 + c3 * t_ ** 3 + cR * u.sqrt() ** 3
-            out.append(float(psi))
+    return Cprime, c2, c3, cR, d0, d1
+
+
+def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
+    """Smooth-profile values recomputed in extended precision.
+
+    Used where the double evaluation of the basis loses all significance:
+    for strongly scaled classes the cubic and radical terms are ~1e15
+    times larger than psi itself.  The constants come from
+    _highprec_constants, in 60-digit Decimal (ValueError unless k1 < 0,
+    k2 != 0 and strict stability).  Each point is evaluated in integers at
+    scale 2^200: T = t 2^200 exactly, u = max(T^2 + C', 0) and
+    R = sqrt(u) by math.isqrt, psi = d0 + d1 T + c2 T^2 + c3 T^3 by Horner
+    plus cR u R, each product floored back to the scale; the result is
+    psi / 2^200 correctly rounded.  Every step loses less than 2^-200
+    (about 6e-61) absolute, finer than 60 digits of terms up to ~1e17.
+    """
+    Cprime, c2, c3, cR, d0, d1 = map(
+        _to_fixed, _highprec_constants(k, h, kprime, k1, k2)
+    )
+    one = 1 << _FIX
+    out = []
+    for t in np.atleast_1d(np.asarray(ts, dtype=float)).tolist():
+        T = _to_fixed(t)
+        u = max((T * T >> _FIX) + Cprime, 0)
+        root = math.isqrt(u << _FIX)
+        psi = (c3 * T >> _FIX) + c2
+        psi = (psi * T >> _FIX) + d1
+        psi = (psi * T >> _FIX) + d0
+        psi += (cR * u >> _FIX) * root >> _FIX
+        out.append(psi / one)
     return np.asarray(out)
 
 

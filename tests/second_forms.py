@@ -4,10 +4,15 @@ The reduction quantities are plain arithmetic, so each runs on floats and
 on sympy symbols alike: test_certificate.py proves the closed forms of tke
 equal to these exactly, and test_tke.py checks them numerically at a solved
 cone angle.  The Ricci class, the closed form of psi''(t_-) - psi''(t_+)
-and the scaled C' are checked numerically against the package.
+and the scaled C' are checked numerically against the package, and the
+per-point Decimal loop is the reference of oracle.eval_psi_highprec.
 """
 
-from dhym_ruled import tke
+from decimal import Decimal, localcontext
+
+import numpy as np
+
+from dhym_ruled import oracle, tke
 from dhym_ruled.coupled import beta_infinity
 from dhym_ruled.params import CohClass, pose
 
@@ -77,3 +82,24 @@ def scaled_Cprime(s, b, alpha_prime):
             - 1.0 / ((a * k1 + a * k2) ** 2 + 1.0)
         )
     )
+
+
+def psi_highprec_reference(k, h, kprime, k1, k2, ts):
+    """oracle.eval_psi_highprec's profile with every point in 60-digit Decimal.
+
+    The constants are the oracle's own; each point evaluates
+    d0 + d1 t + c2 t^2 + c3 t^3 + cR (t^2 + C')^(3/2) by Decimal arithmetic,
+    the radicand clamped at 0, and rounds the result to a float.
+    """
+    Cprime, c2, c3, cR, d0, d1 = oracle._highprec_constants(k, h, kprime, k1, k2)
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for t in np.atleast_1d(np.asarray(ts, dtype=float)):
+            t_ = Decimal(float(t))
+            u = t_ ** 2 + Cprime
+            if u < 0:
+                u = Decimal(0)
+            psi = d0 + d1 * t_ + c2 * t_ ** 2 + c3 * t_ ** 3 + cR * u.sqrt() ** 3
+            out.append(float(psi))
+    return np.asarray(out)

@@ -22,7 +22,14 @@ LIVE_METRICS = {
     "solve_mix": ("cli.build_descriptor_ms", "cli.residual_summary_ms",
                   "coupled.positivity_ms"),
     "profile_table": ("cli.cmd_profile_ms",),
-    "verify_oracles": ("oracle.quadrature_ms",),
+    "verify_oracles": ("oracle.quadrature_ms", "oracle.rk4_ms", "oracle.highprec_ms",
+                       "limits.large_radius_check_ms"),
+}
+
+#: Work counts that do not depend on the seed: the benchmark's RK4 call takes
+#: 19990 steps, and its extended-precision profile has 401 points.
+EXACT_COUNTS = {
+    "verify_oracles": {"oracle.rk4_steps": 19990, "oracle.highprec_points": 401},
 }
 
 
@@ -38,3 +45,5 @@ def test_workload_runs_correct(workload):
     assert result["correct"] is True
     for name in LIVE_METRICS[workload]:
         assert result["metrics"][name]["value"] > 0, name
+    for name, count in EXACT_COUNTS.get(workload, {}).items():
+        assert result["metrics"][name]["value"] == count, name

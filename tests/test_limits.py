@@ -109,6 +109,17 @@ def test_large_radius_report(figure1):
     assert rep.constants["profile_cauchy_gap"] < 1e-6
 
 
+def test_large_radius_gap_needs_strictly_stable_scales(semistable_case):
+    # the class is exactly semistable at alpha' = 1, where the
+    # extended-precision profile is not defined: no gap, but a report
+    s, b = semistable_case
+    rep = limits.large_radius_check(limits.build_family(s, b, [1.0, 0.5]))
+    assert math.isnan(rep.constants["profile_cauchy_gap"])
+    assert rep.constants["mu_spread"] < 1e-12
+    rep = limits.large_radius_check(limits.build_family(s, b, [1.0, 0.5, 0.1]))
+    assert 0.0 < rep.constants["profile_cauchy_gap"] < 1.0
+
+
 def test_small_radius_constants(small_radius_base):
     s, b = small_radius_base
     C_hat, branch, K = limits.small_radius_constants(s, b)

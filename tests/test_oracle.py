@@ -21,6 +21,7 @@ from dhym_ruled import oracle
 from dhym_ruled.coupled import eval_psi, eval_psi_deriv
 
 from conftest import draw_stable
+from second_forms import psi_highprec_reference
 
 
 def test_rk4_calibration_exponential():
@@ -376,6 +377,71 @@ def test_grid_function_validation():
         oracle.GridFunction(nodes=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         oracle.GridFunction(nodes=np.array([0.0, 1.0]), values=np.array([1.0, np.inf]))
+
+
+def _highprec_classes(rng):
+    """Seeded calls of the benchmark's extended-precision profiles.
+
+    The highprec box, (k1, k2) = (-a, a) with a in 10^U(-4, 0) and
+    k' in {5k, 6k, 7k}, on [1/x - 1, 1/x + 1]; and stable classes scaled by
+    alpha' = 1e-3 and 1e-4, on their solution's interval, as limits checks
+    them.  401 points each.
+    """
+    calls = []
+    for _ in range(8):
+        k = int(rng.integers(1, 3))
+        a = 10.0 ** rng.uniform(-4.0, 0.0)
+        cls = (k, int(rng.integers(0, 3)), float(k * rng.integers(5, 8)), -a, a)
+        x = k / (k + cls[2])
+        calls.append((cls, np.linspace(1.0 / x - 1.0, 1.0 / x + 1.0, 401)))
+    for _ in range(4):
+        s, b = draw_stable(rng)
+        for alpha_prime in (1e-3, 1e-4):
+            bs = BundleClass(k1=alpha_prime * b.k1, k2=alpha_prime * b.k2)
+            sol = solve_dhym(s, bs)
+            cls = (s.k, s.h, s.kprime, bs.k1, bs.k2)
+            calls.append((cls, np.linspace(sol.t_minus, sol.t_plus, 401)))
+    return calls
+
+
+def test_eval_psi_highprec_matches_decimal_reference(rng):
+    for cls, t in _highprec_classes(rng):
+        got = oracle.eval_psi_highprec(*cls, t)
+        want = psi_highprec_reference(*cls, t)
+        assert got.shape == want.shape == t.shape
+        assert np.all(np.abs(got - want) <= 1e-40), cls
+        # inside, where psi > 0, at most one ulp apart as well
+        inner = np.abs(want[1:-1])
+        assert np.all(np.abs(got[1:-1] - want[1:-1]) <= np.spacing(inner)), cls
+
+
+def test_eval_psi_highprec_matches_double_profile(rng):
+    # unscaled classes, where the double basis evaluation holds
+    for _ in range(20):
+        s, b = draw_stable(rng)
+        p = smooth_coefficients(s, b)
+        t = np.linspace(p.t_minus, p.t_plus, 101)
+        got = oracle.eval_psi_highprec(s.k, s.h, s.kprime, b.k1, b.k2, t)
+        want = eval_psi(p, t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(got)))
+
+
+def test_eval_psi_highprec_rejects_zero_k2():
+    for k2 in (0.0, -0.0):
+        with pytest.raises(ValueError, match="k2 != 0"):
+            oracle.eval_psi_highprec(1, 0, 5.0, -1.0, k2, [5.5])
+
+
+@pytest.mark.parametrize(
+    "cls",
+    # margin -31/6 at (1, 0, 5); exactly 0 at (1, 0, 4)
+    [(1, 0, 5.0, -3.0, 3.0), (1, 0, 4.0, -1.0, 1.0)],
+    ids=["unstable", "semistable"],
+)
+def test_eval_psi_highprec_requires_strict_stability(cls):
+    with pytest.raises(ValueError, match="strict stability"):
+        oracle.eval_psi_highprec(*cls, [5.5])
+
 
 
 @pytest.mark.parametrize("beta0", [1.0, 0.5])
