@@ -139,11 +139,7 @@ def _grid(nodes: np.ndarray, h, values: list, slope=None) -> GridFunction:
         raise IntegrationError(
             f"integration diverged near t = {location}", location=location
         )
-    if np.ndim(h) == 0:
-        if h < 0:
-            nodes, values = nodes[::-1], values[::-1]
-        return GridFunction(nodes=nodes, values=values)
-    backward = (h < 0)[..., None]
+    backward = np.asarray(h < 0)[..., None]
     return GridFunction(
         nodes=np.where(backward, nodes[..., ::-1], nodes),
         values=np.where(backward, values[..., ::-1], values),
