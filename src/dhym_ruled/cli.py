@@ -15,11 +15,11 @@ import argparse
 import math
 import re
 import sys
-from itertools import chain
 
 import numpy as np
 
 from . import coupled, dhym, limits, tke
+from ._text import repr_table
 from .errors import DhymRuledError, NoSolutionError, ValidationError
 from .params import (
     BundleClass,
@@ -71,11 +71,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+#: Largest --samples, the size of oracle.MAX_STEPS: a profile of 10^7 rows
+#: is about 1.2 GB of text
+MAX_SAMPLES = 10**7
+
+
 def _samples(text: str) -> int:
-    """A grid size: both interval ends need at least two samples."""
+    """A grid size: both interval ends, and at most MAX_SAMPLES rows."""
     n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {n}")
+    if not 2 <= n <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be in [2, {MAX_SAMPLES}], got {n}")
     return n
 
 
@@ -265,8 +270,11 @@ def reverify(d: dict) -> dict:
 
 def _write(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DhymRuledError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -317,27 +325,17 @@ def cmd_solve(args) -> int:
     return _verdict(d, sol)
 
 
-def _reprs(a: np.ndarray):
-    """Lossless text of each float of ``a``, streamed."""
-    return map(repr, a.tolist())
-
-
 def cmd_profile(args) -> int:
     s, b, sol, prof, _ = _solve_pipeline(args)
     t = np.linspace(sol.t_minus, sol.t_plus, args.samples)
     sp = coupled.solve_pass(prof, s, b, sol, t)
     # the derivative-based columns are undefined at the square-root endpoint
     # of a holder12 solution, so row 0 gets blank cells there
-    holder = sol.regularity == "holder12"
-    i = 1 if holder else 0
-    blank = [""] if holder else []
-    rows = zip(
-        _reprs(t), _reprs(sp.psi / (2.0 * t)), _reprs(sp.psi), _reprs(sp.H),
-        chain(blank, _reprs(sp.im_part[i:])),
-        chain(blank, _reprs(sp.scalar_residual[i:])),
-    )
-    header = "t,phi,psi,H,im_residual,scalar_residual"
-    _write("\n".join(chain([header], map(",".join, rows))) + "\n", args.out)
+    blank = np.zeros((len(t), 6), dtype=bool)
+    blank[0, 4:] = sol.regularity == "holder12"
+    columns = [t, sp.psi / (2.0 * t), sp.psi, sp.H, sp.im_part, sp.scalar_residual]
+    header = "t,phi,psi,H,im_residual,scalar_residual\n"
+    _write(header + repr_table(columns, blank), args.out)
     return _verdict(residual_summary(s, b, sol, prof), sol)
 
 
@@ -368,10 +366,8 @@ def cmd_figure2(args) -> int:
     beta_bar = tke.beta_asymptote(s.k, s.kprime, s.h)
     beta = np.linspace(0.0, 1.0, args.samples)
     H, pole = tke._H_beta_values(s.k, s.kprime, s.h, beta)
-    cells = ("" if p else v for v, p in zip(_reprs(H), pole.tolist()))
-    rows = map(",".join, zip(_reprs(beta), cells))
-    header = [f"# beta_bar = {beta_bar!r}", "beta,H"]
-    _write("\n".join(chain(header, rows)) + "\n", args.out)
+    table = repr_table([beta, H], pole[:, None] & np.array([False, True]))
+    _write(f"# beta_bar = {beta_bar!r}\nbeta,H\n" + table, args.out)
     return EXIT_OK
 
 

@@ -5,10 +5,13 @@ on sympy symbols alike: test_certificate.py proves the closed forms of tke
 equal to these exactly, and test_tke.py checks them numerically at a solved
 cone angle.  The Ricci class, the closed form of psi''(t_-) - psi''(t_+)
 and the scaled C' are checked numerically against the package, and the
-per-point Decimal loop is the reference of oracle.eval_psi_highprec.
+per-point Decimal loop is the reference of oracle.eval_psi_highprec.  The
+streamed writers, one Python repr per cell, are the references of the
+profile and figure2 tables.
 """
 
 from decimal import Decimal, localcontext
+from itertools import chain
 
 import numpy as np
 
@@ -103,3 +106,30 @@ def psi_highprec_reference(k, h, kprime, k1, k2, ts):
             psi = d0 + d1 * t_ + c2 * t_ ** 2 + c3 * t_ ** 3 + cR * u.sqrt() ** 3
             out.append(float(psi))
     return np.asarray(out)
+
+
+def _reprs(a):
+    """Lossless text of each float of ``a``, streamed."""
+    return map(repr, a.tolist())
+
+
+def profile_text(t, sp, holder):
+    """The profile table of the solve pass ``sp`` on the nodes t; a holder12
+    solution has blank derivative-based cells in row 0."""
+    i = 1 if holder else 0
+    blank = [""] if holder else []
+    rows = zip(
+        _reprs(t), _reprs(sp.psi / (2.0 * t)), _reprs(sp.psi), _reprs(sp.H),
+        chain(blank, _reprs(sp.im_part[i:])),
+        chain(blank, _reprs(sp.scalar_residual[i:])),
+    )
+    header = "t,phi,psi,H,im_residual,scalar_residual"
+    return "\n".join(chain([header], map(",".join, rows))) + "\n"
+
+
+def figure2_text(beta_bar, beta, H, pole):
+    """The cone-angle matching curve, with a blank H cell at the pole."""
+    cells = ("" if p else v for v, p in zip(_reprs(H), pole.tolist()))
+    rows = map(",".join, zip(_reprs(beta), cells))
+    header = [f"# beta_bar = {beta_bar!r}", "beta,H"]
+    return "\n".join(chain(header, rows)) + "\n"

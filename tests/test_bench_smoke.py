@@ -5,6 +5,7 @@ way (the phase on DhymSolution, the names cli imports for the tracer,
 params.classify); a short traced run of each workload keeps them working.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -47,3 +48,30 @@ def test_workload_runs_correct(workload):
         assert result["metrics"][name]["value"] > 0, name
     for name, count in EXACT_COUNTS.get(workload, {}).items():
         assert result["metrics"][name]["value"] == count, name
+
+
+def test_limits_extended_precision_calls_are_traced(capsys):
+    """Both extended-precision calls of a ``limits --mode large`` operation
+    go through ``coupled.oracle``, the attribute the tracer wraps, so each is
+    an ``oracle.highprec`` span under the ``limits.large_radius_check`` span."""
+    from types import SimpleNamespace
+
+    from dhym_ruled import cli, coupled, dhym, limits, oracle, params, tke
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pkg = SimpleNamespace(cli=cli, params=params, dhym=dhym, coupled=coupled,
+                          limits=limits, tke=tke, oracle=oracle)
+    tracer = spans.Tracer()
+    argv = ["limits", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2", "1",
+            "--mode", "large", "--alphas", "1e-1,1e-2,1e-3,1e-4"]
+    with tracer.install(pkg), tracer.span(spans.OP, 0):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    names = [tracer.names[i] for i in tracer.name]
+    check = names.index("limits.large_radius_check")
+    highprec = [i for i, n in enumerate(names) if n == "oracle.highprec"]
+    assert len(highprec) == 2
+    assert [tracer.parent[i] for i in highprec] == [check, check]

@@ -284,6 +284,32 @@ def test_samples_below_two_usage_error(command, samples):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["profile", "figure2"])
+def test_samples_above_bound_usage_error(command, capsys):
+    """10^11 rows would not fit in memory; the parser rejects the count
+    before anything is allocated."""
+    cls = FIG1 if command == "profile" else FIG1[:6]
+    code, out, err = run_in_process([command, *cls, "--samples", str(10**11)], capsys)
+    assert (code, out) == (1, "")
+    assert "--samples" in err and str(cli.MAX_SAMPLES) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *FIG1],
+    ["profile", *FIG1, "--samples", "11"],
+    ["figure2", "--k", "1", "--kprime", "5", "--samples", "11"],
+    ["check", *FIG1],
+], ids=lambda argv: argv[0])
+def test_out_into_missing_directory_usage_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.csv"
+    code, out, err = run_in_process([*argv, "--out", str(target)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(target) in err
+    assert not target.parent.exists()
+
+
 NONFINITE_ARGV = {
     "--kprime": ["solve", "--k", "1", "--k1", "-1", "--k2", "1", "--kprime"],
     "figure2 --kprime": ["figure2", "--k", "1", "--h", "6", "--kprime"],

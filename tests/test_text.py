@@ -1,0 +1,120 @@
+"""repr_table writes every cell byte for byte as Python's repr.
+
+The kernel is checked against repr on random bit patterns, a seeded sweep
+and the values where the notation or the digit search changes; the profile
+and figure2 tables against the streamed writers of second_forms.py.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dhym_ruled import BundleClass, canonicalize, cli, coupled, dhym, make_surface, tke
+from dhym_ruled._text import _CHUNK, repr_table
+
+from second_forms import figure2_text, profile_text
+
+
+def _assert_reprs(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = repr_table([values]).splitlines()
+    want = [repr(v) for v in values.tolist()]
+    assert len(got) == len(want)
+    bad = [(v.hex(), g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_random_bit_patterns(patterns):
+    _assert_reprs(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_seeded_sweep_of_bit_patterns():
+    rng = np.random.default_rng(22)
+    _assert_reprs(rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64))
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+EDGES = [
+    0.0, np.nan, np.copysign(np.nan, -1.0), np.inf,
+    # the smallest subnormals, where the digits are fewest
+    5e-324, 1e-323, 8e-323,
+    # the switch between positional and exponent notation
+    1e15, 1e16, 9999999999999998.0, 1e-4, 1e-5, 0.00011, 9.999999999999999e-05,
+    # three-digit exponents
+    1e100, 1.5e-100, 1.7976931348623157e308, 2.2250738585072014e-308,
+    0.1, 0.5, 1.0, 123.0, 1.5,
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_edge_values(sign):
+    values = list(EDGES)
+    for e in range(-1074, 1024):  # every power of 2 and its neighbours
+        values += _neighbours(2.0**e)
+    for e in range(-323, 309):  # every power of 10 and its neighbours
+        values += _neighbours(float(f"1e{e}"))
+    _assert_reprs(sign * np.array(values))
+
+
+def test_columns_blanks_and_chunks():
+    """Cells of several columns across more than one chunk, some blank."""
+    rng = np.random.default_rng(7)
+    rows = _CHUNK // 3 * 2 + 5
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+               for _ in range(3)]
+    blank = rng.random((rows, 3)) < 0.1
+    want = "".join(
+        ",".join("" if b else repr(v) for v, b in zip(row, brow)) + "\n"
+        for row, brow in zip(zip(*(c.tolist() for c in columns)), blank.tolist())
+    )
+    assert repr_table(columns, blank) == want
+
+
+def _main(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("cls, beta0, samples, extra, code", [
+    ((1, 0, 5.0, -1.0, 1.0), 1.0, 401, [], 0),               # smooth
+    ((3, 2, 9.0, 1.3, 0.7), 0.3, 401, ["--beta0", "0.3"], 0),  # conical
+    ((1, 0, 4.0, -1.0, 1.0), 1.0, 401, ["--allow-semistable"], 2),  # holder12
+    ((1, 0, 5.0, -1.0, 1.0), 1.0, 2, [], 0),
+    ((1, 0, 4.0, -1.0, 1.0), 1.0, 2, ["--allow-semistable"], 2),
+])
+def test_profile_matches_the_streamed_writer(cls, beta0, samples, extra, code, capsys):
+    k, h, kp, k1, k2 = cls
+    argv = ["profile", "--k", str(k), "--h", str(h), f"--kprime={kp!r}", f"--k1={k1!r}",
+            f"--k2={k2!r}", "--samples", str(samples), *extra]
+    got = _main(argv, capsys)
+
+    s = make_surface(k, h, kp)
+    b = canonicalize(BundleClass(k1=k1, k2=k2))
+    sol = dhym.solve_dhym(s, b)
+    prof = coupled.conical_coefficients(s, b, beta0)
+    t = np.linspace(sol.t_minus, sol.t_plus, samples)
+    sp = coupled.solve_pass(prof, s, b, sol, t)
+    assert got == (code, profile_text(t, sp, sol.regularity == "holder12"), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "1", "--h", "6", "--kprime", "1", "--samples", "10"],  # a pole sample
+    ["--k", "1", "--h", "6", "--kprime", "1", "--samples", "2"],
+    ["--k", "2", "--h", "1", "--kprime", "3.5", "--samples", "20001"],
+])
+def test_figure2_matches_the_streamed_writer(argv, capsys):
+    got = _main(["figure2", *argv], capsys)
+
+    k, h, kp, n = int(argv[1]), int(argv[3]), float(argv[5]), int(argv[7])
+    s = make_surface(k, h, kp)
+    beta = np.linspace(0.0, 1.0, n)
+    H, pole = tke._H_beta_values(s.k, s.kprime, s.h, beta)
+    want = figure2_text(tke.beta_asymptote(s.k, s.kprime, s.h), beta, H, pole)
+    assert got == (0, want, "")
