@@ -3,10 +3,20 @@
 The shortest digits that read back to the same double are found for whole
 columns at once with Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020), which needs one table of 617 powers of ten and integer
-products only; numpy forms the 128-bit products from 32-bit halves.  Each
-cell is then laid out, with its separator, in four uint64 words (32 bytes,
-little-endian), and one boolean mask over the chunk's bytes drops the empty
-ones.
+products only; numpy forms the 128-bit products from 32-bit halves.
+
+Each cell is laid out, with its separator, in four uint64 words (32 bytes,
+little-endian), held word-major so that every step is one numpy call over a
+contiguous block: the sign and the ``0.``/zeros prefix end at byte 6, the 17
+digits stand at bytes 7-23 as raw values 0-9, and the point is made by moving
+the digits after it up one byte.  A table keyed by the layout (the decimal
+exponent and the number of significant digits) gives, for one OR each, the
+ASCII offsets with the point (and the ``0`` after the point of an integral
+value) and the shifts that put the tail (the exponent, if any, and the
+separator) right after the last digit.  The words are then transposed to
+cell-major order, and one boolean mask over their bytes drops the empty ones.
+The buffers are allocated once per table and reused for every chunk, and the
+text is handed out a chunk of rows at a time.
 
 Each cell follows CPython's ``float_repr_style == 'short'``: the shortest
 round-trip digits, the closest to the value among them (ties to even), in
@@ -22,32 +32,56 @@ from functools import cache
 import numpy as np
 
 #: Values per chunk: large enough that numpy's per-call cost is small, small
-#: enough that the chunk's temporaries stay in cache.
+#: enough that the chunk's buffers stay in cache.
 _CHUNK = 8192
 
 _K_MIN, _K_MAX = -324, 292
 _U = np.uint64
 _M32, _M52, _M63 = _U(2**32 - 1), _U(2**52 - 1), _U(2**63 - 1)
-_ONES, _ASCII, _POINT = _U(2**64 - 1), _U(0x3030303030303030), _U(ord("."))
+_HIDDEN = _U(2**52)
 
-#: Byte offsets within a cell: the prefix (sign, "0." and zeros) ends at
-#: byte 6, the first digit is byte 7, then up to 16 digits and the point,
-#: then the tail (the zero of ".0" or the exponent) and the separator.
+#: Byte offsets within a cell: the prefix ends at byte 6, the first digit is
+#: byte 7, the other 16 digits are bytes 8-23 (words 1 and 2).
 _FIRST = 7
 _SEPARATORS = (b",", b"\n")
+#: The tails: "" and e-324 ... e+308, each with "," and then each with a
+#: newline.
+_TAIL_TEXTS = [b""] + [f"e{e:+03d}".encode() for e in range(-324, 309)]
+_NEWLINE = len(_TAIL_TEXTS)
+#: Offset of a decimal exponent (the position of the point relative to the
+#: first digit, -323 ... 309 for finite doubles) into the layout tables.
+_DP = 330
+#: Layouts: the positional ones, one per decimal exponent -3 ... 16, then
+#: the exponent form; each has a slot per significant-digit count 0 ... 17.
+_POSITIONAL = range(-3, 17)
+_SLOTS = 18
+#: With the 16 digits after the first as raw bytes 0-9 in words w1, w2, the
+#: double w2 2^64 + w1 + 1/4 has a biased exponent e in [1023 + 8 j, 1026 +
+#: 8 j] for the last nonzero digit byte j (0-15), or 1021 when there is none,
+#: so (e + 1) >> 3 is this plus the number of significant digits.
+_NSIG_BIAS = 126
 
 
 @cache
-def _tables():
-    """The lookup tables, built with exact integers on first use.
+def _schubfach():
+    """Per binary exponent: Schubfach's constants, built with exact integers.
 
-    Schubfach's g(k) approximates 10^-k from above to 126 bits: it is
-    floor(10^-k 2^-r) + 1 for the r that puts it in [2^125, 2^126), and
-    g = g1 2^63 + g0.  The per-exponent table is indexed by the biased
-    exponent, plus 2048 for a power of two whose lower neighbour is half as
-    far (irregular spacing).  With k and h the decimal exponent and shift of
-    that binade, it holds a1 2^64 + b1 = g1 2^(h-1) and a0 2^64 + b0 =
-    g0 2^h as the words b1, b0 and a1 | a0 << 8 | (k - K_MIN) << 16.
+    g(k) approximates 10^-k from above to 126 bits: it is floor(10^-k 2^-r) +
+    1 for the r that puts it in [2^125, 2^126), and g = g1 2^63 + g0.  The
+    table is indexed by the biased exponent, plus 2048 for a power of two
+    whose lower neighbour is half as far (irregular spacing).  With k and h
+    the decimal exponent and the shift of that binade and cp = 4 c 2^h for
+    the significand c, Giulietti's ``rop(g1, g0, cp)`` rounds Z(cp) / 2^63 to
+    odd, where Z(cp) = floor(g1 cp / 2) + floor(g0 cp / 2^64).  The ends of
+    the rounding interval are cp + d with d = 2^(h+1) above and d = -2^(h+1)
+    below (-2^h below an irregular power of two), and Z(cp + d) = Z(cp) +
+    D(d) + carry, where D(d) = g1 d / 2 + floor(g0 d / 2^64) is a constant of
+    the binade and the carry (or borrow) is decided by the low words
+    g0 cp mod 2^64 and g0 d mod 2^64.
+
+    Rows: g1, g0; g0 d mod 2^64 and D mod 2^63 above; g0 d mod 2^64 and
+    2^63 - (D mod 2^63) below; and h + 2 | floor(D / 2^63) << 8 above |
+    (floor(D / 2^63) + 1) << 16 below | (k + 17 as int16) << 32.
     """
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -64,235 +98,351 @@ def _tables():
     q = np.tile(np.maximum(np.arange(2048), 1) - 1075, 2)
     irregular = np.repeat([0, 1], 2048)
     k = (q * 661971961083 - irregular * 274743187321) >> 41
-    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
-    j = k - _K_MIN
-    g1, g0 = g1[j], g0[j]
-    per_exp = np.stack([
-        g1 << (h - _U(1)), g0 << h,
-        g1 >> (_U(65) - h) | (g0 >> (_U(64) - h)) << _U(8) | j.astype(np.uint64) << _U(16),
-    ])
+    h = q + ((-k * 913124641741) >> 38) + 2  # 2 ... 5
+    g1, g0 = g1[k - _K_MIN], g0[k - _K_MIN]
 
-    pow10 = 10 ** np.arange(18, dtype=np.uint64)
+    def delta(e):
+        """D(2^e) split at 2^63, and g0 2^e mod 2^64 (2 <= e <= 6)."""
+        e = e.astype(np.uint64)
+        lo = ((g1 << (e - _U(1))) & _M63) + (g0 >> (_U(64) - e))
+        return (g1 >> (_U(64) - e)) + (lo >> _U(63)), lo & _M63, g0 << e
 
-    # the tail and separator: "" / "0" (after the point of an integral
-    # positional cell) / e-324 .. e+308, each with "," and with "\n"
-    texts = [b"", b"0"] + [f"e{e:+03d}".encode() for e in range(-324, 309)]
-    tails = np.array([int.from_bytes(t + s, "little") for s in _SEPARATORS for t in texts],
+    rq, rr, er = delta(h + 1)
+    lq, lr, el = delta(h + 1 - irregular)
+    small = ((h + 2).astype(np.uint64) | rq << _U(8) | (lq + _U(1)) << _U(16)
+             | ((k + 17) & 0xFFFF).astype(np.uint64) << _U(32))
+    return np.stack([g1, g0, er, rr, el, _U(2**63) - lr, small])
+
+
+@cache
+def _layout():
+    """The layout tables.
+
+    Indexed by decimal exponent + _DP, an int16 (3, 650) table: the layout's
+    first key minus _NSIG_BIAS, the exponent tail's index (0 if positional),
+    and the prefix's index.  Indexed by key = layout * _SLOTS + significant
+    digits: a uint64 (10, 378) table with the digit bytes that move up for
+    the point (words 1 and 2), the OR that makes ASCII digits from byte 8 on,
+    the point and the "0" after the point of an integral value (words 1-3),
+    and the shifts that place the tail at byte ``end``, the first byte after
+    the digits: left into words 1-3, then right into words 2 and 3 (64 where
+    none of its bytes fall in that word; numpy shifts by 64 or more to 0).
+    Then the prefixes (sign, "0.", zeros, ending at byte 6, and the ASCII
+    offset of the first digit), the tails (with their separators, "," then
+    "\\n") and the cells inf, -inf, nan.
+    """
+    nkeys = (len(_POSITIONAL) + 1) * _SLOTS
+    words = np.zeros((10, nkeys), dtype=np.uint64)
+    for layout, dp in enumerate([*_POSITIONAL, None]):
+        for nsig in range(1, _SLOTS):
+            key = layout * _SLOTS + nsig
+            if dp is None:  # d.ddde±XX
+                at, end = (None, 8) if nsig == 1 else (8, 8 + nsig)
+            elif dp <= 0:  # 0.000ddd: the point is in the prefix
+                at, end = None, _FIRST + nsig
+            else:  # ddd.ddd, at least one digit after the point
+                at, end = _FIRST + dp, 8 + max(nsig, dp + 1)
+            cell = sum(0x30 << 8 * b for b in range(8, end))
+            if at is not None:
+                cell ^= (0x30 ^ ord(".")) << 8 * at
+                moved = sum(0xFF << 8 * b for b in range(at, 24))
+                words[0:2, key] = [moved >> 64 * w & 2**64 - 1 for w in (1, 2)]
+            words[2:5, key] = [cell >> 64 * w & 2**64 - 1 for w in (1, 2, 3)]
+            shifts = [8 * end - 64 * w for w in (1, 2, 3)]  # left, into words 1-3
+            shifts += [-s for s in shifts[1:]]  # right, into words 2 and 3
+            words[5:, key] = [s if 0 <= s < 64 else 64 for s in shifts]
+
+    dps = np.arange(-_DP, 650 - _DP)
+    positional = (dps >= _POSITIONAL.start) & (dps < _POSITIONAL.stop)
+    layouts = np.where(positional, dps - _POSITIONAL.start, len(_POSITIONAL))
+    by_dp = np.stack([
+        layouts * _SLOTS - _NSIG_BIAS,
+        np.where(positional, 0, dps + 324),
+        2 * np.where(positional & (dps <= 0), 1 - dps, 0),
+    ]).astype(np.int16)
+
+    tails = np.array([int.from_bytes(t + s, "little") for s in _SEPARATORS for t in _TAIL_TEXTS],
                      dtype=np.uint64)
-    # the prefix, ending at byte 6: the sign, then "0." and the zeros of
-    # a positional cell below 1
     heads = [b"", b"0.", b"0.0", b"0.00", b"0.000"]
     prefixes = np.array(
-        [int.from_bytes(((b"-" if neg else b"") + h).rjust(_FIRST, b"\0"), "little")
+        [int.from_bytes(((b"-" if neg else b"") + h).rjust(_FIRST, b"\0") + b"0", "little")
          for h in heads for neg in (0, 1)], dtype=np.uint64)
     specials = np.array([int.from_bytes(t + s, "little") for s in _SEPARATORS
                          for t in (b"inf", b"-inf", b"nan", b"nan")], dtype=np.uint64)
-    return per_exp, pow10, tails, prefixes, specials
+    return by_dp, words, prefixes, tails, specials
 
 
-def _mulhi(ah, al, bh, bl):
-    """High 64 bits of a b for a = ah 2^32 + al and b = bh 2^32 + bl, the
-    halves below 2^32 and bh below 2^31."""
-    ll = al * bl
-    hl = ah * bl
-    mid = (ll >> _U(32)) + (hl & _M32) + al * bh
-    return ah * bh + (hl >> _U(32)) + (mid >> _U(32))
+class _Cells:
+    """The cells of n values at a time, with every buffer allocated once."""
+
+    def __init__(self, n):
+        self.n = n
+        self.a = np.empty(n, dtype=np.uint64)
+        # scratch, the last four rows the cells word-major, and at the end
+        # the mask of their nonzero bytes
+        self.u = np.empty((10, n), dtype=np.uint64)
+        self.w = self.u[6:]
+        self.nonzero = self.u[:4].view(bool).ravel()
+        # Schubfach's constants, then the layout's words, then the cells
+        # cell-major
+        self.g = np.empty((10, n), dtype=np.uint64)
+        self.cells = self.g.ravel()[:4 * n].reshape(n, 4)
+
+    def text(self, v, tails, blank=None) -> str:
+        """The cells of the n float64 values v, each followed by "," or, where
+        ``tails`` is _NEWLINE rather than 0, by a newline, and empty where
+        ``blank`` is set."""
+        data = self._cells(v, tails, blank).view(np.uint8).ravel()
+        np.not_equal(data, 0, out=self.nonzero)
+        return str(data[self.nonzero], "ascii")
+
+    def _shortest(self, a):
+        """The shortest round-trip decimal f 10^(e - 17) of each finite
+        positive double with bits a, as (f, e); e is int16.
+
+        Follows Giulietti's ``DoubleToDecimal.toDecimal``, without its
+        two-digit minimum for tiny subnormals, which repr does not have.
+        """
+        c, i, cph, cpl, gh, gl, t1, t2, zz, zr = self.u
+        np.right_shift(a, _U(52), out=i)
+        np.bitwise_and(a, _M52, out=c)
+        np.subtract(c, _U(1), out=t1)  # 2^64 - 1 for c = 0: irregular
+        t1 >>= _U(52)
+        t1 &= _U(2048)
+        np.minimum(i, _U(1), out=t2)  # the hidden bit of normal doubles
+        t2 <<= _U(52)
+        c |= t2
+        i |= t1
+        g1, g0, er, rr, el, nlr, small = np.take(
+            _schubfach(), i.view(np.intp), axis=1, out=self.g[:7], mode="clip")
+        e = (small >> _U(32)).astype(np.int16)
+        np.bitwise_and(small, _U(255), out=t1)
+        cp = np.left_shift(c, t1, out=c)
+        np.right_shift(cp, _U(32), out=cph)
+        np.bitwise_and(cp, _M32, out=cpl)
+
+        def mulhi(g, out):
+            """floor(g cp / 2^64) for g < 2^64, cp < 2^60, from 32-bit halves."""
+            np.right_shift(g, _U(32), out=gh)
+            np.bitwise_and(g, _M32, out=gl)
+            np.multiply(gl, cpl, out=out)
+            out >>= _U(32)
+            np.multiply(gh, cpl, out=t1)
+            np.bitwise_and(t1, _M32, out=t2)
+            out += t2
+            np.multiply(gl, cph, out=t2)
+            out += t2
+            out >>= _U(32)
+            np.right_shift(t1, _U(32), out=t1)
+            out += t1
+            np.multiply(gh, cph, out=t1)
+            out += t1
+
+        def rop(q, r, out):
+            """Z / 2^63 rounded to odd for Z = q 2^63 + r, r < 2^64."""
+            np.right_shift(r, _U(63), out=out)
+            out += q
+            r &= _M63
+            r += _M63
+            r >>= _U(63)
+            out |= r
+
+        # Z = floor(g1 cp / 2) + floor(g0 cp / 2^64) = zz 2^63 + zr
+        x0, t3 = gh, gl
+        mulhi(g0, zr)
+        np.multiply(g1, cp, out=t3)
+        t3 >>= _U(1)
+        zr += t3
+        mulhi(g1, zz)
+        np.right_shift(zr, _U(63), out=t3)
+        zz += t3
+        zr &= _M63
+        np.multiply(g0, cp, out=x0)
+
+        vb, vbl, vbr = i, cpl, cph
+        # the upper end: Z + D + carry
+        np.add(x0, er, out=t1)
+        carry = t1 < x0
+        np.add(zr, rr, out=t1)
+        np.add(t1, carry, out=t1)
+        np.right_shift(small, _U(8), out=t2)
+        t2 &= _U(255)
+        t2 += zz
+        rop(t2, t1, vbr)
+        # the lower end: Z - D - borrow
+        borrow = x0 < el
+        np.add(zr, nlr, out=t1)
+        np.subtract(t1, borrow, out=t1)
+        np.right_shift(small, _U(16), out=t2)
+        t2 &= _U(255)
+        np.subtract(zz, t2, out=t2)
+        rop(t2, t1, vbl)
+        rop(zz, zr, vb)
+
+        out = np.bitwise_and(a, _U(1), out=t1)
+        vbl += out
+        vbr -= out
+        s4 = np.bitwise_and(vb, _U(2**64 - 4), out=zz)
+        uin = vbl <= s4
+        s4 += _U(4)
+        win = s4 <= vbr
+        # s + 1 if only it is inside the interval, s if only s is, else the
+        # closer, then the even one: s + 1 for vb mod 8 in {3, 6, 7}
+        np.bitwise_and(vb, _U(7), out=t2)
+        np.right_shift(_U(0xC8), t2, out=t2)
+        t2 &= _U(1)
+        up = t2.astype(bool)
+        up ^= (up ^ win) & (uin ^ win)
+        f = np.right_shift(vb, _U(2), out=zr)
+        np.add(f, up, out=f)
+        # ten times the shorter s' or s' + 1 if just one of them is inside
+        sp40 = np.floor_divide(vb, _U(40), out=t2)
+        sp40 *= _U(40)
+        upin = vbl <= sp40
+        np.add(sp40, _U(40), out=t3)
+        wpin = t3 <= vbr
+        short = upin != wpin
+        short &= vb >= _U(40)
+        sp40 >>= _U(2)
+        np.add(sp40, wpin.view(np.uint8) * np.uint8(10), out=sp40)
+        return np.where(short, sp40, f), e
+
+    def _cells(self, v, tails, blank):
+        """The cell words of v, an (n, 4) view of the buffers."""
+        by_dp, keyed, prefixes, tail_words, specials = _layout()
+        u, w = self.u, self.w
+        bits = v.view(np.uint64)
+        a = np.bitwise_and(bits, _M63, out=self.a)
+        f, dp = self._shortest(a)
+        # zeros, subnormals, inf and nan
+        np.subtract(a, _HIDDEN, out=u[0])
+        odd = np.flatnonzero(u[0] >= _U(0x7FE << 52))
+
+        # f scaled to exactly 17 digits (normal doubles have 16 or 17), and
+        # dp to the decimal exponent of the first digit + 1
+        if odd.size:
+            f[odd[a[odd] == 0]] = 0
+            fo = f[odd]
+            digits = np.searchsorted(10 ** np.arange(18, dtype=np.uint64), fo, "right")
+            f[odd] = fo * (10 ** (17 - digits)).astype(np.uint64)
+        sixteen = f < _U(10**16)
+        np.subtract(dp, sixteen, out=dp)
+        sixteen = sixteen.view(np.uint8) * np.uint8(9)
+        sixteen += np.uint8(1)
+        f *= sixteen
+        if odd.size:
+            dp[odd] += (digits - 17).astype(np.int16)
+            dp[odd[a[odd] == 0]] = 1
+
+        # the digits: the first in word 0, then eight in each of words 1, 2
+        np.floor_divide(f, _U(10**16), out=u[1])
+        np.left_shift(u[1], _U(8 * _FIRST), out=w[0])
+        u[1] *= _U(10**16)
+        f -= u[1]
+        np.floor_divide(f, _U(10**8), out=w[1])
+        np.multiply(w[1], _U(10**8), out=u[1])
+        np.subtract(f, u[1], out=w[2])
+        _digits8(w[1:3], u[1:3])
+
+        # significant digits from the exponent of the digit words as a double
+        x = u[1].view(np.float64)
+        np.multiply(w[2], 2.0**64, out=x)
+        np.add(x, w[1], out=x)
+        x += 0.25
+        key = (x.view(np.uint64) >> _U(52)).astype(np.int16)
+        key += 1
+        key >>= 3
+        dp += _DP
+        first_key, tail, prefix = np.take(by_dp, dp.astype(np.intp), axis=1)
+        key += first_key
+        key = key.astype(np.intp)
+        k = np.take(keyed, key, axis=1, out=self.g, mode="clip")
+
+        # the point: the digit bytes from it on move up one byte
+        moved = np.bitwise_and(w[1:3], k[0:2], out=u[1:3])
+        w[1:3] ^= moved
+        np.right_shift(moved[1], _U(56), out=w[3])
+        np.right_shift(moved[0], _U(56), out=u[3])
+        w[2] |= u[3]
+        moved <<= _U(8)
+        w[1:3] |= moved
+        w[1:] |= k[2:5]
+        np.right_shift(bits, _U(63), out=u[3])
+        prefix = np.add(prefix, u[3].view(np.intp))
+        w[0] |= np.take(prefixes, prefix)
+
+        # the tail and separator, from byte ``end`` on: its words and where
+        tail += tails
+        if blank is not None:
+            np.copyto(w, _U(0), where=blank)
+            np.copyto(tail, tails, where=blank)
+        t = np.take(tail_words, tail, out=u[4], mode="clip")
+        w[1:] |= np.left_shift(t, k[5:8], out=u[:3])
+        w[2:] |= np.right_shift(t, k[8:], out=u[:2])
+
+        cells = self.cells
+        np.copyto(cells, w.T)
+        if odd.size:
+            i = odd[a[odd] >= _U(0x7FF << 52)]
+            if blank is not None:
+                i = i[~blank[i]]
+            nan = a[i] > _U(0x7FF << 52)
+            neg = (bits[i] >> _U(63)).astype(np.intp)
+            cells[i] = 0
+            cells[i, 0] = specials[np.where(nan, 2, neg) + 4 * (tails[i] > 0)]
+        return cells
 
 
-def _rop(hi, lo):
-    """Round to odd of (hi 2^64 + lo) / 2^63: the floor, with its low bit
-    set when the remainder is not zero."""
-    return (hi << _U(1)) | (lo >> _U(63)) | ((lo << _U(1)) != 0)
+def _digits8(x, t):
+    """Replace each x < 10^8 by its eight decimal digits as the bytes of a
+    uint64, most significant first in memory, by division in 32-, 16- and
+    8-bit lanes (multiply-shift quotients, exact below 10^4 and 100); t is
+    scratch of x's shape."""
+    np.floor_divide(x, _U(10**4), out=t)
+    x <<= _U(32)
+    t *= _U(10**4 << 32) - _U(1)
+    x -= t
+    np.multiply(x, _U(5243), out=t)
+    t >>= _U(19)
+    t &= _U(0x7F0000007F)
+    x <<= _U(16)
+    t *= _U(100 << 16) - _U(1)
+    x -= t
+    np.multiply(x, _U(103), out=t)
+    t >>= _U(10)
+    t &= _U(0x000F000F000F000F)
+    x <<= _U(8)
+    t *= _U(10 << 8) - _U(1)
+    x -= t
 
 
-def _shortest(bits):
-    """The shortest round-trip decimal f 10^k of each finite positive double.
-
-    Follows Giulietti's ``DoubleToDecimal.toDecimal``, without its two-digit
-    minimum for tiny subnormals, which repr does not have.  Its
-    ``rop(g1, g0, cp)`` for cp = cb 2^h is Z / 2^63 rounded to odd, where
-    Z = g1 cp / 2 + floor(g0 cp / 2^64) = a1 cb 2^64 + b1 cb + a0 cb +
-    floor(b0 cb / 2^64) with a1 2^64 + b1 = g1 2^(h-1) and a0 2^64 + b0 =
-    g0 2^h; the ends of the rounding interval, cb - 2 (cb - 1 below a power
-    of two) and cb + 2, differ from it by multiples of those constants.
-    """
-    b1, b0, packed = _tables()[0]
-    be = (bits >> _U(52)).astype(np.intp)
-    t = bits & _M52
-    c = t | (be > 0).astype(np.uint64) << _U(52)
-    irregular = (t == 0) & (be > 1)
-    i = be + 2048 * irregular
-    b1, b0, packed = b1[i], b0[i], packed[i]
-    a1 = packed & _U(255)
-    a0 = (packed >> _U(8)) & _U(255)
-    b1h, b1l = b1 >> _U(32), b1 & _M32
-    b0h, b0l = b0 >> _U(32), b0 & _M32
-
-    cb = c << _U(2)
-    cbh, cbl = cb >> _U(32), cb & _M32
-    x0 = b0 * cb
-    low = b1 * cb
-    lo = low + (a0 * cb + _mulhi(b0h, b0l, cbh, cbl))
-    hi = a1 * cb + _mulhi(b1h, b1l, cbh, cbl) + (lo < low)
-    vb = _rop(hi, lo)
-
-    # K = a1 2^64 + b1 + a0: Z moves by 2 K from cb to cb + 2, and by
-    # floor((x0 + 2 b0) / 2^64)
-    kl = b1 + a0
-    kh = a1 + (kl < b1)
-    x2 = x0 + b0
-    up = (x2 < x0).astype(np.uint64) + (x2 + b0 < x2)
-    r1 = lo + kl
-    r2 = r1 + kl
-    r3 = r2 + up
-    vbr = _rop(hi + (kh << _U(1)) + (r1 < lo) + (r2 < r1) + (r3 < r2), r3)
-    # and by -2 K - ... to cb - 2, or by -K - ... to cb - 1
-    regular = ~irregular
-    x2 = x0 - b0
-    down = (x0 < b0).astype(np.uint64) + ((x2 < b0) & regular)
-    kl2 = kl * regular
-    l1 = lo - kl
-    l2 = l1 - kl2
-    l3 = l2 - down
-    vbl = _rop(hi - kh - kh * regular - (lo < kl) - (l1 < kl2) - (l2 < down), l3)
-
-    out = c & _U(1)
-    s = vb >> _U(2)
-    s4 = s << _U(2)
-    vbl += out
-    sp40 = (s // _U(10)) * _U(40)
-    upin = vbl <= sp40
-    wpin = sp40 + _U(40) + out <= vbr
-    uin = vbl <= s4
-    win = s4 + _U(4) + out <= vbr
-    cmp = vb.view(np.int64) - (s4 + _U(2)).view(np.int64)
-    # of s and s + 1, the one inside the interval, or else the closer, or
-    # else the even one; ten times the shorter s' or s' + 1 if just one of
-    # them is inside
-    closer_s = (cmp < 0) | ((cmp == 0) & ((s & _U(1)) == 0))
-    f = s + (~np.where(uin != win, uin, closer_s)).view(np.uint8)
-    short = (s >= _U(10)) & (upin != wpin)
-    np.copyto(f, (sp40 >> _U(2)) + _U(10) * (~upin).view(np.uint8), where=short)
-    return f, (packed >> _U(16)).astype(np.int64) + _K_MIN
-
-
-def _digits8(x):
-    """The eight decimal digits of each x < 10^8 as the bytes of a uint64,
-    most significant first in memory, by division in 32-, 16- and 8-bit
-    lanes (multiply-shift quotients, exact below 10^4 and 100)."""
-    hi = x // _U(10**4)
-    x = hi | (x - hi * _U(10**4)) << _U(32)
-    hi = ((x * _U(5243)) >> _U(19)) & _U(0x7F0000007F)
-    x = hi | (x - hi * _U(100)) << _U(16)
-    hi = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
-    return hi | (x - hi * _U(10)) << _U(8)
-
-
-def _top_byte(x):
-    """Index of the highest nonzero byte of each x > 0 whose bytes are at
-    most 9 (so that the conversion to double cannot round up a power of two)."""
-    return ((x.astype(np.float64).view(np.uint64) >> _U(52)).astype(np.int64) - 1023) >> 3
-
-
-def _below(n):
-    """Masks of the bytes below byte n of a word, n clipped to 0..8."""
-    return ~(_ONES << (np.clip(n, 0, 8) << 3).astype(np.uint64))
-
-
-def _cells(v, last):
-    """The cells of the float64 values v as an (n, 4) uint64 array, each
-    followed by "," or, where ``last`` is set, by a newline."""
-    _, pow10, tails, prefixes, specials = _tables()
-    n = len(v)
-    bits = v.view(np.uint64)
-    neg = (bits >> _U(63)).astype(np.intp)
-    bits = bits & _M63
-    special = bits >= _U(0x7FF << 52)
-    zero = bits == 0
-    f, k = _shortest(np.where(special | zero, _U(1 << 62), bits))
-
-    # f scaled to exactly 17 digits; normal doubles have 16 or 17
-    L = 16 + (f >= _U(10**16))
-    small = np.flatnonzero(f < _U(10**15))
-    if small.size:
-        L[small] = np.searchsorted(pow10, f[small], "right")
-    f = f * pow10[17 - L]
-    f[zero] = 0
-    decpt = L + k
-    decpt[zero] = 1
-
-    top = f // _U(10**16)
-    r = f - top * _U(10**16)
-    hi = r // _U(10**8)
-    d1 = _digits8(hi)
-    d2 = _digits8(r - hi * _U(10**8))
-    # significant digits: the first, then up to the last nonzero one
-    nsig = np.where(d2 > 0, 10 + _top_byte(d2), np.where(d1 > 0, 2 + _top_byte(d1), 1))
-
-    positional = (decpt > -4) & (decpt <= 16)
-    # digits before the point: none below 1, one in the exponent form
-    split = np.where(positional, np.maximum(decpt, 0), 1)
-    ndig = np.where(positional, np.maximum(nsig, split), nsig)
-    has_point = np.where(positional, split > 0, nsig > 1)
-    end = _FIRST + ndig
-    words = [
-        prefixes[2 * np.where(positional & (decpt <= 0), 1 - decpt, 0) + neg]
-        | (top + _U(ord("0"))) << _U(56),
-        (d1 | _ASCII) & _below(end - 8),
-        (d2 | _ASCII) & _below(end - 16),
-        np.zeros(n, dtype=np.uint64),
-    ]
-
-    # the digits from byte ``at`` on move up one byte for the point
-    at = np.where(has_point, _FIRST + split, 32)
-    carry = _U(0)
-    for w in (1, 2, 3):
-        low = _below(at - 8 * w)
-        moved = words[w] & ~low
-        dot = (_POINT << ((at & 7) << 3).astype(np.uint64)) * (at >> 3 == w)
-        words[w] = (words[w] & low) | (moved << _U(8)) | carry | dot
-        carry = moved >> _U(56)
-    end += has_point
-
-    # the tail and separator, placed from byte ``end`` on
-    tail = tails[np.where(positional, nsig <= split, decpt + 325) + 635 * last]
-    shift = ((end & 7) << 3).astype(np.uint64)
-    low, high = tail << shift, tail >> (_U(64) - shift)
-    word = end >> 3
-    for w in (1, 2, 3):
-        words[w] |= low * (word == w) | high * (word == w - 1)
-
-    out = np.stack(words, axis=1)
-    i = np.flatnonzero(special)
-    if i.size:
-        out[i] = 0
-        nan = bits[i] > _U(0x7FF << 52)
-        out[i, 0] = specials[np.where(nan, 2, neg[i]) + 4 * last[i]]
-    return out
-
-
-def repr_table(columns, blank=None) -> str:
-    """CSV rows of the equal-length float columns, each cell repr(float(v)).
+def repr_chunks(columns, blank=None):
+    """CSV rows of the equal-length float columns, each cell repr(float(v)),
+    as text of whole rows, one chunk of about _CHUNK cells at a time.
 
     ``blank``, a boolean array broadcastable to (rows, columns), empties the
     cells where it is set.  Every row ends in a newline.
     """
-    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-    rows, ncols = table.shape
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    rows, ncols = len(columns[0]), len(columns)
     if blank is not None:
-        blank = np.broadcast_to(blank, table.shape)
+        blank = np.broadcast_to(blank, (rows, ncols))
     step = max(1, _CHUNK // ncols)
     last = np.arange(ncols) == ncols - 1
-    parts = []
+    tails = np.tile(np.where(last, _NEWLINE, 0).astype(np.int16), step)
+    values = np.empty((step, ncols))
+    cells = None
     for start in range(0, rows, step):
-        chunk = table[start:start + step]
-        m = len(chunk)
-        lasts = np.tile(last, m)
-        words = _cells(chunk.ravel(), lasts)
-        if blank is not None:
-            b = blank[start:start + step].ravel()
-            words[b] = 0
-            words[b, 0] = np.where(lasts[b], ord("\n"), ord(","))
-        data = words.view(np.uint8).ravel()
-        parts.append(data[data != 0].tobytes())
-    return b"".join(parts).decode("ascii")
+        m = min(step, rows - start)
+        if cells is None or cells.n != m * ncols:
+            cells = None  # the last chunk's buffers go before the new ones come
+            cells = _Cells(m * ncols)
+        for j, c in enumerate(columns):
+            values[:m, j] = c[start:start + m]
+        b = None if blank is None else blank[start:start + m].ravel()
+        yield cells.text(values[:m].ravel(), tails[:m * ncols], b)
+
+
+def repr_table(columns, blank=None) -> str:
+    """The whole text of repr_chunks(columns, blank)."""
+    return "".join(repr_chunks(columns, blank))

@@ -15,11 +15,12 @@ import argparse
 import math
 import re
 import sys
+from itertools import chain
 
 import numpy as np
 
 from . import coupled, dhym, limits, tke
-from ._text import repr_table
+from ._text import repr_chunks
 from .errors import DhymRuledError, NoSolutionError, ValidationError
 from .params import (
     BundleClass,
@@ -268,15 +269,17 @@ def reverify(d: dict) -> dict:
     return residual_summary(s, b, sol, prof)
 
 
-def _write(text: str, out: str | None):
+def _write(text, out: str | None):
+    """Write text, a str or an iterable of str pieces, to --out or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise DhymRuledError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _semistable_gate(pr, args):
@@ -335,7 +338,7 @@ def cmd_profile(args) -> int:
     blank[0, 4:] = sol.regularity == "holder12"
     columns = [t, sp.psi / (2.0 * t), sp.psi, sp.H, sp.im_part, sp.scalar_residual]
     header = "t,phi,psi,H,im_residual,scalar_residual\n"
-    _write(header + repr_table(columns, blank), args.out)
+    _write(chain([header], repr_chunks(columns, blank)), args.out)
     return _verdict(residual_summary(s, b, sol, prof), sol)
 
 
@@ -366,8 +369,8 @@ def cmd_figure2(args) -> int:
     beta_bar = tke.beta_asymptote(s.k, s.kprime, s.h)
     beta = np.linspace(0.0, 1.0, args.samples)
     H, pole = tke._H_beta_values(s.k, s.kprime, s.h, beta)
-    table = repr_table([beta, H], pole[:, None] & np.array([False, True]))
-    _write(f"# beta_bar = {beta_bar!r}\nbeta,H\n" + table, args.out)
+    table = repr_chunks([beta, H], pole[:, None] & np.array([False, True]))
+    _write(chain([f"# beta_bar = {beta_bar!r}\nbeta,H\n"], table), args.out)
     return EXIT_OK
 
 

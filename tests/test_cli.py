@@ -231,6 +231,9 @@ TKE_CLASS = ["--k", "1", "--h", "6", "--kprime", "1", "--k1", "-1", "--k2", "-1"
     ["check", *FIG1],
     ["tke", *TKE_CLASS],
     ["tke", *TKE_CLASS, "--solve-beta"],
+    # tables of several chunks, written a chunk at a time
+    ["profile", *FIG1, "--samples", "3001"],
+    ["figure2", "--k", "1", "--h", "6", "--kprime", "1", "--samples", "9001"],
 ], ids=" ".join)
 def test_out_receives_the_text(argv, tmp_path, capsys):
     code, text, _ = run_in_process(argv, capsys)

@@ -1,9 +1,12 @@
 """repr_table writes every cell byte for byte as Python's repr.
 
-The kernel is checked against repr on random bit patterns, a seeded sweep
-and the values where the notation or the digit search changes; the profile
-and figure2 tables against the streamed writers of second_forms.py.
+The kernel is checked against repr on random bit patterns, a seeded sweep,
+the values where the notation or the digit search changes and every layout
+(significant-digit count by decimal exponent); the profile and figure2 tables
+against the streamed writers of second_forms.py.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -60,6 +63,54 @@ def test_edge_values(sign):
     for e in range(-323, 309):  # every power of 10 and its neighbours
         values += _neighbours(float(f"1e{e}"))
     _assert_reprs(sign * np.array(values))
+
+
+def _layout_of(text):
+    """(significant digits, decimal exponent) of a repr: the value is
+    0.d1 d2 ... 10^exponent."""
+    mantissa, _, exp = text.lstrip("-").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("0")
+    point = len(whole) - (len(whole + frac) - len(digits))
+    return len(digits.rstrip("0")), point + int(exp or 0)
+
+
+def _layout_values():
+    """For every significant-digit count 1-17 and decimal exponent -323-309,
+    a double whose repr has that layout, where one exists (subnormals carry
+    fewer digits)."""
+    rng = random.Random(23)
+    values, missing = [], []
+    for nsig in range(1, 18):
+        for dp in range(-323, 310):
+            for _ in range(40):
+                digits = rng.randrange(10 ** (nsig - 1), 10**nsig)
+                digits += digits % 10 == 0
+                x = float(f"{digits}e{dp - nsig}")
+                if _layout_of(repr(x)) == (nsig, dp):
+                    values.append(x)
+                    break
+            else:
+                missing.append((nsig, dp))
+    return values, missing
+
+
+def test_every_layout():
+    """Each digit count at each decimal exponent, in both notations and
+    across the 1e-4 and 1e16 switches, with both signs, in the last and in
+    an earlier column, and some cells blank."""
+    values, missing = _layout_values()
+    assert all(dp <= -307 or dp == 309 for _, dp in missing), missing[:5]
+    assert len(values) > 17 * 580
+    rng = np.random.default_rng(23)
+    columns = [np.array(values), -np.array(values), rng.permutation(values)]
+    for blank in (None, rng.random((len(values), 3)) < 0.05):
+        blanks = np.zeros((len(values), 3), bool) if blank is None else blank
+        want = "".join(
+            ",".join("" if b else repr(v) for v, b in zip(row, brow)) + "\n"
+            for row, brow in zip(zip(*(c.tolist() for c in columns)), blanks.tolist())
+        )
+        assert repr_table(columns, blank) == want
 
 
 def test_columns_blanks_and_chunks():
