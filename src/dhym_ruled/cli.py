@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from itertools import chain
@@ -279,7 +280,14 @@ def _write(text, out: str | None):
         except OSError as exc:
             raise DhymRuledError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (``| head``), so the rest has nowhere to go;
+            # what is still buffered goes to devnull, so that the flush at
+            # exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _semistable_gate(pr, args):

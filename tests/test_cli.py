@@ -242,6 +242,23 @@ def test_out_receives_the_text(argv, tmp_path, capsys):
     assert out.read_text() == text != ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", *FIG1, "--samples", "100000"],
+    ["figure2", "--k", "1", "--h", "6", "--kprime", "1", "--samples", "1000"],
+], ids=" ".join)
+def test_reader_closing_early_is_not_an_error(argv):
+    """A table is written a chunk at a time: when the reader stops (as
+    ``| head`` does), the command ends with its own exit code and no
+    traceback."""
+    p = subprocess.Popen(BASE + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = p.stdout.readline()
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait(timeout=120) == 0
+    assert err == b""
+    assert first.startswith((b"t,phi,", b"# beta_bar"))
+
+
 def test_figure2(tmp_path):
     out = tmp_path / "fig2.csv"
     r = run("figure2", "--k", "1", "--h", "6", "--kprime", "1",

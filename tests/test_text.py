@@ -76,7 +76,7 @@ def _layout_of(text):
 
 
 def _layout_values():
-    """For every significant-digit count 1-17 and decimal exponent -323-309,
+    """For every significant-digit count 1-17 and decimal exponent -323 ... 309,
     a double whose repr has that layout, where one exists (subnormals carry
     fewer digits)."""
     rng = random.Random(23)
