@@ -12,11 +12,15 @@ digits stand at bytes 7-23 as raw values 0-9, and the point is made by moving
 the digits after it up one byte.  A table keyed by the layout (the decimal
 exponent and the number of significant digits) gives, for one OR each, the
 ASCII offsets with the point (and the ``0`` after the point of an integral
-value) and the shifts that put the tail (the exponent, if any, and the
-separator) right after the last digit.  The words are then transposed to
-cell-major order, and one boolean mask over their bytes drops the empty ones.
-The buffers are allocated once per table and reused for every chunk, and the
-text is handed out a chunk of rows at a time.
+value) and the byte where the tail (the exponent, if any, and the separator)
+goes, right after the last digit.  The last pass over each word writes it
+cell-major, and one boolean mask over the bytes drops the empty ones.
+
+The text is handed out a chunk of whole rows, up to _CHUNK = 16384 cells, at
+a time.  Every buffer of a chunk lives in one workspace of 2.75 MiB,
+allocated by the first table a process writes and reused by every chunk of
+every later table, so the process allocates it once (see _Workspace: it is
+not for concurrent threads).
 
 Each cell follows CPython's ``float_repr_style == 'short'``: the shortest
 round-trip digits, the closest to the value among them (ties to even), in
@@ -31,9 +35,10 @@ from functools import cache
 
 import numpy as np
 
-#: Values per chunk: large enough that numpy's per-call cost is small, small
-#: enough that the chunk's buffers stay in cache.
-_CHUNK = 8192
+#: Values per chunk, and the size of the workspace (22 words a value): large
+#: enough that numpy's per-call cost is small.  Tables of profile and figure2
+#: were written faster than with 8192 and as fast as with 32768.
+_CHUNK = 16384
 
 _K_MIN, _K_MAX = -324, 292
 _U = np.uint64
@@ -60,6 +65,10 @@ _SLOTS = 18
 #: 8 j] for the last nonzero digit byte j (0-15), or 1021 when there is none,
 #: so (e + 1) >> 3 is this plus the number of significant digits.
 _NSIG_BIAS = 126
+#: Bit offsets of words 1-3 in a cell, as a column for the shifts that
+#: place the tail: numpy shifts by 64 or more (or by a wrapped negative
+#: count) to 0.
+_WORD_BITS = np.array([[64], [128], [192]], dtype=np.uint64)
 
 
 @cache
@@ -81,7 +90,10 @@ def _schubfach():
 
     Rows: g1, g0; g0 d mod 2^64 and D mod 2^63 above; g0 d mod 2^64 and
     2^63 - (D mod 2^63) below; and h + 2 | floor(D / 2^63) << 8 above |
-    (floor(D / 2^63) + 1) << 16 below | (k + 17 as int16) << 32.
+    (floor(D / 2^63) + 1) << 16 below | (k + 17 + _DP) << 32.  Zero, the
+    only value at index 2048 (significand 0, biased exponent 0), gets zeros
+    and an exponent of 2 + _DP, for which the steps below give f = 0 and
+    the decimal exponent of "0.0".
     """
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -110,29 +122,31 @@ def _schubfach():
     rq, rr, er = delta(h + 1)
     lq, lr, el = delta(h + 1 - irregular)
     small = ((h + 2).astype(np.uint64) | rq << _U(8) | (lq + _U(1)) << _U(16)
-             | ((k + 17) & 0xFFFF).astype(np.uint64) << _U(32))
-    return np.stack([g1, g0, er, rr, el, _U(2**63) - lr, small])
+             | (k + 17 + _DP).astype(np.uint64) << _U(32))
+    table = np.stack([g1, g0, er, rr, el, _U(2**63) - lr, small])
+    table[:, 2048] = 0
+    table[6, 2048] = (2 + _DP) << 32
+    return table
 
 
 @cache
 def _layout():
     """The layout tables.
 
-    Indexed by decimal exponent + _DP, an int16 (3, 650) table: the layout's
-    first key minus _NSIG_BIAS, the exponent tail's index (0 if positional),
-    and the prefix's index.  Indexed by key = layout * _SLOTS + significant
-    digits: a uint64 (10, 378) table with the digit bytes that move up for
-    the point (words 1 and 2), the OR that makes ASCII digits from byte 8 on,
-    the point and the "0" after the point of an integral value (words 1-3),
-    and the shifts that place the tail at byte ``end``, the first byte after
-    the digits: left into words 1-3, then right into words 2 and 3 (64 where
-    none of its bytes fall in that word; numpy shifts by 64 or more to 0).
-    Then the prefixes (sign, "0.", zeros, ending at byte 6, and the ASCII
-    offset of the first digit), the tails (with their separators, "," then
+    Indexed by decimal exponent + _DP, a uint64 (3, 650) table: the layout's
+    first key minus _NSIG_BIAS (mod 2^64), the exponent tail's index (0 if
+    positional), and the prefix's index.  Indexed by key = layout * _SLOTS +
+    significant digits: a uint64 (6, 378) table with the digit bytes that
+    move up for the point (words 1 and 2), the OR that makes ASCII digits
+    from byte 8 on, the point and the "0" after the point of an integral
+    value (words 1-3), and 8 ``end``, the bit offset of the first byte after
+    the digits, where the tail goes.  Then the prefixes (sign, "0.", zeros,
+    ending at byte 6, and the ASCII offset of the first digit; the last one
+    empty, for blank cells), the tails (with their separators, "," then
     "\\n") and the cells inf, -inf, nan.
     """
     nkeys = (len(_POSITIONAL) + 1) * _SLOTS
-    words = np.zeros((10, nkeys), dtype=np.uint64)
+    words = np.zeros((6, nkeys), dtype=np.uint64)
     for layout, dp in enumerate([*_POSITIONAL, None]):
         for nsig in range(1, _SLOTS):
             key = layout * _SLOTS + nsig
@@ -148,9 +162,7 @@ def _layout():
                 moved = sum(0xFF << 8 * b for b in range(at, 24))
                 words[0:2, key] = [moved >> 64 * w & 2**64 - 1 for w in (1, 2)]
             words[2:5, key] = [cell >> 64 * w & 2**64 - 1 for w in (1, 2, 3)]
-            shifts = [8 * end - 64 * w for w in (1, 2, 3)]  # left, into words 1-3
-            shifts += [-s for s in shifts[1:]]  # right, into words 2 and 3
-            words[5:, key] = [s if 0 <= s < 64 else 64 for s in shifts]
+            words[5, key] = 8 * end
 
     dps = np.arange(-_DP, 650 - _DP)
     positional = (dps >= _POSITIONAL.start) & (dps < _POSITIONAL.stop)
@@ -159,238 +171,270 @@ def _layout():
         layouts * _SLOTS - _NSIG_BIAS,
         np.where(positional, 0, dps + 324),
         2 * np.where(positional & (dps <= 0), 1 - dps, 0),
-    ]).astype(np.int16)
+    ]).astype(np.uint64)
 
     tails = np.array([int.from_bytes(t + s, "little") for s in _SEPARATORS for t in _TAIL_TEXTS],
                      dtype=np.uint64)
     heads = [b"", b"0.", b"0.0", b"0.00", b"0.000"]
     prefixes = np.array(
         [int.from_bytes(((b"-" if neg else b"") + h).rjust(_FIRST, b"\0") + b"0", "little")
-         for h in heads for neg in (0, 1)], dtype=np.uint64)
+         for h in heads for neg in (0, 1)] + [0], dtype=np.uint64)
     specials = np.array([int.from_bytes(t + s, "little") for s in _SEPARATORS
                          for t in (b"inf", b"-inf", b"nan", b"nan")], dtype=np.uint64)
     return by_dp, words, prefixes, tails, specials
 
 
-class _Cells:
-    """The cells of n values at a time, with every buffer allocated once."""
+class _Workspace:
+    """Every buffer of one chunk of up to _CHUNK values.
 
-    def __init__(self, n):
-        self.n = n
-        self.a = np.empty(n, dtype=np.uint64)
+    Allocated by the first table a process writes and kept for the process:
+    every chunk of every later table reuses it.  A chunk of n values uses the
+    front of each flat buffer, as rows of n, so every row operation stays
+    contiguous.  It serves one thread: two tables written interleaved from
+    one thread stay correct, because each chunk's text is copied out before
+    the next chunk is computed, but concurrent threads must not share it.
+    """
+
+    def __init__(self):
+        self.values = np.empty(_CHUNK)
+        self.a = np.empty(_CHUNK, dtype=np.uint64)
         # scratch, the last four rows the cells word-major, and at the end
         # the mask of their nonzero bytes
-        self.u = np.empty((10, n), dtype=np.uint64)
-        self.w = self.u[6:]
-        self.nonzero = self.u[:4].view(bool).ravel()
+        self.u = np.empty(10 * _CHUNK, dtype=np.uint64)
         # Schubfach's constants, then the layout's words, then the cells
         # cell-major
-        self.g = np.empty((10, n), dtype=np.uint64)
-        self.cells = self.g.ravel()[:4 * n].reshape(n, 4)
+        self.g = np.empty(10 * _CHUNK, dtype=np.uint64)
 
-    def text(self, v, tails, blank=None) -> str:
-        """The cells of the n float64 values v, each followed by "," or, where
-        ``tails`` is _NEWLINE rather than 0, by a newline, and empty where
-        ``blank`` is set."""
-        data = self._cells(v, tails, blank).view(np.uint8).ravel()
-        np.not_equal(data, 0, out=self.nonzero)
-        return str(data[self.nonzero], "ascii")
-
-    def _shortest(self, a):
-        """The shortest round-trip decimal f 10^(e - 17) of each finite
-        positive double with bits a, as (f, e); e is int16.
-
-        Follows Giulietti's ``DoubleToDecimal.toDecimal``, without its
-        two-digit minimum for tiny subnormals, which repr does not have.
-        """
-        c, i, cph, cpl, gh, gl, t1, t2, zz, zr = self.u
-        np.right_shift(a, _U(52), out=i)
-        np.bitwise_and(a, _M52, out=c)
-        np.subtract(c, _U(1), out=t1)  # 2^64 - 1 for c = 0: irregular
-        t1 >>= _U(52)
-        t1 &= _U(2048)
-        np.minimum(i, _U(1), out=t2)  # the hidden bit of normal doubles
-        t2 <<= _U(52)
-        c |= t2
-        i |= t1
-        g1, g0, er, rr, el, nlr, small = np.take(
-            _schubfach(), i.view(np.intp), axis=1, out=self.g[:7], mode="clip")
-        e = (small >> _U(32)).astype(np.int16)
-        np.bitwise_and(small, _U(255), out=t1)
-        cp = np.left_shift(c, t1, out=c)
-        np.right_shift(cp, _U(32), out=cph)
-        np.bitwise_and(cp, _M32, out=cpl)
-
-        def mulhi(g, out):
-            """floor(g cp / 2^64) for g < 2^64, cp < 2^60, from 32-bit halves."""
-            np.right_shift(g, _U(32), out=gh)
-            np.bitwise_and(g, _M32, out=gl)
-            np.multiply(gl, cpl, out=out)
-            out >>= _U(32)
-            np.multiply(gh, cpl, out=t1)
-            np.bitwise_and(t1, _M32, out=t2)
-            out += t2
-            np.multiply(gl, cph, out=t2)
-            out += t2
-            out >>= _U(32)
-            np.right_shift(t1, _U(32), out=t1)
-            out += t1
-            np.multiply(gh, cph, out=t1)
-            out += t1
-
-        def rop(q, r, out):
-            """Z / 2^63 rounded to odd for Z = q 2^63 + r, r < 2^64."""
-            np.right_shift(r, _U(63), out=out)
-            out += q
-            r &= _M63
-            r += _M63
-            r >>= _U(63)
-            out |= r
-
-        # Z = floor(g1 cp / 2) + floor(g0 cp / 2^64) = zz 2^63 + zr
-        x0, t3 = gh, gl
-        mulhi(g0, zr)
-        np.multiply(g1, cp, out=t3)
-        t3 >>= _U(1)
-        zr += t3
-        mulhi(g1, zz)
-        np.right_shift(zr, _U(63), out=t3)
-        zz += t3
-        zr &= _M63
-        np.multiply(g0, cp, out=x0)
-
-        vb, vbl, vbr = i, cpl, cph
-        # the upper end: Z + D + carry
-        np.add(x0, er, out=t1)
-        carry = t1 < x0
-        np.add(zr, rr, out=t1)
-        np.add(t1, carry, out=t1)
-        np.right_shift(small, _U(8), out=t2)
-        t2 &= _U(255)
-        t2 += zz
-        rop(t2, t1, vbr)
-        # the lower end: Z - D - borrow
-        borrow = x0 < el
-        np.add(zr, nlr, out=t1)
-        np.subtract(t1, borrow, out=t1)
-        np.right_shift(small, _U(16), out=t2)
-        t2 &= _U(255)
-        np.subtract(zz, t2, out=t2)
-        rop(t2, t1, vbl)
-        rop(zz, zr, vb)
-
-        out = np.bitwise_and(a, _U(1), out=t1)
-        vbl += out
-        vbr -= out
-        s4 = np.bitwise_and(vb, _U(2**64 - 4), out=zz)
-        uin = vbl <= s4
-        s4 += _U(4)
-        win = s4 <= vbr
-        # s + 1 if only it is inside the interval, s if only s is, else the
-        # closer, then the even one: s + 1 for vb mod 8 in {3, 6, 7}
-        np.bitwise_and(vb, _U(7), out=t2)
-        np.right_shift(_U(0xC8), t2, out=t2)
-        t2 &= _U(1)
-        up = t2.astype(bool)
-        up ^= (up ^ win) & (uin ^ win)
-        f = np.right_shift(vb, _U(2), out=zr)
-        np.add(f, up, out=f)
-        # ten times the shorter s' or s' + 1 if just one of them is inside
-        sp40 = np.floor_divide(vb, _U(40), out=t2)
-        sp40 *= _U(40)
-        upin = vbl <= sp40
-        np.add(sp40, _U(40), out=t3)
-        wpin = t3 <= vbr
-        short = upin != wpin
-        short &= vb >= _U(40)
-        sp40 >>= _U(2)
-        np.add(sp40, wpin.view(np.uint8) * np.uint8(10), out=sp40)
-        return np.where(short, sp40, f), e
-
-    def _cells(self, v, tails, blank):
-        """The cell words of v, an (n, 4) view of the buffers."""
-        by_dp, keyed, prefixes, tail_words, specials = _layout()
-        u, w = self.u, self.w
-        bits = v.view(np.uint64)
-        a = np.bitwise_and(bits, _M63, out=self.a)
-        f, dp = self._shortest(a)
-        # zeros, subnormals, inf and nan
-        np.subtract(a, _HIDDEN, out=u[0])
-        odd = np.flatnonzero(u[0] >= _U(0x7FE << 52))
-
-        # f scaled to exactly 17 digits (normal doubles have 16 or 17), and
-        # dp to the decimal exponent of the first digit + 1
-        if odd.size:
-            f[odd[a[odd] == 0]] = 0
-            fo = f[odd]
-            digits = np.searchsorted(10 ** np.arange(18, dtype=np.uint64), fo, "right")
-            f[odd] = fo * (10 ** (17 - digits)).astype(np.uint64)
-        sixteen = f < _U(10**16)
-        np.subtract(dp, sixteen, out=dp)
-        sixteen = sixteen.view(np.uint8) * np.uint8(9)
-        sixteen += np.uint8(1)
-        f *= sixteen
-        if odd.size:
-            dp[odd] += (digits - 17).astype(np.int16)
-            dp[odd[a[odd] == 0]] = 1
-
-        # the digits: the first in word 0, then eight in each of words 1, 2
-        np.floor_divide(f, _U(10**16), out=u[1])
-        np.left_shift(u[1], _U(8 * _FIRST), out=w[0])
-        u[1] *= _U(10**16)
-        f -= u[1]
-        np.floor_divide(f, _U(10**8), out=w[1])
-        np.multiply(w[1], _U(10**8), out=u[1])
-        np.subtract(f, u[1], out=w[2])
-        _digits8(w[1:3], u[1:3])
-
-        # significant digits from the exponent of the digit words as a double
-        x = u[1].view(np.float64)
-        np.multiply(w[2], 2.0**64, out=x)
-        np.add(x, w[1], out=x)
-        x += 0.25
-        key = (x.view(np.uint64) >> _U(52)).astype(np.int16)
-        key += 1
-        key >>= 3
-        dp += _DP
-        first_key, tail, prefix = np.take(by_dp, dp.astype(np.intp), axis=1)
-        key += first_key
-        key = key.astype(np.intp)
-        k = np.take(keyed, key, axis=1, out=self.g, mode="clip")
-
-        # the point: the digit bytes from it on move up one byte
-        moved = np.bitwise_and(w[1:3], k[0:2], out=u[1:3])
-        w[1:3] ^= moved
-        np.right_shift(moved[1], _U(56), out=w[3])
-        np.right_shift(moved[0], _U(56), out=u[3])
-        w[2] |= u[3]
-        moved <<= _U(8)
-        w[1:3] |= moved
-        w[1:] |= k[2:5]
-        np.right_shift(bits, _U(63), out=u[3])
-        prefix = np.add(prefix, u[3].view(np.intp))
-        w[0] |= np.take(prefixes, prefix)
-
-        # the tail and separator, from byte ``end`` on: its words and where
-        tail += tails
+    def text(self, columns, start, m, blank) -> str:
+        """Rows start ... start + m - 1 of the float64 columns, each cell
+        followed by "," and the last of a row by a newline, and empty where
+        ``blank`` (m rows, or None) is set."""
+        ncols = len(columns)
+        n = m * ncols
+        values = self.values[:n].reshape(m, ncols)
+        for j, c in enumerate(columns):
+            values[:, j] = c[start:start + m]
+        bits = values.view(np.uint64).ravel()
+        a = np.bitwise_and(bits, _M63, out=self.a[:n])
+        u = self.u[:10 * n].reshape(10, n)
+        g = self.g[:10 * n].reshape(10, n)
+        cells = self.g[:4 * n].reshape(n, 4)
         if blank is not None:
-            np.copyto(w, _U(0), where=blank)
-            np.copyto(tail, tails, where=blank)
-        t = np.take(tail_words, tail, out=u[4], mode="clip")
-        w[1:] |= np.left_shift(t, k[5:8], out=u[:3])
-        w[2:] |= np.right_shift(t, k[8:], out=u[:2])
+            blank = np.flatnonzero(blank) if blank.any() else None
+        _cells(bits, a, ncols, blank, u, g, cells)
+        data = cells.view(np.uint8).ravel()
+        nonzero = self.u[:4 * n].view(bool)
+        np.not_equal(data, 0, out=nonzero)
+        return str(data[nonzero], "ascii")
 
-        cells = self.cells
-        np.copyto(cells, w.T)
-        if odd.size:
-            i = odd[a[odd] >= _U(0x7FF << 52)]
-            if blank is not None:
-                i = i[~blank[i]]
-            nan = a[i] > _U(0x7FF << 52)
-            neg = (bits[i] >> _U(63)).astype(np.intp)
-            cells[i] = 0
-            cells[i, 0] = specials[np.where(nan, 2, neg) + 4 * (tails[i] > 0)]
-        return cells
+
+def _shortest(a, u, g):
+    """The shortest round-trip decimal f 10^(e - 17 - _DP) of each finite
+    positive double with bits a, as (f, e), f in u[9] and e in g[7]; the
+    other rows of u and the first seven of g are scratch.
+
+    Follows Giulietti's ``DoubleToDecimal.toDecimal``, without its two-digit
+    minimum for tiny subnormals, which repr does not have.
+    """
+    c, i, cph, cpl, gh, gl, t1, t2, zz, zr = u
+    np.right_shift(a, _U(52), out=i)
+    np.bitwise_and(a, _M52, out=c)
+    np.subtract(c, _U(1), out=t1)  # 2^64 - 1 for c = 0: irregular
+    t1 >>= _U(52)
+    t1 &= _U(2048)
+    np.minimum(i, _U(1), out=t2)  # the hidden bit of normal doubles
+    t2 <<= _U(52)
+    c |= t2
+    i |= t1
+    g1, g0, er, rr, el, nlr, small = np.take(
+        _schubfach(), i.view(np.intp), axis=1, out=g[:7], mode="clip")
+    e = np.right_shift(small, _U(32), out=g[7])
+    np.bitwise_and(small, _U(255), out=t1)
+    cp = np.left_shift(c, t1, out=c)
+    np.right_shift(cp, _U(32), out=cph)
+    np.bitwise_and(cp, _M32, out=cpl)
+
+    def mulhi(g, out):
+        """floor(g cp / 2^64) for g < 2^64, cp < 2^60, from 32-bit halves."""
+        np.right_shift(g, _U(32), out=gh)
+        np.bitwise_and(g, _M32, out=gl)
+        np.multiply(gl, cpl, out=out)
+        out >>= _U(32)
+        np.multiply(gh, cpl, out=t1)
+        np.bitwise_and(t1, _M32, out=t2)
+        out += t2
+        np.multiply(gl, cph, out=t2)
+        out += t2
+        out >>= _U(32)
+        np.right_shift(t1, _U(32), out=t1)
+        out += t1
+        np.multiply(gh, cph, out=t1)
+        out += t1
+
+    def rop(q, r, out):
+        """Z / 2^63 rounded to odd for Z = q 2^63 + r, r < 2^64."""
+        np.right_shift(r, _U(63), out=out)
+        out += q
+        r &= _M63
+        r += _M63
+        r >>= _U(63)
+        out |= r
+
+    # Z = floor(g1 cp / 2) + floor(g0 cp / 2^64) = zz 2^63 + zr
+    x0, t3 = gh, gl
+    mulhi(g0, zr)
+    np.multiply(g1, cp, out=t3)
+    t3 >>= _U(1)
+    zr += t3
+    mulhi(g1, zz)
+    np.right_shift(zr, _U(63), out=t3)
+    zz += t3
+    zr &= _M63
+    np.multiply(g0, cp, out=x0)
+
+    vb, vbl, vbr = i, cpl, cph
+    # the upper end: Z + D + carry
+    np.add(x0, er, out=t1)
+    carry = t1 < x0
+    np.add(zr, rr, out=t1)
+    np.add(t1, carry, out=t1)
+    np.right_shift(small, _U(8), out=t2)
+    t2 &= _U(255)
+    t2 += zz
+    rop(t2, t1, vbr)
+    # the lower end: Z - D - borrow
+    borrow = x0 < el
+    np.add(zr, nlr, out=t1)
+    np.subtract(t1, borrow, out=t1)
+    np.right_shift(small, _U(16), out=t2)
+    t2 &= _U(255)
+    np.subtract(zz, t2, out=t2)
+    rop(t2, t1, vbl)
+    rop(zz, zr, vb)
+
+    out = np.bitwise_and(a, _U(1), out=t1)
+    vbl += out
+    vbr -= out
+    s4 = np.bitwise_and(vb, _U(2**64 - 4), out=zz)
+    uin = vbl <= s4
+    s4 += _U(4)
+    win = s4 <= vbr
+    # s + 1 if only it is inside the interval, s if only s is, else the
+    # closer, then the even one: s + 1 for vb mod 8 in {3, 6, 7}
+    np.bitwise_and(vb, _U(7), out=t2)
+    np.right_shift(_U(0xC8), t2, out=t2)
+    t2 &= _U(1)
+    up = t2.astype(bool)
+    up ^= (up ^ win) & (uin ^ win)
+    f = np.right_shift(vb, _U(2), out=zr)
+    np.add(f, up, out=f)
+    # ten times the shorter s' or s' + 1 if just one of them is inside,
+    # where that is so: f += short (10 s' - f)
+    sp40 = np.floor_divide(vb, _U(40), out=t2)
+    sp40 *= _U(40)
+    upin = vbl <= sp40
+    np.add(sp40, _U(40), out=t3)
+    wpin = t3 <= vbr
+    short = upin != wpin
+    short &= vb >= _U(40)
+    sp40 >>= _U(2)
+    np.add(sp40, wpin.view(np.uint8) * np.uint8(10), out=sp40)
+    sp40 -= f
+    sp40 *= short
+    f += sp40
+    return f, e
+
+
+def _cells(bits, a, ncols, blank, u, g, cells):
+    """The cell words of the float64 values with bits ``bits`` and a = bits
+    without the sign, in ``cells``, an (n, 4) view of the front of g; the
+    cells at the flat indices ``blank`` (or None) are empty."""
+    by_dp, keyed, prefixes, tail_words, specials = _layout()
+    w = u[6:]
+    f, dp = _shortest(a, u, g)
+    # subnormals, inf and nan
+    np.subtract(a, _HIDDEN, out=u[0])
+    odd = np.flatnonzero(u[0] >= _U(0x7FE << 52))
+    odd = odd[a[odd] != 0]
+
+    # f scaled to exactly 17 digits (normal doubles have 16 or 17), and
+    # dp to the decimal exponent of the first digit + 1 + _DP
+    if odd.size:
+        fo = f[odd]
+        digits = np.searchsorted(10 ** np.arange(18, dtype=np.uint64), fo, "right")
+        f[odd] = fo * (10 ** (17 - digits)).astype(np.uint64)
+    sixteen = np.subtract(f, _U(10**16), out=u[1])
+    sixteen >>= _U(63)
+    dp -= sixteen
+    sixteen *= _U(9)
+    sixteen += _U(1)
+    f *= sixteen
+    if odd.size:
+        dp[odd] -= (17 - digits).astype(np.uint64)
+
+    # the digits: the first in word 0, then eight in each of words 1, 2
+    np.floor_divide(f, _U(10**16), out=u[1])
+    np.left_shift(u[1], _U(8 * _FIRST), out=w[0])
+    u[1] *= _U(10**16)
+    f -= u[1]
+    np.floor_divide(f, _U(10**8), out=w[1])
+    np.multiply(w[1], _U(10**8), out=u[1])
+    np.subtract(f, u[1], out=w[2])
+    _digits8(w[1:3], u[1:3])
+
+    # significant digits from the exponent of the digit words as a double
+    x = u[1].view(np.float64)
+    np.multiply(w[2], 2.0**64, out=x)
+    np.add(x, w[1], out=x)
+    x += 0.25
+    key = np.right_shift(x.view(np.uint64), _U(52), out=u[0])
+    key += _U(1)
+    key >>= _U(3)
+    first_key, tail, prefix = np.take(by_dp, dp.view(np.intp), axis=1, out=u[3:6],
+                                      mode="clip")
+    key += first_key
+    k = np.take(keyed, key.view(np.intp), axis=1, out=g[:6], mode="clip")
+
+    # the point: the digit bytes from it on move up one byte
+    moved = np.bitwise_and(w[1:3], k[0:2], out=u[1:3])
+    w[1:3] ^= moved
+    np.right_shift(moved[1], _U(56), out=w[3])
+    np.right_shift(moved[0], _U(56), out=u[3])
+    w[2] |= u[3]
+    moved <<= _U(8)
+    w[1:3] |= moved
+    w[1:] |= k[2:5]
+
+    # the sign and prefix, the tail and separator from bit ``end8`` on; the
+    # last cell of a row ends in a newline, a blank cell in its separator
+    # alone
+    np.right_shift(bits, _U(63), out=u[3])
+    prefix += u[3]
+    if blank is not None:
+        w[:, blank] = 0
+        tail[blank] = 0
+        prefix[blank] = len(prefixes) - 1
+    tail.reshape(-1, ncols)[:, -1] += _U(_NEWLINE)
+    t = np.take(tail_words, tail.view(np.intp), out=u[3], mode="clip")
+    end8 = k[5]
+    np.subtract(_U(128), end8, out=u[0])
+    np.subtract(_U(192), end8, out=u[1])
+    np.right_shift(t, u[:2], out=u[:2])  # into words 2 and 3
+    w[2:] |= u[:2]
+    np.subtract(end8, _WORD_BITS, out=u[:3])
+    np.left_shift(t, u[:3], out=u[:3])  # into words 1-3
+    # the last pass of each word writes the cells cell-major
+    np.bitwise_or(w[1:], u[:3], out=cells[:, 1:].T)
+    np.take(prefixes, prefix.view(np.intp), out=u[4], mode="clip")
+    np.bitwise_or(w[0], u[4], out=cells[:, 0])
+    if odd.size:
+        i = odd[a[odd] >= _U(0x7FF << 52)]
+        if blank is not None:
+            i = np.setdiff1d(i, blank, assume_unique=True)
+        nan = a[i] > _U(0x7FF << 52)
+        neg = (bits[i] >> _U(63)).astype(np.intp)
+        cells[i] = 0
+        cells[i, 0] = specials[np.where(nan, 2, neg) + 4 * (i % ncols == ncols - 1)]
 
 
 def _digits8(x, t):
@@ -416,31 +460,30 @@ def _digits8(x, t):
     x -= t
 
 
+@cache
+def _workspace():
+    """The process's one workspace, allocated on first use."""
+    return _Workspace()
+
+
 def repr_chunks(columns, blank=None):
     """CSV rows of the equal-length float columns, each cell repr(float(v)),
-    as text of whole rows, one chunk of about _CHUNK cells at a time.
+    as text of whole rows, one chunk of up to _CHUNK cells at a time.
 
     ``blank``, a boolean array broadcastable to (rows, columns), empties the
-    cells where it is set.  Every row ends in a newline.
+    cells where it is set.  Every row ends in a newline.  There are at most
+    _CHUNK columns.  The chunks are formatted in the process's one workspace
+    (see _Workspace): not for concurrent threads.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     rows, ncols = len(columns[0]), len(columns)
     if blank is not None:
         blank = np.broadcast_to(blank, (rows, ncols))
-    step = max(1, _CHUNK // ncols)
-    last = np.arange(ncols) == ncols - 1
-    tails = np.tile(np.where(last, _NEWLINE, 0).astype(np.int16), step)
-    values = np.empty((step, ncols))
-    cells = None
+    step = _CHUNK // ncols
     for start in range(0, rows, step):
         m = min(step, rows - start)
-        if cells is None or cells.n != m * ncols:
-            cells = None  # the last chunk's buffers go before the new ones come
-            cells = _Cells(m * ncols)
-        for j, c in enumerate(columns):
-            values[:m, j] = c[start:start + m]
-        b = None if blank is None else blank[start:start + m].ravel()
-        yield cells.text(values[:m].ravel(), tails[:m * ncols], b)
+        b = None if blank is None else blank[start:start + m]
+        yield _workspace().text(columns, start, m, b)
 
 
 def repr_table(columns, blank=None) -> str:

@@ -228,15 +228,13 @@ def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
     return d
 
 
+_DESCRIPTOR_HEAD = ("# coupled-solution descriptor; classes in [./(2 pi)] basis,\n"
+                    "# floats serialized via repr (lossless round-trip)\n")
+
+
 def format_descriptor(d: dict) -> str:
-    lines = [
-        "# coupled-solution descriptor; classes in [./(2 pi)] basis,",
-        "# floats serialized via repr (lossless round-trip)",
-    ]
     # every value of build_descriptor is a builtin, so its repr round-trips
-    for k, v in d.items():
-        lines.append(f"{k} = {v!r}")
-    return "\n".join(lines) + "\n"
+    return _DESCRIPTOR_HEAD + "".join([f"{k} = {v!r}\n" for k, v in d.items()])
 
 
 def parse_descriptor(text: str) -> dict:

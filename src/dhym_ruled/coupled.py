@@ -188,24 +188,24 @@ def smooth_coefficients(s: SurfaceParams, b: BundleClass) -> ProfilePoly:
 
 def eval_psi(p: ProfilePoly, t):
     t = check_domain(p, t)
-    out = _psi_of(p, t, radicand(p, t))
+    out = _psi_of(p, t, radicand(p, t), t ** 2)
     return float(out) if out.ndim == 0 else out
 
 
-def _psi_of(p: ProfilePoly, t, u):
-    """psi at a checked t, from u = t^2 + C'."""
-    return p.d0 + p.d1 * t + p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5
+def _psi_of(p: ProfilePoly, t, u, t2):
+    """psi at a checked t, from u = t^2 + C' and t2 = t^2."""
+    return p.d0 + p.d1 * t + p.c2 * t2 + p.c3 * t ** 3 + p.cR * u ** 1.5
 
 
-def _psi_p_of(p: ProfilePoly, t, root):
-    """psi' at a checked t, from root = sqrt(t^2 + C')."""
-    return p.d1 + 2.0 * p.c2 * t + 3.0 * p.c3 * t ** 2 + p.cR * (3.0 * t * root)
+def _psi_p_of(p: ProfilePoly, t, root, t2):
+    """psi' at a checked t, from root = sqrt(t^2 + C') and t2 = t^2."""
+    return p.d1 + 2.0 * p.c2 * t + 3.0 * p.c3 * t2 + p.cR * (3.0 * t * root)
 
 
-def _psi_pp_of(p: ProfilePoly, t, u, root):
-    """psi'' at a checked t, from u = t^2 + C' and root = sqrt(u).  Divides
-    by root, so callers that reach u = 0 set np.errstate."""
-    return 2.0 * p.c2 + 6.0 * p.c3 * t + p.cR * (3.0 * (t ** 2 + u) / root)
+def _psi_pp_of(p: ProfilePoly, t, u, root, t2):
+    """psi'' at a checked t, from u = t^2 + C', root = sqrt(u) and t2 = t^2.
+    Divides by root, so callers that reach u = 0 set np.errstate."""
+    return 2.0 * p.c2 + 6.0 * p.c3 * t + p.cR * (3.0 * (t2 + u) / root)
 
 
 def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
@@ -218,9 +218,9 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
     u = radicand(p, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 1:
-            out = _psi_p_of(p, t, np.sqrt(u))
+            out = _psi_p_of(p, t, np.sqrt(u), t ** 2)
         elif order == 2:
-            out = _psi_pp_of(p, t, u, np.sqrt(u))
+            out = _psi_pp_of(p, t, u, np.sqrt(u), t ** 2)
         elif order == 3:
             out = 6.0 * p.c3 + 0.0 * t + p.cR * (3.0 * t * (3.0 * u - t ** 2) / u ** 1.5)
         else:
@@ -231,7 +231,7 @@ def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
 def eval_phi(p: ProfilePoly, t):
     """Momentum profile phi(t) = psi(t) / (2 t)."""
     t = check_domain(p, t)
-    out = _psi_of(p, t, radicand(p, t)) / (2.0 * t)
+    out = _psi_of(p, t, radicand(p, t), t ** 2) / (2.0 * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -285,7 +285,7 @@ def positivity_certificate(
         for _ in range(ZOOM_ROUNDS):
             # the bracket lies in the scanned grid: no domain check
             t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], ZOOM_POINTS)
-            vals = _psi_of(p, t, radicand(p, t))
+            vals = _psi_of(p, t, radicand(p, t), t ** 2)
             i = int(np.argmin(vals))
             if vals[i] < min_value:
                 min_value, argmin = float(vals[i]), float(t[i])
@@ -320,16 +320,18 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
     """
     t = check_domain(p, t)
     u = radicand(p, t)
+    t2 = t ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = _scalar_source(p, pose(s, b), t, u)
-        psi_pp = _psi_pp_of(p, t, u, np.sqrt(u))
+        rhs = _scalar_source(p, pose(s, b), t, u, t2)
+        psi_pp = _psi_pp_of(p, t, u, np.sqrt(u), t2)
     out = psi_pp - rhs
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _scalar_source(p: ProfilePoly, pr: Problem, t, u):
-    """The source term of scalar_residual at a checked t, from u = t^2 + C'.
-    Divides by a root of u, so callers that reach u = 0 set np.errstate."""
+def _scalar_source(p: ProfilePoly, pr: Problem, t, u, t2):
+    """The source term of scalar_residual at a checked t, from u = t^2 + C'
+    and t2 = t^2.  Divides by a root of u, so callers that reach u = 0 set
+    np.errstate."""
     phase = pr.phase
     sin_t, cos_t = phase.sin_theta, phase.cos_theta
     alpha = p.alpha
@@ -337,7 +339,7 @@ def _scalar_source(p: ProfilePoly, pr: Problem, t, u):
     return (
         (2.0 * alpha * cos_t / sin_t ** 2 - pr.s_hat + alpha * phase.r_hat) * t
         - (alpha / sin_t) * root
-        - (alpha / sin_t ** 3) * t ** 2 / root
+        - (alpha / sin_t ** 3) * t2 / root
         + 2.0 * pr.surface.s_sigma
     )
 
@@ -349,25 +351,28 @@ def solve_pass(
 
     No domain check: t must lie in [t_minus, t_plus].  It may include the
     ends, where H', the imaginary part and the scalar residual of a holder12
-    solution divide by zero, so no warning is raised.
+    solution divide by zero, so no warning is raised.  t^2 and t sin(theta)
+    are formed once, for every kernel that reads them.
     """
     ends = np.array([p.t_minus, p.t_plus])
     with np.errstate(divide="ignore", invalid="ignore"):
         u = radicand(p, t)
         root = np.sqrt(u)
-        H, Hp = H_pair_of(dh, t, root)
+        t2, ts = t ** 2, t * dh.sin_theta
+        H, Hp = H_pair_of(dh, t, root, ts)
         u_ends = radicand(p, ends)
         root_ends = np.sqrt(u_ends)
+        t2_ends = ends ** 2
         return SolvePass(
             t=t,
             H=H,
-            psi=_psi_of(p, t, u),
-            ode_residual=ode_residual_of(dh, t, H, Hp),
-            im_part=phase_and_radius_of(dh, t, H, Hp)[0],
-            scalar_residual=_psi_pp_of(p, t, u, root)
-            - _scalar_source(p, pose(s, b), t, u),
-            dpsi_ends=_psi_p_of(p, ends, root_ends).tolist(),
-            psi_pp_ends=_psi_pp_of(p, ends, u_ends, root_ends).tolist(),
+            psi=_psi_of(p, t, u, t2),
+            ode_residual=ode_residual_of(dh, t, H, Hp, ts),
+            im_part=phase_and_radius_of(dh, t, H, Hp, radius=False),
+            scalar_residual=_psi_pp_of(p, t, u, root, t2)
+            - _scalar_source(p, pose(s, b), t, u, t2),
+            dpsi_ends=_psi_p_of(p, ends, root_ends, t2_ends).tolist(),
+            psi_pp_ends=_psi_pp_of(p, ends, u_ends, root_ends, t2_ends).tolist(),
         )
 
 
@@ -381,20 +386,24 @@ def phase_and_radius(
     weight is the cohomological average radius.
     """
     t = check_domain(p, t)
-    H, Hp = H_pair_of(dh, t, np.sqrt(radicand(dh, t)))
+    H, Hp = H_pair_of(dh, t, np.sqrt(radicand(dh, t)), t * dh.sin_theta)
     im_part, re_part = phase_and_radius_of(dh, t, H, Hp)
     if np.ndim(im_part) == 0:
         return float(im_part), float(re_part)
     return im_part, re_part
 
 
-def phase_and_radius_of(dh: DhymSolution, t, H, Hp):
-    """The parts of phase_and_radius from given values H = H(t), Hp = H'(t)."""
+def phase_and_radius_of(dh: DhymSolution, t, H, Hp, radius=True):
+    """The parts of phase_and_radius from given values H = H(t), Hp = H'(t);
+    the imaginary part alone if not ``radius``."""
     sign = -1.0 if dh.conjugated else 1.0
     sin_t, cos_t = sign * dh.sin_theta, dh.cos_theta
     one_minus = 1.0 - H * Hp / t
     sum_part = Hp + H / t
-    return sin_t * one_minus + cos_t * sum_part, cos_t * one_minus - sin_t * sum_part
+    im_part = sin_t * one_minus + cos_t * sum_part
+    if not radius:
+        return im_part
+    return im_part, cos_t * one_minus - sin_t * sum_part
 
 
 def average_radius_quadrature(

@@ -126,14 +126,14 @@ def _near_root(sol: DhymSolution) -> bool:
     return sol.u_minus <= 0.5 * sol.t_minus ** 2
 
 
-def _H_of(sol: DhymSolution, t, root):
-    """Canonical-branch H at a checked t, from root = sqrt(t^2 + C')."""
+def _H_of(sol: DhymSolution, t, root, ts):
+    """Canonical-branch H at a checked t, from root = sqrt(t^2 + C') and
+    ts = t sin(theta)."""
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
     if cos_t > 0.0:
         # rationalized form: avoids the t*cos - sqrt(u) cancellation that
         # dominates for near-degenerate phases (e.g. small scaled classes);
         # the numerator is -(t sin)^2 - C'
-        ts = t * sin_t
         if _near_root(sol):
             num = (sol.t_minus - ts) * (sol.t_minus + ts) - sol.u_minus
         else:
@@ -142,12 +142,12 @@ def _H_of(sol: DhymSolution, t, root):
     return (t * cos_t - root) / sin_t
 
 
-def _H_deriv_of(sol: DhymSolution, t, root):
-    """Canonical-branch H' at a checked t, from root = sqrt(t^2 + C')."""
+def _H_deriv_of(sol: DhymSolution, t, root, ts):
+    """Canonical-branch H' at a checked t, from root = sqrt(t^2 + C') and
+    ts = t sin(theta)."""
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
     if cos_t > 0.0:
         # the numerator is cos^2 C' - (t sin)^2
-        ts = t * sin_t
         if _near_root(sol):
             num = cos_t ** 2 * sol.u_minus - (cos_t * sol.t_minus) ** 2 - ts ** 2
         else:
@@ -164,28 +164,35 @@ def eval_H(sol: DhymSolution, t):
     canonical-branch value.
     """
     t = check_domain(sol, t)
-    out = _sign(sol) * _H_of(sol, t, np.sqrt(radicand(sol, t)))
+    out = _sign(sol) * _H_of(sol, t, np.sqrt(radicand(sol, t)), t * sol.sin_theta)
     return float(out) if out.ndim == 0 else out
 
 
 def eval_H_deriv(sol: DhymSolution, t):
     """Analytic H'(t); diverges at t_minus in the holder12 case."""
     t = check_domain(sol, t)
-    out = _sign(sol) * _H_deriv_of(sol, t, np.sqrt(radicand(sol, t)))
+    out = _sign(sol) * _H_deriv_of(sol, t, np.sqrt(radicand(sol, t)), t * sol.sin_theta)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def H_pair_of(sol: DhymSolution, t, root):
-    """(H(t), H'(t)) at a checked t, from root = sqrt(t^2 + C')."""
-    sign = _sign(sol)
-    return sign * _H_of(sol, t, root), sign * _H_deriv_of(sol, t, root)
+def H_pair_of(sol: DhymSolution, t, root, ts):
+    """(H(t), H'(t)) at a checked t, from root = sqrt(t^2 + C') and
+    ts = t sin(theta)."""
+    H, Hp = _H_of(sol, t, root, ts), _H_deriv_of(sol, t, root, ts)
+    if sol.conjugated:
+        sign = _sign(sol)
+        return sign * H, sign * Hp
+    return H, Hp
 
 
-def ode_residual_of(sol: DhymSolution, t, H, Hp):
-    """The residual of ode_residual_H from given values H = H(t), Hp = H'(t)."""
+def ode_residual_of(sol: DhymSolution, t, H, Hp, ts):
+    """The residual of ode_residual_H from given values H = H(t), Hp = H'(t)
+    and ts = t sin(theta)."""
     sin_t = _sign(sol) * sol.sin_theta
     cos_t = sol.cos_theta
-    return Hp * (H * sin_t - t * cos_t) - (t * sin_t + H * cos_t)
+    # t (-sin) is -(t sin) exactly
+    t_sin = -ts if sol.conjugated else ts
+    return Hp * (H * sin_t - t * cos_t) - (t_sin + H * cos_t)
 
 
 def ode_residual_H(sol: DhymSolution, t):
@@ -197,8 +204,9 @@ def ode_residual_H(sol: DhymSolution, t):
     accounts for.
     """
     t = check_domain(sol, t)
-    H, Hp = H_pair_of(sol, t, np.sqrt(radicand(sol, t)))
-    out = ode_residual_of(sol, t, H, Hp)
+    ts = t * sol.sin_theta
+    H, Hp = H_pair_of(sol, t, np.sqrt(radicand(sol, t)), ts)
+    out = ode_residual_of(sol, t, H, Hp, ts)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -212,7 +220,7 @@ def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):
     t = check_domain(sol, t)
     x = s.x
     sign = _sign(sol)
-    H = sign * _H_of(sol, t, np.sqrt(radicand(sol, t)))
+    H = sign * _H_of(sol, t, np.sqrt(radicand(sol, t)), t * sol.sin_theta)
     out = sign * (b.k1 * t + (b.k2 / t) * (1.0 - x ** 2) / x ** 2) - H
     return float(out) if out.ndim == 0 else out
 

@@ -110,8 +110,9 @@ def test_H_solves_the_phase_ode(cos_t, t_minus, u_minus, near_root):
     if near_root is not None:
         assert bool(dhym._near_root(sol)) is near_root
     root = sp.sqrt(dhym.radicand(sol, t))
-    H, Hp = dhym._H_of(sol, t, root), dhym._H_deriv_of(sol, t, root)
+    ts = t * sin_t
+    H, Hp = dhym._H_of(sol, t, root, ts), dhym._H_deriv_of(sol, t, root, ts)
     textbook = (t * cos_t - sp.sqrt(t ** 2 + sol.Cprime)) / sin_t
     assert is_zero(H - textbook)
     assert is_zero(Hp - sp.diff(textbook, t))
-    assert is_zero(dhym.ode_residual_of(sol, t, H, Hp))
+    assert is_zero(dhym.ode_residual_of(sol, t, H, Hp, ts))

@@ -159,7 +159,7 @@ def test_slack_band_gives_the_end_values(figure1, beta0):
 
 def _checked_pair(sol, t):
     t = check_domain(sol, t)
-    return H_pair_of(sol, t, np.sqrt(radicand(sol, t)))
+    return H_pair_of(sol, t, np.sqrt(radicand(sol, t)), t * sol.sin_theta)
 
 
 def test_H_pair_of_matches_separate_calls(rng, semistable_case):

@@ -2,10 +2,13 @@
 
 The kernel is checked against repr on random bit patterns, a seeded sweep,
 the values where the notation or the digit search changes and every layout
-(significant-digit count by decimal exponent); the profile and figure2 tables
-against the streamed writers of second_forms.py.
+(significant-digit count by decimal exponent); the process-wide workspace on
+tables of every width and length around a chunk, and on tables written one
+after the other and interleaved; the profile and figure2 tables against the
+streamed writers of second_forms.py.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -14,9 +17,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhym_ruled import BundleClass, canonicalize, cli, coupled, dhym, make_surface, tke
-from dhym_ruled._text import _CHUNK, repr_table
+from dhym_ruled._text import _CHUNK, repr_chunks, repr_table
 
 from second_forms import figure2_text, profile_text
+
+
+def _want(columns, blank=None):
+    """The table of repr_table(columns, blank), from repr."""
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    if blank is None:
+        return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    blank = np.broadcast_to(blank, (len(columns[0]), len(columns))).tolist()
+    return "".join(",".join("" if b else repr(v) for v, b in zip(row, brow)) + "\n"
+                   for row, brow in zip(rows, blank))
+
+
+def _assert_table(got, want):
+    """got == want, failing on the first row that differs (a diff of the
+    whole text would take minutes)."""
+    if got != want:
+        g, w = got.split("\n"), want.split("\n")
+        i = next((i for i, (x, y) in enumerate(zip(g, w)) if x != y), min(len(g), len(w)))
+        pytest.fail(f"{len(g)} rows, {len(w)} wanted; row {i}: "
+                    f"{g[i] if i < len(g) else None!r} != {w[i] if i < len(w) else None!r}")
 
 
 def _assert_reprs(values):
@@ -105,12 +128,7 @@ def test_every_layout():
     rng = np.random.default_rng(23)
     columns = [np.array(values), -np.array(values), rng.permutation(values)]
     for blank in (None, rng.random((len(values), 3)) < 0.05):
-        blanks = np.zeros((len(values), 3), bool) if blank is None else blank
-        want = "".join(
-            ",".join("" if b else repr(v) for v, b in zip(row, brow)) + "\n"
-            for row, brow in zip(zip(*(c.tolist() for c in columns)), blanks.tolist())
-        )
-        assert repr_table(columns, blank) == want
+        assert repr_table(columns, blank) == _want(columns, blank)
 
 
 def test_columns_blanks_and_chunks():
@@ -120,11 +138,78 @@ def test_columns_blanks_and_chunks():
     columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
                for _ in range(3)]
     blank = rng.random((rows, 3)) < 0.1
-    want = "".join(
-        ",".join("" if b else repr(v) for v, b in zip(row, brow)) + "\n"
-        for row, brow in zip(zip(*(c.tolist() for c in columns)), blank.tolist())
-    )
-    assert repr_table(columns, blank) == want
+    assert repr_table(columns, blank) == _want(columns, blank)
+
+
+def _columns(rng, rows, ncols):
+    """Columns of mixed magnitudes, with zeros of both signs, subnormals,
+    inf and nan among them."""
+    columns = rng.standard_normal((ncols, rows)) * 10.0 ** rng.integers(-30, 30, (ncols, rows))
+    special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1.0, 0.1]
+    picks = rng.random((ncols, rows)) < 0.1
+    columns[picks] = rng.choice(special, picks.sum())
+    return list(columns)
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 6])
+def test_workspace_at_every_chunk_boundary(ncols):
+    """One row, and k step - 1, k step and k step + 1 rows for a step of
+    _CHUNK // ncols rows: the last chunk fills the front of the workspace
+    by a row less than, exactly or a row more than a whole chunk."""
+    step = _CHUNK // ncols
+    rng = np.random.default_rng(ncols)
+    for rows in (1, step - 1, step, step + 1, 2 * step - 1, 2 * step, 2 * step + 1):
+        columns = _columns(rng, rows, ncols)
+        _assert_table(repr_table(columns), _want(columns))
+        blank = rng.random((rows, ncols)) < 0.05
+        _assert_table(repr_table(columns, blank), _want(columns, blank))
+
+
+def test_blanks_across_a_chunk_boundary():
+    """A run of blank rows, and a blank column, that straddle the end of
+    the first chunk."""
+    ncols = 6
+    step = _CHUNK // ncols
+    rows = 2 * step + 7
+    columns = _columns(np.random.default_rng(25), rows, ncols)
+    blank = np.zeros((rows, ncols), bool)
+    blank[step - 3:step + 3] = True
+    blank[step - 5:step + 5, 4:] = True
+    _assert_table(repr_table(columns, blank), _want(columns, blank))
+    column = np.arange(ncols) == 2
+    _assert_table(repr_table(columns, column), _want(columns, column))
+
+
+def test_consecutive_tables_of_different_widths():
+    """Each table reuses the workspace the last one left, with a different
+    row length and a different number of values per chunk."""
+    rng = np.random.default_rng(26)
+    for ncols, rows in [(6, 3001), (1, 20000), (2, 9000), (6, 5), (1, 1), (2, _CHUNK)]:
+        columns = _columns(rng, rows, ncols)
+        _assert_table(repr_table(columns), _want(columns))
+
+
+def test_interleaved_generators():
+    """Two tables written a chunk of each in turn from one thread."""
+    rng = np.random.default_rng(27)
+    a, b = _columns(rng, 3 * _CHUNK // 6 + 11, 6), _columns(rng, 2 * _CHUNK + 3, 1)
+    blank = rng.random((len(a[0]), 6)) < 0.05
+    pieces = [[], []]
+    for ca, cb in itertools.zip_longest(repr_chunks(a, blank), repr_chunks(b), fillvalue=""):
+        pieces[0].append(ca)
+        pieces[1].append(cb)
+    _assert_table("".join(pieces[0]), _want(a, blank))
+    _assert_table("".join(pieces[1]), _want(b))
+
+
+def test_generator_dropped_halfway():
+    """A table abandoned after its first chunk leaves the next one whole."""
+    rng = np.random.default_rng(28)
+    first = repr_chunks(_columns(rng, 3 * _CHUNK // 2, 2))
+    next(first)
+    del first
+    columns = _columns(rng, _CHUNK // 6 + 1, 6)
+    _assert_table(repr_table(columns), _want(columns))
 
 
 def _main(argv, capsys):
