@@ -9,6 +9,7 @@ routines and the closed forms is the package's correctness argument.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -58,7 +59,7 @@ def _first(x, mask) -> float:
     return float(np.ravel(x)[np.ravel(mask)][0])
 
 
-#: Most steps one RK4 call takes; the tests and the benchmark need about 2e4.
+#: Most steps one RK4 call takes; the benchmark takes about 2e4, one test 1e6.
 MAX_STEPS = 10 ** 7
 
 
@@ -92,33 +93,33 @@ def _steps(t0, t1, step: float):
     return n, (t1 - t0) / n
 
 
+def _col(x) -> np.ndarray:
+    """A lane value with a trailing axis, to broadcast along the nodes."""
+    return np.asarray(x)[..., None]
+
+
 def _nodes(t0, h, n: int) -> np.ndarray:
-    """t0 + i h for i = 0..n, one row per node: bitwise rk4_solve's nodes."""
-    return t0 + np.multiply.outer(np.arange(float(n + 1)), h)
+    """t0 + i h for i = 0..n along the last axis: bitwise rk4_solve's nodes."""
+    return _col(t0) + np.arange(float(n + 1)) * _col(h)
 
 
-def _grid(nodes: np.ndarray, h, values: list, slope=None) -> GridFunction:
+def _grid(nodes: np.ndarray, h, values: np.ndarray, slope=None) -> GridFunction:
     """The RK4 values at the nodes (from _nodes), ordered by increasing node.
 
-    With a slope, the values are z = y - t * slope of z' = c t / z, with
-    c = 1 + slope^2, and the value at node t is z + t * slope.  A step
-    that ends on a non-finite value raises IntegrationError located at the
-    node it starts from: a float for one draw, an array for lanes (NaN on
-    the lanes that finished).  With a slope, so does a step that leaves
-    the solution: z^2 - c t^2 is constant along it, so it ends where z = 0
-    (z' diverges there) and changes the sign of z only at t = 0.  A step
-    whose start continues to z = 0 before its end, or over which z changes
-    sign with both nodes on one side of t = 0, has left it.
+    Values run along the last axis, as the nodes do.  With a slope, they
+    are z = y - t * slope of z' = c t / z, with c = 1 + slope^2, and the
+    value at node t is z + t * slope.  A step that ends on a non-finite
+    value raises IntegrationError located at the node it starts from: a
+    float for one draw, an array for lanes (NaN on the lanes that
+    finished).  With a slope, so does a step that leaves the solution:
+    z^2 - c t^2 is constant along it, so it ends where z = 0 (z' diverges
+    there) and changes the sign of z only at t = 0.  A step whose start
+    continues to z = 0 before its end, or over which z changes sign with
+    both nodes on one side of t = 0, has left it.
     """
-    nodes = np.moveaxis(nodes, 0, -1)
-    # one draw is a list of Python floats, which np.fromiter reads faster
-    if np.ndim(h) == 0:
-        values = np.fromiter(values, float, len(values))
-    else:
-        values = np.moveaxis(np.array(values), 0, -1)
     leaves = False
     if slope is not None:
-        slope = np.asarray(slope)[..., None]
+        slope = _col(slope)
         lo, hi, z = nodes[..., :-1], nodes[..., 1:], values
         c = 1.0 + slope * slope
         leaves = (z[..., :-1] ** 2 + c * ((hi - lo) * (hi + lo)) < 0.0) | (
@@ -139,7 +140,7 @@ def _grid(nodes: np.ndarray, h, values: list, slope=None) -> GridFunction:
         raise IntegrationError(
             f"integration diverged near t = {location}", location=location
         )
-    backward = np.asarray(h < 0)[..., None]
+    backward = _col(h < 0)
     return GridFunction(
         nodes=np.where(backward, nodes[..., ::-1], nodes),
         values=np.where(backward, values[..., ::-1], values),
@@ -179,7 +180,148 @@ def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
         raise IntegrationError(
             f"right-hand side blew up near t = {t}", location=t
         ) from exc
-    return _grid(_nodes(t0, h, n), h, values)
+    return _grid(_nodes(t0, h, n), h, np.moveaxis(np.array(values), 0, -1))
+
+
+#: Steps the phase-ODE RK4 solves at once: a block's temporaries are a few
+#: dozen arrays of this length, whatever the step count.
+_BLOCK = 4096
+#: Fine steps in one step of a block's predictor.
+_COARSE = 16
+#: Newton iterations a block may take before the step loop takes over.
+_NEWTON = 3
+
+
+def _march(z, A, M, A1, out: list) -> None:
+    """The RK4 step loop of z' = c t / z from z; appends each step's end to out.
+
+    A, M and A1 yield each step's stage numerators (h/2) c t, (h/2) c (t + h/2)
+    and (h/2) c (t + h), for the step from t: Python floats for one draw,
+    which raise ZeroDivisionError on the step that divides by zero, or numpy
+    rows for lanes.  With the stages scaled by h/2, a step is 14 float
+    operations: p1 = a / z, p2 = m / (z + p1), p3 = m / (z + p2),
+    p4 = a1 / (z + 2 p3) and z += (p1 + p4 + 2 (p2 + p3)) / 3.
+    """
+    for a, m, a1 in zip(A, M, A1):
+        p1 = a / z
+        p2 = m / (z + p1)
+        p3 = m / (z + p2)
+        z = z + (p1 + a1 / (z + 2.0 * p3) + 2.0 * (p2 + p3)) / 3.0
+        out.append(z)
+
+
+@functools.lru_cache(maxsize=4)
+def _hermite(m: int):
+    """The layout of the predictor on a block of m steps.
+
+    Returns the block indices of the coarse nodes (every _COARSE-th node and
+    the last), each node's segment (the coarse step it lies in), and the
+    cubic Hermite weights of the segment's end values and end slopes at the
+    node, the slope weights multiplied by the segment's step count.
+    """
+    idx = np.append(np.arange(0, m, _COARSE), m)
+    seg = np.minimum(np.arange(m + 1) // _COARSE, len(idx) - 2)
+    steps = idx[seg + 1] - idx[seg]
+    s = (np.arange(m + 1) - idx[seg]) / steps
+    s1 = 1.0 - s
+    weights = (
+        (1.0 + 2.0 * s) * s1 * s1,
+        s * s * (3.0 - 2.0 * s),
+        steps * s * s1 * s1,
+        -steps * s * s * s1,
+    )
+    for x in (idx, seg, *weights):
+        x.flags.writeable = False
+    return idx, seg, weights
+
+
+def _predict(z0, t, half, num) -> np.ndarray:
+    """A guess at the RK4 values on a block's nodes t, from z0 at t[..., 0].
+
+    RK4 steps of _COARSE h run through the coarse nodes, and a cubic Hermite
+    interpolant fills the nodes between them, with the slopes c t / z that
+    the ODE gives at the ends (num = (h/2) c).  One draw steps on Python
+    floats; from a step that divides by zero on, its values are NaN, as
+    non-finite as the lanes' values there.
+    """
+    idx, seg, (v0, v1, s0, s1) = _hermite(t.shape[-1] - 1)
+    T = t[..., idx]
+    big = idx[1:] - idx[:-1]
+    nums = big * num
+    A, M, A1 = nums * T[..., :-1], nums * (T[..., :-1] + big * half), nums * T[..., 1:]
+    Z = [z0]
+    if T.ndim == 1:
+        try:
+            _march(float(z0), A.tolist(), M.tolist(), A1.tolist(), Z)
+        except ZeroDivisionError:
+            Z += [np.nan] * (len(idx) - len(Z))
+        Z = np.array(Z)
+    else:
+        _march(z0, *(np.moveaxis(x, -1, 0) for x in (A, M, A1)), Z)
+        Z = np.stack(Z, axis=-1)
+    # h times the slope c t / z
+    S = (2.0 * num) * T / Z
+    return v0 * Z[..., seg] + v1 * Z[..., seg + 1] + (
+        s0 * S[..., seg] + s1 * S[..., seg + 1]
+    )
+
+
+def _solve_block(z, t, half, num, live) -> np.ndarray:
+    """Newton's method for the RK4 values z[..., 1:] of one block, in place.
+
+    z[..., 0] is the block's given start, and z[..., 1:] is first the
+    prediction; t are the block's nodes and num = (h/2) c.  A step is
+    settled when its residual r_i = F_i(z_i) - z_{i+1}, with F_i the RK4
+    step, is at most one ulp of z_{i+1} (so never when non-finite).  While
+    a live lane has an unsettled step, and for at most _NEWTON iterations,
+    the lane's values move by the solution of d_{i+1} = F_i'(z_i) d_i + r_i,
+    d_0 = 0, which cumprod and cumsum give.  Returns, per lane, the first
+    unsettled step (the block's step count if there is none).
+    """
+    A = num * t
+    M = num * (t[..., :-1] + half)
+    zi, z1 = z[..., :-1], z[..., 1:]
+    pending = live
+    for it in range(_NEWTON + 1):
+        # _march's stages, on every step at once
+        p1 = A[..., :-1] / zi
+        u1 = zi + p1
+        p2 = M / u1
+        u2 = zi + p2
+        p3 = M / u2
+        u3 = zi + 2.0 * p3
+        p4 = A[..., 1:] / u3
+        r = zi + (p1 + p4 + 2.0 * (p2 + p3)) / 3.0 - z1
+        settled = np.abs(r) <= np.spacing(np.abs(z1))
+        pending = pending & ~settled.all(axis=-1)
+        if it == _NEWTON or not pending.any():
+            break
+        # F' by the chain rule through the stages, each e_k = -p_k'
+        e1 = p1 / zi
+        e2 = p2 * (1.0 - e1) / u1
+        e3 = p3 * (1.0 - e2) / u2
+        e4 = p4 * (1.0 - 2.0 * e3) / u3
+        gain = np.cumprod(1.0 - (e1 + e4 + 2.0 * (e2 + e3)) / 3.0, axis=-1)
+        delta = gain * np.cumsum(r / gain, axis=-1)
+        np.add(z1, delta, out=z1, where=pending[..., None])
+    return np.where(settled.all(axis=-1), t.shape[-1] - 1, settled.argmin(axis=-1))
+
+
+def _continue(z, t, half, num) -> int:
+    """The step loop in place along z from z[0] over the nodes t.
+
+    Steps on Python floats.  Returns the number of steps it took, fewer
+    than len(t) - 1 when the next one divides by zero.
+    """
+    A = (num * t).tolist()
+    M = (num * (t[:-1] + half)).tolist()
+    out = []
+    try:
+        _march(float(z[0]), A, M, A[1:], out)
+    except ZeroDivisionError:
+        pass
+    z[1:len(out) + 1] = out
+    return len(out)
 
 
 def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
@@ -191,48 +333,56 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
     affine change of variable (its weights sum to 1 and each stage's node
     offset is the sum of its coefficients), so integrating z and forming
     y = z + t r once, at the nodes, gives rk4_solve's iterates up to
-    rounding: on 301 seeded stable classes of the benchmark's call the two
-    differ by at most 2.9e-13 times max(1, max |y|), 1.1e-12 absolute.
-    The stage numerators A_i = (h/2) c t_i and M_i = (h/2) c (t_i + h/2)
-    depend on the node alone, so they are formed as arrays first; the
-    stages scaled by h/2 are then p1 = A_i / z, p2 = M_i / (z + p1),
-    p3 = M_i / (z + p2) and p4 = A_{i+1} / (z + 2 p3), and a step is the
-    14 float operations of those and z += (p1 + p4 + 2 (p2 + p3)) / 3.
-    The kernel reads only cos, sin and the ends, no closed-form quantity.
-    Steps, nodes, lanes and blow-up (z = 0 is the singular line) are as
-    in rk4_solve; a step that leaves the solution (see _grid) is a blow-up
-    too, because the solution ends on the singular line there.
+    rounding.  A step is 14 float operations (see _march).
+
+    The recurrence z_{i+1} = F_i(z_i) is solved _BLOCK steps at a time,
+    each block from the last value of the one before: a coarse RK4 and a
+    Hermite interpolant predict it (_predict), and Newton's method on all
+    of its steps at once corrects it until every step's residual is at
+    most one ulp (_solve_block).  From the first step of a block that does
+    not settle, the step loop runs to the end (_continue).  The kernel
+    reads only cos, sin and the ends, no closed-form quantity.  Steps,
+    nodes, lanes and blow-up (z = 0 is the singular line) are as in
+    rk4_solve, and each lane is bitwise its one-draw call.  A step that
+    leaves the solution (see _grid) is a blow-up too, because the solution
+    ends on the singular line there.
     """
     cos_t, sin_t, t0, y0, t1 = _lanes(cos_theta, sin_theta, t0, y0, t1)
     if np.any(sin_t == 0.0):
         raise ValueError("the phase ODE needs sin(theta) != 0")
     n, h = _steps(t0, t1, step)
-    half = 0.5 * h
     r = cos_t / sin_t
-    c = 1.0 + r * r
+    half = np.asarray(0.5 * h)
+    num = half * (1.0 + r * r)
     nodes = _nodes(t0, h, n)
-    A = (half * c) * nodes
-    M = (half * c) * (nodes[:-1] + half)
-    if np.ndim(h) == 0:
-        # one draw: memoryviews hand out Python floats one at a time
-        A, M = memoryview(A), memoryview(M)
-    z = y0 - t0 * r
-    values = [z]
-    try:
-        with np.errstate(all="ignore"):
-            for a, m, a1 in zip(A, M, A[1:]):
-                p1 = a / z
-                p2 = m / (z + p1)
-                p3 = m / (z + p2)
-                p4 = a1 / (z + 2.0 * p3)
-                z = z + (p1 + p4 + 2.0 * (p2 + p3)) / 3.0
-                values.append(z)
-    except ZeroDivisionError as exc:  # Python floats only
-        last = float(nodes[len(values) - 1])  # the last node recorded
-        raise IntegrationError(
-            f"right-hand side blew up near t = {last}", location=last
-        ) from exc
-    return _grid(nodes, h, values, slope=r)
+    z = np.empty(nodes.shape)
+    z[..., 0] = y0 - t0 * r
+    # per lane, the node from which the step loop runs (n: none)
+    start = np.full(np.shape(h), n)
+    cols = _col(half), _col(num)
+    with np.errstate(all="ignore"):
+        for a in range(0, n, _BLOCK):
+            live = start == n
+            if not live.any():
+                break
+            block, t = z[..., a:a + _BLOCK + 1], nodes[..., a:a + _BLOCK + 1]
+            block[..., 1:] = _predict(block[..., 0], t, *cols)[..., 1:]
+            first = _solve_block(block, t, *cols, live)
+            start = np.where(live & (first < t.shape[-1] - 1), a + first, start)
+        for lane in map(tuple, np.argwhere(start < n)):
+            first = int(start[lane])
+            done = first + _continue(
+                z[lane][first:], nodes[lane][first:], half[lane], num[lane]
+            )
+            if done == n:
+                continue
+            if not lane:  # one draw
+                last = float(nodes[done])
+                raise IntegrationError(
+                    f"right-hand side blew up near t = {last}", location=last
+                )
+            z[lane][done + 1:] = np.nan  # _grid locates it
+    return _grid(nodes, h, z, slope=r)
 
 
 #: Most Simpson panels refined by one call of the integrand.  Quadrature

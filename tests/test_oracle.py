@@ -196,6 +196,158 @@ def test_rk4_phase_kernel_stops_at_the_fold():
     oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 7.0 * r + 5.5, 5.1, step)
 
 
+def _capture(monkeypatch, name):
+    """Record the arguments (positional, then keyword) of every call of
+    oracle.<name>, as arrays."""
+    calls, inner = [], getattr(oracle, name)
+
+    def spy(*args, **kwargs):
+        calls.append(tuple(np.copy(a) for a in args + tuple(kwargs.values())))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+def _z_loop(cos_t, sin_t, t0, y0, t1, step):
+    """The plain RK4 step loop of z' = c t / z on lane rows: (nodes, z)."""
+    n, h = oracle._steps(t0, t1, step)
+    r = cos_t / sin_t
+    half = 0.5 * h
+    num = half * (1.0 + r * r)
+    nodes = t0 + np.multiply.outer(np.arange(float(n + 1)), h)
+    z = np.empty_like(nodes)
+    z[0] = y0 - t0 * r
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            p1 = num * nodes[i] / z[i]
+            p2 = num * (nodes[i] + half) / (z[i] + p1)
+            p3 = num * (nodes[i] + half) / (z[i] + p2)
+            p4 = num * nodes[i + 1] / (z[i] + 2.0 * p3)
+            z[i + 1] = z[i] + (p1 + p4 + 2.0 * (p2 + p3)) / 3.0
+    return nodes.T, z.T
+
+
+def test_rk4_phase_newton_settles_every_step_and_agrees_with_the_loop(
+    rng, monkeypatch
+):
+    # 300 classes of the benchmark's call, 60 lanes at a time: every step of
+    # the returned z satisfies the RK4 recurrence to one ulp, and the values
+    # are the step loop's to rounding
+    grids = _capture(monkeypatch, "_grid")
+    rows = _benchmark_starts([draw_stable(rng) for _ in range(300)])
+    for chunk in range(0, len(rows), 60):
+        cos_t, sin_t, *ends = np.transpose(rows[chunk:chunk + 60])
+        got = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
+        nodes, h, z, r = grids[-1]
+        half = 0.5 * h[:, None]
+        num = half * (1.0 + r * r)[:, None]
+        a, m = num * nodes, num * (nodes[:, :-1] + half)
+        zi = z[:, :-1]
+        p1 = a[:, :-1] / zi
+        p2 = m / (zi + p1)
+        p3 = m / (zi + p2)
+        p4 = a[:, 1:] / (zi + 2.0 * p3)
+        residual = zi + (p1 + p4 + 2.0 * (p2 + p3)) / 3.0 - z[:, 1:]
+        assert np.all(np.abs(residual) <= np.spacing(np.abs(z[:, 1:])))
+        loop_nodes, loop_z = _z_loop(cos_t, sin_t, *ends, 1e-4)
+        assert np.array_equal(loop_nodes, nodes)
+        y = (loop_z + loop_nodes * r[:, None])[:, ::-1]
+        dev = np.max(np.abs(got.values - y), axis=-1)
+        assert np.all(dev <= 1e-13 * np.maximum(1.0, np.max(np.abs(y), axis=-1)))
+
+
+def _passes_near_the_line(t0, gaps):
+    """Starts at t0 on z^2 = c t^2 + gap^2, with c = 5/4, run to -t0.
+
+    The solution passes the singular line at distance gap when t = 0.
+    """
+    return 0.5 * t0 + np.sqrt(1.25 * t0 * t0 + np.square(gaps))
+
+
+def test_rk4_phase_lanes_bitwise_with_a_continued_lane(monkeypatch):
+    # the middle lane passes 1e-4 from the singular line: the predictor
+    # misses there, Newton does not settle, and the step loop finishes the
+    # lane without a blow-up; the outer lanes settle in every block
+    cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
+    y0 = _passes_near_the_line(0.5, np.array([0.1, 1e-4, 0.01]))
+    continued = _capture(monkeypatch, "_continue")
+    lanes = oracle.rk4_solve_phase_ode(cos_t, sin_t, 0.5, y0, -0.5, 1e-4)
+    assert len(continued) == 1
+    for i, one_y0 in enumerate(y0.tolist()):
+        continued.clear()
+        one = oracle.rk4_solve_phase_ode(cos_t, sin_t, 0.5, one_y0, -0.5, 1e-4)
+        assert len(continued) == (i == 1)
+        assert np.array_equal(lanes.nodes[i], one.nodes)
+        assert np.array_equal(lanes.values[i], one.values)
+
+
+def test_rk4_phase_lanes_bitwise_with_a_folding_lane(monkeypatch):
+    # z^2 = c (t^2 - 49) + d^2 from z = d at t = 7: the middle start folds
+    # near t = 6, in the third block, and the step loop runs from there;
+    # the outer ones reach 5.1.  Each lane's z, as _grid receives it, is
+    # its one-draw call's, bitwise
+    cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
+    d = np.array([5.5, 4.03, -6.0])
+    grids = _capture(monkeypatch, "_grid")
+    continued = _capture(monkeypatch, "_continue")
+    with pytest.raises(IntegrationError) as lanes:
+        oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 3.5 + d, 5.1, 1e-4)
+    loc = lanes.value.location
+    assert np.isnan(loc[0]) and np.isnan(loc[2])
+    assert 6.0 < loc[1] < 6.001
+    # the folding lane alone continues, and from the block holding the fold
+    assert len(continued) == 1
+    assert 6.0 < continued[0][1][0] <= 7.0 - 2 * oracle._BLOCK * 1e-4
+    lane_z = grids[-1][2]
+    for i, one_d in enumerate(d.tolist()):
+        continued.clear()
+        if i == 1:
+            with pytest.raises(IntegrationError) as one:
+                oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 3.5 + one_d, 5.1, 1e-4)
+            assert one.value.location == loc[1]
+        else:
+            oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 3.5 + one_d, 5.1, 1e-4)
+        assert len(continued) == (i == 1)
+        assert np.array_equal(grids[-1][2], lane_z[i], equal_nan=True)
+
+
+def test_rk4_phase_memory_is_bounded_by_the_blocks():
+    # a 10^6-step call: the blocks keep the solve's temporaries to a few
+    # dozen arrays of _BLOCK values, so the traced peak is the grid's own
+    # arrays and _grid's checks, about 51 MB; the same temporaries over
+    # all 10^6 steps at once would take about 8 MB each
+    import tracemalloc
+
+    cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
+    tracemalloc.start()
+    try:
+        g = oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 9.0, 5.1, 1.9e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.values.shape == (10 ** 6 + 1,)
+    assert peak <= 64e6
+
+
+def test_rk4_phase_kernel_is_blind_to_the_closed_forms(rng, monkeypatch):
+    # the starts come from the closed forms; the integration must not
+    from dhym_ruled import coupled, dhym
+
+    rows = _benchmark_starts([draw_stable(rng) for _ in range(3)])
+
+    def blind(*args, **kwargs):
+        raise AssertionError("the RK4 oracle reached a closed form")
+
+    for module in (dhym, coupled):
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) == module.__name__:
+                monkeypatch.setattr(module, name, blind)
+    one = oracle.rk4_solve_phase_ode(*rows[0], 1e-4)
+    lanes = oracle.rk4_solve_phase_ode(*np.transpose(rows), 1e-4)
+    assert np.array_equal(lanes.values[0], one.values)
+
+
 def test_step_count_is_capped():
     # _steps raises before any loop could start; the largest count passes
     assert oracle._steps(0.0, 1.0, 1.0 / oracle.MAX_STEPS)[0] == oracle.MAX_STEPS
