@@ -21,11 +21,7 @@ from .errors import IntegrationError, PositivityError, SingularSystemError
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A sampled function: strictly increasing nodes, finite values.
-
-    Nodes run along the last axis; a leading axis, if any, holds lanes
-    (independent draws sampled on grids of equal length).
-    """
+    """A sampled function: strictly increasing nodes, finite values."""
 
     nodes: np.ndarray
     values: np.ndarray
@@ -43,75 +39,47 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
 
-def _lanes(*xs):
-    """Python floats for one draw; equal-shape float arrays for many.
-
-    One draw stays on Python floats: on one-element arrays, numpy's per-call
-    overhead would make the RK4 loop about 40 times slower.
-    """
-    if all(np.ndim(x) == 0 for x in xs):
-        return tuple(float(x) for x in xs)
-    return tuple(np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
-
-
-def _first(x, mask) -> float:
-    """The first element of x where mask holds, as a Python float."""
-    return float(np.ravel(x)[np.ravel(mask)][0])
-
-
 #: Most steps one RK4 call takes; the benchmark takes about 2e4, one test 1e6.
 MAX_STEPS = 10 ** 7
 
 
-def _steps(t0, t1, step: float):
-    """The step count n the lanes share, and each lane's step size h.
+def _steps(t0: float, t1: float, step: float):
+    """The step count n = round(|t1 - t0| / step), at least 1, and h.
 
     A step that is not finite and positive, or so small that the count
     exceeds MAX_STEPS, an end that is not finite and t1 == t0 raise
-    ValueError naming the value, on any lane.
+    ValueError naming the value.
     """
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     for name, end in (("t0", t0), ("t1", t1)):
-        if not np.all(np.isfinite(end)):
-            bad = _first(end, ~np.isfinite(end))
-            raise ValueError(f"{name} must be finite, got {bad!r}")
-    if np.any(np.equal(t0, t1)):
-        same = _first(t0, np.equal(t0, t1))
-        raise ValueError(f"t1 equals t0 = {same!r}: the interval is empty")
-    with np.errstate(over="ignore"):
-        counts = np.maximum(1.0, np.rint(np.abs(np.subtract(t1, t0)) / step))
-    # an overflowing count is inf, which fails the comparison too
-    if not counts.max() <= MAX_STEPS:
+        if not math.isfinite(end):
+            raise ValueError(f"{name} must be finite, got {end!r}")
+    if t0 == t1:
+        raise ValueError(f"t1 equals t0 = {t0!r}: the interval is empty")
+    count = abs(t1 - t0) / float(step)
+    # an overflowing count is inf, which round() does not take
+    if not (math.isfinite(count) and round(count) <= MAX_STEPS):
         raise ValueError(
             f"step {step!r} is too small for the interval:"
             f" more than MAX_STEPS = {MAX_STEPS} steps"
         )
-    if counts.min() != counts.max():
-        raise ValueError("lanes must share a step count")
-    n = int(counts.flat[0])
+    n = max(1, round(count))
     return n, (t1 - t0) / n
 
 
-def _col(x) -> np.ndarray:
-    """A lane value with a trailing axis, to broadcast along the nodes."""
-    return np.asarray(x)[..., None]
+def _nodes(t0: float, h: float, n: int) -> np.ndarray:
+    """t0 + i h for i = 0..n: bitwise rk4_solve's nodes."""
+    return t0 + np.arange(float(n + 1)) * h
 
 
-def _nodes(t0, h, n: int) -> np.ndarray:
-    """t0 + i h for i = 0..n along the last axis: bitwise rk4_solve's nodes."""
-    return _col(t0) + np.arange(float(n + 1)) * _col(h)
-
-
-def _grid(nodes: np.ndarray, h, values: np.ndarray, slope=None) -> GridFunction:
+def _grid(nodes: np.ndarray, h: float, values: np.ndarray, slope=None) -> GridFunction:
     """The RK4 values at the nodes (from _nodes), ordered by increasing node.
 
-    Values run along the last axis, as the nodes do.  With a slope, they
-    are z = y - t * slope of z' = c t / z, with c = 1 + slope^2, and the
-    value at node t is z + t * slope.  A step that ends on a non-finite
-    value raises IntegrationError located at the node it starts from: a
-    float for one draw, an array for lanes (NaN on the lanes that
-    finished).  With a slope, so does a step that leaves the solution:
+    With a slope, the values are z = y - t * slope of z' = c t / z, with
+    c = 1 + slope^2, and the value at node t is z + t * slope.  A step that
+    ends on a non-finite value raises IntegrationError located at the node
+    it starts from.  With a slope, so does a step that leaves the solution:
     z^2 - c t^2 is constant along it, so it ends where z = 0 (z' diverges
     there) and changes the sign of z only at t = 0.  A step whose start
     continues to z = 0 before its end, or over which z changes sign with
@@ -119,48 +87,32 @@ def _grid(nodes: np.ndarray, h, values: np.ndarray, slope=None) -> GridFunction:
     """
     leaves = False
     if slope is not None:
-        slope = _col(slope)
-        lo, hi, z = nodes[..., :-1], nodes[..., 1:], values
+        lo, hi, z = nodes[:-1], nodes[1:], values
         c = 1.0 + slope * slope
-        leaves = (z[..., :-1] ** 2 + c * ((hi - lo) * (hi + lo)) < 0.0) | (
-            ((z[..., :-1] < 0.0) != (z[..., 1:] < 0.0)) & (lo * hi > 0.0)
+        leaves = (z[:-1] ** 2 + c * ((hi - lo) * (hi + lo)) < 0.0) | (
+            ((z[:-1] < 0.0) != (z[1:] < 0.0)) & (lo * hi > 0.0)
         )
         values = z + nodes * slope
     # arithmetic never turns NaN or inf finite again: checking once suffices
-    bad = leaves | ~np.isfinite(values[..., 1:])
+    bad = leaves | ~np.isfinite(values[1:])
     if bad.any():
-        first = np.argmax(bad, axis=-1)
-        location = np.where(
-            bad.any(axis=-1),
-            np.take_along_axis(nodes, first[..., None], axis=-1)[..., 0],
-            np.nan,
-        )
-        if location.ndim == 0:
-            location = float(location)
+        location = float(nodes[np.argmax(bad)])
         raise IntegrationError(
             f"integration diverged near t = {location}", location=location
         )
-    backward = _col(h < 0)
-    return GridFunction(
-        nodes=np.where(backward, nodes[..., ::-1], nodes),
-        values=np.where(backward, values[..., ::-1], values),
-    )
+    if h < 0:
+        nodes, values = nodes[::-1], values[::-1]
+    return GridFunction(nodes=nodes, values=values)
 
 
 def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
-    """Classical fixed-step RK4 from (t0, y0) to t1, for one draw or many.
+    """Classical fixed-step RK4 from (t0, y0) to t1, on Python floats.
 
-    Scalars integrate one draw.  Equal-length arrays integrate one lane per
-    element in lockstep, calling ``rhs`` on arrays: the lanes must share the
-    step count round(|t1 - t0| / step), and each takes its own step size.
-    The arithmetic is the same either way, so each lane is bitwise equal to
-    the scalar call for its draw.  Lanes are the rows of the result.
-
-    Integrates backwards when t1 < t0.  Blow-up of the right-hand side
-    raises IntegrationError located at the last finite node: a float for
-    one draw, an array for lanes (NaN on the lanes that finished).
+    Takes round(|t1 - t0| / step) steps (see _steps).  Integrates backwards
+    when t1 < t0.  Blow-up of the right-hand side raises IntegrationError
+    located at the last finite node.
     """
-    t0, y0, t1 = _lanes(t0, y0, t1)
+    t0, y0, t1 = float(t0), float(y0), float(t1)
     n, h = _steps(t0, t1, step)
     half, sixth = 0.5 * h, h / 6.0
     t, y = t0, y0
@@ -176,11 +128,11 @@ def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
                 y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 t = t0 + (i + 1) * h
                 values.append(y)
-    except (ZeroDivisionError, OverflowError) as exc:  # Python floats only
+    except (ZeroDivisionError, OverflowError) as exc:
         raise IntegrationError(
             f"right-hand side blew up near t = {t}", location=t
         ) from exc
-    return _grid(_nodes(t0, h, n), h, np.moveaxis(np.array(values), 0, -1))
+    return _grid(_nodes(t0, h, n), h, np.array(values))
 
 
 #: Steps the phase-ODE RK4 solves at once: a block's temporaries are a few
@@ -192,15 +144,15 @@ _COARSE = 16
 _NEWTON = 3
 
 
-def _march(z, A, M, A1, out: list) -> None:
+def _march(z: float, A, M, A1, out: list) -> None:
     """The RK4 step loop of z' = c t / z from z; appends each step's end to out.
 
     A, M and A1 yield each step's stage numerators (h/2) c t, (h/2) c (t + h/2)
-    and (h/2) c (t + h), for the step from t: Python floats for one draw,
-    which raise ZeroDivisionError on the step that divides by zero, or numpy
-    rows for lanes.  With the stages scaled by h/2, a step is 14 float
-    operations: p1 = a / z, p2 = m / (z + p1), p3 = m / (z + p2),
-    p4 = a1 / (z + 2 p3) and z += (p1 + p4 + 2 (p2 + p3)) / 3.
+    and (h/2) c (t + h), for the step from t, as Python floats, so the step
+    that divides by zero raises ZeroDivisionError.  With the stages scaled
+    by h/2, a step is 14 float operations: p1 = a / z, p2 = m / (z + p1),
+    p3 = m / (z + p2), p4 = a1 / (z + 2 p3) and
+    z += (p1 + p4 + 2 (p2 + p3)) / 3.
     """
     for a, m, a1 in zip(A, M, A1):
         p1 = a / z
@@ -235,79 +187,70 @@ def _hermite(m: int):
     return idx, seg, weights
 
 
-def _predict(z0, t, half, num) -> np.ndarray:
-    """A guess at the RK4 values on a block's nodes t, from z0 at t[..., 0].
+def _predict(z0: float, t, half: float, num: float) -> np.ndarray:
+    """A guess at the RK4 values on a block's nodes t, from z0 at t[0].
 
     RK4 steps of _COARSE h run through the coarse nodes, and a cubic Hermite
     interpolant fills the nodes between them, with the slopes c t / z that
-    the ODE gives at the ends (num = (h/2) c).  One draw steps on Python
-    floats; from a step that divides by zero on, its values are NaN, as
-    non-finite as the lanes' values there.
+    the ODE gives at the ends (num = (h/2) c).  From a coarse step that
+    divides by zero on, the values are NaN.
     """
-    idx, seg, (v0, v1, s0, s1) = _hermite(t.shape[-1] - 1)
-    T = t[..., idx]
+    idx, seg, (v0, v1, s0, s1) = _hermite(len(t) - 1)
+    T = t[idx]
     big = idx[1:] - idx[:-1]
     nums = big * num
-    A, M, A1 = nums * T[..., :-1], nums * (T[..., :-1] + big * half), nums * T[..., 1:]
+    A, M, A1 = nums * T[:-1], nums * (T[:-1] + big * half), nums * T[1:]
     Z = [z0]
-    if T.ndim == 1:
-        try:
-            _march(float(z0), A.tolist(), M.tolist(), A1.tolist(), Z)
-        except ZeroDivisionError:
-            Z += [np.nan] * (len(idx) - len(Z))
-        Z = np.array(Z)
-    else:
-        _march(z0, *(np.moveaxis(x, -1, 0) for x in (A, M, A1)), Z)
-        Z = np.stack(Z, axis=-1)
+    try:
+        _march(z0, A.tolist(), M.tolist(), A1.tolist(), Z)
+    except ZeroDivisionError:
+        Z += [np.nan] * (len(idx) - len(Z))
+    Z = np.array(Z)
     # h times the slope c t / z
     S = (2.0 * num) * T / Z
-    return v0 * Z[..., seg] + v1 * Z[..., seg + 1] + (
-        s0 * S[..., seg] + s1 * S[..., seg + 1]
-    )
+    return v0 * Z[seg] + v1 * Z[seg + 1] + (s0 * S[seg] + s1 * S[seg + 1])
 
 
-def _solve_block(z, t, half, num, live) -> np.ndarray:
-    """Newton's method for the RK4 values z[..., 1:] of one block, in place.
+def _solve_block(z, t, half: float, num: float) -> int:
+    """Newton's method for the RK4 values z[1:] of one block, in place.
 
-    z[..., 0] is the block's given start, and z[..., 1:] is first the
-    prediction; t are the block's nodes and num = (h/2) c.  A step is
-    settled when its residual r_i = F_i(z_i) - z_{i+1}, with F_i the RK4
-    step, is at most one ulp of z_{i+1} (so never when non-finite).  While
-    a live lane has an unsettled step, and for at most _NEWTON iterations,
-    the lane's values move by the solution of d_{i+1} = F_i'(z_i) d_i + r_i,
-    d_0 = 0, which cumprod and cumsum give.  Returns, per lane, the first
-    unsettled step (the block's step count if there is none).
+    z[0] is the block's given start, and z[1:] is first the prediction; t
+    are the block's nodes and num = (h/2) c.  A step is settled when its
+    residual r_i = F_i(z_i) - z_{i+1}, with F_i the RK4 step, is at most
+    one ulp of z_{i+1} (so never when non-finite).  While a step is
+    unsettled, and for at most _NEWTON iterations, the values move by the
+    solution of d_{i+1} = F_i'(z_i) d_i + r_i, d_0 = 0, which cumprod and
+    cumsum give.  Returns the first unsettled step (the block's step count
+    if there is none).
     """
     A = num * t
-    M = num * (t[..., :-1] + half)
-    zi, z1 = z[..., :-1], z[..., 1:]
-    pending = live
+    M = num * (t[:-1] + half)
+    zi, z1 = z[:-1], z[1:]
     for it in range(_NEWTON + 1):
         # _march's stages, on every step at once
-        p1 = A[..., :-1] / zi
+        p1 = A[:-1] / zi
         u1 = zi + p1
         p2 = M / u1
         u2 = zi + p2
         p3 = M / u2
         u3 = zi + 2.0 * p3
-        p4 = A[..., 1:] / u3
+        p4 = A[1:] / u3
         r = zi + (p1 + p4 + 2.0 * (p2 + p3)) / 3.0 - z1
         settled = np.abs(r) <= np.spacing(np.abs(z1))
-        pending = pending & ~settled.all(axis=-1)
-        if it == _NEWTON or not pending.any():
-            break
+        if settled.all():
+            return len(z1)
+        if it == _NEWTON:
+            return int(settled.argmin())
         # F' by the chain rule through the stages, each e_k = -p_k'
         e1 = p1 / zi
         e2 = p2 * (1.0 - e1) / u1
         e3 = p3 * (1.0 - e2) / u2
         e4 = p4 * (1.0 - 2.0 * e3) / u3
-        gain = np.cumprod(1.0 - (e1 + e4 + 2.0 * (e2 + e3)) / 3.0, axis=-1)
-        delta = gain * np.cumsum(r / gain, axis=-1)
-        np.add(z1, delta, out=z1, where=pending[..., None])
-    return np.where(settled.all(axis=-1), t.shape[-1] - 1, settled.argmin(axis=-1))
+        gain = np.cumprod(1.0 - (e1 + e4 + 2.0 * (e2 + e3)) / 3.0)
+        z1 += gain * np.cumsum(r / gain)
 
 
-def _continue(z, t, half, num) -> int:
+def _continue(z, t, half: float, num: float) -> int:
     """The step loop in place along z from z[0] over the nodes t.
 
     Steps on Python floats.  Returns the number of steps it took, fewer
@@ -342,46 +285,34 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
     most one ulp (_solve_block).  From the first step of a block that does
     not settle, the step loop runs to the end (_continue).  The kernel
     reads only cos, sin and the ends, no closed-form quantity.  Steps,
-    nodes, lanes and blow-up (z = 0 is the singular line) are as in
-    rk4_solve, and each lane is bitwise its one-draw call.  A step that
-    leaves the solution (see _grid) is a blow-up too, because the solution
-    ends on the singular line there.
+    nodes and blow-up (z = 0 is the singular line) are as in rk4_solve.
+    A step that leaves the solution (see _grid) is a blow-up too, because
+    the solution ends on the singular line there.
     """
-    cos_t, sin_t, t0, y0, t1 = _lanes(cos_theta, sin_theta, t0, y0, t1)
-    if np.any(sin_t == 0.0):
+    cos_t, sin_t, t0, y0, t1 = map(float, (cos_theta, sin_theta, t0, y0, t1))
+    if sin_t == 0.0:
         raise ValueError("the phase ODE needs sin(theta) != 0")
     n, h = _steps(t0, t1, step)
     r = cos_t / sin_t
-    half = np.asarray(0.5 * h)
+    half = 0.5 * h
     num = half * (1.0 + r * r)
     nodes = _nodes(t0, h, n)
-    z = np.empty(nodes.shape)
-    z[..., 0] = y0 - t0 * r
-    # per lane, the node from which the step loop runs (n: none)
-    start = np.full(np.shape(h), n)
-    cols = _col(half), _col(num)
+    z = np.empty(n + 1)
+    z[0] = y0 - t0 * r
+    done = n
     with np.errstate(all="ignore"):
         for a in range(0, n, _BLOCK):
-            live = start == n
-            if not live.any():
+            block, t = z[a:a + _BLOCK + 1], nodes[a:a + _BLOCK + 1]
+            block[1:] = _predict(float(block[0]), t, half, num)[1:]
+            first = a + _solve_block(block, t, half, num)
+            if first < a + len(t) - 1:
+                done = first + _continue(z[first:], nodes[first:], half, num)
                 break
-            block, t = z[..., a:a + _BLOCK + 1], nodes[..., a:a + _BLOCK + 1]
-            block[..., 1:] = _predict(block[..., 0], t, *cols)[..., 1:]
-            first = _solve_block(block, t, *cols, live)
-            start = np.where(live & (first < t.shape[-1] - 1), a + first, start)
-        for lane in map(tuple, np.argwhere(start < n)):
-            first = int(start[lane])
-            done = first + _continue(
-                z[lane][first:], nodes[lane][first:], half[lane], num[lane]
-            )
-            if done == n:
-                continue
-            if not lane:  # one draw
-                last = float(nodes[done])
-                raise IntegrationError(
-                    f"right-hand side blew up near t = {last}", location=last
-                )
-            z[lane][done + 1:] = np.nan  # _grid locates it
+    if done < n:
+        last = float(nodes[done])
+        raise IntegrationError(
+            f"right-hand side blew up near t = {last}", location=last
+        )
     return _grid(nodes, h, z, slope=r)
 
 

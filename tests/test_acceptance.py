@@ -85,7 +85,6 @@ def test_criterion_2_figure2_curve():
 def test_criterion_3_dhym_residual_suite():
     draws = stable_draws(200)
     worst_res = worst_rk4 = worst_bdry = 0.0
-    sols, starts = [], []
     for s, b in draws:
         sol = dr.solve_dhym(s, b)
         grid = default_grid(sol)
@@ -97,13 +96,11 @@ def test_criterion_3_dhym_residual_suite():
             abs(dr.eval_H(sol, sol.t_minus) - tm),
             abs(dr.eval_H(sol, sol.t_plus) - tp),
         )
-        sols.append(sol)
-        starts.append((sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3))
-    # every draw is one lane of a single RK4 integration
-    g = oracle.rk4_solve_phase_ode(*np.transpose(starts), 1e-4)
-    for sol, nodes, values in zip(sols, g.nodes, g.values):
+        g = oracle.rk4_solve_phase_ode(
+            sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3, 1e-4
+        )
         worst_rk4 = max(
-            worst_rk4, float(np.max(np.abs(values - dr.eval_H(sol, nodes))))
+            worst_rk4, float(np.max(np.abs(g.values - dr.eval_H(sol, g.nodes))))
         )
     ok = worst_res < 1e-10 and worst_rk4 < 1e-8 and worst_bdry < 1e-10
     report(

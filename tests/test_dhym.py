@@ -186,7 +186,6 @@ def test_H_pair_of_matches_separate_calls(rng, semistable_case):
 
 
 def test_residual_and_oracle_on_draws(rng):
-    sols, starts = [], []
     for _ in range(25):
         s, b = draw_stable(rng)
         sol = solve_dhym(s, b)
@@ -195,13 +194,11 @@ def test_residual_and_oracle_on_draws(rng):
         tm, tp = boundary_targets(s, canonicalize(b))
         assert abs(eval_H(sol, sol.t_minus) - tm) < 1e-10
         assert abs(eval_H(sol, sol.t_plus) - tp) < 1e-10
-        sols.append(sol)
-        starts.append((sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3))
-    # independent RK4 integration from the t_plus boundary values, one lane a draw
-    g = oracle.rk4_solve_phase_ode(*np.transpose(starts), 1e-4)
-    for sol, nodes, values in zip(sols, g.nodes, g.values):
-        dev = np.max(np.abs(values - eval_H(sol, nodes)))
-        assert dev < 1e-8
+        # independent RK4 integration from the t_plus boundary value
+        g = oracle.rk4_solve_phase_ode(
+            sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3, 1e-4
+        )
+        assert np.max(np.abs(g.values - eval_H(sol, g.nodes))) < 1e-8
 
 
 def test_deriv_matches_finite_difference(figure1):

@@ -37,9 +37,37 @@ def test_rk4_backward():
 
 
 def test_rk4_divergence_reported():
+    # y' = y^2 blows up at t = 1 / y0
     with pytest.raises(IntegrationError) as exc:
         oracle.rk4_solve(lambda t, y: y ** 2, 0.0, 1.0, 2.0, 1e-3)
-    assert exc.value.location is not None
+    assert 0.9 < exc.value.location < 1.1
+
+
+def test_rk4_blow_up_in_one_lane():
+    # y' = y^2 blows up at t = 1 / y0: of three one-draw calls only the
+    # middle start reaches it, and the calls around it still finish
+    def rhs(t, y):
+        return y ** 2
+
+    with pytest.raises(IntegrationError) as one:
+        oracle.rk4_solve(rhs, 0.0, 1.0, 2.0, 1e-3)
+    assert 0.9 < one.value.location < 1.1
+    for y0 in (0.1, 0.2):
+        g = oracle.rk4_solve(rhs, 0.0, y0, 2.0, 1e-3)
+        assert g.values[-1] == pytest.approx(y0 / (1.0 - 2.0 * y0), rel=1e-8)
+
+
+def test_rk4_takes_one_draw_only():
+    # an array of draws is rejected, as Python's float() rejects it
+    draw = (0.6, 0.8, 7.0, -2.0, 5.1)
+    for i in range(len(draw)):
+        args = list(draw)
+        args[i] = np.array([args[i], args[i]])
+        with pytest.raises(TypeError):
+            oracle.rk4_solve_phase_ode(*args, 1e-3)
+        if i >= 2:
+            with pytest.raises(TypeError):
+                oracle.rk4_solve(lambda t, y: y, *args[2:], 1e-3)
 
 
 def _benchmark_starts(draws):
@@ -54,36 +82,6 @@ def _benchmark_starts(draws):
     return rows
 
 
-def test_rk4_lanes_match_scalar_calls(rng, figure1):
-    rows = _benchmark_starts([figure1] + [draw_stable(rng) for _ in range(4)])
-    lanes = oracle.rk4_solve_phase_ode(*np.transpose(rows), 1e-4)
-    assert lanes.nodes.shape == (5, 19990 + 1)
-    for i, row in enumerate(rows):
-        one = oracle.rk4_solve_phase_ode(*row, 1e-4)
-        assert np.array_equal(lanes.nodes[i], one.nodes)
-        assert np.array_equal(lanes.values[i], one.values)
-
-
-def test_rk4_blow_up_in_one_lane():
-    # y' = y^2 blows up at t = 1 / y0: only the middle lane reaches it
-    def rhs(t, y):
-        return y ** 2
-
-    with pytest.raises(IntegrationError) as one:
-        oracle.rk4_solve(rhs, 0.0, 1.0, 2.0, 1e-3)
-    with pytest.raises(IntegrationError) as lanes:
-        oracle.rk4_solve(rhs, 0.0, np.array([0.1, 1.0, 0.2]), 2.0, 1e-3)
-    loc = lanes.value.location
-    assert 0.9 < one.value.location < 1.1
-    assert loc[1] == one.value.location
-    assert np.isnan(loc[0]) and np.isnan(loc[2])
-
-
-def test_rk4_lanes_must_share_a_step_count():
-    with pytest.raises(ValueError):
-        oracle.rk4_solve(lambda t, y: y, 0.0, 1.0, np.array([1.0, 2.0]), 1e-2)
-
-
 def _textbook_rhs(cos_t, sin_t):
     def rhs(t, y):
         return (t * sin_t + y * cos_t) / (y * sin_t - t * cos_t)
@@ -93,36 +91,18 @@ def _textbook_rhs(cos_t, sin_t):
 
 def test_rk4_phase_kernel_matches_generic(rng, figure1):
     # the benchmark's call: t_plus to t_minus + 1e-3 at step 1e-4
-    draws = [figure1] + [draw_stable(rng) for _ in range(10)]
-    args = []
-    for s, b in draws:
-        sol = solve_dhym(s, b)
-        tp = boundary_targets(s, canonicalize(b))[1]
-        args.append(
-            [sol.cos_theta, sol.sin_theta, sol.t_plus, tp, sol.t_minus + 1e-3]
-        )
-    for cos_t, sin_t, *ends in args:
+    rows = _benchmark_starts([figure1] + [draw_stable(rng) for _ in range(10)])
+    for cos_t, sin_t, *ends in rows:
         a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
         b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
+        assert b.nodes.shape == (19990 + 1,)
         assert np.array_equal(a.nodes, b.nodes)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
-    cos_t, sin_t, *ends = np.transpose(args)
-    a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
-    b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
-    assert b.nodes.shape == (len(draws), 19990 + 1)
-    assert np.array_equal(a.nodes, b.nodes)
-    assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 
 def test_rk4_phase_kernel_rejects_zero_sin():
     with pytest.raises(ValueError, match="sin"):
         oracle.rk4_solve_phase_ode(1.0, 0.0, 7.0, -2.0, 5.1, 1e-3)
-    with pytest.raises(ValueError, match="sin"):
-        oracle.rk4_solve_phase_ode(
-            np.array([0.6, 1.0, 0.6]),
-            np.array([0.8, 0.0, 0.8]),
-            7.0, -2.0, 5.1, 1e-3,
-        )
 
 
 def test_rk4_phase_kernel_blow_up():
@@ -133,26 +113,19 @@ def test_rk4_phase_kernel_blow_up():
         oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, singular, 5.1, 1e-3)
     assert isinstance(one.value.location, float)
     assert one.value.location == 7.0
-    with pytest.raises(IntegrationError) as lanes:
-        oracle.rk4_solve_phase_ode(
-            cos_t, sin_t, 7.0, np.array([-2.0, singular, -2.5]), 5.1, 1e-3
-        )
-    loc = lanes.value.location
-    assert loc[1] == one.value.location
-    assert np.isnan(loc[0]) and np.isnan(loc[2])
 
 
 def test_rk4_phase_kernel_agrees_with_generic_on_many_classes(rng):
     # the z form rounds differently from the textbook form: bound the
-    # difference relative to the size of the values, lane by lane
-    rows = _benchmark_starts([draw_stable(rng) for _ in range(120)])
-    cos_t, sin_t, *ends = np.transpose(rows)
-    a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
-    b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
-    assert np.array_equal(a.nodes, b.nodes)
-    dev = np.max(np.abs(a.values - b.values), axis=-1)
-    scale = np.maximum(1.0, np.max(np.abs(a.values), axis=-1))
-    assert np.all(dev <= 1e-12 * scale)
+    # difference relative to the size of the values, draw by draw
+    for cos_t, sin_t, *ends in _benchmark_starts(
+        [draw_stable(rng) for _ in range(120)]
+    ):
+        a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
+        b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
+        assert np.array_equal(a.nodes, b.nodes)
+        dev = np.max(np.abs(a.values - b.values))
+        assert dev <= 1e-12 * max(1.0, np.max(np.abs(a.values)))
 
 
 def test_rk4_phase_kernel_blow_up_inside_the_interval():
@@ -166,32 +139,20 @@ def test_rk4_phase_kernel_blow_up_inside_the_interval():
     loc = one.value.location
     assert isinstance(loc, float)
     assert -t0 < loc < t0
-    with pytest.raises(IntegrationError) as lanes:
-        oracle.rk4_solve_phase_ode(
-            0.6, 0.8, t0, np.array([0.05, 2.0 * t0, 0.06]), -t0, step
-        )
-    locs = lanes.value.location
-    assert locs[1] == loc
-    assert np.isnan(locs[0]) and np.isnan(locs[2])
 
 
 def test_rk4_phase_kernel_stops_at_the_fold():
     # z^2 = c (t^2 - 49) + d^2 from the start z = d at t = 7, so towards 5.1
     # the solution ends at z = 0, t = sqrt(49 - d^2 / c): the step from the
-    # node before it raises, on either side of the singular line and in
-    # lanes, where a sign test alone let most starts run past the end
+    # node before it raises, on either side of the singular line, where a
+    # sign test alone let most starts run past the end
     cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
     r, c, step = 0.5, 1.25, 1e-3
-    d = np.array([-2.9, -1.3, -0.2, -1e-9, 1e-9, 0.2, 1.3, 2.9])
-    fold = np.sqrt(49.0 - d * d / c)
-    with pytest.raises(IntegrationError) as lanes:
-        oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 7.0 * r + d, 5.1, step)
-    loc = lanes.value.location
-    assert np.all((fold <= loc) & (loc < fold + step))
-    for one_d, one_loc in zip(d.tolist(), loc.tolist()):
+    for d in (-2.9, -1.3, -0.2, -1e-9, 1e-9, 0.2, 1.3, 2.9):
+        fold = math.sqrt(49.0 - d * d / c)
         with pytest.raises(IntegrationError) as one:
-            oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 7.0 * r + one_d, 5.1, step)
-        assert one.value.location == one_loc
+            oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 7.0 * r + d, 5.1, step)
+        assert fold <= one.value.location < fold + step
     # away from the line the same call runs through
     oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 7.0 * r + 5.5, 5.1, step)
 
@@ -210,8 +171,12 @@ def _capture(monkeypatch, name):
 
 
 def _z_loop(cos_t, sin_t, t0, y0, t1, step):
-    """The plain RK4 step loop of z' = c t / z on lane rows: (nodes, z)."""
-    n, h = oracle._steps(t0, t1, step)
+    """The plain RK4 step loop of z' = c t / z on lane rows: (nodes, z).
+
+    The rows must share their step count.
+    """
+    (n,) = {oracle._steps(a, b, step)[0] for a, b in zip(t0.tolist(), t1.tolist())}
+    h = (t1 - t0) / n
     r = cos_t / sin_t
     half = 0.5 * h
     num = half * (1.0 + r * r)
@@ -231,30 +196,30 @@ def _z_loop(cos_t, sin_t, t0, y0, t1, step):
 def test_rk4_phase_newton_settles_every_step_and_agrees_with_the_loop(
     rng, monkeypatch
 ):
-    # 300 classes of the benchmark's call, 60 lanes at a time: every step of
-    # the returned z satisfies the RK4 recurrence to one ulp, and the values
-    # are the step loop's to rounding
+    # 300 classes of the benchmark's call, one call each: every step of the
+    # returned z satisfies the RK4 recurrence to one ulp, and the values are
+    # the step loop's to rounding (the loop runs 60 classes at a time)
     grids = _capture(monkeypatch, "_grid")
     rows = _benchmark_starts([draw_stable(rng) for _ in range(300)])
     for chunk in range(0, len(rows), 60):
-        cos_t, sin_t, *ends = np.transpose(rows[chunk:chunk + 60])
-        got = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
-        nodes, h, z, r = grids[-1]
-        half = 0.5 * h[:, None]
-        num = half * (1.0 + r * r)[:, None]
-        a, m = num * nodes, num * (nodes[:, :-1] + half)
-        zi = z[:, :-1]
-        p1 = a[:, :-1] / zi
-        p2 = m / (zi + p1)
-        p3 = m / (zi + p2)
-        p4 = a[:, 1:] / (zi + 2.0 * p3)
-        residual = zi + (p1 + p4 + 2.0 * (p2 + p3)) / 3.0 - z[:, 1:]
-        assert np.all(np.abs(residual) <= np.spacing(np.abs(z[:, 1:])))
-        loop_nodes, loop_z = _z_loop(cos_t, sin_t, *ends, 1e-4)
-        assert np.array_equal(loop_nodes, nodes)
-        y = (loop_z + loop_nodes * r[:, None])[:, ::-1]
-        dev = np.max(np.abs(got.values - y), axis=-1)
-        assert np.all(dev <= 1e-13 * np.maximum(1.0, np.max(np.abs(y), axis=-1)))
+        loop_nodes, loop_z = _z_loop(*np.transpose(rows[chunk:chunk + 60]), 1e-4)
+        for i, row in enumerate(rows[chunk:chunk + 60]):
+            got = oracle.rk4_solve_phase_ode(*row, 1e-4)
+            nodes, h, z, r = grids[-1]
+            half = 0.5 * h
+            num = half * (1.0 + r * r)
+            a, m = num * nodes, num * (nodes[:-1] + half)
+            zi = z[:-1]
+            p1 = a[:-1] / zi
+            p2 = m / (zi + p1)
+            p3 = m / (zi + p2)
+            p4 = a[1:] / (zi + 2.0 * p3)
+            residual = zi + (p1 + p4 + 2.0 * (p2 + p3)) / 3.0 - z[1:]
+            assert np.all(np.abs(residual) <= np.spacing(np.abs(z[1:])))
+            assert np.array_equal(loop_nodes[i], nodes)
+            y = (loop_z[i] + loop_nodes[i] * r)[::-1]
+            dev = np.max(np.abs(got.values - y))
+            assert dev <= 1e-13 * max(1.0, np.max(np.abs(y)))
 
 
 def _passes_near_the_line(t0, gaps):
@@ -265,58 +230,42 @@ def _passes_near_the_line(t0, gaps):
     return 0.5 * t0 + np.sqrt(1.25 * t0 * t0 + np.square(gaps))
 
 
-def test_rk4_phase_lanes_bitwise_with_a_continued_lane(monkeypatch):
-    # the middle lane passes 1e-4 from the singular line: the predictor
+def test_rk4_phase_continues_near_the_line(monkeypatch):
+    # the start that passes 1e-4 from the singular line: the predictor
     # misses there, Newton does not settle, and the step loop finishes the
-    # lane without a blow-up; the outer lanes settle in every block
+    # call without a blow-up; the other starts settle in every block
     cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
     y0 = _passes_near_the_line(0.5, np.array([0.1, 1e-4, 0.01]))
     continued = _capture(monkeypatch, "_continue")
-    lanes = oracle.rk4_solve_phase_ode(cos_t, sin_t, 0.5, y0, -0.5, 1e-4)
-    assert len(continued) == 1
     for i, one_y0 in enumerate(y0.tolist()):
         continued.clear()
-        one = oracle.rk4_solve_phase_ode(cos_t, sin_t, 0.5, one_y0, -0.5, 1e-4)
+        g = oracle.rk4_solve_phase_ode(cos_t, sin_t, 0.5, one_y0, -0.5, 1e-4)
+        assert g.values.shape == (10 ** 4 + 1,)
         assert len(continued) == (i == 1)
-        assert np.array_equal(lanes.nodes[i], one.nodes)
-        assert np.array_equal(lanes.values[i], one.values)
 
 
-def test_rk4_phase_lanes_bitwise_with_a_folding_lane(monkeypatch):
-    # z^2 = c (t^2 - 49) + d^2 from z = d at t = 7: the middle start folds
+def test_rk4_phase_continues_from_the_block_holding_the_fold(monkeypatch):
+    # z^2 = c (t^2 - 49) + d^2 from z = d at t = 7: the start d = 4.03 folds
     # near t = 6, in the third block, and the step loop runs from there;
-    # the outer ones reach 5.1.  Each lane's z, as _grid receives it, is
-    # its one-draw call's, bitwise
+    # the other starts reach 5.1 without it
     cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
-    d = np.array([5.5, 4.03, -6.0])
-    grids = _capture(monkeypatch, "_grid")
     continued = _capture(monkeypatch, "_continue")
-    with pytest.raises(IntegrationError) as lanes:
+    for d in (5.5, -6.0):
         oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 3.5 + d, 5.1, 1e-4)
-    loc = lanes.value.location
-    assert np.isnan(loc[0]) and np.isnan(loc[2])
-    assert 6.0 < loc[1] < 6.001
-    # the folding lane alone continues, and from the block holding the fold
+    assert not continued
+    with pytest.raises(IntegrationError) as one:
+        oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 3.5 + 4.03, 5.1, 1e-4)
+    assert 6.0 < one.value.location < 6.001
     assert len(continued) == 1
     assert 6.0 < continued[0][1][0] <= 7.0 - 2 * oracle._BLOCK * 1e-4
-    lane_z = grids[-1][2]
-    for i, one_d in enumerate(d.tolist()):
-        continued.clear()
-        if i == 1:
-            with pytest.raises(IntegrationError) as one:
-                oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 3.5 + one_d, 5.1, 1e-4)
-            assert one.value.location == loc[1]
-        else:
-            oracle.rk4_solve_phase_ode(cos_t, sin_t, 7.0, 3.5 + one_d, 5.1, 1e-4)
-        assert len(continued) == (i == 1)
-        assert np.array_equal(grids[-1][2], lane_z[i], equal_nan=True)
 
 
 def test_rk4_phase_memory_is_bounded_by_the_blocks():
     # a 10^6-step call: the blocks keep the solve's temporaries to a few
-    # dozen arrays of _BLOCK values, so the traced peak is the grid's own
-    # arrays and _grid's checks, about 51 MB; the same temporaries over
-    # all 10^6 steps at once would take about 8 MB each
+    # dozen arrays of _BLOCK values, and a backward run is reversed as a
+    # view, so the traced peak is the grid's own arrays and _grid's checks,
+    # about 40 MB; the same temporaries over all 10^6 steps at once would
+    # take about 8 MB each, and a reversed copy 16 MB
     import tracemalloc
 
     cos_t, sin_t = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
@@ -327,7 +276,7 @@ def test_rk4_phase_memory_is_bounded_by_the_blocks():
     finally:
         tracemalloc.stop()
     assert g.values.shape == (10 ** 6 + 1,)
-    assert peak <= 64e6
+    assert peak <= 46e6
 
 
 def test_rk4_phase_kernel_is_blind_to_the_closed_forms(rng, monkeypatch):
@@ -343,9 +292,8 @@ def test_rk4_phase_kernel_is_blind_to_the_closed_forms(rng, monkeypatch):
         for name, value in vars(module).items():
             if getattr(value, "__module__", None) == module.__name__:
                 monkeypatch.setattr(module, name, blind)
-    one = oracle.rk4_solve_phase_ode(*rows[0], 1e-4)
-    lanes = oracle.rk4_solve_phase_ode(*np.transpose(rows), 1e-4)
-    assert np.array_equal(lanes.values[0], one.values)
+    for row in rows:
+        oracle.rk4_solve_phase_ode(*row, 1e-4)
 
 
 def test_step_count_is_capped():
@@ -373,23 +321,18 @@ _NAN, _INF = float("nan"), float("inf")
         (7.0, 1e-3, "t1 equals t0 = 7.0"),
     ],
 )
-@pytest.mark.parametrize("lanes", [False, True], ids=["one", "lanes"])
-def test_rk4_rejects_bad_steps_and_ends(t1, step, message, lanes):
-    y0 = -2.0
-    if lanes:
-        # a bad end sits on the second lane only; the step is shared
-        t1, y0 = np.array([5.1, t1]), np.array([-2.0, -2.5])
+def test_rk4_rejects_bad_steps_and_ends(t1, step, message):
     with pytest.raises(ValueError, match=message):
-        oracle.rk4_solve_phase_ode(0.6, 0.8, 7.0, y0, t1, step)
+        oracle.rk4_solve_phase_ode(0.6, 0.8, 7.0, -2.0, t1, step)
     with pytest.raises(ValueError, match=message):
-        oracle.rk4_solve(lambda t, y: y, 7.0, y0, t1, step)
+        oracle.rk4_solve(lambda t, y: y, 7.0, -2.0, t1, step)
 
 
 def test_rk4_rejects_non_finite_start():
     with pytest.raises(ValueError, match="t0 must be finite, got nan"):
         oracle.rk4_solve_phase_ode(0.6, 0.8, _NAN, -2.0, 5.1, 1e-3)
     with pytest.raises(ValueError, match="t0 must be finite, got inf"):
-        oracle.rk4_solve(lambda t, y: y, np.array([7.0, _INF]), -2.0, 5.1, 1e-3)
+        oracle.rk4_solve(lambda t, y: y, _INF, -2.0, 5.1, 1e-3)
 
 
 def test_quadrature_volume_identities():
