@@ -484,8 +484,3 @@ def repr_chunks(columns, blank=None):
         m = min(step, rows - start)
         b = None if blank is None else blank[start:start + m]
         yield _workspace().text(columns, start, m, b)
-
-
-def repr_table(columns, blank=None) -> str:
-    """The whole text of repr_chunks(columns, blank)."""
-    return "".join(repr_chunks(columns, blank))

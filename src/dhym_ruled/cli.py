@@ -259,15 +259,6 @@ def parse_descriptor(text: str) -> dict:
     return out
 
 
-def reverify(d: dict) -> dict:
-    """Recompute the residual summary from a parsed descriptor."""
-    s = make_surface(int(d["k"]), int(d["h"]), d["kprime"])
-    b = BundleClass(k1=d["k1"], k2=d["k2"], conjugated=bool(d["conjugated"]))
-    sol = dhym.solve_dhym(s, b)
-    prof = coupled.conical_coefficients(s, b, d["beta0"])
-    return residual_summary(s, b, sol, prof)
-
-
 def _write(text, out: str | None):
     """Write text, a str or an iterable of str pieces, to --out or stdout."""
     pieces = [text] if isinstance(text, str) else text
@@ -372,6 +363,10 @@ def cmd_tke(args) -> int:
 
 def cmd_figure2(args) -> int:
     s = make_surface(args.k, args.h, args.kprime)
+    # H's denominator has the term 3 (k'/k)(1 - beta); where 3 k'/k
+    # overflows, H would read -0.0, and NaN at beta = 1
+    if not math.isfinite(3.0 * (s.kprime / s.k)):
+        raise ValidationError(f"kprime / k = {s.kprime / s.k!r} is out of double-precision range")
     beta_bar = tke.beta_asymptote(s.k, s.kprime, s.h)
     beta = np.linspace(0.0, 1.0, args.samples)
     H, pole = tke._H_beta_values(s.k, s.kprime, s.h, beta)

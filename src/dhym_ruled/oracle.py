@@ -1,10 +1,11 @@
 """Independent numerics used to verify every closed form.
 
 Nothing here knows the explicit solution formulas: RK4 integrates the raw
-ODE, the quadrature integrates raw integrands, the finite differences probe
-the analytic derivatives, and the coordinate reconstruction inverts the
-momentum profile by direct cumulative integration.  Agreement between these
-routines and the closed forms is the package's correctness argument.
+phase ODE (steps, nodes and blow-up by _steps, _nodes and _grid, which the
+tests' generic RK4 shares), the quadrature integrates raw integrands, and
+the coordinate reconstruction inverts the momentum profile by direct
+cumulative integration.  Agreement between these routines and the closed
+forms is the package's correctness argument.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def _steps(t0: float, t1: float, step: float):
 
     A step that is not finite and positive, or so small that the count
     exceeds MAX_STEPS, an end that is not finite and t1 == t0 raise
-    ValueError naming the value.
+    ValueError naming the value.  So does a step whose h is at most two
+    ulps of the larger end: the nodes t0 + i h need not strictly increase
+    then.
     """
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be finite and positive, got {step!r}")
@@ -65,11 +68,16 @@ def _steps(t0: float, t1: float, step: float):
             f" more than MAX_STEPS = {MAX_STEPS} steps"
         )
     n = max(1, round(count))
-    return n, (t1 - t0) / n
+    h = (t1 - t0) / n
+    top = max(abs(t0), abs(t1))
+    if not abs(h) > 2.0 * math.ulp(top):
+        raise ValueError(f"step {step!r} is below the resolution of the ends:"
+                         f" h = {h!r} is not above two ulps of {top!r}")
+    return n, h
 
 
 def _nodes(t0: float, h: float, n: int) -> np.ndarray:
-    """t0 + i h for i = 0..n: bitwise rk4_solve's nodes."""
+    """t0 + i h for i = 0..n, formed once for the whole run."""
     return t0 + np.arange(float(n + 1)) * h
 
 
@@ -103,36 +111,6 @@ def _grid(nodes: np.ndarray, h: float, values: np.ndarray, slope=None) -> GridFu
     if h < 0:
         nodes, values = nodes[::-1], values[::-1]
     return GridFunction(nodes=nodes, values=values)
-
-
-def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
-    """Classical fixed-step RK4 from (t0, y0) to t1, on Python floats.
-
-    Takes round(|t1 - t0| / step) steps (see _steps).  Integrates backwards
-    when t1 < t0.  Blow-up of the right-hand side raises IntegrationError
-    located at the last finite node.
-    """
-    t0, y0, t1 = float(t0), float(y0), float(t1)
-    n, h = _steps(t0, t1, step)
-    half, sixth = 0.5 * h, h / 6.0
-    t, y = t0, y0
-    values = [y]
-    try:
-        with np.errstate(all="ignore"):
-            for i in range(n):
-                th = t + half
-                k1 = rhs(t, y)
-                k2 = rhs(th, y + half * k1)
-                k3 = rhs(th, y + half * k2)
-                k4 = rhs(t + h, y + h * k3)
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = t0 + (i + 1) * h
-                values.append(y)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise IntegrationError(
-            f"right-hand side blew up near t = {t}", location=t
-        ) from exc
-    return _grid(_nodes(t0, h, n), h, np.array(values))
 
 
 #: Steps the phase-ODE RK4 solves at once: a block's temporaries are a few
@@ -275,7 +253,7 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
     line, so the ODE is exactly z' = c t / z.  RK4 commutes with this
     affine change of variable (its weights sum to 1 and each stage's node
     offset is the sum of its coefficients), so integrating z and forming
-    y = z + t r once, at the nodes, gives rk4_solve's iterates up to
+    y = z + t r once, at the nodes, gives the iterates of RK4 on y up to
     rounding.  A step is 14 float operations (see _march).
 
     The recurrence z_{i+1} = F_i(z_i) is solved _BLOCK steps at a time,
@@ -284,8 +262,9 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
     of its steps at once corrects it until every step's residual is at
     most one ulp (_solve_block).  From the first step of a block that does
     not settle, the step loop runs to the end (_continue).  The kernel
-    reads only cos, sin and the ends, no closed-form quantity.  Steps,
-    nodes and blow-up (z = 0 is the singular line) are as in rk4_solve.
+    reads only cos, sin and the ends, no closed-form quantity.  _steps,
+    _nodes and _grid give the step count, the nodes and the blow-up (z = 0
+    is the singular line).
     A step that leaves the solution (see _grid) is a blow-up too, because
     the solution ends on the singular line there.
     """
@@ -379,26 +358,6 @@ def quadrature(
         for first in reversed(range(0, children.shape[1], _PANEL_BATCH)):
             stack.append((level + 1, children[:, first:first + _PANEL_BATCH]))
     return math.fsum(np.concatenate(accepted).tolist())
-
-
-_FD_COEFFS = {
-    1: ([-1, 1], [-0.5, 0.5]),
-    2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
-    4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
-}
-
-
-def finite_difference(
-    f: Callable[[float], float], t: float, order: int, h: float
-) -> float:
-    """Central finite difference of the given order (1, 2 or 4)."""
-    if order not in _FD_COEFFS:
-        raise ValueError(f"unsupported order {order}")
-    offsets, weights = _FD_COEFFS[order]
-    acc = 0.0
-    for o, w in zip(offsets, weights):
-        acc += w * f(t + o * h)
-    return acc / h ** order
 
 
 def solve_2x2(a11, a12, a21, a22, b1, b2) -> tuple[float, float]:

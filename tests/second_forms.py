@@ -1,4 +1,5 @@
-"""The paper's second forms, kept only as the tests' references.
+"""The paper's second forms and the second numerics, kept only as the
+tests' references.
 
 The reduction quantities are plain arithmetic, so each runs on floats and
 on sympy symbols alike: test_certificate.py proves the closed forms of tke
@@ -7,17 +8,27 @@ cone angle.  The Ricci class, the closed form of psi''(t_-) - psi''(t_+)
 and the scaled C' are checked numerically against the package, and the
 per-point Decimal loop is the reference of oracle.eval_psi_highprec.  The
 streamed writers, one Python repr per cell, are the references of the
-profile and figure2 tables.
+profile and figure2 tables, and repr_table joins the package's chunked
+text of one table.  rk4_solve, the generic RK4 on any right-hand side, is
+the reference of oracle.rk4_solve_phase_ode: it shares that kernel's step
+count, nodes and blow-up reporting (oracle._steps, _nodes, _grid).
+finite_difference probes the analytic derivatives, and reverify recomputes
+the residual summary of a parsed descriptor.
 """
 
 from decimal import Decimal, localcontext
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
-from dhym_ruled import oracle, tke
+from dhym_ruled import coupled, dhym, oracle, tke
+from dhym_ruled._text import repr_chunks
+from dhym_ruled.cli import residual_summary
 from dhym_ruled.coupled import beta_infinity
-from dhym_ruled.params import CohClass, pose
+from dhym_ruled.errors import IntegrationError
+from dhym_ruled.oracle import GridFunction, _grid, _nodes, _steps
+from dhym_ruled.params import BundleClass, CohClass, make_surface, pose
 
 
 def gamma_second_form(s, beta0):
@@ -133,3 +144,67 @@ def figure2_text(beta_bar, beta, H, pole):
     rows = map(",".join, zip(_reprs(beta), cells))
     header = [f"# beta_bar = {beta_bar!r}", "beta,H"]
     return "\n".join(chain(header, rows)) + "\n"
+
+
+def repr_table(columns, blank=None) -> str:
+    """The whole text of repr_chunks(columns, blank)."""
+    return "".join(repr_chunks(columns, blank))
+
+
+def rk4_solve(rhs: Callable, t0, y0, t1, step: float) -> GridFunction:
+    """Classical fixed-step RK4 from (t0, y0) to t1, on Python floats.
+
+    Takes round(|t1 - t0| / step) steps (see oracle._steps).  Integrates
+    backwards when t1 < t0.  Blow-up of the right-hand side raises
+    IntegrationError located at the last finite node.
+    """
+    t0, y0, t1 = float(t0), float(y0), float(t1)
+    n, h = _steps(t0, t1, step)
+    half, sixth = 0.5 * h, h / 6.0
+    t, y = t0, y0
+    values = [y]
+    try:
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                th = t + half
+                k1 = rhs(t, y)
+                k2 = rhs(th, y + half * k1)
+                k3 = rhs(th, y + half * k2)
+                k4 = rhs(t + h, y + h * k3)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t = t0 + (i + 1) * h
+                values.append(y)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise IntegrationError(
+            f"right-hand side blew up near t = {t}", location=t
+        ) from exc
+    return _grid(_nodes(t0, h, n), h, np.array(values))
+
+
+_FD_COEFFS = {
+    1: ([-1, 1], [-0.5, 0.5]),
+    2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
+    4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
+}
+
+
+def finite_difference(
+    f: Callable[[float], float], t: float, order: int, h: float
+) -> float:
+    """Central finite difference of the given order (1, 2 or 4)."""
+    if order not in _FD_COEFFS:
+        raise ValueError(f"unsupported order {order}")
+    offsets, weights = _FD_COEFFS[order]
+    acc = 0.0
+    for o, w in zip(offsets, weights):
+        acc += w * f(t + o * h)
+    return acc / h ** order
+
+
+def reverify(d: dict) -> dict:
+    """Recompute the residual summary from a parsed descriptor."""
+    s = make_surface(int(d["k"]), int(d["h"]), d["kprime"])
+    b = BundleClass(k1=d["k1"], k2=d["k2"], conjugated=bool(d["conjugated"]))
+    sol = dhym.solve_dhym(s, b)
+    prof = coupled.conical_coefficients(s, b, d["beta0"])
+    return residual_summary(s, b, sol, prof)

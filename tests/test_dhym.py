@@ -30,6 +30,7 @@ from dhym_ruled.dhym import H_pair_of, check_domain, default_grid, radicand
 from dhym_ruled import oracle
 
 from conftest import draw_stable
+from second_forms import finite_difference
 
 
 def test_integration_constants_showcase(figure1):
@@ -205,7 +206,7 @@ def test_deriv_matches_finite_difference(figure1):
     s, b = figure1
     sol = solve_dhym(s, b)
     for t in (5.3, 6.0, 6.7):
-        fd = oracle.finite_difference(lambda u: eval_H(sol, u), t, 1, 1e-5)
+        fd = finite_difference(lambda u: eval_H(sol, u), t, 1, 1e-5)
         assert eval_H_deriv(sol, t) == pytest.approx(fd, abs=1e-7)
 
 

@@ -1,0 +1,98 @@
+"""Every top-level function and class of src/ has a production caller.
+
+A definition in src/dhym_ruled counts as used when it meets one of:
+- src/dhym_ruled or perfbench refers to it, by name or as an attribute,
+  outside its own definition (docstrings and comments are not references);
+- dhym_ruled/__init__.py exports it;
+- it is a cli.cmd_*, which cli.main looks up by name in globals();
+- it is one of the paper's named claims in PAPER_CLAIMS.
+A function that only tests run belongs in tests/, beside the reference it
+serves (tests/second_forms.py).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dhym_ruled"
+
+#: Paper claims with a public name and a test, which no pipeline calls.
+PAPER_CLAIMS = {"reconstruct_s_of_tau"}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _references(tree):
+    """(name, top-level statement it lies in) of each name read in tree."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, stmt
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield node.attr, stmt
+
+
+def _exports(tree):
+    return {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def unused_definitions(package=PACKAGE, others=(ROOT / "perfbench",)):
+    """'module.name' of each top-level def or class of package with no use."""
+    trees = {path: _parse(path) for path in sorted(package.glob("*.py"))}
+    for directory in others:
+        trees.update((path, _parse(path)) for path in sorted(directory.glob("*.py")))
+    refs = [ref for tree in trees.values() for ref in _references(tree)]
+    exported = _exports(trees[package / "__init__.py"])
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for stmt in tree.body:
+            if not isinstance(stmt, kinds):
+                continue
+            name = stmt.name
+            if (
+                name in exported
+                or name in PAPER_CLAIMS
+                or (path.stem == "cli" and name.startswith("cmd_"))
+                or any(n == name and owner is not stmt for n, owner in refs)
+            ):
+                continue
+            unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_definition_in_src_has_a_production_caller():
+    unused = unused_definitions()
+    assert not unused, (
+        "defined in src/ but used only by tests (move them into tests/): "
+        + ", ".join(unused)
+    )
+
+
+def test_the_scan_reports_exactly_the_unused(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import exported\n")
+    (tmp_path / "cli.py").write_text("def cmd_run(args):\n    return 0\n")
+    (tmp_path / "m.py").write_text(
+        "def exported():\n"
+        "    return _helper() + Used.n\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "class Used:\n"
+        "    n = 0\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def orphan():\n"
+        '    """Named only in text: orphan, recursive."""\n'
+        "# orphan()\n"
+        "def reconstruct_s_of_tau(p):\n"
+        "    return p\n"
+    )
+    assert unused_definitions(tmp_path, others=()) == ["m.recursive", "m.orphan"]

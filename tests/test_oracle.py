@@ -21,16 +21,16 @@ from dhym_ruled import oracle
 from dhym_ruled.coupled import eval_psi, eval_psi_deriv
 
 from conftest import draw_stable
-from second_forms import psi_highprec_reference
+from second_forms import finite_difference, psi_highprec_reference, rk4_solve
 
 
 def test_rk4_calibration_exponential():
-    g = oracle.rk4_solve(lambda t, y: y, 0.0, 1.0, 1.0, 1e-4)
+    g = rk4_solve(lambda t, y: y, 0.0, 1.0, 1.0, 1e-4)
     assert g.values[-1] == pytest.approx(math.e, abs=1e-10)
 
 
 def test_rk4_backward():
-    g = oracle.rk4_solve(lambda t, y: y, 1.0, math.e, 0.0, 1e-3)
+    g = rk4_solve(lambda t, y: y, 1.0, math.e, 0.0, 1e-3)
     assert g.nodes[0] == pytest.approx(0.0)
     assert g.values[0] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(g.nodes) > 0)
@@ -39,7 +39,7 @@ def test_rk4_backward():
 def test_rk4_divergence_reported():
     # y' = y^2 blows up at t = 1 / y0
     with pytest.raises(IntegrationError) as exc:
-        oracle.rk4_solve(lambda t, y: y ** 2, 0.0, 1.0, 2.0, 1e-3)
+        rk4_solve(lambda t, y: y ** 2, 0.0, 1.0, 2.0, 1e-3)
     assert 0.9 < exc.value.location < 1.1
 
 
@@ -50,10 +50,10 @@ def test_rk4_blow_up_in_one_lane():
         return y ** 2
 
     with pytest.raises(IntegrationError) as one:
-        oracle.rk4_solve(rhs, 0.0, 1.0, 2.0, 1e-3)
+        rk4_solve(rhs, 0.0, 1.0, 2.0, 1e-3)
     assert 0.9 < one.value.location < 1.1
     for y0 in (0.1, 0.2):
-        g = oracle.rk4_solve(rhs, 0.0, y0, 2.0, 1e-3)
+        g = rk4_solve(rhs, 0.0, y0, 2.0, 1e-3)
         assert g.values[-1] == pytest.approx(y0 / (1.0 - 2.0 * y0), rel=1e-8)
 
 
@@ -67,7 +67,7 @@ def test_rk4_takes_one_draw_only():
             oracle.rk4_solve_phase_ode(*args, 1e-3)
         if i >= 2:
             with pytest.raises(TypeError):
-                oracle.rk4_solve(lambda t, y: y, *args[2:], 1e-3)
+                rk4_solve(lambda t, y: y, *args[2:], 1e-3)
 
 
 def _benchmark_starts(draws):
@@ -93,7 +93,7 @@ def test_rk4_phase_kernel_matches_generic(rng, figure1):
     # the benchmark's call: t_plus to t_minus + 1e-3 at step 1e-4
     rows = _benchmark_starts([figure1] + [draw_stable(rng) for _ in range(10)])
     for cos_t, sin_t, *ends in rows:
-        a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
+        a = rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
         b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
         assert b.nodes.shape == (19990 + 1,)
         assert np.array_equal(a.nodes, b.nodes)
@@ -121,7 +121,7 @@ def test_rk4_phase_kernel_agrees_with_generic_on_many_classes(rng):
     for cos_t, sin_t, *ends in _benchmark_starts(
         [draw_stable(rng) for _ in range(120)]
     ):
-        a = oracle.rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
+        a = rk4_solve(_textbook_rhs(cos_t, sin_t), *ends, 1e-4)
         b = oracle.rk4_solve_phase_ode(cos_t, sin_t, *ends, 1e-4)
         assert np.array_equal(a.nodes, b.nodes)
         dev = np.max(np.abs(a.values - b.values))
@@ -319,20 +319,26 @@ _NAN, _INF = float("nan"), float("inf")
         (5.1, -1e-3, "step must be finite and positive, got -0.001"),
         (5.1, 5e-324, "step 5e-324 is too small for the interval"),
         (7.0, 1e-3, "t1 equals t0 = 7.0"),
+        # h is about half an ulp of the ends, so t0 + i h repeats nodes
+        (7.0 + 1e-12, 5e-16, "step 5e-16 is below the resolution of the ends"),
     ],
 )
-def test_rk4_rejects_bad_steps_and_ends(t1, step, message):
+def test_rk4_rejects_bad_steps_and_ends(t1, step, message, monkeypatch):
+    # each is rejected before the first step
+    steps, march = [], oracle._march
+    monkeypatch.setattr(oracle, "_march", lambda *args: steps.append(args) or march(*args))
     with pytest.raises(ValueError, match=message):
         oracle.rk4_solve_phase_ode(0.6, 0.8, 7.0, -2.0, t1, step)
     with pytest.raises(ValueError, match=message):
-        oracle.rk4_solve(lambda t, y: y, 7.0, -2.0, t1, step)
+        rk4_solve(lambda t, y: steps.append(t) or y, 7.0, -2.0, t1, step)
+    assert steps == []
 
 
 def test_rk4_rejects_non_finite_start():
     with pytest.raises(ValueError, match="t0 must be finite, got nan"):
         oracle.rk4_solve_phase_ode(0.6, 0.8, _NAN, -2.0, 5.1, 1e-3)
     with pytest.raises(ValueError, match="t0 must be finite, got inf"):
-        oracle.rk4_solve(lambda t, y: y, _INF, -2.0, 5.1, 1e-3)
+        rk4_solve(lambda t, y: y, _INF, -2.0, 5.1, 1e-3)
 
 
 def test_quadrature_volume_identities():
@@ -419,26 +425,26 @@ def test_quadrature_failure_is_early_and_bounded():
 
 
 def test_finite_difference():
-    assert oracle.finite_difference(lambda t: 5.0, 1.0, 1, 1e-3) == 0.0
-    assert oracle.finite_difference(math.sin, 0.3, 1, 1e-5) == pytest.approx(
+    assert finite_difference(lambda t: 5.0, 1.0, 1, 1e-3) == 0.0
+    assert finite_difference(math.sin, 0.3, 1, 1e-5) == pytest.approx(
         math.cos(0.3), abs=1e-9
     )
-    assert oracle.finite_difference(math.sin, 0.3, 2, 1e-4) == pytest.approx(
+    assert finite_difference(math.sin, 0.3, 2, 1e-4) == pytest.approx(
         -math.sin(0.3), abs=1e-6
     )
     with pytest.raises(ValueError):
-        oracle.finite_difference(math.sin, 0.3, 3, 1e-4)
+        finite_difference(math.sin, 0.3, 3, 1e-4)
 
 
 def test_psi_derivatives_match_finite_differences(figure1):
     s, b = figure1
     p = smooth_coefficients(s, b)
     t = 6.0
-    fd1 = oracle.finite_difference(lambda u: eval_psi(p, u), t, 1, 1e-5)
+    fd1 = finite_difference(lambda u: eval_psi(p, u), t, 1, 1e-5)
     assert eval_psi_deriv(p, t, 1) == pytest.approx(fd1, abs=1e-7)
-    fd2 = oracle.finite_difference(lambda u: eval_psi(p, u), t, 2, 1e-4)
+    fd2 = finite_difference(lambda u: eval_psi(p, u), t, 2, 1e-4)
     assert eval_psi_deriv(p, t, 2) == pytest.approx(fd2, abs=1e-5)
-    fd4 = oracle.finite_difference(lambda u: eval_psi(p, u), t, 4, 1e-2)
+    fd4 = finite_difference(lambda u: eval_psi(p, u), t, 4, 1e-2)
     assert eval_psi_deriv(p, t, 4) == pytest.approx(fd4, rel=1e-3)
 
 

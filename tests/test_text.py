@@ -1,4 +1,4 @@
-"""repr_table writes every cell byte for byte as Python's repr.
+"""repr_chunks writes every cell byte for byte as Python's repr.
 
 The kernel is checked against repr on random bit patterns, a seeded sweep,
 the values where the notation or the digit search changes and every layout
@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhym_ruled import BundleClass, canonicalize, cli, coupled, dhym, make_surface, tke
-from dhym_ruled._text import _CHUNK, repr_chunks, repr_table
+from dhym_ruled._text import _CHUNK, repr_chunks
 
-from second_forms import figure2_text, profile_text
+from second_forms import figure2_text, profile_text, repr_table
 
 
 def _want(columns, blank=None):

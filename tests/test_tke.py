@@ -20,10 +20,14 @@ from dhym_ruled import (
 from dhym_ruled import tke
 from dhym_ruled.coupled import beta_infinity
 from dhym_ruled.errors import PoleError
-from dhym_ruled import oracle
 
 from conftest import draw_surface
-from second_forms import class_equations, condition_second_form, ricci_class
+from second_forms import (
+    class_equations,
+    condition_second_form,
+    finite_difference,
+    ricci_class,
+)
 
 
 @pytest.fixture
@@ -222,7 +226,7 @@ def test_cone_angle_compatibility(rng):
 
 def test_H_decreasing_near_one(fig2_surface):
     s = fig2_surface
-    d = oracle.finite_difference(
+    d = finite_difference(
         lambda beta: tke.H_beta(s.k, s.kprime, s.h, beta), 0.9, 1, 1e-6
     )
     assert d < 0
