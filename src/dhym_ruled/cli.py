@@ -137,15 +137,17 @@ def _pose_args(args):
                 BundleClass(k1=args.k1, k2=args.k2))
 
 
-def residual_summary(s, b, sol, prof, interior=None) -> dict:
+def verification_pass(s, b, sol, prof) -> coupled.SolvePass:
+    """The SolvePass that solve and profile verify: the interior nodes of default_grid."""
+    return coupled.solve_pass(prof, s, b, sol, dhym.default_grid(prof)[1:-1])
+
+
+def residual_summary(s, b, sol, prof, interior) -> dict:
     """Max-abs residuals of both equations plus all boundary errors.
 
-    The interior residuals are read from ``interior``, the coupled.SolvePass
-    of the solve on the interior nodes of dhym.default_grid, which is
-    evaluated here if not given.
+    The interior residuals are read from ``interior``, the verification_pass
+    of the solve; the boundary values are evaluated here.
     """
-    if interior is None:
-        interior = coupled.solve_pass(prof, s, b, sol, dhym.default_grid(prof)[1:-1])
     tgt_minus, tgt_plus = dhym.boundary_targets(s, b)
     # psi' at both ends from one 2-point evaluation is bitwise equal to two
     # 0-d calls; psi and H stay 0-d calls, because as 2-point arrays they
@@ -183,13 +185,12 @@ def _verdict(summary: dict, sol) -> int:
 def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
     """The solve's class data, positivity report and residual summary.
 
-    The positivity scan and the residual summary read one SolvePass, on the
-    interior nodes of dhym.default_grid.  Every value is None, a bool, an
-    int, a float or a str.
+    The positivity scan and the residual summary read one verification_pass.
+    Every value is None, a bool, an int, a float or a str.
     """
     pr = pose(s, b)
     b, phase = pr.bundle, pr.phase
-    interior = coupled.solve_pass(prof, s, b, sol, dhym.default_grid(prof)[1:-1])
+    interior = verification_pass(s, b, sol, prof)
     pos = coupled.positivity_certificate(prof, interior)
     d = {
         "k": s.k,
@@ -336,7 +337,7 @@ def cmd_profile(args) -> int:
     columns = [t, sp.psi / (2.0 * t), sp.psi, sp.H, sp.im_part, sp.scalar_residual]
     header = "t,phi,psi,H,im_residual,scalar_residual\n"
     _write(chain([header], repr_chunks(columns, blank)), args.out)
-    return _verdict(residual_summary(s, b, sol, prof), sol)
+    return _verdict(residual_summary(s, b, sol, prof, verification_pass(s, b, sol, prof)), sol)
 
 
 def cmd_tke(args) -> int:
@@ -363,10 +364,6 @@ def cmd_tke(args) -> int:
 
 def cmd_figure2(args) -> int:
     s = make_surface(args.k, args.h, args.kprime)
-    # H's denominator has the term 3 (k'/k)(1 - beta); where 3 k'/k
-    # overflows, H would read -0.0, and NaN at beta = 1
-    if not math.isfinite(3.0 * (s.kprime / s.k)):
-        raise ValidationError(f"kprime / k = {s.kprime / s.k!r} is out of double-precision range")
     beta_bar = tke.beta_asymptote(s.k, s.kprime, s.h)
     beta = np.linspace(0.0, 1.0, args.samples)
     H, pole = tke._H_beta_values(s.k, s.kprime, s.h, beta)

@@ -23,7 +23,6 @@ from .dhym import (
     DhymSolution,
     H_pair_of,
     check_domain,
-    default_grid,
     ode_residual_of,
     radicand,
 )
@@ -244,21 +243,17 @@ ZOOM_ROUNDS = 6
 ZOOM_POINTS = 33
 
 
-def positivity_certificate(
-    p: ProfilePoly, interior: SolvePass | None = None
-) -> PositivityReport:
+def positivity_certificate(p: ProfilePoly, interior: SolvePass) -> PositivityReport:
     """Certify psi > 0 on the open interior.
 
     ``interior`` is the SolvePass of p on the interior nodes of
-    dhym.default_grid, if the caller has one: the scan and the end values of
-    psi'' are then read from it, with the same report.
-
-    The minimum of psi is found by a scan of the interior nodes of
-    dhym.default_grid.  When the scan's minimum lies strictly between the
-    first and the last interior node, its two neighbours bracket it and
-    array zooms refine it; the reported minimum is the lowest value seen
-    over the grid and every zoom point, so it is never above the grid
-    minimum.  At the first or last interior node there is no bracket: the
+    dhym.default_grid (cli.verification_pass).  The minimum of psi is found
+    by a scan of its psi, and the convexity test reads its psi'' at both
+    ends; only the zooms are evaluated here.  When the scan's minimum lies
+    strictly between the first and the last node, its two neighbours
+    bracket it and array zooms refine it; the reported minimum is the lowest
+    value seen over the grid and every zoom point, so it is never above the
+    grid minimum.  At the first or last interior node there is no bracket: the
     values rise from that node towards the interior, and the cell on the
     other side ends at t_minus or t_plus, where psi takes its boundary value
     0 with the slope the residual suite checks.  A zoom there would only
@@ -274,11 +269,7 @@ def positivity_certificate(
     For alpha > 0 no such argument is available and the scan is reported
     instead.
     """
-    if interior is None:
-        t = default_grid(p)[1:-1]
-        vals = eval_psi(p, t)
-    else:
-        t, vals = interior.t, interior.psi
+    t, vals = interior.t, interior.psi
     i = int(np.argmin(vals))
     min_value, argmin = float(vals[i]), float(t[i])
     if 0 < i < len(t) - 1:
@@ -294,11 +285,7 @@ def positivity_certificate(
         return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
 
     if p.alpha <= 0.0:
-        if interior is None:
-            ends = np.array([p.t_minus, p.t_plus])
-            pp_minus, pp_plus = eval_psi_deriv(p, ends, 2).tolist()
-        else:
-            pp_minus, pp_plus = interior.psi_pp_ends
+        pp_minus, pp_plus = interior.psi_pp_ends
         if p.cR >= 0.0 and pp_minus > pp_plus:
             return PositivityReport(
                 method="ConvexityCertified", min_value=min_value, argmin=argmin

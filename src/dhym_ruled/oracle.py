@@ -311,9 +311,10 @@ def quadrature(
 ) -> float:
     """Adaptive Simpson integration of f over [a, b] to absolute tolerance.
 
-    ``f`` maps an array of points to an array of values.  A panel is
-    accepted when its two halves agree with it to 15 eps, with the
-    Richardson correction; otherwise each half is refined with eps / 2.
+    ``f`` maps an array of points to an array of values of the same shape;
+    a scalar is not broadcast.  A panel is accepted when its two halves
+    agree with it to 15 eps, with the Richardson correction; otherwise each
+    half is refined with eps / 2.
     The panels of one level are evaluated together, in batches.  A panel
     still unaccepted at level max_depth raises IntegrationError at its
     midpoint, with its estimate.
@@ -322,7 +323,7 @@ def quadrature(
         raise ValueError("need a < b")
 
     def values(t):
-        return np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
+        return np.asarray(f(t), dtype=float)
 
     fa, fm, fb = values(np.array([a, 0.5 * (a + b), b])).tolist()
     root = [a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)]

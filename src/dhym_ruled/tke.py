@@ -50,28 +50,27 @@ def beta_asymptote(k: int, kprime: float, h: int) -> float:
 
 
 def _H_beta_values(k: int, kprime: float, h: int, beta):
-    """H(k, k', h, beta) and a mask of the samples at its pole.
+    """H(k, k', h, beta) on an array of cone angles, and a mask of the
+    samples at its pole.
 
-    Plain arithmetic, so a float ``beta`` gives a float and a bool with no
-    array round trip, and an array ``beta`` is evaluated in one pass; values
-    at the pole are NaN.  A sample is at the pole where the denominator is
-    below 1e-12 of the sum of the magnitudes of its terms at that beta.
+    One numpy pass; values at the pole are NaN.  A sample is at the pole
+    where the denominator is below 1e-12 of the sum of the magnitudes of its
+    terms at that beta.  Raises ValidationError where 3 k'/k or 2 k/k'
+    overflows, since H would then read -0.0, NaN or -inf.
     """
+    if not (math.isfinite(3.0 * (kprime / k)) and math.isfinite(2.0 * k / kprime)):
+        raise ValidationError(f"kprime / k = {kprime / k!r} is out of double-precision range")
     a = 2.0 * (1.0 - h) / (k + kprime)
     num = a + 2.0 * (beta - 1.0) * k / kprime - 1.0
     den = a + 3.0 * (kprime / k) * (1.0 - beta) + 4.0 - 6.0 * beta
     scale = abs(a) + 3.0 * (kprime / k) * abs(1.0 - beta) + 4.0 + 6.0 * abs(beta)
     pole = abs(den) < 1e-12 * scale
-    if isinstance(den, float):
-        den = math.nan if pole else den
-    else:
-        den = np.where(pole, np.nan, den)
-    return 2.0 * num / den, pole
+    return 2.0 * num / np.where(pole, np.nan, den), pole
 
 
 def H_beta(k: int, kprime: float, h: int, beta: float) -> float:
     """The matching function H(k, k', h, beta); pole at the asymptote."""
-    value, pole = _H_beta_values(k, kprime, h, beta)
+    value, pole = _H_beta_values(k, kprime, h, np.float64(beta))
     if pole:
         raise PoleError(f"beta = {beta} is the vertical asymptote")
     return float(value)

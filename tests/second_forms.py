@@ -13,18 +13,20 @@ text of one table.  rk4_solve, the generic RK4 on any right-hand side, is
 the reference of oracle.rk4_solve_phase_ode: it shares that kernel's step
 count, nodes and blow-up reporting (oracle._steps, _nodes, _grid).
 finite_difference probes the analytic derivatives, and reverify recomputes
-the residual summary of a parsed descriptor.
+the residual summary of a parsed descriptor.  certificate_pass is the pass
+that positivity_certificate reads, from the public evaluators alone.
 """
 
 from decimal import Decimal, localcontext
 from itertools import chain
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from dhym_ruled import coupled, dhym, oracle, tke
 from dhym_ruled._text import repr_chunks
-from dhym_ruled.cli import residual_summary
+from dhym_ruled.cli import residual_summary, verification_pass
 from dhym_ruled.coupled import beta_infinity
 from dhym_ruled.errors import IntegrationError
 from dhym_ruled.oracle import GridFunction, _grid, _nodes, _steps
@@ -207,4 +209,14 @@ def reverify(d: dict) -> dict:
     b = BundleClass(k1=d["k1"], k2=d["k2"], conjugated=bool(d["conjugated"]))
     sol = dhym.solve_dhym(s, b)
     prof = coupled.conical_coefficients(s, b, d["beta0"])
-    return residual_summary(s, b, sol, prof)
+    return residual_summary(s, b, sol, prof, verification_pass(s, b, sol, prof))
+
+
+def certificate_pass(p):
+    """What positivity_certificate reads of a SolvePass, from eval_psi on the
+    interior nodes of dhym.default_grid and eval_psi_deriv at both ends; it
+    needs no DhymSolution, so it serves hand-built profiles too."""
+    t = dhym.default_grid(p)[1:-1]
+    ends = np.array([p.t_minus, p.t_plus])
+    return SimpleNamespace(t=t, psi=coupled.eval_psi(p, t),
+                           psi_pp_ends=coupled.eval_psi_deriv(p, ends, 2).tolist())

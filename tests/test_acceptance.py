@@ -12,7 +12,7 @@ from dhym_ruled import limits, oracle, tke
 from dhym_ruled.dhym import default_grid
 
 from conftest import draw_stable
-from second_forms import psi_pp_difference_closed_form
+from second_forms import certificate_pass, psi_pp_difference_closed_form
 
 SEED = 715517
 
@@ -155,7 +155,7 @@ def test_criterion_5_positivity(figure1):
         p = dr.smooth_coefficients(s, b)
         if p.alpha >= 0:
             continue
-        rep = dr.positivity_certificate(p)
+        rep = dr.positivity_certificate(p, certificate_pass(p))
         if rep.method != "ConvexityCertified":
             ok = False
             detail.append(f"method {rep.method} for {s} {b}")
@@ -166,7 +166,7 @@ def test_criterion_5_positivity(figure1):
             detail.append("psi'' difference closed form")
     s, b = figure1
     p5 = dr.conical_coefficients(s, b, 0.5)
-    rep5 = dr.positivity_certificate(p5)
+    rep5 = dr.positivity_certificate(p5, certificate_pass(p5))
     if not (p5.alpha > 0 and rep5.method == "GridVerified" and rep5.min_value > 0):
         ok = False
         detail.append("figure-1 beta0=0.5 certificate")

@@ -33,10 +33,11 @@ from dhym_ruled.cli import (
     main,
     parse_descriptor,
     residual_summary,
+    verification_pass,
 )
 
 from conftest import draw_stable
-from second_forms import reverify
+from second_forms import certificate_pass, reverify
 
 BASE = [sys.executable, "-m", "dhym_ruled"]
 FIG1 = ["--k", "1", "--h", "0", "--kprime", "5", "--k1", "-1", "--k2", "1"]
@@ -660,7 +661,7 @@ def test_residual_summary_matches_pointwise_calls():
         for iv in (sol, prof):
             grid = np.linspace(iv.t_minus, iv.t_plus, 1001)
             assert dhym.default_grid(iv).tobytes() == grid.tobytes(), (s, b)
-        got = residual_summary(s, b, sol, prof)
+        got = residual_summary(s, b, sol, prof, verification_pass(s, b, sol, prof))
         assert got == _pointwise_summary(s, b, sol, prof), (s, b, beta0)
         assert all(type(v) is float for v in got.values())
         branches.add(sol.cos_theta > 0.0)
@@ -703,7 +704,7 @@ def test_descriptor_matches_separate_calls():
     for case in _descriptor_cases():
         s, b, sol, prof = _posed_solve(*case)
         got = build_descriptor(s, b, sol, prof)
-        pos = coupled.positivity_certificate(prof)
+        pos = coupled.positivity_certificate(prof, certificate_pass(prof))
         want = {
             **got,
             "positivity_method": pos.method,
@@ -823,6 +824,7 @@ OUT_OF_RANGE_ARGV = [
     ["limits", *FIG1, "--mode", "large", "--alphas", "1e-200,1e-100"],
     ["solve", "--k", "1", "--kprime", "1", "--k1", "1", "--k2", "1.1e-161"],
     ["figure2", "--k", "1", "--h", "0", "--kprime=1e308", "--samples", "5"],
+    ["figure2", "--k", "1", "--h", "0", "--kprime=1e-309", "--samples", "5"],
     ["check", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2", "1", "--kpp", "3"],
     ["check", "--k", "1", "--kprime", "5", "--complexified", "--kpp", "3",
      "--k1", "-1", "--k2", "1"],

@@ -35,7 +35,7 @@ from dhym_ruled.limits import scaled_class, scaled_solution
 from dhym_ruled.params import phase_constant
 
 from conftest import draw_stable
-from second_forms import psi_pp_difference_closed_form
+from second_forms import certificate_pass, psi_pp_difference_closed_form
 
 
 FIG1_COEFFS = {
@@ -179,7 +179,7 @@ def test_positivity_smooth_convexity(figure1, rng):
     s, b = figure1
     p = smooth_coefficients(s, b)
     assert p.alpha < 0
-    rep = positivity_certificate(p)
+    rep = positivity_certificate(p, certificate_pass(p))
     assert rep.method == "ConvexityCertified"
     assert rep.min_value > 0
 
@@ -187,7 +187,7 @@ def test_positivity_smooth_convexity(figure1, rng):
     for _ in range(15):
         s2, b2 = draw_stable(rng)
         p2 = smooth_coefficients(s2, b2)
-        rep2 = positivity_certificate(p2)
+        rep2 = positivity_certificate(p2, certificate_pass(p2))
         if p2.alpha <= 0:
             assert rep2.method == "ConvexityCertified"
         assert rep2.min_value > 0
@@ -197,7 +197,7 @@ def test_positivity_grid_verified(figure1):
     s, b = figure1
     p = conical_coefficients(s, b, 0.5)
     assert p.alpha > 0
-    rep = positivity_certificate(p)
+    rep = positivity_certificate(p, certificate_pass(p))
     assert rep.method == "GridVerified"
     assert rep.min_value > 0
     assert p.t_minus < rep.argmin < p.t_plus
@@ -211,7 +211,7 @@ def test_positivity_failure_detected(figure1):
         Cprime=p.Cprime, u_minus=p.u_minus, t_minus=p.t_minus, t_plus=p.t_plus,
         beta0=p.beta0, beta_inf=p.beta_inf, alpha=p.alpha,
     )
-    rep = positivity_certificate(bad)
+    rep = positivity_certificate(bad, certificate_pass(bad))
     assert rep.method == "Failed"
     assert rep.min_value <= 0
 
@@ -288,7 +288,7 @@ def test_zoom_never_above_ternary_search():
         if not ternary_positivity(p).min_value > 1e-13 * largest_basis_term(p):
             continue  # psi is rounding noise there; the search order decides
         for q in (p, dipped(p)):
-            ref, rep = ternary_positivity(q), positivity_certificate(q)
+            ref, rep = ternary_positivity(q), positivity_certificate(q, certificate_pass(q))
             assert rep.min_value <= ref.min_value + 1e-15 * largest_basis_term(q), (q, rep, ref)
             assert rep.method == ref.method, (q, rep, ref)
             assert q.t_minus < rep.argmin < q.t_plus
@@ -306,7 +306,7 @@ def test_end_node_minimum_is_reported_as_scanned():
         i = int(np.argmin(vals))
         if i not in (0, len(t) - 1):
             continue
-        rep = positivity_certificate(p)
+        rep = positivity_certificate(p, certificate_pass(p))
         assert (rep.argmin, rep.min_value) == (float(t[i]), float(vals[i])), p
         ends += 1
     assert ends >= 200
@@ -324,7 +324,7 @@ def test_bracketed_minimum_is_refined():
         vals = eval_psi(q, t)
         i = int(np.argmin(vals))
         assert 0 < i < len(t) - 1
-        rep = positivity_certificate(q)
+        rep = positivity_certificate(q, certificate_pass(q))
         assert rep.argmin not in t.tolist(), q
         assert rep.min_value <= vals[i], q
         refined += 1

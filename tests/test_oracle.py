@@ -352,7 +352,7 @@ def test_quadrature_volume_identities():
         )
     # fiber integral: the momentum interval has length 2, so the fiber
     # symplectic area is 2 pi * 2 = 4 pi
-    length = oracle.quadrature(lambda t: 1.0, 5.0, 7.0)
+    length = oracle.quadrature(np.ones_like, 5.0, 7.0)
     assert 2.0 * math.pi * length == pytest.approx(4.0 * math.pi, rel=1e-12)
 
 

@@ -66,7 +66,6 @@ def test_H_beta_grid_matches_scalar_calls(k, kprime, h):
         else:
             assert v == tke.H_beta(k, kprime, h, b)
         value, at_pole = tke._H_beta_values(k, kprime, h, b)
-        assert (type(value), type(at_pole)) == (float, bool)
         assert at_pole == p and (math.isnan(value) if p else value == v)
     assert pole.any() == ((k, kprime, h) == (1, 1.0, 6))
 
@@ -88,6 +87,21 @@ def test_pole_guard_at_large_kprime_over_k():
         assert math.isfinite(tke.H_beta(k, kprime, h, float(beta)))
     _, pole = tke._H_beta_values(k, kprime, h, np.linspace(0.0, 1.0, 101))
     assert not pole.any()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tke.H_beta(1, 1e308, 0, 1.0),
+    lambda: tke.H_beta(1, 1e308, 0, 0.5),
+    lambda: tke._H_beta_values(1, 1e308, 0, np.linspace(0.0, 1.0, 5)),
+    lambda: tke.H_beta(1, 1e-309, 0, 0.5),
+    lambda: tke._H_beta_values(1, 1e-309, 0, np.linspace(0.0, 1.0, 5)),
+], ids=["large-beta1", "large-beta0.5", "large-grid", "small-beta0.5", "small-grid"])
+def test_H_beta_rejects_a_surface_out_of_double_range(call):
+    """Where 3 k'/k or 2 k/k' overflows, H would read NaN, -0.0 or -inf with
+    a RuntimeWarning at most; the matching curve raises instead, on every
+    path."""
+    with pytest.raises(ValidationError, match="kprime / k"):
+        call()
 
 
 def test_beta_asymptote(fig2_surface):

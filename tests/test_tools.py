@@ -1,0 +1,51 @@
+"""tools/same_outputs.py, the output-identity check between two trees."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def test_same_outputs_on_the_repository_against_itself():
+    r = subprocess.run(
+        [sys.executable, "tools/same_outputs.py", ".", ".",
+         "solve_mix:1:1", "profile_table:1:1", "verify_oracles:1:1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    # a kind's row, then the change side's digest on a line of its own
+    kinds = {(row[0], row[1]) for row in rows[::2]}
+    assert {workload for workload, _ in kinds} == {"solve_mix", "profile_table",
+                                                   "verify_oracles"}
+    assert {kind for _, kind in kinds} >= {"solve", "check", "tke", "profile", "figure2",
+                                           "rk4", "quadrature", "limits", "highprec"}
+    for row, change in zip(rows[::2], rows[1::2]):
+        assert int(row[2]) > 0 and row[3] == "0", row
+        assert row[4] == change[0], row
+    n = sum(int(row[2]) for row in rows[::2])
+    assert lines[-1] == f"{n} of {n} operations identical"
+
+
+def test_same_outputs_reports_a_difference(capsys):
+    parent = [["solve_mix", "solve", "a" * 64, "solve --k 1"],
+              ["solve_mix", "check", "b" * 64, "check --k 1"]]
+    change = [parent[0], ["solve_mix", "check", "c" * 64, "check --k 1"]]
+    assert same_outputs.compare(parent, parent) == 0
+    assert same_outputs.compare(parent, change) == 1
+    out = capsys.readouterr().out
+    assert "differs: solve_mix check --k 1" in out
+    assert out.splitlines()[-1] == "1 of 2 operations identical"
+    assert same_outputs.compare(parent, change[:1]) == 1
+
+
+def test_spec_parsing():
+    assert same_outputs.parse_spec("solve_mix:21-24:60") == ("solve_mix", [21, 22, 23, 24], 60)
+    assert same_outputs.parse_spec("verify_oracles:3:1") == ("verify_oracles", [3], 1)

@@ -1,0 +1,175 @@
+"""Check that two source trees give the same outputs on the benchmark's ops.
+
+    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [WORKLOAD:SEEDS:CYCLES ...]
+
+Each tree runs in its own Python process, which imports the tree's own
+``src/dhym_ruled`` and its ``perfbench/workloads.py`` and
+``perfbench/harness.py`` by path.  It draws ``CYCLES`` cycles of each seed's
+operation stream, runs every operation untimed and hashes its output with
+sha256:
+- a CLI operation: its argv, exit code, stdout and stderr;
+- an oracle task: the RK4 nodes and values, the quadrature value or the
+  extended-precision array, or the type, message, location and estimate of
+  the error it raised.
+
+The report gives, per workload and op kind, the number of identical and of
+differing operations and one digest per side (the sha256 of that kind's op
+digests in order), then the first differing operations.  The exit code is 0
+when every operation is identical, 1 otherwise.
+
+SEEDS is one seed or a range ``A-B``.  Without a spec, the set that a change
+to the solve path is checked on runs: ``solve_mix:21-24:60``,
+``profile_table:1-3:2`` and ``verify_oracles:31-32:3``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+DEFAULT_SPECS = ("solve_mix:21-24:60", "profile_table:1-3:2", "verify_oracles:31-32:3")
+#: Differing operations listed after the table.
+SHOW_DIFFERING = 5
+
+
+def parse_spec(spec: str) -> tuple[str, list[int], int]:
+    """``WORKLOAD:SEEDS:CYCLES`` as (workload, seeds, cycles)."""
+    workload, seeds, cycles = spec.split(":")
+    first, _, last = seeds.partition("-")
+    return workload, list(range(int(first), int(last or first) + 1)), int(cycles)
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        data = part if isinstance(part, bytes) else repr(part).encode()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def _cli_digest(cli, argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # usage errors and the semistable gate
+            code = exc.code
+        except Exception as exc:  # an uncaught error is an outcome too
+            code = ("raised", type(exc).__name__, str(exc))
+    return _digest("cli", tuple(argv), code, out.getvalue(), err.getvalue())
+
+
+def _oracle_digest(harness, op, pkg, api) -> str:
+    ts = None
+    if op.kind == "highprec":  # the points harness.execute hands the task
+        x = op.cls[0] / (op.cls[0] + op.cls[2])
+        ts = np.linspace(1.0 / x - 1.0, 1.0 / x + 1.0, op.samples)
+    try:
+        payload = harness._oracle_task(op, pkg, api, ts)
+    except Exception as exc:
+        return _digest("error", op.kind, op.cls, type(exc).__name__, str(exc),
+                       getattr(exc, "location", None), getattr(exc, "estimate", None))
+    if op.kind == "rk4":
+        grid = payload[1]
+        return _digest("rk4", op.cls, grid.nodes.tobytes(), grid.values.tobytes())
+    if op.kind == "highprec":
+        return _digest("highprec", op.cls, payload.tobytes())
+    return _digest(op.kind, op.cls, op.beta0, payload.hex())
+
+
+def _describe(op) -> str:
+    return " ".join(op.argv) if op.argv else f"{op.kind} {op.label} cls={op.cls} beta0={op.beta0}"
+
+
+def worker(tree: Path, specs) -> None:
+    """Print one line per operation: workload, kind, digest and the op."""
+    src = (tree / "src").resolve()
+    sys.path[:0] = [str(src), str(tree / "perfbench")]
+    import dhym_ruled
+    from dhym_ruled import cli, coupled, dhym, limits, oracle, params, tke
+
+    if Path(dhym_ruled.__file__).resolve().parent != src / "dhym_ruled":
+        sys.exit(f"same_outputs: imported dhym_ruled from {dhym_ruled.__file__}, not {src}")
+    import harness
+    import workloads
+
+    pkg = SimpleNamespace(root=dhym_ruled, cli=cli, params=params, dhym=dhym,
+                          coupled=coupled, limits=limits, tke=tke, oracle=oracle)
+    api = harness.api_of(pkg)
+    for workload, seeds, cycles in map(parse_spec, specs):
+        for seed in seeds:
+            stream = workloads.Stream(workload, seed)
+            for _ in range(cycles):
+                for op in stream.cycle():
+                    if op.argv:
+                        digest = _cli_digest(cli, op.argv)
+                    else:
+                        digest = _oracle_digest(harness, op, pkg, api)
+                    print(workload, op.kind, digest, _describe(op), sep="\t")
+
+
+def _run_side(tree: Path, specs) -> list[list[str]]:
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        env[var] = "1"  # as perfbench/run.py pins them
+    env.pop("PYTHONPATH", None)
+    r = subprocess.run([sys.executable, __file__, "--worker", str(tree), *specs],
+                       capture_output=True, text=True, env=env)
+    if r.returncode != 0:
+        sys.exit(f"same_outputs: the run in {tree} failed:\n{r.stderr}")
+    return [line.split("\t") for line in r.stdout.splitlines()]
+
+
+def compare(parent: list, change: list) -> int:
+    """Print the table; 0 if every operation is identical, else 1."""
+    groups, differing = {}, []
+    for a, b in zip(parent, change):
+        g = groups.setdefault((a[0], a[1]), [0, 0, hashlib.sha256(), hashlib.sha256()])
+        same = a[:3] == b[:3]
+        g[0 if same else 1] += 1
+        g[2].update(a[2].encode())
+        g[3].update(b[2].encode())
+        if not same:
+            differing.append((a, b))
+    print(f"{'workload':<15} {'kind':<11} {'identical':>9} {'differing':>9}  "
+          f"parent / change sha256")
+    for (workload, kind), (same, diff, ha, hb) in groups.items():
+        print(f"{workload:<15} {kind:<11} {same:>9} {diff:>9}  {ha.hexdigest()}")
+        print(f"{'':<47}{hb.hexdigest()}")
+    for a, b in differing[:SHOW_DIFFERING]:
+        print(f"differs: {a[0]} {a[3]}" + (f"  (change: {b[3]})" if b[3] != a[3] else ""))
+    if len(parent) != len(change):
+        print(f"operation counts differ: parent {len(parent)}, change {len(change)}")
+        return 1
+    total = sum(g[0] + g[1] for g in groups.values())
+    print(f"{total - len(differing)} of {total} operations identical")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--worker"]:
+        worker(Path(argv[1]), argv[2:])
+        return 0
+    if len(argv) < 2 or argv[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    specs = argv[2:] or list(DEFAULT_SPECS)
+    for spec in specs:
+        parse_spec(spec)  # a malformed spec fails here, before either run
+    sides = [_run_side(Path(tree), specs) for tree in argv[:2]]
+    return compare(*sides)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
