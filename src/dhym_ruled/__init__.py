@@ -13,7 +13,6 @@ from .coupled import (
     conical_coefficients,
     eval_phi,
     eval_psi,
-    eval_psi_deriv,
     phase_and_radius,
     positivity_certificate,
     scalar_residual,
@@ -24,9 +23,7 @@ from .dhym import (
     DhymSolution,
     boundary_targets,
     eval_H,
-    eval_H_deriv,
     eval_nu,
-    ode_residual_H,
     solve_dhym,
 )
 from .errors import (

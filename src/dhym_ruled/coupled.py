@@ -145,12 +145,6 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
 
     alpha = _coupling(pr, beta0)
     c3, cR = _radical_coeffs(pr, alpha)
-    # a subnormal divisor passes the gate of pose but overflows here
-    if not all(map(math.isfinite, (alpha, c3, cR))):
-        raise ValidationError(
-            f"profile coefficients out of double-precision range:"
-            f" alpha = {alpha!r}, c3 = {c3!r}, cR = {cR!r}"
-        )
     c2 = pr.surface.s_sigma
 
     def inhom(t):
@@ -159,6 +153,13 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
     d0, d1 = oracle.solve_2x2(
         1.0, pr.t_minus, 1.0, pr.t_plus, -inhom(pr.t_minus), -inhom(pr.t_plus)
     )
+    # a subnormal divisor passes the gate of pose but overflows the
+    # coefficients, or their boundary solve
+    if not all(map(math.isfinite, (alpha, c3, cR, d0, d1))):
+        raise ValidationError(
+            f"profile coefficients out of double-precision range: alpha = {alpha!r},"
+            f" c3 = {c3!r}, cR = {cR!r}, d0 = {d0!r}, d1 = {d1!r}"
+        )
     return ProfilePoly(
         d0=d0,
         d1=d1,
@@ -205,26 +206,6 @@ def _psi_pp_of(p: ProfilePoly, t, u, root, t2):
     """psi'' at a checked t, from u = t^2 + C', root = sqrt(u) and t2 = t^2.
     Divides by root, so callers that reach u = 0 set np.errstate."""
     return 2.0 * p.c2 + 6.0 * p.c3 * t + p.cR * (3.0 * (t2 + u) / root)
-
-
-def eval_psi_deriv(p: ProfilePoly, t, order: int = 1):
-    """Analytic derivative of psi up to order 4 (order 0 returns psi)."""
-    if order == 0:
-        return eval_psi(p, t)
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"order must be in 0..4, got {order}")
-    t = check_domain(p, t)
-    u = radicand(p, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if order == 1:
-            out = _psi_p_of(p, t, np.sqrt(u), t ** 2)
-        elif order == 2:
-            out = _psi_pp_of(p, t, u, np.sqrt(u), t ** 2)
-        elif order == 3:
-            out = 6.0 * p.c3 + 0.0 * t + p.cR * (3.0 * t * (3.0 * u - t ** 2) / u ** 1.5)
-        else:
-            out = 0.0 * t + p.cR * (9.0 * p.Cprime ** 2 / u ** 2.5)
-    return float(out) if out.ndim == 0 else out
 
 
 def eval_phi(p: ProfilePoly, t):
@@ -281,7 +262,7 @@ def positivity_certificate(p: ProfilePoly, interior: SolvePass) -> PositivityRep
             if vals[i] < min_value:
                 min_value, argmin = float(vals[i]), float(t[i])
 
-    if min_value <= 0.0:
+    if not min_value > 0.0:  # a NaN minimum fails too
         return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
 
     if p.alpha <= 0.0:
@@ -402,5 +383,5 @@ def average_radius_quadrature(
         _, re = phase_and_radius(p, s, b, dh, t)
         return t * re
 
-    val = oracle.quadrature(integrand, dh.t_minus, dh.t_plus, tol=1e-10)
+    val = oracle.quadrature(integrand, dh.t_minus, dh.t_plus)
     return 0.5 * s.x * val

@@ -43,10 +43,6 @@ class DhymSolution:
     regularity: str
     conjugated: bool = False
 
-    @property
-    def cot_theta(self) -> float:
-        return self.cos_theta / self.sin_theta
-
 
 def boundary_targets(s: SurfaceParams, b: BundleClass) -> tuple[float, float]:
     """Required values (H(t_minus), H(t_plus)) from exactness of the potential.
@@ -168,13 +164,6 @@ def eval_H(sol: DhymSolution, t):
     return float(out) if out.ndim == 0 else out
 
 
-def eval_H_deriv(sol: DhymSolution, t):
-    """Analytic H'(t); diverges at t_minus in the holder12 case."""
-    t = check_domain(sol, t)
-    out = _sign(sol) * _H_deriv_of(sol, t, np.sqrt(radicand(sol, t)), t * sol.sin_theta)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def H_pair_of(sol: DhymSolution, t, root, ts):
     """(H(t), H'(t)) at a checked t, from root = sqrt(t^2 + C') and
     ts = t sin(theta)."""
@@ -186,28 +175,15 @@ def H_pair_of(sol: DhymSolution, t, root, ts):
 
 
 def ode_residual_of(sol: DhymSolution, t, H, Hp, ts):
-    """The residual of ode_residual_H from given values H = H(t), Hp = H'(t)
-    and ts = t sin(theta)."""
+    """Denominator-cleared ODE residual H' (H sin - t cos) - (t sin + H cos),
+    from H = H(t), Hp = H'(t) and ts = t sin(theta): zero for the exact
+    solution, and defined where H sin = t cos.  A conjugated descriptor's
+    phase has the opposite sine, which the residual accounts for."""
     sin_t = _sign(sol) * sol.sin_theta
     cos_t = sol.cos_theta
     # t (-sin) is -(t sin) exactly
     t_sin = -ts if sol.conjugated else ts
     return Hp * (H * sin_t - t * cos_t) - (t_sin + H * cos_t)
-
-
-def ode_residual_H(sol: DhymSolution, t):
-    """Denominator-cleared residual of the first-order constant-phase ODE.
-
-    Returns H'(t) (H sin - t cos) - (t sin + H cos); identically zero for the
-    exact solution, and well defined even where H sin = t cos.  For a
-    conjugated descriptor the phase has the opposite sine, which the residual
-    accounts for.
-    """
-    t = check_domain(sol, t)
-    ts = t * sol.sin_theta
-    H, Hp = H_pair_of(sol, t, np.sqrt(radicand(sol, t)), ts)
-    out = ode_residual_of(sol, t, H, Hp, ts)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):

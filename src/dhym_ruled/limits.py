@@ -176,7 +176,10 @@ def small_radius_constants(s: SurfaceParams, b: BundleClass):
     branch = 1 if k1 ** 2 > k2 ** 2 else -1
 
     def K(t):
-        return t + branch * np.sqrt(t ** 2 + C_hat)
+        if branch > 0:
+            return t + np.sqrt(t ** 2 + C_hat)
+        # rationalized: t - sqrt(t^2 + C_hat) cancels where C_hat << t^2
+        return -C_hat / (t + np.sqrt(t ** 2 + C_hat))
 
     return C_hat, branch, K
 
@@ -203,8 +206,14 @@ def small_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     sol0 = fam.solutions[0][0]
     t = np.linspace(sol0.t_minus, sol0.t_plus, 13)[1:-1]
     Hl = gamma * K(t)
-    Hlp = gamma * (1.0 + branch * t / np.sqrt(t ** 2 + C_hat))
-    c1 = (Hl + t * Hlp) / (2.0 * Hl * Hlp)
+    R = np.sqrt(t ** 2 + C_hat)
+    if branch > 0:
+        Hlp = gamma * (1.0 + t / R)
+        num = Hl + t * Hlp
+    else:  # K' and K + t K' rationalized as K is
+        Hlp = gamma * (C_hat / (R * (R + t)))
+        num = gamma * (-C_hat ** 2 / (R * (R + t) ** 2))
+    c1 = num / (2.0 * Hl * Hlp)
     alpha_scaled_limit = (
         abs(b.k1 ** 2 - b.k2 ** 2)
         * (-2.0 + s.s_sigma * s.x)

@@ -298,25 +298,22 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
 #: Most Simpson panels refined by one call of the integrand.  Quadrature
 #: works through the panels of a level as a depth-first stack of batches of
 #: at most this size, so memory stays bounded and an integrand that never
-#: converges reaches max_depth after O(max_depth * _PANEL_BATCH) points.
+#: converges gives up after O(QUADRATURE_DEPTH * _PANEL_BATCH) points.
 _PANEL_BATCH = 1024
+#: Absolute tolerance of quadrature, and the level at which it gives up.
+QUADRATURE_TOL = 1e-10
+QUADRATURE_DEPTH = 40
 
 
-def quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 40,
-) -> float:
-    """Adaptive Simpson integration of f over [a, b] to absolute tolerance.
+def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Adaptive Simpson integral of f on [a, b] to within QUADRATURE_TOL.
 
     ``f`` maps an array of points to an array of values of the same shape;
     a scalar is not broadcast.  A panel is accepted when its two halves
     agree with it to 15 eps, with the Richardson correction; otherwise each
     half is refined with eps / 2.
     The panels of one level are evaluated together, in batches.  A panel
-    still unaccepted at level max_depth raises IntegrationError at its
+    still unaccepted at level QUADRATURE_DEPTH raises IntegrationError at its
     midpoint, with its estimate.
     """
     if not a < b:
@@ -339,14 +336,14 @@ def quadrature(
         ).reshape(2, -1)
         left = (mid - lo) / 6.0 * (flo + 4.0 * flmid + fmid)
         right = (hi - mid) / 6.0 * (fmid + 4.0 * frmid + fhi)
-        if level >= max_depth:
+        if level >= QUADRATURE_DEPTH:
             raise IntegrationError(
                 "quadrature failed to converge",
                 location=float(mid[0]),
                 estimate=float(left[0] + right[0]),
             )
         diff = left + right - whole
-        done = np.abs(diff) <= 15.0 * (tol / 2.0 ** level)
+        done = np.abs(diff) <= 15.0 * (QUADRATURE_TOL / 2.0 ** level)
         accepted.append((left + right + diff / 15.0)[done])
         # children in left-to-right order, the leftmost batch on top
         children = np.stack(

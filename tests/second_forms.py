@@ -15,6 +15,11 @@ count, nodes and blow-up reporting (oracle._steps, _nodes, _grid).
 finite_difference probes the analytic derivatives, and reverify recomputes
 the residual summary of a parsed descriptor.  certificate_pass is the pass
 that positivity_certificate reads, from the public evaluators alone.
+eval_H_deriv, ode_residual_H and eval_psi_deriv (orders 0-4) evaluate H',
+the ODE residual of H and the derivatives of psi on their own, with the
+domain check of the public evaluators, from the kernels the solve pass
+shares; orders 3 and 4 of psi are the derivatives the convexity
+certificate reasons about.
 """
 
 from decimal import Decimal, localcontext
@@ -27,7 +32,8 @@ import numpy as np
 from dhym_ruled import coupled, dhym, oracle, tke
 from dhym_ruled._text import repr_chunks
 from dhym_ruled.cli import residual_summary, verification_pass
-from dhym_ruled.coupled import beta_infinity
+from dhym_ruled.coupled import _psi_p_of, _psi_pp_of, beta_infinity
+from dhym_ruled.dhym import H_pair_of, check_domain, ode_residual_of, radicand
 from dhym_ruled.errors import IntegrationError
 from dhym_ruled.oracle import GridFunction, _grid, _nodes, _steps
 from dhym_ruled.params import BundleClass, CohClass, make_surface, pose
@@ -212,6 +218,45 @@ def reverify(d: dict) -> dict:
     return residual_summary(s, b, sol, prof, verification_pass(s, b, sol, prof))
 
 
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def eval_H_deriv(sol, t):
+    """Analytic H'(t); diverges at t_minus in the holder12 case."""
+    t = check_domain(sol, t)
+    root, ts = np.sqrt(radicand(sol, t)), t * sol.sin_theta
+    return _scalar_or_array(dhym._sign(sol) * dhym._H_deriv_of(sol, t, root, ts))
+
+
+def ode_residual_H(sol, t):
+    """dhym.ode_residual_of at checked nodes t, from H_pair_of."""
+    t = check_domain(sol, t)
+    ts = t * sol.sin_theta
+    H, Hp = H_pair_of(sol, t, np.sqrt(radicand(sol, t)), ts)
+    return _scalar_or_array(ode_residual_of(sol, t, H, Hp, ts))
+
+
+def eval_psi_deriv(p, t, order=1):
+    """Analytic derivative of psi up to order 4 (order 0 returns psi)."""
+    if order == 0:
+        return coupled.eval_psi(p, t)
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"order must be in 0..4, got {order}")
+    t = check_domain(p, t)
+    u = radicand(p, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if order == 1:
+            out = _psi_p_of(p, t, np.sqrt(u), t ** 2)
+        elif order == 2:
+            out = _psi_pp_of(p, t, u, np.sqrt(u), t ** 2)
+        elif order == 3:
+            out = 6.0 * p.c3 + 0.0 * t + p.cR * (3.0 * t * (3.0 * u - t ** 2) / u ** 1.5)
+        else:
+            out = 0.0 * t + p.cR * (9.0 * p.Cprime ** 2 / u ** 2.5)
+    return _scalar_or_array(out)
+
+
 def certificate_pass(p):
     """What positivity_certificate reads of a SolvePass, from eval_psi on the
     interior nodes of dhym.default_grid and eval_psi_deriv at both ends; it
@@ -219,4 +264,4 @@ def certificate_pass(p):
     t = dhym.default_grid(p)[1:-1]
     ends = np.array([p.t_minus, p.t_plus])
     return SimpleNamespace(t=t, psi=coupled.eval_psi(p, t),
-                           psi_pp_ends=coupled.eval_psi_deriv(p, ends, 2).tolist())
+                           psi_pp_ends=eval_psi_deriv(p, ends, 2).tolist())

@@ -12,7 +12,12 @@ from dhym_ruled import limits, oracle, tke
 from dhym_ruled.dhym import default_grid
 
 from conftest import draw_stable
-from second_forms import certificate_pass, psi_pp_difference_closed_form
+from second_forms import (
+    certificate_pass,
+    eval_psi_deriv,
+    ode_residual_H,
+    psi_pp_difference_closed_form,
+)
 
 SEED = 715517
 
@@ -88,7 +93,7 @@ def test_criterion_3_dhym_residual_suite():
     for s, b in draws:
         sol = dr.solve_dhym(s, b)
         grid = default_grid(sol)
-        worst_res = max(worst_res, float(np.max(np.abs(dr.ode_residual_H(sol, grid)))))
+        worst_res = max(worst_res, float(np.max(np.abs(ode_residual_H(sol, grid)))))
         bc = dr.canonicalize(b)
         tm, tp = dr.boundary_targets(s, bc)
         worst_bdry = max(
@@ -128,8 +133,8 @@ def test_criterion_4_coupled_residual_suite():
         )
         worst_slope = max(
             worst_slope,
-            abs(dr.eval_psi_deriv(p, p.t_plus, 1) + 2.0 * beta0 * p.t_plus),
-            abs(dr.eval_psi_deriv(p, p.t_minus, 1) - 2.0 * p.beta_inf * p.t_minus),
+            abs(eval_psi_deriv(p, p.t_plus, 1) + 2.0 * beta0 * p.t_plus),
+            abs(eval_psi_deriv(p, p.t_minus, 1) - 2.0 * p.beta_inf * p.t_minus),
         )
         im, _ = dr.phase_and_radius(p, s, b, sol, t)
         worst_im = max(worst_im, float(np.max(np.abs(im))))
@@ -159,7 +164,7 @@ def test_criterion_5_positivity(figure1):
         if rep.method != "ConvexityCertified":
             ok = False
             detail.append(f"method {rep.method} for {s} {b}")
-        want = dr.eval_psi_deriv(p, p.t_minus, 2) - dr.eval_psi_deriv(p, p.t_plus, 2)
+        want = eval_psi_deriv(p, p.t_minus, 2) - eval_psi_deriv(p, p.t_plus, 2)
         got = psi_pp_difference_closed_form(s, b, 1.0)
         if abs(got - want) > 1e-10 * max(1.0, abs(want)):
             ok = False
@@ -266,8 +271,8 @@ def test_criterion_9_semistable_regularity(semistable_case):
     ok = abs(slope_H - 0.5) < 0.02
     detail = [f"H exponent {slope_H:.4f}"]
     p = dr.conical_coefficients(s, b, 1.0)
-    base = dr.eval_psi_deriv(p, p.t_minus, 1)
-    devp = np.abs(dr.eval_psi_deriv(p, p.t_minus + eps, 1) - base)
+    base = eval_psi_deriv(p, p.t_minus, 1)
+    devp = np.abs(eval_psi_deriv(p, p.t_minus + eps, 1) - base)
     slope_p = float(np.polyfit(np.log(eps), np.log(devp), 1)[0])
     if abs(slope_p - 0.5) >= 0.02:
         ok = False

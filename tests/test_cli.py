@@ -37,7 +37,7 @@ from dhym_ruled.cli import (
 )
 
 from conftest import draw_stable
-from second_forms import certificate_pass, reverify
+from second_forms import certificate_pass, eval_psi_deriv, ode_residual_H, reverify
 
 BASE = [sys.executable, "-m", "dhym_ruled"]
 FIG1 = ["--k", "1", "--h", "0", "--kprime", "5", "--k1", "-1", "--k2", "1"]
@@ -397,6 +397,23 @@ def test_limits_report_values_are_builtins(mode, class_argv, alphas, capsys):
     assert "np." not in out
 
 
+def test_limits_small_where_the_limit_cancels(capsys):
+    """On branch -1 with C_hat = 8.4e-25, t - sqrt(t^2 + C_hat) rounds to 0,
+    which makes the limit form ratio c1 0/0; the rationalized K keeps it at
+    1/(2 gamma), with no warning."""
+    k1 = 6.984409242352151e-26
+    code, out, err = run_in_process(
+        ["limits", "--k=1", "--kprime=1.0", f"--k1={k1!r}", "--k2=1.0",
+         "--alphas=1.0", "--mode=small"], capsys)
+    assert (code, err) == (0, "")
+    consts = dict(line[2:].split(" = ") for line in out.splitlines()
+                  if line.startswith("# "))
+    b = pose(make_surface(1, 0, 1.0), BundleClass(k1=k1, k2=1.0)).bundle
+    gamma = (b.k1 ** 2 - b.k2 ** 2) / (2.0 * b.k1)
+    assert consts["branch"] == "-1"
+    assert float(consts["c1_mean"]) == pytest.approx(1.0 / (2.0 * gamma), rel=1e-12)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5", "1.5"])
 @pytest.mark.parametrize("command", ["solve", "profile", "tke"])
 def test_beta0_outside_unit_interval_usage_error(command, value, capsys):
@@ -602,7 +619,7 @@ def _pointwise_summary(s, b, sol, prof):
     tgt_minus, tgt_plus = dhym.boundary_targets(s, b)
     im, _ = coupled.phase_and_radius(prof, s, b, sol, interior)
     out = {
-        "max_dhym_residual": float(np.max(np.abs(dhym.ode_residual_H(sol, interior)))),
+        "max_dhym_residual": float(np.max(np.abs(ode_residual_H(sol, interior)))),
         "max_im_part": float(np.max(np.abs(im))),
         "max_scalar_residual": float(
             np.max(np.abs(coupled.scalar_residual(prof, s, b, interior)))
@@ -612,12 +629,12 @@ def _pointwise_summary(s, b, sol, prof):
         "psi_err_minus": abs(coupled.eval_psi(prof, prof.t_minus)),
         "psi_err_plus": abs(coupled.eval_psi(prof, prof.t_plus)),
         "slope_err_plus": abs(
-            coupled.eval_psi_deriv(prof, prof.t_plus, 1) + 2.0 * prof.beta0 * prof.t_plus
+            eval_psi_deriv(prof, prof.t_plus, 1) + 2.0 * prof.beta0 * prof.t_plus
         ),
     }
     if sol.regularity == "smooth":
         out["slope_err_minus"] = abs(
-            coupled.eval_psi_deriv(prof, prof.t_minus, 1)
+            eval_psi_deriv(prof, prof.t_minus, 1)
             - 2.0 * prof.beta_inf * prof.t_minus
         )
     return out
@@ -828,6 +845,10 @@ OUT_OF_RANGE_ARGV = [
     ["check", "--k", "1", "--kprime", "5", "--k1", "-1", "--k2", "1", "--kpp", "3"],
     ["check", "--k", "1", "--kprime", "5", "--complexified", "--kpp", "3",
      "--k1", "-1", "--k2", "1"],
+    # alpha, c3 and cR are finite, the boundary solve's d0 and d1 are not
+    ["solve", "--k", "1", "--kprime", "999", "--k1", "-1", "--k2=-1e-150"],
+    ["profile", "--k", "1", "--kprime", "999", "--k1", "-1", "--k2=-1e-150",
+     "--samples", "3"],
 ]
 
 

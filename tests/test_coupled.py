@@ -15,7 +15,6 @@ from dhym_ruled import (
     conical_coefficients,
     eval_phi,
     eval_psi,
-    eval_psi_deriv,
     make_surface,
     phase_and_radius,
     positivity_certificate,
@@ -35,7 +34,7 @@ from dhym_ruled.limits import scaled_class, scaled_solution
 from dhym_ruled.params import phase_constant
 
 from conftest import draw_stable
-from second_forms import certificate_pass, psi_pp_difference_closed_form
+from second_forms import certificate_pass, eval_psi_deriv, psi_pp_difference_closed_form
 
 
 FIG1_COEFFS = {
@@ -214,6 +213,17 @@ def test_positivity_failure_detected(figure1):
     rep = positivity_certificate(bad, certificate_pass(bad))
     assert rep.method == "Failed"
     assert rep.min_value <= 0
+
+
+@pytest.mark.parametrize("beta0", [1.0, 0.5])
+def test_positivity_nan_minimum_fails(figure1, beta0):
+    """A NaN psi is no minimum above 0, on the convexity path (beta0 = 1)
+    and the grid path (beta0 = 0.5) alike."""
+    s, b = figure1
+    bad = replace(conical_coefficients(s, b, beta0), d0=math.nan)
+    rep = positivity_certificate(bad, certificate_pass(bad))
+    assert rep.method == "Failed"
+    assert math.isnan(rep.min_value)
 
 
 def ternary_positivity(p, num=1001, refine_width=1e-10):

@@ -14,13 +14,10 @@ from dhym_ruled import (
     canonicalize,
     conical_coefficients,
     eval_H,
-    eval_H_deriv,
     eval_nu,
     eval_phi,
     eval_psi,
-    eval_psi_deriv,
     make_surface,
-    ode_residual_H,
     phase_and_radius,
     pose,
     scalar_residual,
@@ -30,7 +27,7 @@ from dhym_ruled.dhym import H_pair_of, check_domain, default_grid, radicand
 from dhym_ruled import oracle
 
 from conftest import draw_stable
-from second_forms import finite_difference
+from second_forms import eval_H_deriv, eval_psi_deriv, finite_difference, ode_residual_H
 
 
 def test_integration_constants_showcase(figure1):
@@ -46,7 +43,7 @@ def test_solve_showcase(figure1):
     s, b = figure1
     sol = solve_dhym(s, b)
     assert sol.regularity == "smooth"
-    assert sol.cot_theta == pytest.approx(0.5, rel=1e-14)
+    assert sol.cos_theta / sol.sin_theta == pytest.approx(0.5, rel=1e-14)
     assert (sol.t_minus, sol.t_plus) == (5.0, 7.0)
     # midpoint value worked out by hand: 3 - sqrt(14)
     assert eval_H(sol, 6.0) == pytest.approx(3.0 - math.sqrt(14.0), rel=1e-14)

@@ -33,7 +33,9 @@ def test_identity_scaling(figure1):
     sol1, prof1 = scaled_solution(s, b, 1.0)
     sol0 = solve_dhym(s, b)
     assert sol1.Cprime == pytest.approx(sol0.Cprime, rel=1e-14)
-    assert sol1.cot_theta == pytest.approx(sol0.cot_theta, rel=1e-14)
+    assert sol1.cos_theta / sol1.sin_theta == pytest.approx(
+        sol0.cos_theta / sol0.sin_theta, rel=1e-14
+    )
     assert prof1.alpha == pytest.approx(
         limits.smooth_coefficients(s, b).alpha, rel=1e-14
     )
@@ -175,8 +177,8 @@ def test_monotone_stability(rng):
 
 def test_scaled_family_residuals(figure1):
     # each member of the family is an ordinary verified instance
-    from dhym_ruled import ode_residual_H
     from dhym_ruled.coupled import eval_psi
+    from second_forms import ode_residual_H
 
     s, b = figure1
     fam = limits.build_family(s, b, [0.5, 1.1])

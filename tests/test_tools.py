@@ -1,6 +1,7 @@
 """tools/same_outputs.py, the output-identity check between two trees."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -35,9 +36,9 @@ def test_same_outputs_on_the_repository_against_itself():
 
 
 def test_same_outputs_reports_a_difference(capsys):
-    parent = [["solve_mix", "solve", "a" * 64, "solve --k 1"],
-              ["solve_mix", "check", "b" * 64, "check --k 1"]]
-    change = [parent[0], ["solve_mix", "check", "c" * 64, "check --k 1"]]
+    parent = [["solve_mix", "solve", "a" * 64, "solve --k 1", "[]"],
+              ["solve_mix", "check", "b" * 64, "check --k 1", "[]"]]
+    change = [parent[0], ["solve_mix", "check", "c" * 64, "check --k 1", "[]"]]
     assert same_outputs.compare(parent, parent) == 0
     assert same_outputs.compare(parent, change) == 1
     out = capsys.readouterr().out
@@ -49,3 +50,24 @@ def test_same_outputs_reports_a_difference(capsys):
 def test_spec_parsing():
     assert same_outputs.parse_spec("solve_mix:21-24:60") == ("solve_mix", [21, 22, 23, 24], 60)
     assert same_outputs.parse_spec("verify_oracles:3:1") == ("verify_oracles", [3], 1)
+
+
+def test_same_outputs_lists_the_keys_that_differ(capsys):
+    keys = [["k", "1"], ["beta_inf", "1.0"], ["regularity", "'smooth'"]]
+    nudged = [["k", "1"], ["beta_inf", "1.0000000000000002"], ["regularity", "'smooth'"]]
+    parent = [["solve_mix", "solve", "a" * 64, "solve --k 1", json.dumps(keys)]]
+    change = [["solve_mix", "solve", "b" * 64, "solve --k 1", json.dumps(nudged)]]
+    assert same_outputs.compare(parent, change) == 1
+    out = capsys.readouterr().out.splitlines()
+    i = out.index("differs: solve_mix solve --k 1")
+    assert out[i + 1:-1] == ["  beta_inf: 1.0 -> 1.0000000000000002  (1 ulp)"]
+
+
+def test_ulps_and_raw_values():
+    assert same_outputs.ulps(0.0, -0.0) == 0
+    assert same_outputs.ulps(-5e-324, 5e-324) == 2
+    assert same_outputs.ulps(1.0, 1.0 + 2 * 2.0 ** -52) == 2
+    assert same_outputs.key_differences(
+        [["stability_class", "'Stable'"], ["c1_mean", "nan"]],
+        [["stability_class", "'Unstable'"], ["c1_mean", "0.5"]],
+    ) == ["  stability_class: 'Stable' -> 'Unstable'", "  c1_mean: nan -> 0.5"]

@@ -14,8 +14,11 @@ sha256:
 
 The report gives, per workload and op kind, the number of identical and of
 differing operations and one digest per side (the sha256 of that kind's op
-digests in order), then the first differing operations.  The exit code is 0
-when every operation is identical, 1 otherwise.
+digests in order), then the first differing operations.  Under a differing
+CLI operation it lists each ``key = value`` line of the output (a
+descriptor, ``check``, ``tke``, or a ``# key = value`` line of ``limits``)
+whose value differs, with both values and, for two floats, their distance
+in ulps.  The exit code is 0 when every operation is identical, 1 otherwise.
 
 SEEDS is one seed or a range ``A-B``.  Without a spec, the set that a change
 to the solve path is checked on runs: ``solve_mix:21-24:60``,
@@ -26,7 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
+import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -38,6 +45,8 @@ import numpy as np
 DEFAULT_SPECS = ("solve_mix:21-24:60", "profile_table:1-3:2", "verify_oracles:31-32:3")
 #: Differing operations listed after the table.
 SHOW_DIFFERING = 5
+#: A ``key = value`` line of a CLI output, bare or after ``# ``.
+_KEY_LINE = re.compile(r"^(?:# )?([A-Za-z_]\w*) = (.*)$", re.MULTILINE)
 
 
 def parse_spec(spec: str) -> tuple[str, list[int], int]:
@@ -56,7 +65,9 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-def _cli_digest(cli, argv) -> str:
+def _cli_run(cli, argv) -> tuple[str, list]:
+    """The digest of a CLI operation, and the (key, value) pairs of its
+    ``key = value`` lines."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -65,7 +76,8 @@ def _cli_digest(cli, argv) -> str:
             code = exc.code
         except Exception as exc:  # an uncaught error is an outcome too
             code = ("raised", type(exc).__name__, str(exc))
-    return _digest("cli", tuple(argv), code, out.getvalue(), err.getvalue())
+    text = out.getvalue()
+    return _digest("cli", tuple(argv), code, text, err.getvalue()), _KEY_LINE.findall(text)
 
 
 def _oracle_digest(harness, op, pkg, api) -> str:
@@ -91,7 +103,8 @@ def _describe(op) -> str:
 
 
 def worker(tree: Path, specs) -> None:
-    """Print one line per operation: workload, kind, digest and the op."""
+    """Print one line per operation: workload, kind, digest, the op and the
+    JSON of its (key, value) pairs."""
     src = (tree / "src").resolve()
     sys.path[:0] = [str(src), str(tree / "perfbench")]
     import dhym_ruled
@@ -111,10 +124,11 @@ def worker(tree: Path, specs) -> None:
             for _ in range(cycles):
                 for op in stream.cycle():
                     if op.argv:
-                        digest = _cli_digest(cli, op.argv)
+                        digest, keys = _cli_run(cli, op.argv)
                     else:
-                        digest = _oracle_digest(harness, op, pkg, api)
-                    print(workload, op.kind, digest, _describe(op), sep="\t")
+                        digest, keys = _oracle_digest(harness, op, pkg, api), []
+                    print(workload, op.kind, digest, _describe(op), json.dumps(keys),
+                          sep="\t")
 
 
 def _run_side(tree: Path, specs) -> list[list[str]]:
@@ -128,6 +142,37 @@ def _run_side(tree: Path, specs) -> list[list[str]]:
     if r.returncode != 0:
         sys.exit(f"same_outputs: the run in {tree} failed:\n{r.stderr}")
     return [line.split("\t") for line in r.stdout.splitlines()]
+
+
+def ulps(a: float, b: float) -> int:
+    """Distance of two floats in ulps: the difference of their bits read as
+    ordered int64 (0.0 and -0.0 are 0 apart)."""
+    ordered = []
+    for v in (a, b):
+        bits = struct.unpack("<q", struct.pack("<d", v))[0]
+        ordered.append(bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF))
+    return abs(ordered[0] - ordered[1])
+
+
+def key_differences(parent: list, change: list) -> list[str]:
+    """One line per key whose value differs between two lists of (key, value)
+    pairs: both values, and their distance in ulps when both are floats."""
+    a, b = dict(parent), dict(change)
+    lines = []
+    for key in dict.fromkeys([*a, *b]):
+        va, vb = a.get(key, "<absent>"), b.get(key, "<absent>")
+        if va == vb:
+            continue
+        try:
+            fa, fb = float(va), float(vb)
+        except ValueError:
+            fa = fb = math.nan
+        line = f"  {key}: {va} -> {vb}"
+        if not (math.isnan(fa) or math.isnan(fb)):
+            n = ulps(fa, fb)
+            line += f"  ({n} ulp{'' if n == 1 else 's'})"
+        lines.append(line)
+    return lines
 
 
 def compare(parent: list, change: list) -> int:
@@ -148,6 +193,8 @@ def compare(parent: list, change: list) -> int:
         print(f"{'':<47}{hb.hexdigest()}")
     for a, b in differing[:SHOW_DIFFERING]:
         print(f"differs: {a[0]} {a[3]}" + (f"  (change: {b[3]})" if b[3] != a[3] else ""))
+        for line in key_differences(json.loads(a[4]), json.loads(b[4])):
+            print(line)
     if len(parent) != len(change):
         print(f"operation counts differ: parent {len(parent)}, change {len(change)}")
         return 1
