@@ -17,13 +17,11 @@ from .coupled import (
     positivity_certificate,
     scalar_residual,
     smooth_alpha,
-    smooth_coefficients,
 )
 from .dhym import (
     DhymSolution,
     boundary_targets,
     eval_H,
-    eval_nu,
     solve_dhym,
 )
 from .errors import (

@@ -128,6 +128,7 @@ def conical_coefficients(
 ) -> ProfilePoly:
     """Profile with cone angle beta0 along the zero section.
 
+    beta0 = 1 is the smooth solution (both cone angles equal to one).
     d0 and d1 come from the boundary linear system psi(t_-) = psi(t_+) = 0.
     The boundary slopes are not checked here: the residual suite
     (cli.residual_summary, slope_err_minus and slope_err_plus) checks them.
@@ -174,16 +175,6 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
         beta_inf=beta_infinity(pr.surface.x, beta0),
         alpha=alpha,
     )
-
-
-def smooth_coefficients(s: SurfaceParams, b: BundleClass) -> ProfilePoly:
-    """Smooth profile (both cone angles equal to one).
-
-    This is conical_coefficients(s, b, 1.0): the smooth solution is the
-    beta0 = 1 member of the conical family, with d0, d1 from the same
-    boundary system.
-    """
-    return conical_coefficients(s, b, 1.0)
 
 
 def eval_psi(p: ProfilePoly, t):

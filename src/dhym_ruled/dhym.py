@@ -186,21 +186,6 @@ def ode_residual_of(sol: DhymSolution, t, H, Hp, ts):
     return Hp * (H * sin_t - t * cos_t) - (t_sin + H * cos_t)
 
 
-def eval_nu(sol: DhymSolution, s: SurfaceParams, b: BundleClass, t):
-    """Potential-difference function; vanishes at both endpoints.
-
-    nu(t) = k1 t + (k2/t)(1 - x^2)/x^2 - H(t), with (k1, k2) and H both
-    taken on the same branch as the descriptor.
-    """
-    b = pose(s, b).bundle
-    t = check_domain(sol, t)
-    x = s.x
-    sign = _sign(sol)
-    H = sign * _H_of(sol, t, np.sqrt(radicand(sol, t)), t * sol.sin_theta)
-    out = sign * (b.k1 * t + (b.k2 / t) * (1.0 - x ** 2) / x ** 2) - H
-    return float(out) if out.ndim == 0 else out
-
-
 _GRID_STEPS = np.arange(1001, dtype=float)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import coupled
-from .coupled import ProfilePoly, smooth_coefficients
-from .dhym import DhymSolution, eval_H, eval_nu, solve_dhym
+from .coupled import ProfilePoly, conical_coefficients
+from .dhym import DhymSolution, eval_H, solve_dhym
 from .errors import NoSolutionError, ValidationError
 from .params import BundleClass, StabilityClass, SurfaceParams, pose
 
@@ -69,7 +69,7 @@ def scaled_solution(
         raise NoSolutionError(
             pr.margin, f"scaled class unstable at alpha' = {alpha_prime}"
         )
-    return solve_dhym(s, bs), smooth_coefficients(s, bs)
+    return solve_dhym(s, bs), conical_coefficients(s, bs, 1.0)
 
 
 def build_family(
@@ -97,17 +97,24 @@ def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     Also reports the limit coupling constant recovered from the per-sample
     couplings, the sup-norm decay of the scaled potentials, and the
     t-independence of the limit trace (the Hermitian Yang-Mills datum).
+    Each member's H is evaluated once, on the interval all members share, and
+    sign * H/alpha' (sign = -1 for a conjugated family, whose eval_H is
+    mirrored) is compared with the reduced (k1 < 0) class's limit; nu_sup is
+    the sup of |nu/alpha'|, nu = sign * (alpha' k1 t + (alpha' k2/t)(1 - x^2)/x^2) - H.
     """
     s, b = fam.base
     x = s.x
+    sign = -1.0 if b.conjugated else 1.0
+    pr = pose(s, b)
+    t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
+    target = b.k1 * t + (b.k2 / t) * (1.0 / x ** 2 - 1.0)
     sup_errors = []
     nu_sup = []
     alpha_scaled = []
     for a, (sol, prof) in zip(fam.alphas, fam.solutions):
-        t = np.linspace(sol.t_minus, sol.t_plus, _SUP_GRID)
-        target = b.k1 * t + (b.k2 / t) * (1.0 / x ** 2 - 1.0)
-        sup_errors.append(float(np.max(np.abs(eval_H(sol, t) / a - target))))
-        nu = eval_nu(sol, s, scaled_class(b, a), t)
+        H = eval_H(sol, t)
+        sup_errors.append(float(np.max(np.abs(sign * H / a - target))))
+        nu = sign * (a * b.k1 * t + (a * b.k2 / t) * (1.0 - x ** 2) / x ** 2) - H
         nu_sup.append(float(np.max(np.abs(nu / a))))
         alpha_scaled.append(a ** 2 * prof.alpha)
     order = _fit_order(np.asarray(fam.alphas), np.asarray(sup_errors))
@@ -115,12 +122,10 @@ def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     alpha_tilde = (-2.0 + s.s_sigma * x) / (2.0 * b.k2 ** 2)
 
     # trace of the limit curvature against the limit metric, pointwise in t
-    i_small = int(np.argmin(fam.alphas))
-    sol0 = fam.solutions[i_small][0]
-    t = np.linspace(sol0.t_minus, sol0.t_plus, 11)
-    H0 = b.k1 * t + (b.k2 / t) * (1.0 / x ** 2 - 1.0)
-    H0p = b.k1 - (b.k2 / t ** 2) * (1.0 / x ** 2 - 1.0)
-    mu = (H0 + t * H0p) / t
+    tm = np.linspace(pr.t_minus, pr.t_plus, 11)
+    H0 = b.k1 * tm + (b.k2 / tm) * (1.0 / x ** 2 - 1.0)
+    H0p = b.k1 - (b.k2 / tm ** 2) * (1.0 / x ** 2 - 1.0)
+    mu = (H0 + tm * H0p) / tm
     constants = {
         "alpha_tilde": alpha_tilde,
         "alpha_tilde_estimates": tuple(alpha_scaled),
@@ -134,12 +139,11 @@ def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     # that are not strictly stable: the gap is NaN when one is among them
     if len(fam.alphas) >= 2:
         pair = [scaled_class(b, fam.alphas[i]) for i in np.argsort(fam.alphas)[:2]]
-        tt = np.linspace(sol0.t_minus, sol0.t_plus, _SUP_GRID)
         try:
             # through coupled.oracle, the attribute perfbench/spans.py wraps
             # when it traces a run
             vals = [
-                coupled.oracle.eval_psi_highprec(s.k, s.h, s.kprime, c.k1, c.k2, tt)
+                coupled.oracle.eval_psi_highprec(s.k, s.h, s.kprime, c.k1, c.k2, t)
                 for c in pair
             ]
             gap = float(np.max(np.abs(vals[0] - vals[1])))
@@ -188,23 +192,26 @@ def small_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     """Convergence of H/alpha' to the closed-form limit as alpha' -> infinity.
 
     Reports the fitted order in 1/alpha', the t-independence of the limit
-    form ratio, and the limit of the rescaled coupling constants.
+    form ratio and the limit of the rescaled coupling constants; it compares
+    sign * H/alpha' with the reduced class's limit, as large_radius_check does.
     """
     s, b = fam.base
     C_hat, branch, K = small_radius_constants(s, b)
     gamma = (b.k1 ** 2 - b.k2 ** 2) / (2.0 * b.k1)
+    sign = -1.0 if b.conjugated else 1.0
+    pr = pose(s, b)
+    t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
+    target = gamma * K(t)
     sup_errors = []
     alpha_scaled = []
     for a, (sol, prof) in zip(fam.alphas, fam.solutions):
-        t = np.linspace(sol.t_minus, sol.t_plus, _SUP_GRID)
-        sup_errors.append(float(np.max(np.abs(eval_H(sol, t) / a - gamma * K(t)))))
+        sup_errors.append(float(np.max(np.abs(sign * eval_H(sol, t) / a - target))))
         alpha_scaled.append(a ** 2 * prof.alpha)
     inv_alphas = 1.0 / np.asarray(fam.alphas)
     order = _fit_order(inv_alphas, np.asarray(sup_errors))
 
     # ratio of the two limit wedge powers, pointwise in t: must be constant
-    sol0 = fam.solutions[0][0]
-    t = np.linspace(sol0.t_minus, sol0.t_plus, 13)[1:-1]
+    t = np.linspace(pr.t_minus, pr.t_plus, 13)[1:-1]
     Hl = gamma * K(t)
     R = np.sqrt(t ** 2 + C_hat)
     if branch > 0:

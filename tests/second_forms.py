@@ -15,11 +15,11 @@ count, nodes and blow-up reporting (oracle._steps, _nodes, _grid).
 finite_difference probes the analytic derivatives, and reverify recomputes
 the residual summary of a parsed descriptor.  certificate_pass is the pass
 that positivity_certificate reads, from the public evaluators alone.
-eval_H_deriv, ode_residual_H and eval_psi_deriv (orders 0-4) evaluate H',
-the ODE residual of H and the derivatives of psi on their own, with the
-domain check of the public evaluators, from the kernels the solve pass
-shares; orders 3 and 4 of psi are the derivatives the convexity
-certificate reasons about.
+eval_H_deriv, ode_residual_H, eval_nu and eval_psi_deriv (orders 0-4)
+evaluate H', the ODE residual of H, the potential difference nu and the
+derivatives of psi on their own, with the domain check of the public
+evaluators, from the kernels the solve pass shares; orders 3 and 4 of psi
+are the derivatives the convexity certificate reasons about.
 """
 
 from decimal import Decimal, localcontext
@@ -235,6 +235,19 @@ def ode_residual_H(sol, t):
     ts = t * sol.sin_theta
     H, Hp = H_pair_of(sol, t, np.sqrt(radicand(sol, t)), ts)
     return _scalar_or_array(ode_residual_of(sol, t, H, Hp, ts))
+
+
+def eval_nu(sol, s, b, t):
+    """Potential difference nu(t) = k1 t + (k2/t)(1 - x^2)/x^2 - H(t), with
+    (k1, k2) and H both on the branch of the descriptor; it vanishes at both
+    endpoints.  limits.large_radius_check forms its nu_sup by the same
+    arithmetic from its one evaluation of H."""
+    b = pose(s, b).bundle
+    t = check_domain(sol, t)
+    x = s.x
+    sign = dhym._sign(sol)
+    out = sign * (b.k1 * t + (b.k2 / t) * (1.0 - x ** 2) / x ** 2) - dhym.eval_H(sol, t)
+    return _scalar_or_array(out)
 
 
 def eval_psi_deriv(p, t, order=1):

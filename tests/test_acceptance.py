@@ -157,7 +157,7 @@ def test_criterion_5_positivity(figure1):
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         s, b = draw_stable(rng)
-        p = dr.smooth_coefficients(s, b)
+        p = dr.conical_coefficients(s, b, 1.0)
         if p.alpha >= 0:
             continue
         rep = dr.positivity_certificate(p, certificate_pass(p))
@@ -295,8 +295,8 @@ def test_criterion_10_symmetry():
             ok = False
             detail.append("H mirror")
             break
-        p = dr.smooth_coefficients(s, b)
-        pm = dr.smooth_coefficients(s, bm)
+        p = dr.conical_coefficients(s, b, 1.0)
+        pm = dr.conical_coefficients(s, bm, 1.0)
         scale = max(1.0, abs(p.alpha), abs(p.d0), abs(p.d1))
         if (
             abs(pm.alpha - p.alpha) > 1e-12 * scale

@@ -414,6 +414,21 @@ def test_limits_small_where_the_limit_cancels(capsys):
     assert float(consts["c1_mean"]) == pytest.approx(1.0 / (2.0 * gamma), rel=1e-12)
 
 
+def test_limits_complexified_mirror_prints_the_same_report(capsys):
+    """kpp = 2 poses a conjugated class and kpp = -2 its reduced mirror: both
+    compare H in the solution's own frame with the reduced class's limit."""
+    outs = []
+    for kpp in ("2.0", "-2.0"):
+        code, out, err = run_in_process(
+            ["limits", "--k", "1", "--kprime", "5", "--complexified", f"--kpp={kpp}",
+             "--mode", "large", "--alphas=1e-1,1e-2,1e-3,1e-4"], capsys)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    order = float(outs[0].split("# fitted_order = ")[1].split("\n")[0])
+    assert order >= 0.9
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5", "1.5"])
 @pytest.mark.parametrize("command", ["solve", "profile", "tke"])
 def test_beta0_outside_unit_interval_usage_error(command, value, capsys):

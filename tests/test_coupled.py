@@ -20,7 +20,6 @@ from dhym_ruled import (
     positivity_certificate,
     scalar_residual,
     smooth_alpha,
-    smooth_coefficients,
     solve_dhym,
 )
 from dhym_ruled.coupled import (
@@ -103,7 +102,7 @@ def test_scalar_residual_blind_to_affine_part(figure1):
     # the affine part of psi is in the kernel of the second derivative, so
     # a wrong d1 must be caught by the boundary checks, not this residual
     s, b = figure1
-    p = smooth_coefficients(s, b)
+    p = conical_coefficients(s, b, 1.0)
     bad = ProfilePoly(
         d0=p.d0, d1=p.d1 + 1.0, c2=p.c2, c3=p.c3, cR=p.cR,
         Cprime=p.Cprime, u_minus=p.u_minus, t_minus=p.t_minus, t_plus=p.t_plus,
@@ -168,15 +167,9 @@ def test_boundary_system_matches_smooth_closed_form():
         assert abs(p.d0 - d0) <= tol and abs(p.d1 - d1) <= tol, (s, b)
 
 
-def test_smooth_is_conical_with_beta0_one(figure1, semistable_case):
-    rng = np.random.default_rng(20261020)
-    for s, b in [figure1, semistable_case, *(draw_stable(rng) for _ in range(20))]:
-        assert smooth_coefficients(s, b) == conical_coefficients(s, b, 1.0)
-
-
 def test_positivity_smooth_convexity(figure1, rng):
     s, b = figure1
-    p = smooth_coefficients(s, b)
+    p = conical_coefficients(s, b, 1.0)
     assert p.alpha < 0
     rep = positivity_certificate(p, certificate_pass(p))
     assert rep.method == "ConvexityCertified"
@@ -185,7 +178,7 @@ def test_positivity_smooth_convexity(figure1, rng):
     # random stable draws with negative coupling certify by convexity too
     for _ in range(15):
         s2, b2 = draw_stable(rng)
-        p2 = smooth_coefficients(s2, b2)
+        p2 = conical_coefficients(s2, b2, 1.0)
         rep2 = positivity_certificate(p2, certificate_pass(p2))
         if p2.alpha <= 0:
             assert rep2.method == "ConvexityCertified"
@@ -204,7 +197,7 @@ def test_positivity_grid_verified(figure1):
 
 def test_positivity_failure_detected(figure1):
     s, b = figure1
-    p = smooth_coefficients(s, b)
+    p = conical_coefficients(s, b, 1.0)
     bad = ProfilePoly(
         d0=p.d0 - 50.0, d1=p.d1, c2=p.c2, c3=p.c3, cR=p.cR,
         Cprime=p.Cprime, u_minus=p.u_minus, t_minus=p.t_minus, t_plus=p.t_plus,
@@ -270,7 +263,7 @@ def seeded_profiles(n):
     for i in range(n):
         s, b = draw_stable(rng)
         if i % 3 == 0:
-            out.append(smooth_coefficients(s, b))
+            out.append(conical_coefficients(s, b, 1.0))
         elif i % 3 == 1:
             out.append(conical_coefficients(s, b, float(rng.uniform(0.05, 1.0))))
         else:
@@ -411,8 +404,8 @@ def test_mirror_profiles_identical(rng):
         s, b = draw_stable(rng)
         b = canonicalize(b)
         bm = BundleClass(k1=-b.k1, k2=-b.k2)
-        p = smooth_coefficients(s, b)
-        pm = smooth_coefficients(s, bm)
+        p = conical_coefficients(s, b, 1.0)
+        pm = conical_coefficients(s, bm, 1.0)
         assert pm.alpha == pytest.approx(p.alpha, rel=1e-12)
         assert abs(pm.d0) == pytest.approx(abs(p.d0), rel=1e-12)
         assert abs(pm.d1) == pytest.approx(abs(p.d1), rel=1e-12)

@@ -14,6 +14,12 @@ pass.
 
 ``pytest tests/test_coverage.py -s`` prints, per band, the count, the exit-4
 count, the Failed count and the tally of the first failing keys.
+
+The ``limits`` bands run each mode of ``limits`` on benchmark-box classes at
+the benchmark's scales, each class as drawn and mirrored, (k1, k2) ->
+(-k1, -k2).  A run misses when it exits non-zero, writes to stderr, or fails
+the bounds of perfbench/checks.py on the fitted order or the spread; a class
+and its mirror must print the same report.  The ceiling on misses is 0.
 """
 
 import importlib.util
@@ -164,3 +170,41 @@ def test_band_within_its_ceilings(band):
           f"first failing keys {dict(first_keys.most_common())}")
     assert exit4 <= max_exit4, band
     assert failed <= max_failed, band
+
+
+#: Classes a limits band draws; each runs as drawn and mirrored.
+LIMITS_BAND_SIZE = 100
+#: The bounds of perfbench/checks.py on a limits report: the fitted order and
+#: the t-spread of the limit datum (mu_spread, large; c1_spread_rel, small).
+LIMIT_ORDER_MIN, LIMIT_SPREAD_MAX = 0.9, 1e-6
+#: mode -> (draw of a benchmark-box class, its spread key).
+LIMITS_BANDS = {
+    "large": (workloads.draw_stable, "mu_spread"),
+    "small": (workloads.draw_small_limit, "c1_spread_rel"),
+}
+
+
+def _limits_misses(code, out, err, spread_key):
+    if code != cli.EXIT_OK or err:
+        return True
+    kv = dict(line[2:].split(" = ", 1) for line in out.splitlines() if line.startswith("# "))
+    return not (float(kv["fitted_order"]) >= LIMIT_ORDER_MIN
+                and float(kv[spread_key]) < LIMIT_SPREAD_MAX)
+
+
+@pytest.mark.parametrize("mode", list(LIMITS_BANDS))
+def test_limits_band_misses_nothing(mode):
+    draw, spread_key = LIMITS_BANDS[mode]
+    rng = random.Random(f"coverage:limits:{mode}")
+    misses = Counter()
+    for _ in range(LIMITS_BAND_SIZE):
+        k, h, kp, k1, k2 = draw(rng)
+        outs = []
+        for frame, cls in (("drawn", (k, h, kp, k1, k2)), ("mirrored", (k, h, kp, -k1, -k2))):
+            code, out, err = _run(workloads.limits_op(mode, cls).argv)
+            misses[frame] += _limits_misses(code, out, err, spread_key)
+            outs.append(out)
+        assert outs[0] == outs[1], (mode, k, h, kp, k1, k2)
+    print(f"\nlimits-{mode}: {LIMITS_BAND_SIZE} classes, misses as drawn "
+          f"{misses['drawn']}, mirrored {misses['mirrored']}")
+    assert misses["drawn"] == misses["mirrored"] == 0, (mode, misses)

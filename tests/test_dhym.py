@@ -14,7 +14,6 @@ from dhym_ruled import (
     canonicalize,
     conical_coefficients,
     eval_H,
-    eval_nu,
     eval_phi,
     eval_psi,
     make_surface,
@@ -27,7 +26,8 @@ from dhym_ruled.dhym import H_pair_of, check_domain, default_grid, radicand
 from dhym_ruled import oracle
 
 from conftest import draw_stable
-from second_forms import eval_H_deriv, eval_psi_deriv, finite_difference, ode_residual_H
+from second_forms import (
+    eval_H_deriv, eval_nu, eval_psi_deriv, finite_difference, ode_residual_H)
 
 
 def test_integration_constants_showcase(figure1):

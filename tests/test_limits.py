@@ -11,6 +11,7 @@ from dhym_ruled import (
     NoSolutionError,
     ValidationError,
     canonicalize,
+    conical_coefficients,
     eval_H,
     make_surface,
     scaled_solution,
@@ -20,7 +21,7 @@ from dhym_ruled import (
 from dhym_ruled import limits
 
 from conftest import draw_stable
-from second_forms import scaled_Cprime
+from second_forms import eval_nu, scaled_Cprime
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ def test_identity_scaling(figure1):
         sol0.cos_theta / sol0.sin_theta, rel=1e-14
     )
     assert prof1.alpha == pytest.approx(
-        limits.smooth_coefficients(s, b).alpha, rel=1e-14
+        conical_coefficients(s, b, 1.0).alpha, rel=1e-14
     )
 
 
@@ -109,6 +110,40 @@ def test_large_radius_report(figure1):
     assert rep.constants["nu_sup"][-1] < 1e-6
     # profiles are sup-norm Cauchy at the small end of the family
     assert rep.constants["profile_cauchy_gap"] < 1e-6
+
+
+def _mirror(b):
+    return BundleClass(k1=-b.k1, k2=-b.k2)
+
+
+def test_mirrored_class_gives_the_same_large_report(figure1):
+    # eval_H of the mirror's members is -H; both limits are the reduced class's
+    s, b = figure1
+    alphas = [1e-1, 1e-2, 1e-3, 1e-4]
+    rep = limits.large_radius_check(limits.build_family(s, b, alphas))
+    assert rep == limits.large_radius_check(limits.build_family(s, _mirror(b), alphas))
+    assert rep.order == pytest.approx(2.0, abs=1e-3)
+
+
+def test_mirrored_class_gives_the_same_small_report(small_radius_base):
+    s, b = small_radius_base
+    alphas = [1e2, 1e3, 1e4]
+    rep = limits.small_radius_check(limits.build_family(s, b, alphas))
+    assert rep == limits.small_radius_check(limits.build_family(s, _mirror(b), alphas))
+    assert rep.order == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_nu_sup_is_the_reference_nu(figure1, mirrored):
+    # the one H evaluation of each member gives bitwise the nu of the reference
+    s, b = figure1
+    fam = limits.build_family(s, _mirror(b) if mirrored else b, [1e-1, 1e-2, 1e-3, 1e-4])
+    want = []
+    for a, (sol, _) in zip(fam.alphas, fam.solutions):
+        t = np.linspace(sol.t_minus, sol.t_plus, 401)
+        nu = eval_nu(sol, s, limits.scaled_class(fam.base[1], a), t)
+        want.append(float(np.max(np.abs(nu / a))))
+    assert limits.large_radius_check(fam).constants["nu_sup"] == tuple(want)
 
 
 def test_large_radius_gap_needs_strictly_stable_scales(semistable_case):

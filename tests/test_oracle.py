@@ -14,7 +14,6 @@ from dhym_ruled import (
     conical_coefficients,
     make_surface,
     phase_and_radius,
-    smooth_coefficients,
     solve_dhym,
 )
 from dhym_ruled import oracle
@@ -442,7 +441,7 @@ def test_finite_difference():
 
 def test_psi_derivatives_match_finite_differences(figure1):
     s, b = figure1
-    p = smooth_coefficients(s, b)
+    p = conical_coefficients(s, b, 1.0)
     t = 6.0
     fd1 = finite_difference(lambda u: eval_psi(p, u), t, 1, 1e-5)
     assert eval_psi_deriv(p, t, 1) == pytest.approx(fd1, abs=1e-7)
@@ -524,7 +523,7 @@ def test_eval_psi_highprec_matches_double_profile(rng):
     # unscaled classes, where the double basis evaluation holds
     for _ in range(20):
         s, b = draw_stable(rng)
-        p = smooth_coefficients(s, b)
+        p = conical_coefficients(s, b, 1.0)
         t = np.linspace(p.t_minus, p.t_plus, 101)
         got = oracle.eval_psi_highprec(s.k, s.h, s.kprime, b.k1, b.k2, t)
         want = eval_psi(p, t)
