@@ -19,7 +19,6 @@ from .coupled import (
     smooth_alpha,
 )
 from .dhym import (
-    DhymSolution,
     boundary_targets,
     eval_H,
     solve_dhym,

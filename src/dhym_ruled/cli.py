@@ -137,18 +137,18 @@ def _pose_args(args):
                 BundleClass(k1=args.k1, k2=args.k2))
 
 
-def verification_pass(s, b, sol, prof) -> coupled.SolvePass:
+def verification_pass(sol, prof) -> coupled.SolvePass:
     """The SolvePass that solve and profile verify: the interior nodes of default_grid."""
-    return coupled.solve_pass(prof, s, b, sol, dhym.default_grid(prof)[1:-1])
+    return coupled.solve_pass(prof, sol, dhym.default_grid(prof)[1:-1])
 
 
-def residual_summary(s, b, sol, prof, interior) -> dict:
+def residual_summary(sol, prof, interior) -> dict:
     """Max-abs residuals of both equations plus all boundary errors.
 
     The interior residuals are read from ``interior``, the verification_pass
     of the solve; the boundary values are evaluated here.
     """
-    tgt_minus, tgt_plus = dhym.boundary_targets(s, b)
+    tgt_minus, tgt_plus = dhym.boundary_targets(sol.surface, sol.bundle)
     # psi' at both ends from one 2-point evaluation is bitwise equal to two
     # 0-d calls; psi and H stay 0-d calls, because as 2-point arrays they
     # round differently
@@ -182,15 +182,14 @@ def _verdict(summary: dict, sol) -> int:
     return EXIT_SEMISTABLE if sol.regularity == "holder12" else EXIT_OK
 
 
-def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
+def build_descriptor(sol, prof, alpha_prime=None) -> dict:
     """The solve's class data, positivity report and residual summary.
 
     The positivity scan and the residual summary read one verification_pass.
     Every value is None, a bool, an int, a float or a str.
     """
-    pr = pose(s, b)
-    b, phase = pr.bundle, pr.phase
-    interior = verification_pass(s, b, sol, prof)
+    s, b = sol.surface, sol.bundle
+    interior = verification_pass(sol, prof)
     pos = coupled.positivity_certificate(prof, interior)
     d = {
         "k": s.k,
@@ -203,11 +202,11 @@ def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
         "alpha_prime": alpha_prime,
         "x": s.x,
         "s_sigma": s.s_sigma,
-        "cos_theta": phase.cos_theta,
-        "sin_theta": phase.sin_theta,
-        "r_hat": phase.r_hat,
-        "s_hat": pr.s_hat,
-        "C": pr.C,
+        "cos_theta": sol.cos_theta,
+        "sin_theta": sol.sin_theta,
+        "r_hat": sol.r_hat,
+        "s_hat": sol.s_hat,
+        "C": sol.C,
         "Cprime": prof.Cprime,
         "alpha": prof.alpha,
         "d0": prof.d0,
@@ -218,14 +217,14 @@ def build_descriptor(s, b, sol, prof, alpha_prime=None) -> dict:
         "beta_inf": prof.beta_inf,
         "t_minus": prof.t_minus,
         "t_plus": prof.t_plus,
-        "stability_class": pr.stability.value,
-        "stability_margin": pr.margin,
+        "stability_class": sol.stability.value,
+        "stability_margin": sol.margin,
         "regularity": sol.regularity,
         "positivity_method": pos.method,
         "positivity_min": pos.min_value,
         "positivity_argmin": pos.argmin,
     }
-    d.update(residual_summary(s, b, sol, prof, interior))
+    d.update(residual_summary(sol, prof, interior))
     return d
 
 
@@ -293,22 +292,22 @@ def _solve_pipeline(args):
     if alpha_prime is not None:
         pr = pose(pr.surface, limits.scaled_class(pr.bundle, alpha_prime))
     _semistable_gate(pr, args)
-    s, b = pr.surface, pr.bundle
-    sol = dhym.solve_dhym(s, b)
-    prof = coupled.conical_coefficients(s, b, args.beta0)
-    return s, b, sol, prof, alpha_prime
+    sol = dhym.solve_dhym(pr.surface, pr.bundle)
+    prof = coupled.conical_coefficients(pr.surface, pr.bundle, args.beta0)
+    return sol, prof, alpha_prime
 
 
 def cmd_check(args) -> int:
     pr = _pose_args(args)
-    cls, phase = pr.stability, pr.phase
+    cls = pr.stability
     om, f = cohomology_classes(pr.surface, pr.bundle)
     lines = [
         f"stability_margin = {pr.margin!r}",
         f"stability_class = {cls.value}",
-        f"cos_theta = {phase.cos_theta!r}",
-        f"sin_theta = {phase.sin_theta!r}",
-        f"r_hat = {phase.r_hat!r}",
+        f"conjugated = {pr.bundle.conjugated!r}",
+        f"cos_theta = {pr.cos_theta!r}",
+        f"sin_theta = {pr.sin_theta!r}",
+        f"r_hat = {pr.r_hat!r}",
         f"s_hat = {pr.s_hat!r}",
         f"omega_class = ({om.a!r}, {om.b!r})",
         f"F_class = ({f.a!r}, {f.b!r})",
@@ -320,16 +319,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    s, b, sol, prof, alpha_prime = _solve_pipeline(args)
-    d = build_descriptor(s, b, sol, prof, alpha_prime)
+    sol, prof, alpha_prime = _solve_pipeline(args)
+    d = build_descriptor(sol, prof, alpha_prime)
     _write(format_descriptor(d), args.out)
     return _verdict(d, sol)
 
 
 def cmd_profile(args) -> int:
-    s, b, sol, prof, _ = _solve_pipeline(args)
+    sol, prof, _ = _solve_pipeline(args)
     t = np.linspace(sol.t_minus, sol.t_plus, args.samples)
-    sp = coupled.solve_pass(prof, s, b, sol, t)
+    sp = coupled.solve_pass(prof, sol, t)
     # the derivative-based columns are undefined at the square-root endpoint
     # of a holder12 solution, so row 0 gets blank cells there
     blank = np.zeros((len(t), 6), dtype=bool)
@@ -337,7 +336,7 @@ def cmd_profile(args) -> int:
     columns = [t, sp.psi / (2.0 * t), sp.psi, sp.H, sp.im_part, sp.scalar_residual]
     header = "t,phi,psi,H,im_residual,scalar_residual\n"
     _write(chain([header], repr_chunks(columns, blank)), args.out)
-    return _verdict(residual_summary(s, b, sol, prof, verification_pass(s, b, sol, prof)), sol)
+    return _verdict(residual_summary(sol, prof, verification_pass(sol, prof)), sol)
 
 
 def cmd_tke(args) -> int:

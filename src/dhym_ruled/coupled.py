@@ -20,7 +20,6 @@ import numpy as np
 
 from . import oracle
 from .dhym import (
-    DhymSolution,
     H_pair_of,
     check_domain,
     ode_residual_of,
@@ -99,7 +98,7 @@ def conical_alpha(s: SurfaceParams, b: BundleClass, beta0: float) -> float:
 def _coupling(pr: Problem, beta0: float) -> float:
     b, x = pr.bundle, pr.surface.x
     bracket = pr.surface.s_sigma * x ** 2 - 3.0 * beta0 * (x + 1.0) + x + 3.0
-    return pr.phase.r_hat * bracket / (2.0 * b.k2 ** 2 * x * (1.0 + (b.k1 - b.k2) ** 2))
+    return pr.r_hat * bracket / (2.0 * b.k2 ** 2 * x * (1.0 + (b.k1 - b.k2) ** 2))
 
 
 def smooth_alpha(s: SurfaceParams, b: BundleClass) -> float:
@@ -107,7 +106,7 @@ def smooth_alpha(s: SurfaceParams, b: BundleClass) -> float:
     pr = pose(s, b)
     b = pr.bundle
     return (
-        pr.phase.r_hat
+        pr.r_hat
         / (2.0 * (1.0 + (b.k1 - b.k2) ** 2) * b.k2 ** 2)
         * (-2.0 + s.s_sigma * s.x)
     )
@@ -115,9 +114,8 @@ def smooth_alpha(s: SurfaceParams, b: BundleClass) -> float:
 
 def _radical_coeffs(pr: Problem, alpha: float):
     """Cubic and radical coefficients of the profile for coupling alpha."""
-    phase = pr.phase
-    sin_t, cos_t = phase.sin_theta, phase.cos_theta
-    c3 = (alpha / 3.0) * cos_t / sin_t ** 2 - (pr.s_hat - alpha * phase.r_hat) / 6.0
+    sin_t, cos_t = pr.sin_theta, pr.cos_theta
+    c3 = (alpha / 3.0) * cos_t / sin_t ** 2 - (pr.s_hat - alpha * pr.r_hat) / 6.0
     # sin * (cot^2 + 1)^(3/2) = 1/sin^2 for sin > 0
     cR = -(alpha / 3.0) / sin_t ** 2
     return c3, cR
@@ -291,22 +289,19 @@ def _scalar_source(p: ProfilePoly, pr: Problem, t, u, t2):
     """The source term of scalar_residual at a checked t, from u = t^2 + C'
     and t2 = t^2.  Divides by a root of u, so callers that reach u = 0 set
     np.errstate."""
-    phase = pr.phase
-    sin_t, cos_t = phase.sin_theta, phase.cos_theta
+    sin_t, cos_t = pr.sin_theta, pr.cos_theta
     alpha = p.alpha
     root = np.sqrt((1.0 / sin_t ** 2) * u)  # sqrt((cot^2+1)(t^2+C'))
     return (
-        (2.0 * alpha * cos_t / sin_t ** 2 - pr.s_hat + alpha * phase.r_hat) * t
+        (2.0 * alpha * cos_t / sin_t ** 2 - pr.s_hat + alpha * pr.r_hat) * t
         - (alpha / sin_t) * root
         - (alpha / sin_t ** 3) * t2 / root
         + 2.0 * pr.surface.s_sigma
     )
 
 
-def solve_pass(
-    p: ProfilePoly, s: SurfaceParams, b: BundleClass, dh: DhymSolution, t
-) -> SolvePass:
-    """Evaluate the solve (dh, p) once on the nodes t.
+def solve_pass(p: ProfilePoly, sol: Problem, t) -> SolvePass:
+    """Evaluate the solve (sol, p) once on the nodes t.
 
     No domain check: t must lie in [t_minus, t_plus].  It may include the
     ends, where H', the imaginary part and the scalar residual of a holder12
@@ -317,8 +312,8 @@ def solve_pass(
     with np.errstate(divide="ignore", invalid="ignore"):
         u = radicand(p, t)
         root = np.sqrt(u)
-        t2, ts = t ** 2, t * dh.sin_theta
-        H, Hp = H_pair_of(dh, t, root, ts)
+        t2, ts = t ** 2, t * sol.sin_theta
+        H, Hp = H_pair_of(sol, t, root, ts)
         u_ends = radicand(p, ends)
         root_ends = np.sqrt(u_ends)
         t2_ends = ends ** 2
@@ -326,17 +321,17 @@ def solve_pass(
             t=t,
             H=H,
             psi=_psi_of(p, t, u, t2),
-            ode_residual=ode_residual_of(dh, t, H, Hp, ts),
-            im_part=phase_and_radius_of(dh, t, H, Hp, radius=False),
+            ode_residual=ode_residual_of(sol, t, H, Hp, ts),
+            im_part=phase_and_radius_of(sol, t, H, Hp, radius=False),
             scalar_residual=_psi_pp_of(p, t, u, root, t2)
-            - _scalar_source(p, pose(s, b), t, u, t2),
+            - _scalar_source(p, sol, t, u, t2),
             dpsi_ends=_psi_p_of(p, ends, root_ends, t2_ends).tolist(),
             psi_pp_ends=_psi_pp_of(p, ends, u_ends, root_ends, t2_ends).tolist(),
         )
 
 
 def phase_and_radius(
-    p: ProfilePoly, s: SurfaceParams, b: BundleClass, dh: DhymSolution, t
+    p: ProfilePoly, s: SurfaceParams, b: BundleClass, dh: Problem, t
 ):
     """Pointwise imaginary and real parts of the normalized top-form ratio.
 
@@ -352,10 +347,10 @@ def phase_and_radius(
     return im_part, re_part
 
 
-def phase_and_radius_of(dh: DhymSolution, t, H, Hp, radius=True):
+def phase_and_radius_of(dh: Problem, t, H, Hp, radius=True):
     """The parts of phase_and_radius from given values H = H(t), Hp = H'(t);
     the imaginary part alone if not ``radius``."""
-    sign = -1.0 if dh.conjugated else 1.0
+    sign = -1.0 if dh.bundle.conjugated else 1.0
     sin_t, cos_t = sign * dh.sin_theta, dh.cos_theta
     one_minus = 1.0 - H * Hp / t
     sum_part = Hp + H / t
@@ -366,7 +361,7 @@ def phase_and_radius_of(dh: DhymSolution, t, H, Hp, radius=True):
 
 
 def average_radius_quadrature(
-    s: SurfaceParams, b: BundleClass, dh: DhymSolution, p: ProfilePoly
+    s: SurfaceParams, b: BundleClass, dh: Problem, p: ProfilePoly
 ) -> float:
     """Average of the pointwise radius against the volume weight x*t dt."""
 

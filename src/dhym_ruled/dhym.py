@@ -6,42 +6,21 @@ first-order ODE for an auxiliary function H(t) on the fixed interval
 
     H(t) = t cot(theta) - sqrt((cot(theta)^2 + 1) (t^2 + C')),
 
-with a single integration constant C' fixed by the boundary data.  This
-module builds that descriptor, evaluates H and its derivative analytically,
-and exposes pointwise residuals of the ODE in denominator-cleared form.
+with a single integration constant C' fixed by the boundary data.  The
+posed class (params.Problem) carries every constant of H, so this module
+only gates it, evaluates H and its derivative analytically, and exposes
+pointwise residuals of the ODE in denominator-cleared form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NoSolutionError
-from .params import BundleClass, StabilityClass, SurfaceParams, pose
+from .params import BundleClass, Problem, StabilityClass, SurfaceParams, pose
 
 #: Absolute slack accepted at interval endpoints before raising DomainError.
 _ENDPOINT_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class DhymSolution:
-    """Descriptor of the explicit solution branch.
-
-    (cos_theta, sin_theta) is the phase of ``pose`` (sin_theta > 0) and
-    u_minus = t_minus^2 + C', exact.  regularity is "smooth" in the strictly
-    stable case and "holder12" in the semistable one, where t^2 + C' vanishes
-    at t_minus and H only extends with Hoelder exponent 1/2 there.
-    """
-
-    cos_theta: float
-    sin_theta: float
-    Cprime: float
-    u_minus: float
-    t_minus: float
-    t_plus: float
-    regularity: str
-    conjugated: bool = False
 
 
 def boundary_targets(s: SurfaceParams, b: BundleClass) -> tuple[float, float]:
@@ -59,28 +38,18 @@ def boundary_targets(s: SurfaceParams, b: BundleClass) -> tuple[float, float]:
     )
 
 
-def solve_dhym(s: SurfaceParams, b: BundleClass) -> DhymSolution:
-    """Build the solution descriptor; raises NoSolutionError when unstable."""
+def solve_dhym(s: SurfaceParams, b: BundleClass) -> Problem:
+    """The posed class as the solution H; raises NoSolutionError when unstable."""
     pr = pose(s, b)
     if pr.stability is StabilityClass.UNSTABLE:
         raise NoSolutionError(pr.margin)
-    semistable = pr.stability is StabilityClass.SEMISTABLE
-    return DhymSolution(
-        cos_theta=pr.phase.cos_theta,
-        sin_theta=pr.phase.sin_theta,
-        Cprime=pr.Cprime,
-        u_minus=pr.u_minus,
-        t_minus=pr.t_minus,
-        t_plus=pr.t_plus,
-        regularity="holder12" if semistable else "smooth",
-        conjugated=pr.bundle.conjugated,
-    )
+    return pr
 
 
 def check_domain(interval, t):
     """t as a float array in [interval.t_minus, interval.t_plus].
 
-    ``interval`` is a DhymSolution or a ProfilePoly.  A point at most
+    ``interval`` is a Problem or a ProfilePoly.  A point at most
     _ENDPOINT_SLACK outside an end is moved onto that end; a point further
     out, or a NaN, raises DomainError.  On the interval every factor and
     term of radicand is non-negative, so t^2 + C' >= 0 in floating point
@@ -101,17 +70,17 @@ def check_domain(interval, t):
 
 
 def radicand(iv, t):
-    """t^2 + C' of a Problem, DhymSolution or ProfilePoly ``iv``, formed
+    """t^2 + C' of a Problem or a ProfilePoly ``iv``, formed
     without the cancellation of t^2 against C' near t_minus."""
     return (t - iv.t_minus) * (t + iv.t_minus) + iv.u_minus
 
 
-def _sign(sol: DhymSolution) -> float:
-    # conjugated descriptors evaluate the mirrored solution H -> -H
-    return -1.0 if sol.conjugated else 1.0
+def _sign(sol: Problem) -> float:
+    # conjugated classes evaluate the mirrored solution H -> -H
+    return -1.0 if sol.bundle.conjugated else 1.0
 
 
-def _near_root(sol: DhymSolution) -> bool:
+def _near_root(sol: Problem) -> bool:
     """Whether the cos(theta) > 0 numerators come from (t_minus, u_minus),
     the constants radicand forms u from, instead of C'.
 
@@ -122,7 +91,7 @@ def _near_root(sol: DhymSolution) -> bool:
     return sol.u_minus <= 0.5 * sol.t_minus ** 2
 
 
-def _H_of(sol: DhymSolution, t, root, ts):
+def _H_of(sol: Problem, t, root, ts):
     """Canonical-branch H at a checked t, from root = sqrt(t^2 + C') and
     ts = t sin(theta)."""
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
@@ -138,7 +107,7 @@ def _H_of(sol: DhymSolution, t, root, ts):
     return (t * cos_t - root) / sin_t
 
 
-def _H_deriv_of(sol: DhymSolution, t, root, ts):
+def _H_deriv_of(sol: Problem, t, root, ts):
     """Canonical-branch H' at a checked t, from root = sqrt(t^2 + C') and
     ts = t sin(theta)."""
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
@@ -152,10 +121,10 @@ def _H_deriv_of(sol: DhymSolution, t, root, ts):
     return (cos_t - t / root) / sin_t
 
 
-def eval_H(sol: DhymSolution, t):
+def eval_H(sol: Problem, t):
     """H(t) on [t_minus, t_plus]; accepts scalars or arrays.
 
-    For a conjugated descriptor (input class reduced through the
+    For a conjugated class (an input reduced through the
     (k1, k2) -> (-k1, -k2) symmetry) this is the negative of the
     canonical-branch value.
     """
@@ -164,25 +133,25 @@ def eval_H(sol: DhymSolution, t):
     return float(out) if out.ndim == 0 else out
 
 
-def H_pair_of(sol: DhymSolution, t, root, ts):
+def H_pair_of(sol: Problem, t, root, ts):
     """(H(t), H'(t)) at a checked t, from root = sqrt(t^2 + C') and
     ts = t sin(theta)."""
     H, Hp = _H_of(sol, t, root, ts), _H_deriv_of(sol, t, root, ts)
-    if sol.conjugated:
+    if sol.bundle.conjugated:
         sign = _sign(sol)
         return sign * H, sign * Hp
     return H, Hp
 
 
-def ode_residual_of(sol: DhymSolution, t, H, Hp, ts):
+def ode_residual_of(sol: Problem, t, H, Hp, ts):
     """Denominator-cleared ODE residual H' (H sin - t cos) - (t sin + H cos),
     from H = H(t), Hp = H'(t) and ts = t sin(theta): zero for the exact
-    solution, and defined where H sin = t cos.  A conjugated descriptor's
+    solution, and defined where H sin = t cos.  A conjugated class's
     phase has the opposite sine, which the residual accounts for."""
     sin_t = _sign(sol) * sol.sin_theta
     cos_t = sol.cos_theta
     # t (-sin) is -(t sin) exactly
-    t_sin = -ts if sol.conjugated else ts
+    t_sin = -ts if sol.bundle.conjugated else ts
     return Hp * (H * sin_t - t * cos_t) - (t_sin + H * cos_t)
 
 
@@ -190,7 +159,7 @@ _GRID_STEPS = np.arange(1001, dtype=float)
 
 
 def default_grid(iv) -> np.ndarray:
-    """Uniform 1001-point grid on [t_minus, t_plus] of a DhymSolution or a
+    """Uniform 1001-point grid on [t_minus, t_plus] of a Problem or a
     ProfilePoly ``iv``.
 
     Bitwise equal to np.linspace(t_minus, t_plus, 1001), without its call

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import coupled
 from .coupled import ProfilePoly, conical_coefficients
-from .dhym import DhymSolution, eval_H, solve_dhym
+from .dhym import eval_H, solve_dhym
 from .errors import NoSolutionError, ValidationError
-from .params import BundleClass, StabilityClass, SurfaceParams, pose
+from .params import BundleClass, Problem, StabilityClass, SurfaceParams, pose
 
 #: Points per scale sample of the sup-norm grids of both limit checks.
 _SUP_GRID = 401
@@ -32,7 +32,7 @@ class ScaledFamily:
 
     base: tuple[SurfaceParams, BundleClass]
     alphas: tuple[float, ...]
-    solutions: tuple[tuple[DhymSolution, ProfilePoly], ...]
+    solutions: tuple[tuple[Problem, ProfilePoly], ...]
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def scaled_class(b: BundleClass, alpha_prime: float) -> BundleClass:
 
 def scaled_solution(
     s: SurfaceParams, b: BundleClass, alpha_prime: float
-) -> tuple[DhymSolution, ProfilePoly]:
+) -> tuple[Problem, ProfilePoly]:
     """Solve the coupled system for the class scaled by alpha'.
 
     tests/test_limits.py::test_scaled_Cprime_consistency holds its C' to the

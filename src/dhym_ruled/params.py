@@ -164,19 +164,26 @@ def phase_constant(b: BundleClass) -> Phase:
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything the class data fixes, resolved once by ``pose``.
+    """Everything the class data fixes, resolved once by ``pose``; past the
+    unstable gate of dhym.solve_dhym it is the solution H itself.
 
     ``bundle`` is the canonical (k1 < 0) class with its conjugation flag, and
+    (cos_theta, sin_theta, r_hat) is its Phase (sin_theta > 0).
     s_hat = 2 x s_sigma + 2 is the average scalar curvature of the surface.
     C is the integration constant of the separated ODE and
     C' = C sin(theta).  [t_minus, t_plus] is the momentum interval
     [1/x - 1, 1/x + 1], and u_minus = t_minus^2 + C' = (margin / (x r_hat))^2
     without cancellation, so H(t_minus) is exact for every margin.
+    regularity is "smooth" in the strictly stable case and "holder12" in the
+    semistable one, where t^2 + C' vanishes at t_minus and H only extends
+    with Hoelder exponent 1/2 there.
     """
 
     surface: SurfaceParams
     bundle: BundleClass
-    phase: Phase
+    cos_theta: float
+    sin_theta: float
+    r_hat: float
     s_hat: float
     margin: float
     stability: StabilityClass
@@ -185,6 +192,10 @@ class Problem:
     u_minus: float
     t_minus: float
     t_plus: float
+
+    @property
+    def regularity(self) -> str:
+        return "holder12" if self.stability is StabilityClass.SEMISTABLE else "smooth"
 
 
 @functools.lru_cache(maxsize=16)
@@ -228,7 +239,8 @@ def pose(s: SurfaceParams, b: BundleClass) -> Problem:
             " double-precision range"
         )
     return Problem(
-        surface=s, bundle=b, phase=phase, s_hat=2.0 * x * s.s_sigma + 2.0,
+        surface=s, bundle=b, cos_theta=phase.cos_theta, sin_theta=phase.sin_theta,
+        r_hat=phase.r_hat, s_hat=2.0 * x * s.s_sigma + 2.0,
         margin=margin, stability=classify(margin),
         C=C, Cprime=C * phase.sin_theta, u_minus=u_minus, t_minus=t_minus,
         t_plus=t_plus,

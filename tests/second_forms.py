@@ -215,7 +215,7 @@ def reverify(d: dict) -> dict:
     b = BundleClass(k1=d["k1"], k2=d["k2"], conjugated=bool(d["conjugated"]))
     sol = dhym.solve_dhym(s, b)
     prof = coupled.conical_coefficients(s, b, d["beta0"])
-    return residual_summary(s, b, sol, prof, verification_pass(s, b, sol, prof))
+    return residual_summary(sol, prof, verification_pass(sol, prof))
 
 
 def _scalar_or_array(out):
@@ -273,7 +273,7 @@ def eval_psi_deriv(p, t, order=1):
 def certificate_pass(p):
     """What positivity_certificate reads of a SolvePass, from eval_psi on the
     interior nodes of dhym.default_grid and eval_psi_deriv at both ends; it
-    needs no DhymSolution, so it serves hand-built profiles too."""
+    needs no Problem, so it serves hand-built profiles too."""
     t = dhym.default_grid(p)[1:-1]
     ends = np.array([p.t_minus, p.t_plus])
     return SimpleNamespace(t=t, psi=coupled.eval_psi(p, t),

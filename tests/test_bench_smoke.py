@@ -1,7 +1,7 @@
 """The benchmark runs each workload end to end and checks its own outputs.
 
 perfbench reads names of the package that no other test reaches the same
-way (the phase on DhymSolution, the names cli imports for the tracer,
+way (the phase on the solved `Problem`, the names cli imports for the tracer,
 params.classify); a short traced run of each workload keeps them working.
 """
 

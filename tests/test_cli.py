@@ -68,6 +68,20 @@ def test_check_unstable():
     assert "Unstable" in r.stdout
 
 
+def test_check_prints_the_mirror_flag(capsys):
+    """check reports the reduced class's data, so a mirrored input differs
+    from its reduced form only in the conjugated line, as in solve."""
+    outs = []
+    for k1, k2 in (("1.0", "-1.0"), ("-1.0", "1.0")):
+        code, out, err = run_in_process(
+            ["check", "--k", "1", "--kprime", "5.0", f"--k1={k1}", f"--k2={k2}"], capsys)
+        assert (code, err) == (0, "")
+        outs.append(out.splitlines())
+    assert [(a, b) for a, b in zip(*outs) if a != b] == [
+        ("conjugated = True", "conjugated = False")]
+    assert len(outs[0]) == len(outs[1])
+
+
 def test_degenerate_class_usage_error():
     r = run("check", "--k", "1", "--h", "0", "--kprime", "5", "--k1", "0", "--k2", "1")
     assert r.returncode == 1
@@ -693,7 +707,7 @@ def test_residual_summary_matches_pointwise_calls():
         for iv in (sol, prof):
             grid = np.linspace(iv.t_minus, iv.t_plus, 1001)
             assert dhym.default_grid(iv).tobytes() == grid.tobytes(), (s, b)
-        got = residual_summary(s, b, sol, prof, verification_pass(s, b, sol, prof))
+        got = residual_summary(sol, prof, verification_pass(sol, prof))
         assert got == _pointwise_summary(s, b, sol, prof), (s, b, beta0)
         assert all(type(v) is float for v in got.values())
         branches.add(sol.cos_theta > 0.0)
@@ -735,7 +749,7 @@ def test_descriptor_matches_separate_calls():
     branches, methods = set(), set()
     for case in _descriptor_cases():
         s, b, sol, prof = _posed_solve(*case)
-        got = build_descriptor(s, b, sol, prof)
+        got = build_descriptor(sol, prof)
         pos = coupled.positivity_certificate(prof, certificate_pass(prof))
         want = {
             **got,
@@ -756,7 +770,7 @@ def test_descriptor_values_are_builtins():
     """format_descriptor writes repr of each value, so none may be a numpy
     scalar (np.float64 is a float subclass; its repr is not a float's)."""
     for case in _descriptor_cases():
-        d = build_descriptor(*_posed_solve(*case))
+        d = build_descriptor(*_posed_solve(*case)[2:])
         for k, v in d.items():
             assert v is None or type(v) in (bool, int, float, str), (k, type(v))
 

@@ -1,5 +1,6 @@
 """Explicit constant-phase solution: values, residuals, degenerations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from dhym_ruled import (
     BundleClass,
-    DhymSolution,
     DomainError,
     NoSolutionError,
     boundary_targets,
@@ -42,6 +42,7 @@ def test_integration_constants_showcase(figure1):
 def test_solve_showcase(figure1):
     s, b = figure1
     sol = solve_dhym(s, b)
+    assert sol is pose(s, b)
     assert sol.regularity == "smooth"
     assert sol.cos_theta / sol.sin_theta == pytest.approx(0.5, rel=1e-14)
     assert (sol.t_minus, sol.t_plus) == (5.0, 7.0)
@@ -75,16 +76,7 @@ def test_unstable_closed_form_misses_target():
     # t_minus boundary condition: that failure is the content of instability
     s = make_surface(1, 0, 2)
     b = BundleClass(k1=-1.0, k2=1.0)
-    pr = pose(s, b)
-    sol = DhymSolution(
-        cos_theta=pr.phase.cos_theta,
-        sin_theta=pr.phase.sin_theta,
-        Cprime=pr.Cprime,
-        u_minus=pr.u_minus,
-        t_minus=2.0,
-        t_plus=4.0,
-        regularity="smooth",
-    )
+    sol = dataclasses.replace(pose(s, b), t_minus=2.0, t_plus=4.0)
     tm, tp = boundary_targets(s, b)
     assert eval_H(sol, 4.0) == pytest.approx(tp, abs=1e-12)
     assert abs(eval_H(sol, 2.0) - tm) > 0.1
@@ -210,7 +202,7 @@ def test_deriv_matches_finite_difference(figure1):
 def test_semistable_radicand_and_holder(semistable_case):
     s, b = semistable_case
     sol = solve_dhym(s, b)
-    assert sol.regularity == "holder12"
+    assert sol is pose(s, b) and sol.regularity == "holder12"
     # C' carries its rounding; the radicand at t_minus is exactly 0
     assert sol.u_minus == 0.0
     assert sol.Cprime == pytest.approx(-16.0, rel=1e-14)
@@ -229,7 +221,7 @@ def test_symmetry_mirror(rng):
         bm = BundleClass(k1=-b.k1, k2=-b.k2)
         sol = solve_dhym(s, b)
         solm = solve_dhym(s, bm)
-        assert solm.conjugated
+        assert solm.bundle.conjugated
         t = np.linspace(sol.t_minus, sol.t_plus, 101)
         assert np.max(np.abs(eval_H(solm, t) + eval_H(sol, t))) < 1e-12
         assert np.max(np.abs(ode_residual_H(solm, t))) < 1e-10
@@ -244,14 +236,7 @@ def test_perturbed_constant_fails_residual(figure1):
     s, b = figure1
     sol = solve_dhym(s, b)
     Cprime_bad = sol.Cprime * (1.0 + 1e-6)
-    bad = DhymSolution(
-        cos_theta=sol.cos_theta,
-        sin_theta=sol.sin_theta,
-        Cprime=Cprime_bad,
-        u_minus=sol.t_minus ** 2 + Cprime_bad,
-        t_minus=sol.t_minus,
-        t_plus=sol.t_plus,
-        regularity="smooth",
-    )
+    bad = dataclasses.replace(
+        sol, Cprime=Cprime_bad, u_minus=sol.t_minus ** 2 + Cprime_bad)
     tm, _ = boundary_targets(s, b)
     assert abs(eval_H(bad, sol.t_minus) - tm) > 1e-8

@@ -67,7 +67,9 @@ def test_ulps_and_raw_values():
     assert same_outputs.ulps(0.0, -0.0) == 0
     assert same_outputs.ulps(-5e-324, 5e-324) == 2
     assert same_outputs.ulps(1.0, 1.0 + 2 * 2.0 ** -52) == 2
+    # a key present on one side only is reported as <absent> on the other
     assert same_outputs.key_differences(
         [["stability_class", "'Stable'"], ["c1_mean", "nan"]],
-        [["stability_class", "'Unstable'"], ["c1_mean", "0.5"]],
-    ) == ["  stability_class: 'Stable' -> 'Unstable'", "  c1_mean: nan -> 0.5"]
+        [["stability_class", "'Unstable'"], ["conjugated", "False"], ["c1_mean", "0.5"]],
+    ) == ["  stability_class: 'Stable' -> 'Unstable'", "  c1_mean: nan -> 0.5",
+          "  conjugated: <absent> -> False"]
