@@ -24,6 +24,7 @@ and its mirror must print the same report.  The ceiling on misses is 0.
 
 import importlib.util
 import io
+import math
 import random
 import re
 import sys
@@ -33,7 +34,15 @@ from pathlib import Path
 
 import pytest
 
-from dhym_ruled import cli
+from dhym_ruled import (
+    BundleClass,
+    IntegrationError,
+    cli,
+    conical_coefficients,
+    make_surface,
+    solve_dhym,
+)
+from dhym_ruled.coupled import average_radius_quadrature
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,10 +68,10 @@ def _solve_mix(label):
     return draw
 
 
-def _stable(rng, make):
-    """BAND_SIZE ops from ``make(rng)`` whose exact margin is strictly stable."""
+def _stable(rng, make, size=BAND_SIZE):
+    """``size`` ops from ``make(rng)`` whose exact margin is strictly stable."""
     ops = []
-    while len(ops) < BAND_SIZE:
+    while len(ops) < size:
         try:
             op = make(rng)
         except ValueError:  # inside the semistable band
@@ -72,17 +81,21 @@ def _stable(rng, make):
     return ops
 
 
-def _wide_box(lo, hi):
-    """The wide box of ROADMAP.md's correctness table, with k'/k log-uniform
-    in [10^lo, 10^hi): k in 1..5, h in 0..3, |k1|, |k2| log-uniform in
-    [1e-4, 1e4], smooth."""
+def _wide_make(lo, hi):
+    """A draw of the wide box of ROADMAP.md's correctness table, with k'/k
+    log-uniform in [10^lo, 10^hi): k in 1..5, h in 0..3, |k1|, |k2|
+    log-uniform in [1e-4, 1e4], smooth."""
     def make(rng):
         k, h = rng.randint(1, 5), rng.randint(0, 3)
         kp = k * 10.0 ** rng.uniform(lo, hi)
         k1 = -(10.0 ** rng.uniform(-4.0, 4.0))
         k2 = 10.0 ** rng.uniform(-4.0, 4.0) * rng.choice((-1.0, 1.0))
         return workloads.solve_op("wide", (k, h, kp, k1, k2))
-    return lambda: _stable(random.Random(f"coverage:wide:{lo}:{hi}"), make)
+    return make
+
+
+def _wide_box(lo, hi):
+    return lambda: _stable(random.Random(f"coverage:wide:{lo}:{hi}"), _wide_make(lo, hi))
 
 
 def _scaled(lo, hi, conical):
@@ -208,3 +221,33 @@ def test_limits_band_misses_nothing(mode):
     print(f"\nlimits-{mode}: {LIMITS_BAND_SIZE} classes, misses as drawn "
           f"{misses['drawn']}, mirrored {misses['mirrored']}")
     assert misses["drawn"] == misses["mirrored"] == 0, (mode, misses)
+
+
+#: Strictly stable smooth classes of the wide box, k'/k in [1e-3, 1e8),
+#: that the quadrature band draws.
+QUADRATURE_BAND_SIZE = 300
+#: The relative bound of perfbench/checks.py on the average radius.
+QUADRATURE_RTOL = 1e-9
+#: Ceiling on the quadrature band's misses.
+QUADRATURE_MISSES_MAX = 47
+
+
+def test_quadrature_band_within_its_ceiling():
+    # the average-radius identity: the quadrature of the pointwise radius
+    # against the volume weight is r_hat = |1 - k1^2 + k2^2 + 2 i k1|
+    ops = _stable(random.Random("coverage:quadrature"), _wide_make(-3.0, 8.0),
+                  QUADRATURE_BAND_SIZE)
+    misses = Counter()
+    for op in ops:
+        k, h, kp, k1, k2 = op.cls
+        s, b = make_surface(k, h, kp), BundleClass(k1=k1, k2=k2)
+        r_hat = math.hypot(1.0 - k1 ** 2 + k2 ** 2, 2.0 * k1)
+        try:
+            avg = average_radius_quadrature(s, b, solve_dhym(s, b),
+                                            conical_coefficients(s, b, 1.0))
+        except IntegrationError:
+            misses["IntegrationError"] += 1
+            continue
+        misses["off"] += abs(avg / r_hat - 1.0) > QUADRATURE_RTOL
+    print(f"\nquadrature: {len(ops)} classes, misses {dict(misses)}")
+    assert sum(misses.values()) <= QUADRATURE_MISSES_MAX, misses
