@@ -295,66 +295,95 @@ def rk4_solve_phase_ode(cos_theta, sin_theta, t0, y0, t1, step) -> GridFunction:
     return _grid(nodes, h, z, slope=r)
 
 
-#: Most Simpson panels refined by one call of the integrand.  Quadrature
-#: works through the panels of a level as a depth-first stack of batches of
-#: at most this size, so memory stays bounded and an integrand that never
-#: converges gives up after O(QUADRATURE_DEPTH * _PANEL_BATCH) points.
-_PANEL_BATCH = 1024
-#: Absolute tolerance of quadrature, and the level at which it gives up.
+#: The Gauss-Kronrod pair G7-K15 on [-1, 1] (QUADPACK's qk15): the
+#: nonnegative Kronrod nodes, decreasing to 0, their weights, and the weights
+#: of the 7-point Gauss rule on every second of those nodes, from the second.
+_KRONROD_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245, 0.0)
+_KRONROD_W = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+              0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+              0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+              0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_GAUSS_W = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def _rule():
+    """The 15 nodes in increasing order, and the (2, 15) weights of K15 and
+    of G7 on them (0 off the Gauss nodes)."""
+    x, wk = np.array(_KRONROD_X), np.array(_KRONROD_W)
+    wg = np.zeros(8)
+    wg[1::2] = _GAUSS_W
+    nodes = np.concatenate((-x[:-1], x[::-1]))
+    weights = np.array([np.concatenate((w[:-1], w[::-1])) for w in (wk, wg)])
+    for a in (nodes, weights):
+        a.flags.writeable = False
+    return nodes, weights
+
+
+_NODES, _WEIGHTS = _rule()
+#: Most panels evaluated by one call of the integrand (15 points each).
+#: Quadrature works through its open panels as a depth-first stack of
+#: batches of at most this size, so memory stays bounded and an integrand
+#: that never converges gives up after O(QUADRATURE_DEPTH * _PANEL_BATCH)
+#: points.
+_PANEL_BATCH = 256
+#: Tolerance of quadrature, relative to max(1, |the integral's K15 over
+#: [a, b]|), and the level of bisection at which it gives up.
 QUADRATURE_TOL = 1e-10
 QUADRATURE_DEPTH = 40
 
 
 def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    """Adaptive Simpson integral of f on [a, b] to within QUADRATURE_TOL.
+    """Adaptive Gauss-Kronrod (G7-K15) integral of f on [a, b].
 
     ``f`` maps an array of points to an array of values of the same shape;
-    a scalar is not broadcast.  A panel is accepted when its two halves
-    agree with it to 15 eps, with the Richardson correction; otherwise each
-    half is refined with eps / 2.
-    The panels of one level are evaluated together, in batches.  A panel
-    still unaccepted at level QUADRATURE_DEPTH raises IntegrationError at its
-    midpoint, with its estimate.
+    a scalar is not broadcast.  With tol = QUADRATURE_TOL max(1, |K|), K
+    the 15-point estimate over all of [a, b] (the absolute QUADRATURE_TOL
+    if K is not finite), a panel [lo, hi] is accepted when its 15- and
+    7-point estimates agree to tol (hi - lo) / (b - a), and it contributes
+    its 15-point estimate; otherwise it is bisected.  The open panels are
+    evaluated together, in batches of at most _PANEL_BATCH, depth first
+    from the left.  A panel still open at level QUADRATURE_DEPTH raises
+    IntegrationError at its midpoint, with its 15-point estimate.
     """
     if not a < b:
         raise ValueError("need a < b")
-
-    def values(t):
-        return np.asarray(f(t), dtype=float)
-
-    fa, fm, fb = values(np.array([a, 0.5 * (a + b), b])).tolist()
-    root = [a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)]
-    # a batch: its level, and one column per panel with the rows lo, hi,
-    # f(lo), f(mid), f(hi) and the panel's Simpson estimate
-    stack = [(0, np.array(root)[:, None])]
+    width = b - a
+    tol = None
+    # a batch: its level and its panels' ends
+    stack = [(0, np.array([a]), np.array([b]))]
     accepted = []
     while stack:
-        level, (lo, hi, flo, fmid, fhi, whole) = stack.pop()
-        mid = 0.5 * (lo + hi)
-        flmid, frmid = values(
-            np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi)))
-        ).reshape(2, -1)
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flmid + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frmid + fhi)
+        level, lo, hi = stack.pop()
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        t = mid + np.multiply.outer(_NODES, half)
+        values = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
+        kronrod, gauss = half * (_WEIGHTS @ values)
+        if tol is None:
+            scale = abs(float(kronrod[0]))
+            tol = QUADRATURE_TOL * (scale if 1.0 < scale < math.inf else 1.0)
+        done = np.abs(kronrod - gauss) <= tol * ((hi - lo) / width)
+        accepted.append(kronrod[done])
+        if done.all():
+            continue
         if level >= QUADRATURE_DEPTH:
+            first = int(done.argmin())
             raise IntegrationError(
                 "quadrature failed to converge",
-                location=float(mid[0]),
-                estimate=float(left[0] + right[0]),
+                location=float(mid[first]),
+                estimate=float(kronrod[first]),
             )
-        diff = left + right - whole
-        done = np.abs(diff) <= 15.0 * (QUADRATURE_TOL / 2.0 ** level)
-        accepted.append((left + right + diff / 15.0)[done])
         # children in left-to-right order, the leftmost batch on top
-        children = np.stack(
-            (
-                np.stack((lo, mid, flo, flmid, fmid, left)),
-                np.stack((mid, hi, fmid, frmid, fhi, right)),
-            ),
-            axis=-1,
-        )[:, ~done].reshape(6, -1)
-        for first in reversed(range(0, children.shape[1], _PANEL_BATCH)):
-            stack.append((level + 1, children[:, first:first + _PANEL_BATCH]))
+        keep = ~done
+        lo, mid, hi = lo[keep], mid[keep], hi[keep]
+        lo, hi = np.stack((lo, mid), -1).ravel(), np.stack((mid, hi), -1).ravel()
+        for first in reversed(range(0, len(lo), _PANEL_BATCH)):
+            batch = slice(first, first + _PANEL_BATCH)
+            stack.append((level + 1, lo[batch], hi[batch]))
     return math.fsum(np.concatenate(accepted).tolist())
 
 
@@ -435,7 +464,8 @@ def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
     times larger than psi itself.  The constants come from
     _highprec_constants, in 60-digit Decimal (ValueError unless k1 < 0,
     k2 != 0 and strict stability).  Each point is evaluated in integers at
-    scale 2^200: T = t 2^200 exactly, u = max(T^2 + C', 0) and
+    scale 2^200: T = floor(t 2^200), of the double product, which is exact
+    while it is finite; u = max(T^2 + C', 0) and
     R = sqrt(u) by math.isqrt, psi = d0 + d1 T + c2 T^2 + c3 T^3 by Horner
     plus cR u R, each product floored back to the scale; the result is
     psi / 2^200 correctly rounded.  Every step loses less than 2^-200
@@ -444,17 +474,22 @@ def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
     Cprime, c2, c3, cR, d0, d1 = map(
         _to_fixed, _highprec_constants(k, h, kprime, k1, k2)
     )
-    one = 1 << _FIX
+    fix, one, scale = _FIX, 1 << _FIX, 2.0 ** _FIX
+    floor, isqrt = math.floor, math.isqrt
     out = []
+    append = out.append
     for t in np.atleast_1d(np.asarray(ts, dtype=float)).tolist():
-        T = _to_fixed(t)
-        u = max((T * T >> _FIX) + Cprime, 0)
-        root = math.isqrt(u << _FIX)
-        psi = (c3 * T >> _FIX) + c2
-        psi = (psi * T >> _FIX) + d1
-        psi = (psi * T >> _FIX) + d0
-        psi += (cR * u >> _FIX) * root >> _FIX
-        out.append(psi / one)
+        # the product is exact, so its floor is _to_fixed(t)
+        T = floor(t * scale)
+        u = (T * T >> fix) + Cprime
+        if u < 0:
+            u = 0
+        root = isqrt(u << fix)
+        psi = (c3 * T >> fix) + c2
+        psi = (psi * T >> fix) + d1
+        psi = (psi * T >> fix) + d0
+        psi += (cR * u >> fix) * root >> fix
+        append(psi / one)
     return np.asarray(out)
 
 

@@ -229,7 +229,7 @@ QUADRATURE_BAND_SIZE = 300
 #: The relative bound of perfbench/checks.py on the average radius.
 QUADRATURE_RTOL = 1e-9
 #: Ceiling on the quadrature band's misses.
-QUADRATURE_MISSES_MAX = 47
+QUADRATURE_MISSES_MAX = 0
 
 
 def test_quadrature_band_within_its_ceiling():

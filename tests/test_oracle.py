@@ -366,8 +366,19 @@ def test_quadrature_failure_carries_estimate():
     assert exc.value.estimate is not None
 
 
+def test_quadrature_of_a_divergent_integrand_raises():
+    # 1 / t^2 is infinite at the midpoint of [-1, 1], so the 15-point
+    # estimate over the interval is too: the tolerance stays the absolute
+    # QUADRATURE_TOL, where one scaled by that estimate would accept every
+    # finite panel and return a finite value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError):
+            oracle.quadrature(lambda t: 1.0 / t ** 2, -1.0, 1.0)
+
+
 def _recursive_simpson(f, a, b, tol=1e-10, max_depth=40):
-    """Depth-first adaptive Simpson on scalars, the reference for oracle.quadrature."""
+    """Depth-first adaptive Simpson on scalars, a reference for the value of
+    oracle.quadrature by another rule."""
 
     def simpson(lo, flo, hi, fhi, fmid):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -390,8 +401,53 @@ def _recursive_simpson(f, a, b, tol=1e-10, max_depth=40):
     return recurse(a, fa, b, fb, fm, simpson(a, fa, b, fb, fm), tol, max_depth)
 
 
+def _recursive_gauss_kronrod(f, a, b, tol=1e-10, max_depth=40):
+    """Depth-first adaptive G7-K15 on scalars, the reference for
+    oracle.quadrature: (the integral, the number of points evaluated)."""
+    points = 0
+
+    def panel(lo, hi):
+        nonlocal points
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        values = [f(mid + x * half) for x in oracle._NODES.tolist()]
+        points += len(values)
+        kronrod, gauss = (half * float(np.dot(w, values)) for w in oracle._WEIGHTS)
+        return mid, kronrod, gauss
+
+    def recurse(lo, hi, depth, estimates):
+        mid, kronrod, gauss = estimates
+        if abs(kronrod - gauss) <= tolerance * ((hi - lo) / (b - a)):
+            return kronrod
+        if depth >= max_depth:
+            raise IntegrationError("no convergence", location=mid, estimate=kronrod)
+        left = recurse(lo, mid, depth + 1, panel(lo, mid))
+        return left + recurse(mid, hi, depth + 1, panel(mid, hi))
+
+    root = panel(a, b)
+    tolerance = tol * max(1.0, abs(root[1]))
+    return recurse(a, b, 0, root), points
+
+
+def test_gauss_kronrod_rule():
+    # the 7 Gauss nodes and weights are numpy's; K15 integrates every
+    # monomial to degree 22 and G7 to degree 13, to rounding
+    x, w = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(oracle._NODES[1::2], x, rtol=0.0, atol=4e-16)
+    assert np.allclose(oracle._WEIGHTS[1, 1::2], w, rtol=0.0, atol=4e-16)
+    assert not oracle._WEIGHTS[1, ::2].any()
+    for degree in range(23):
+        exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        kronrod, gauss = oracle._WEIGHTS @ oracle._NODES ** degree
+        assert kronrod == pytest.approx(exact, abs=1e-15), degree
+        if degree <= 13:
+            assert gauss == pytest.approx(exact, abs=1e-15), degree
+
+
 @pytest.mark.parametrize("beta0", [1.0, 0.5])
 def test_quadrature_matches_recursive_simpson(figure1, beta0):
+    # the value is the Simpson reference's; the points are those of the
+    # depth-first G7-K15 reference
     s, b = figure1
     sol = solve_dhym(s, b)
     p = conical_coefficients(s, b, beta0)
@@ -402,11 +458,12 @@ def test_quadrature_matches_recursive_simpson(figure1, beta0):
         return t * phase_and_radius(p, s, b, sol, t)[1]
 
     want = _recursive_simpson(integrand, sol.t_minus, sol.t_plus)
-    want_points = len(points)
+    ref, ref_points = _recursive_gauss_kronrod(integrand, sol.t_minus, sol.t_plus)
     points.clear()
     got = oracle.quadrature(integrand, sol.t_minus, sol.t_plus)
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-    assert sum(points) == want_points
+    assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert sum(points) == ref_points
 
 
 def test_quadrature_failure_is_early_and_bounded():
@@ -422,9 +479,17 @@ def test_quadrature_failure_is_early_and_bounded():
     assert points <= 2 ** 17
     # the same panel fails first as in the depth-first reference
     with pytest.raises(IntegrationError) as ref:
-        _recursive_simpson(f, 0.0, 1.0)
+        _recursive_gauss_kronrod(f, 0.0, 1.0)
     assert exc.value.location == ref.value.location
     assert exc.value.estimate == ref.value.estimate
+
+
+@pytest.mark.parametrize("c", [1e6, 4.5e9, 1e12])
+def test_quadrature_tolerance_follows_the_integral(c):
+    # integrands as large as the wide box's t * re, which reaches 4.5e9:
+    # each value is the integral's to rounding
+    got = oracle.quadrature(lambda t: c * t * np.exp(t), 5.0, 7.0)
+    assert got == pytest.approx(c * (6.0 * math.exp(7.0) - 4.0 * math.exp(5.0)), rel=1e-12)
 
 
 def test_finite_difference():

@@ -1,10 +1,13 @@
 """tools/same_outputs.py, the output-identity check between two trees."""
 
+import base64
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,3 +76,68 @@ def test_ulps_and_raw_values():
         [["stability_class", "'Unstable'"], ["conjugated", "False"], ["c1_mean", "0.5"]],
     ) == ["  stability_class: 'Stable' -> 'Unstable'", "  c1_mean: nan -> 0.5",
           "  conjugated: <absent> -> False"]
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype=float).tobytes()).decode()
+
+
+def test_same_outputs_reports_oracle_values_and_arrays(capsys):
+    # a quadrature value with its relative distance, an array's largest
+    # absolute difference, and a task that raised on one side only
+    parent = [
+        ["verify_oracles", "quadrature", "a" * 64, "quadrature smooth",
+         json.dumps([["value", "2.0"]])],
+        ["verify_oracles", "rk4", "b" * 64, "rk4 phase-ode",
+         json.dumps([["values", _b64([1.0, 2.0, 3.0])]])],
+        ["verify_oracles", "quadrature", "c" * 64, "quadrature conical",
+         json.dumps([["value", "4.0"]])],
+        ["verify_oracles", "highprec", "d" * 64, "highprec scaled",
+         json.dumps([["values", _b64([1.0])]])],
+    ]
+    change = [
+        [*parent[0][:2], "e" * 64, parent[0][3], json.dumps([["value", "2.000000002"]])],
+        [*parent[1][:2], "f" * 64, parent[1][3],
+         json.dumps([["values", _b64([1.0, 2.0 + 2.0 ** -20, 3.0 - 2.0 ** -10])]])],
+        [*parent[2][:2], "0" * 64, parent[2][3], json.dumps([["value", "4.000000016"]])],
+        [*parent[3][:2], "1" * 64, parent[3][3],
+         json.dumps([["error", "IntegrationError: quadrature failed to converge"]])],
+    ]
+    assert same_outputs.shown_arrays(parent, change) == [1, 3]
+    assert same_outputs.compare(parent, change) == 1
+    out = capsys.readouterr().out.splitlines()
+    i = out.index("differs: verify_oracles quadrature smooth")
+    assert out[i + 1:] == [
+        f"  value: 2.0 -> 2.000000002  (relative {abs(2.000000002 - 2.0) / 2.0!r})",
+        "differs: verify_oracles rk4 phase-ode",
+        f"  values: largest absolute difference {2.0 ** -10!r}",
+        "differs: verify_oracles quadrature conical",
+        f"  value: 4.0 -> 4.000000016  (relative {abs(4.000000016 - 4.0) / 4.0!r})",
+        "differs: verify_oracles highprec scaled",
+        "  values: 1 -> <absent> values",
+        "  error: <absent> -> IntegrationError: quadrature failed to converge",
+        f"largest relative move of a quadrature value: {abs(4.000000016 - 4.0) / 4.0!r}"
+        " (2 differing)",
+        "0 of 4 operations identical",
+    ]
+
+
+def test_same_outputs_worker_lists_the_arrays_asked_for():
+    # the first op of a verify_oracles cycle is an RK4 task: with --dump 0
+    # its line carries its values, base64 of float64; the other oracle
+    # tasks carry only the quadrature's value
+    r = subprocess.run(
+        [sys.executable, "tools/same_outputs.py", "--worker", ".", "--dump", "0",
+         "verify_oracles:1:1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    rows = [line.split("\t") for line in r.stdout.splitlines()]
+    assert rows[0][1] == "rk4"
+    (key, data), = json.loads(rows[0][4])
+    assert key == "values" and len(same_outputs._array(data)) == 19991
+    kinds = {}
+    for row in rows[1:]:
+        kinds.setdefault(row[1], set()).add(tuple(key for key, _ in json.loads(row[4])))
+    assert kinds["rk4"] == kinds["highprec"] == {()}
+    assert kinds["quadrature"] == {("value",)}

@@ -18,7 +18,12 @@ digests in order), then the first differing operations.  Under a differing
 CLI operation it lists each ``key = value`` line of the output (a
 descriptor, ``check``, ``tke``, or a ``# key = value`` line of ``limits``)
 whose value differs, with both values and, for two floats, their distance
-in ulps.  The exit code is 0 when every operation is identical, 1 otherwise.
+in ulps.  Under a differing oracle task it gives both quadrature values and
+their relative distance, or an RK4 or extended-precision array's largest
+absolute difference (a second run of both trees lists the arrays of the
+differing tasks it shows), or the error either side raised; a last line
+gives the largest relative move of a quadrature value.  The exit code is 0
+when every operation is identical, 1 otherwise.
 
 SEEDS is one seed or a range ``A-B``.  Without a spec, the set that a change
 to the solve path is checked on runs: ``solve_mix:21-24:60``,
@@ -27,6 +32,7 @@ to the solve path is checked on runs: ``solve_mix:21-24:60``,
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import io
 import json
@@ -80,7 +86,11 @@ def _cli_run(cli, argv) -> tuple[str, list]:
     return _digest("cli", tuple(argv), code, text, err.getvalue()), _KEY_LINE.findall(text)
 
 
-def _oracle_digest(harness, op, pkg, api) -> str:
+def _oracle_run(harness, op, pkg, api, dump: bool) -> tuple[str, list]:
+    """The digest of an oracle task, and its (key, value) pairs: the
+    quadrature's ``value``, the ``error`` it raised, and with ``dump`` the
+    ``values`` of an RK4 or extended-precision array, base64 of its float64
+    bytes."""
     ts = None
     if op.kind == "highprec":  # the points harness.execute hands the task
         x = op.cls[0] / (op.cls[0] + op.cls[2])
@@ -88,23 +98,28 @@ def _oracle_digest(harness, op, pkg, api) -> str:
     try:
         payload = harness._oracle_task(op, pkg, api, ts)
     except Exception as exc:
-        return _digest("error", op.kind, op.cls, type(exc).__name__, str(exc),
-                       getattr(exc, "location", None), getattr(exc, "estimate", None))
+        return (_digest("error", op.kind, op.cls, type(exc).__name__, str(exc),
+                        getattr(exc, "location", None), getattr(exc, "estimate", None)),
+                [["error", f"{type(exc).__name__}: {exc}"]])
     if op.kind == "rk4":
         grid = payload[1]
-        return _digest("rk4", op.cls, grid.nodes.tobytes(), grid.values.tobytes())
-    if op.kind == "highprec":
-        return _digest("highprec", op.cls, payload.tobytes())
-    return _digest(op.kind, op.cls, op.beta0, payload.hex())
+        digest = _digest("rk4", op.cls, grid.nodes.tobytes(), grid.values.tobytes())
+        array = grid.values
+    elif op.kind == "highprec":
+        digest, array = _digest("highprec", op.cls, payload.tobytes()), payload
+    else:
+        return _digest(op.kind, op.cls, op.beta0, payload.hex()), [["value", repr(payload)]]
+    return digest, [["values", base64.b64encode(array.tobytes()).decode()]] if dump else []
 
 
 def _describe(op) -> str:
     return " ".join(op.argv) if op.argv else f"{op.kind} {op.label} cls={op.cls} beta0={op.beta0}"
 
 
-def worker(tree: Path, specs) -> None:
+def worker(tree: Path, specs, dump=frozenset()) -> None:
     """Print one line per operation: workload, kind, digest, the op and the
-    JSON of its (key, value) pairs."""
+    JSON of its (key, value) pairs, with the array of each oracle task whose
+    index is in ``dump``."""
     src = (tree / "src").resolve()
     sys.path[:0] = [str(src), str(tree / "perfbench")]
     import dhym_ruled
@@ -118,6 +133,7 @@ def worker(tree: Path, specs) -> None:
     pkg = SimpleNamespace(root=dhym_ruled, cli=cli, params=params, dhym=dhym,
                           coupled=coupled, limits=limits, tke=tke, oracle=oracle)
     api = harness.api_of(pkg)
+    index = 0
     for workload, seeds, cycles in map(parse_spec, specs):
         for seed in seeds:
             stream = workloads.Stream(workload, seed)
@@ -126,18 +142,20 @@ def worker(tree: Path, specs) -> None:
                     if op.argv:
                         digest, keys = _cli_run(cli, op.argv)
                     else:
-                        digest, keys = _oracle_digest(harness, op, pkg, api), []
+                        digest, keys = _oracle_run(harness, op, pkg, api, index in dump)
                     print(workload, op.kind, digest, _describe(op), json.dumps(keys),
                           sep="\t")
+                    index += 1
 
 
-def _run_side(tree: Path, specs) -> list[list[str]]:
+def _run_side(tree: Path, specs, dump=()) -> list[list[str]]:
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         env[var] = "1"  # as perfbench/run.py pins them
     env.pop("PYTHONPATH", None)
-    r = subprocess.run([sys.executable, __file__, "--worker", str(tree), *specs],
+    dump = ["--dump", ",".join(map(str, dump))] if dump else []
+    r = subprocess.run([sys.executable, __file__, "--worker", str(tree), *dump, *specs],
                        capture_output=True, text=True, env=env)
     if r.returncode != 0:
         sys.exit(f"same_outputs: the run in {tree} failed:\n{r.stderr}")
@@ -154,25 +172,64 @@ def ulps(a: float, b: float) -> int:
     return abs(ordered[0] - ordered[1])
 
 
+def _floats(va: str, vb: str):
+    """Both values as floats, or None unless both are numbers."""
+    try:
+        fa, fb = float(va), float(vb)
+    except ValueError:
+        return None
+    return None if math.isnan(fa) or math.isnan(fb) else (fa, fb)
+
+
+def relative_move(parent: list, change: list):
+    """|b - a| / |a| of the oracle ``value`` a of parent and b of change, or
+    None unless both are floats."""
+    both = _floats(dict(parent).get("value", "nan"), dict(change).get("value", "nan"))
+    if both is None:
+        return None
+    fa, fb = both
+    return abs(fb - fa) / abs(fa) if fa else (0.0 if fb == fa else math.inf)
+
+
+def _array(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype=float)
+
+
 def key_differences(parent: list, change: list) -> list[str]:
     """One line per key whose value differs between two lists of (key, value)
-    pairs: both values, and their distance in ulps when both are floats."""
+    pairs: both values, and their distance when both are floats, relative
+    for an oracle ``value`` and in ulps otherwise; for two oracle arrays
+    (``values``), their largest absolute difference."""
     a, b = dict(parent), dict(change)
     lines = []
     for key in dict.fromkeys([*a, *b]):
         va, vb = a.get(key, "<absent>"), b.get(key, "<absent>")
         if va == vb:
             continue
-        try:
-            fa, fb = float(va), float(vb)
-        except ValueError:
-            fa = fb = math.nan
+        if key == "values":
+            sizes = [len(_array(v)) if v != "<absent>" else v for v in (va, vb)]
+            if "<absent>" in sizes or sizes[0] != sizes[1]:
+                lines.append(f"  values: {sizes[0]} -> {sizes[1]} values")
+            else:
+                diff = float(np.max(np.abs(_array(va) - _array(vb))))
+                lines.append(f"  values: largest absolute difference {diff!r}")
+            continue
         line = f"  {key}: {va} -> {vb}"
-        if not (math.isnan(fa) or math.isnan(fb)):
-            n = ulps(fa, fb)
+        both = _floats(va, vb)
+        if key == "value" and both:
+            line += f"  (relative {relative_move(parent, change)!r})"
+        elif both:
+            n = ulps(*both)
             line += f"  ({n} ulp{'' if n == 1 else 's'})"
         lines.append(line)
     return lines
+
+
+def shown_arrays(parent: list, change: list) -> list[int]:
+    """Indices of the RK4 and extended-precision tasks among the differing
+    operations that compare lists."""
+    differing = [i for i, (a, b) in enumerate(zip(parent, change)) if a[:3] != b[:3]]
+    return [i for i in differing[:SHOW_DIFFERING] if parent[i][1] in ("rk4", "highprec")]
 
 
 def compare(parent: list, change: list) -> int:
@@ -195,6 +252,11 @@ def compare(parent: list, change: list) -> int:
         print(f"differs: {a[0]} {a[3]}" + (f"  (change: {b[3]})" if b[3] != a[3] else ""))
         for line in key_differences(json.loads(a[4]), json.loads(b[4])):
             print(line)
+    moves = [relative_move(json.loads(a[4]), json.loads(b[4])) for a, b in differing]
+    moves = [m for m in moves if m is not None]
+    if moves:
+        print(f"largest relative move of a quadrature value: {max(moves)!r}"
+              f" ({len(moves)} differing)")
     if len(parent) != len(change):
         print(f"operation counts differ: parent {len(parent)}, change {len(change)}")
         return 1
@@ -206,7 +268,8 @@ def compare(parent: list, change: list) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["--worker"]:
-        worker(Path(argv[1]), argv[2:])
+        dump = frozenset(map(int, argv[3].split(","))) if argv[2:3] == ["--dump"] else ()
+        worker(Path(argv[1]), argv[4:] if dump else argv[2:], dump)
         return 0
     if len(argv) < 2 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
@@ -215,6 +278,9 @@ def main(argv=None) -> int:
     for spec in specs:
         parse_spec(spec)  # a malformed spec fails here, before either run
     sides = [_run_side(Path(tree), specs) for tree in argv[:2]]
+    dump = shown_arrays(*sides)
+    if dump:  # again, with the arrays that compare shows
+        sides = [_run_side(Path(tree), specs, dump) for tree in argv[:2]]
     return compare(*sides)
 
 
