@@ -137,17 +137,18 @@ def _pose_args(args):
                 BundleClass(k1=args.k1, k2=args.k2))
 
 
-def verification_pass(sol, prof) -> coupled.SolvePass:
+def verification_pass(prof) -> coupled.SolvePass:
     """The SolvePass that solve and profile verify: the interior nodes of default_grid."""
-    return coupled.solve_pass(prof, sol, dhym.default_grid(prof)[1:-1])
+    return coupled.solve_pass(prof, dhym.default_grid(prof.sol)[1:-1])
 
 
-def residual_summary(sol, prof, interior) -> dict:
+def residual_summary(prof, interior) -> dict:
     """Max-abs residuals of both equations plus all boundary errors.
 
     The interior residuals are read from ``interior``, the verification_pass
     of the solve; the boundary values are evaluated here.
     """
+    sol = prof.sol
     tgt_minus, tgt_plus = dhym.boundary_targets(sol.surface, sol.bundle)
     # psi' at both ends from one 2-point evaluation is bitwise equal to two
     # 0-d calls; psi and H stay 0-d calls, because as 2-point arrays they
@@ -159,12 +160,12 @@ def residual_summary(sol, prof, interior) -> dict:
         "max_scalar_residual": float(np.abs(interior.scalar_residual).max()),
         "boundary_err_minus": abs(dhym.eval_H(sol, sol.t_minus) - tgt_minus),
         "boundary_err_plus": abs(dhym.eval_H(sol, sol.t_plus) - tgt_plus),
-        "psi_err_minus": abs(coupled.eval_psi(prof, prof.t_minus)),
-        "psi_err_plus": abs(coupled.eval_psi(prof, prof.t_plus)),
-        "slope_err_plus": abs(dpsi_plus + 2.0 * prof.beta0 * prof.t_plus),
+        "psi_err_minus": abs(coupled.eval_psi(prof, sol.t_minus)),
+        "psi_err_plus": abs(coupled.eval_psi(prof, sol.t_plus)),
+        "slope_err_plus": abs(dpsi_plus + 2.0 * prof.beta0 * sol.t_plus),
     }
     if sol.regularity == "smooth":
-        out["slope_err_minus"] = abs(dpsi_minus - 2.0 * prof.beta_inf * prof.t_minus)
+        out["slope_err_minus"] = abs(dpsi_minus - 2.0 * prof.beta_inf * sol.t_minus)
     return out
 
 
@@ -182,14 +183,15 @@ def _verdict(summary: dict, sol) -> int:
     return EXIT_SEMISTABLE if sol.regularity == "holder12" else EXIT_OK
 
 
-def build_descriptor(sol, prof, alpha_prime=None) -> dict:
+def build_descriptor(prof, alpha_prime=None) -> dict:
     """The solve's class data, positivity report and residual summary.
 
     The positivity scan and the residual summary read one verification_pass.
     Every value is None, a bool, an int, a float or a str.
     """
+    sol = prof.sol
     s, b = sol.surface, sol.bundle
-    interior = verification_pass(sol, prof)
+    interior = verification_pass(prof)
     pos = coupled.positivity_certificate(prof, interior)
     d = {
         "k": s.k,
@@ -207,7 +209,7 @@ def build_descriptor(sol, prof, alpha_prime=None) -> dict:
         "r_hat": sol.r_hat,
         "s_hat": sol.s_hat,
         "C": sol.C,
-        "Cprime": prof.Cprime,
+        "Cprime": sol.Cprime,
         "alpha": prof.alpha,
         "d0": prof.d0,
         "d1": prof.d1,
@@ -215,8 +217,8 @@ def build_descriptor(sol, prof, alpha_prime=None) -> dict:
         "c3": prof.c3,
         "cR": prof.cR,
         "beta_inf": prof.beta_inf,
-        "t_minus": prof.t_minus,
-        "t_plus": prof.t_plus,
+        "t_minus": sol.t_minus,
+        "t_plus": sol.t_plus,
         "stability_class": sol.stability.value,
         "stability_margin": sol.margin,
         "regularity": sol.regularity,
@@ -224,7 +226,7 @@ def build_descriptor(sol, prof, alpha_prime=None) -> dict:
         "positivity_min": pos.min_value,
         "positivity_argmin": pos.argmin,
     }
-    d.update(residual_summary(sol, prof, interior))
+    d.update(residual_summary(prof, interior))
     return d
 
 
@@ -292,9 +294,11 @@ def _solve_pipeline(args):
     if alpha_prime is not None:
         pr = pose(pr.surface, limits.scaled_class(pr.bundle, alpha_prime))
     _semistable_gate(pr, args)
-    sol = dhym.solve_dhym(pr.surface, pr.bundle)
+    # the unstable gate, also inside conical_coefficients; perfbench/spans.py
+    # times it here
+    dhym.solve_dhym(pr.surface, pr.bundle)
     prof = coupled.conical_coefficients(pr.surface, pr.bundle, args.beta0)
-    return sol, prof, alpha_prime
+    return prof, alpha_prime
 
 
 def cmd_check(args) -> int:
@@ -319,16 +323,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    sol, prof, alpha_prime = _solve_pipeline(args)
-    d = build_descriptor(sol, prof, alpha_prime)
+    prof, alpha_prime = _solve_pipeline(args)
+    d = build_descriptor(prof, alpha_prime)
     _write(format_descriptor(d), args.out)
-    return _verdict(d, sol)
+    return _verdict(d, prof.sol)
 
 
 def cmd_profile(args) -> int:
-    sol, prof, _ = _solve_pipeline(args)
+    prof, _ = _solve_pipeline(args)
+    sol = prof.sol
     t = np.linspace(sol.t_minus, sol.t_plus, args.samples)
-    sp = coupled.solve_pass(prof, sol, t)
+    sp = coupled.solve_pass(prof, t)
     # the derivative-based columns are undefined at the square-root endpoint
     # of a holder12 solution, so row 0 gets blank cells there
     blank = np.zeros((len(t), 6), dtype=bool)
@@ -336,7 +341,7 @@ def cmd_profile(args) -> int:
     columns = [t, sp.psi / (2.0 * t), sp.psi, sp.H, sp.im_part, sp.scalar_residual]
     header = "t,phi,psi,H,im_residual,scalar_residual\n"
     _write(chain([header], repr_chunks(columns, blank)), args.out)
-    return _verdict(residual_summary(sol, prof, verification_pass(sol, prof)), sol)
+    return _verdict(residual_summary(prof, verification_pass(prof)), sol)
 
 
 def cmd_tke(args) -> int:

@@ -24,8 +24,9 @@ from .dhym import (
     check_domain,
     ode_residual_of,
     radicand,
+    solve_dhym,
 )
-from .errors import NoSolutionError, ValidationError
+from .errors import ValidationError
 from .params import (
     BundleClass,
     Problem,
@@ -38,17 +39,15 @@ from .params import (
 
 @dataclass(frozen=True)
 class ProfilePoly:
-    """psi(t) = d0 + d1 t + c2 t^2 + c3 t^3 + cR (t^2 + C')^(3/2)."""
+    """psi(t) = d0 + d1 t + c2 t^2 + c3 t^3 + cR (t^2 + C')^(3/2), on the
+    interval and with the C' and phase of its solution H, ``sol``."""
 
+    sol: Problem
     d0: float
     d1: float
     c2: float
     c3: float
     cR: float
-    Cprime: float
-    u_minus: float
-    t_minus: float
-    t_plus: float
     beta0: float
     beta_inf: float
     alpha: float
@@ -132,14 +131,12 @@ def conical_coefficients(
     (cli.residual_summary, slope_err_minus and slope_err_plus) checks them.
     """
     require_cone_angle(beta0)
-    return _profile(pose(s, b), beta0)
+    return _profile(solve_dhym(s, b), beta0)
 
 
 def _profile(pr: Problem, beta0: float) -> ProfilePoly:
-    cls = pr.stability
-    if cls is StabilityClass.UNSTABLE:
-        raise NoSolutionError(pr.margin)
-    if cls is StabilityClass.SEMISTABLE and beta0 != 1.0:
+    """The profile of the solution pr (past the unstable gate) for beta0."""
+    if pr.stability is StabilityClass.SEMISTABLE and beta0 != 1.0:
         raise ValidationError("conical profiles require strict stability")
 
     alpha = _coupling(pr, beta0)
@@ -160,15 +157,12 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
             f" c3 = {c3!r}, cR = {cR!r}, d0 = {d0!r}, d1 = {d1!r}"
         )
     return ProfilePoly(
+        sol=pr,
         d0=d0,
         d1=d1,
         c2=c2,
         c3=c3,
         cR=cR,
-        Cprime=pr.Cprime,
-        u_minus=pr.u_minus,
-        t_minus=pr.t_minus,
-        t_plus=pr.t_plus,
         beta0=beta0,
         beta_inf=beta_infinity(pr.surface.x, beta0),
         alpha=alpha,
@@ -176,8 +170,8 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
 
 
 def eval_psi(p: ProfilePoly, t):
-    t = check_domain(p, t)
-    out = _psi_of(p, t, radicand(p, t), t ** 2)
+    t = check_domain(p.sol, t)
+    out = _psi_of(p, t, radicand(p.sol, t), t ** 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,8 +193,8 @@ def _psi_pp_of(p: ProfilePoly, t, u, root, t2):
 
 def eval_phi(p: ProfilePoly, t):
     """Momentum profile phi(t) = psi(t) / (2 t)."""
-    t = check_domain(p, t)
-    out = _psi_of(p, t, radicand(p, t), t ** 2) / (2.0 * t)
+    t = check_domain(p.sol, t)
+    out = _psi_of(p, t, radicand(p.sol, t), t ** 2) / (2.0 * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -246,7 +240,7 @@ def positivity_certificate(p: ProfilePoly, interior: SolvePass) -> PositivityRep
         for _ in range(ZOOM_ROUNDS):
             # the bracket lies in the scanned grid: no domain check
             t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], ZOOM_POINTS)
-            vals = _psi_of(p, t, radicand(p, t), t ** 2)
+            vals = _psi_of(p, t, radicand(p.sol, t), t ** 2)
             i = int(np.argmin(vals))
             if vals[i] < min_value:
                 min_value, argmin = float(vals[i]), float(t[i])
@@ -275,20 +269,21 @@ def scalar_residual(p: ProfilePoly, s: SurfaceParams, b: BundleClass, t):
     the ODE itself.  The finite-difference and RK4 oracles remain the
     independent checks.
     """
-    t = check_domain(p, t)
-    u = radicand(p, t)
+    t = check_domain(p.sol, t)
+    u = radicand(p.sol, t)
     t2 = t ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = _scalar_source(p, pose(s, b), t, u, t2)
+        rhs = _scalar_source(p, t, u, t2)
         psi_pp = _psi_pp_of(p, t, u, np.sqrt(u), t2)
     out = psi_pp - rhs
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _scalar_source(p: ProfilePoly, pr: Problem, t, u, t2):
+def _scalar_source(p: ProfilePoly, t, u, t2):
     """The source term of scalar_residual at a checked t, from u = t^2 + C'
     and t2 = t^2.  Divides by a root of u, so callers that reach u = 0 set
     np.errstate."""
+    pr = p.sol
     sin_t, cos_t = pr.sin_theta, pr.cos_theta
     alpha = p.alpha
     root = np.sqrt((1.0 / sin_t ** 2) * u)  # sqrt((cot^2+1)(t^2+C'))
@@ -300,21 +295,22 @@ def _scalar_source(p: ProfilePoly, pr: Problem, t, u, t2):
     )
 
 
-def solve_pass(p: ProfilePoly, sol: Problem, t) -> SolvePass:
-    """Evaluate the solve (sol, p) once on the nodes t.
+def solve_pass(p: ProfilePoly, t) -> SolvePass:
+    """Evaluate the solve, H of p.sol and the profile p, once on the nodes t.
 
     No domain check: t must lie in [t_minus, t_plus].  It may include the
     ends, where H', the imaginary part and the scalar residual of a holder12
     solution divide by zero, so no warning is raised.  t^2 and t sin(theta)
     are formed once, for every kernel that reads them.
     """
-    ends = np.array([p.t_minus, p.t_plus])
+    sol = p.sol
+    ends = np.array([sol.t_minus, sol.t_plus])
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = radicand(p, t)
+        u = radicand(sol, t)
         root = np.sqrt(u)
         t2, ts = t ** 2, t * sol.sin_theta
         H, Hp = H_pair_of(sol, t, root, ts)
-        u_ends = radicand(p, ends)
+        u_ends = radicand(sol, ends)
         root_ends = np.sqrt(u_ends)
         t2_ends = ends ** 2
         return SolvePass(
@@ -324,7 +320,7 @@ def solve_pass(p: ProfilePoly, sol: Problem, t) -> SolvePass:
             ode_residual=ode_residual_of(sol, t, H, Hp, ts),
             im_part=phase_and_radius_of(sol, t, H, Hp, radius=False),
             scalar_residual=_psi_pp_of(p, t, u, root, t2)
-            - _scalar_source(p, sol, t, u, t2),
+            - _scalar_source(p, t, u, t2),
             dpsi_ends=_psi_p_of(p, ends, root_ends, t2_ends).tolist(),
             psi_pp_ends=_psi_pp_of(p, ends, u_ends, root_ends, t2_ends).tolist(),
         )
@@ -339,7 +335,7 @@ def phase_and_radius(
     real part is the pointwise radius, whose average against the volume
     weight is the cohomological average radius.
     """
-    t = check_domain(p, t)
+    t = check_domain(dh, t)
     H, Hp = H_pair_of(dh, t, np.sqrt(radicand(dh, t)), t * dh.sin_theta)
     im_part, re_part = phase_and_radius_of(dh, t, H, Hp)
     if np.ndim(im_part) == 0:

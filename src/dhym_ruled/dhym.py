@@ -46,14 +46,13 @@ def solve_dhym(s: SurfaceParams, b: BundleClass) -> Problem:
     return pr
 
 
-def check_domain(interval, t):
-    """t as a float array in [interval.t_minus, interval.t_plus].
+def check_domain(sol: Problem, t):
+    """t as a float array in [sol.t_minus, sol.t_plus].
 
-    ``interval`` is a Problem or a ProfilePoly.  A point at most
-    _ENDPOINT_SLACK outside an end is moved onto that end; a point further
-    out, or a NaN, raises DomainError.  On the interval every factor and
-    term of radicand is non-negative, so t^2 + C' >= 0 in floating point
-    and no caller clamps it.
+    A point at most _ENDPOINT_SLACK outside an end is moved onto that end; a
+    point further out, or a NaN, raises DomainError.  On the interval every
+    factor and term of radicand is non-negative, so t^2 + C' >= 0 in
+    floating point and no caller clamps it.
     """
     t = np.asarray(t, dtype=float)
     if not t.size:
@@ -61,18 +60,18 @@ def check_domain(interval, t):
     # a 0-d t is read by float(), cheaper than two 0-d reductions; min and
     # max propagate NaN, which then fails both comparisons
     lo, hi = (float(t),) * 2 if t.ndim == 0 else (t.min(), t.max())
-    if not (lo >= interval.t_minus - _ENDPOINT_SLACK
-            and hi <= interval.t_plus + _ENDPOINT_SLACK):
-        raise DomainError(f"t outside [{interval.t_minus}, {interval.t_plus}]")
-    if lo < interval.t_minus or hi > interval.t_plus:
-        t = np.asarray(np.clip(t, interval.t_minus, interval.t_plus))
+    if not (lo >= sol.t_minus - _ENDPOINT_SLACK
+            and hi <= sol.t_plus + _ENDPOINT_SLACK):
+        raise DomainError(f"t outside [{sol.t_minus}, {sol.t_plus}]")
+    if lo < sol.t_minus or hi > sol.t_plus:
+        t = np.asarray(np.clip(t, sol.t_minus, sol.t_plus))
     return t
 
 
-def radicand(iv, t):
-    """t^2 + C' of a Problem or a ProfilePoly ``iv``, formed
-    without the cancellation of t^2 against C' near t_minus."""
-    return (t - iv.t_minus) * (t + iv.t_minus) + iv.u_minus
+def radicand(sol: Problem, t):
+    """t^2 + C' of the solution sol, formed without the cancellation of t^2
+    against C' near t_minus."""
+    return (t - sol.t_minus) * (t + sol.t_minus) + sol.u_minus
 
 
 def _sign(sol: Problem) -> float:
@@ -158,14 +157,13 @@ def ode_residual_of(sol: Problem, t, H, Hp, ts):
 _GRID_STEPS = np.arange(1001, dtype=float)
 
 
-def default_grid(iv) -> np.ndarray:
-    """Uniform 1001-point grid on [t_minus, t_plus] of a Problem or a
-    ProfilePoly ``iv``.
+def default_grid(sol: Problem) -> np.ndarray:
+    """Uniform 1001-point grid on [t_minus, t_plus] of the solution sol.
 
     Bitwise equal to np.linspace(t_minus, t_plus, 1001), without its call
     overhead: the same t_minus + k * step, with the last node set to t_plus
     (the step never underflows, the interval is 2 wide).
     """
-    t = iv.t_minus + (iv.t_plus - iv.t_minus) / 1000 * _GRID_STEPS
-    t[-1] = iv.t_plus
+    t = sol.t_minus + (sol.t_plus - sol.t_minus) / 1000 * _GRID_STEPS
+    t[-1] = sol.t_plus
     return t

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import coupled
-from .coupled import ProfilePoly, conical_coefficients
-from .dhym import eval_H, solve_dhym
+from .coupled import ProfilePoly
+from .dhym import eval_H
 from .errors import NoSolutionError, ValidationError
 from .params import BundleClass, Problem, StabilityClass, SurfaceParams, pose
 
@@ -28,11 +28,11 @@ _SUP_GRID = 401
 
 @dataclass(frozen=True)
 class ScaledFamily:
-    """Solutions for the rescaled classes (alpha' k1, alpha' k2)."""
+    """Profiles (``sol`` is H) of the classes (alpha' k1, alpha' k2) of ``base``."""
 
-    base: tuple[SurfaceParams, BundleClass]
+    base: Problem
     alphas: tuple[float, ...]
-    solutions: tuple[tuple[Problem, ProfilePoly], ...]
+    solutions: tuple[ProfilePoly, ...]
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def scaled_class(b: BundleClass, alpha_prime: float) -> BundleClass:
 
 def scaled_solution(
     s: SurfaceParams, b: BundleClass, alpha_prime: float
-) -> tuple[Problem, ProfilePoly]:
+) -> ProfilePoly:
     """Solve the coupled system for the class scaled by alpha'.
 
     tests/test_limits.py::test_scaled_Cprime_consistency holds its C' to the
@@ -62,14 +62,12 @@ def scaled_solution(
         raise ValidationError(
             f"alpha_prime must be finite and positive, got {alpha_prime!r}"
         )
-    b = pose(s, b).bundle
-    bs = scaled_class(b, alpha_prime)
-    pr = pose(s, bs)
+    pr = pose(s, scaled_class(pose(s, b).bundle, alpha_prime))
     if pr.stability is StabilityClass.UNSTABLE:
         raise NoSolutionError(
             pr.margin, f"scaled class unstable at alpha' = {alpha_prime}"
         )
-    return solve_dhym(s, bs), conical_coefficients(s, bs, 1.0)
+    return coupled._profile(pr, 1.0)
 
 
 def build_family(
@@ -77,7 +75,7 @@ def build_family(
 ) -> ScaledFamily:
     alphas = tuple(float(a) for a in alphas)
     sols = tuple(scaled_solution(s, b, a) for a in alphas)
-    return ScaledFamily(base=(s, pose(s, b).bundle), alphas=alphas, solutions=sols)
+    return ScaledFamily(base=pose(s, b), alphas=alphas, solutions=sols)
 
 
 def _fit_order(x: np.ndarray, err: np.ndarray) -> float:
@@ -102,17 +100,17 @@ def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     mirrored) is compared with the reduced (k1 < 0) class's limit; nu_sup is
     the sup of |nu/alpha'|, nu = sign * (alpha' k1 t + (alpha' k2/t)(1 - x^2)/x^2) - H.
     """
-    s, b = fam.base
+    pr = fam.base
+    s, b = pr.surface, pr.bundle
     x = s.x
     sign = -1.0 if b.conjugated else 1.0
-    pr = pose(s, b)
     t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
     target = b.k1 * t + (b.k2 / t) * (1.0 / x ** 2 - 1.0)
     sup_errors = []
     nu_sup = []
     alpha_scaled = []
-    for a, (sol, prof) in zip(fam.alphas, fam.solutions):
-        H = eval_H(sol, t)
+    for a, prof in zip(fam.alphas, fam.solutions):
+        H = eval_H(prof.sol, t)
         sup_errors.append(float(np.max(np.abs(sign * H / a - target))))
         nu = sign * (a * b.k1 * t + (a * b.k2 / t) * (1.0 - x ** 2) / x ** 2) - H
         nu_sup.append(float(np.max(np.abs(nu / a))))
@@ -158,14 +156,13 @@ def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     )
 
 
-def small_radius_constants(s: SurfaceParams, b: BundleClass):
-    """Limit data of the infinite-slope family.
+def small_radius_constants(pr: Problem):
+    """Limit data of the infinite-slope family of the posed class pr.
 
     Returns (C_hat, branch, K) where K(t) = t + branch * sqrt(t^2 + C_hat)
     and the limit of H/alpha' is (k1^2 - k2^2)/(2 k1) * K(t).
     """
-    b = pose(s, b).bundle
-    x = s.x
+    b, x = pr.bundle, pr.surface.x
     k1, k2 = b.k1, b.k2
     if (k1 + k2) ** 2 <= x * (k1 - k2) ** 2:
         raise NoSolutionError(
@@ -195,17 +192,18 @@ def small_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     form ratio and the limit of the rescaled coupling constants; it compares
     sign * H/alpha' with the reduced class's limit, as large_radius_check does.
     """
-    s, b = fam.base
-    C_hat, branch, K = small_radius_constants(s, b)
+    pr = fam.base
+    s, b = pr.surface, pr.bundle
+    C_hat, branch, K = small_radius_constants(pr)
     gamma = (b.k1 ** 2 - b.k2 ** 2) / (2.0 * b.k1)
     sign = -1.0 if b.conjugated else 1.0
-    pr = pose(s, b)
     t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
     target = gamma * K(t)
     sup_errors = []
     alpha_scaled = []
-    for a, (sol, prof) in zip(fam.alphas, fam.solutions):
-        sup_errors.append(float(np.max(np.abs(sign * eval_H(sol, t) / a - target))))
+    for a, prof in zip(fam.alphas, fam.solutions):
+        H = eval_H(prof.sol, t)
+        sup_errors.append(float(np.max(np.abs(sign * H / a - target))))
         alpha_scaled.append(a ** 2 * prof.alpha)
     inv_alphas = 1.0 / np.asarray(fam.alphas)
     order = _fit_order(inv_alphas, np.asarray(sup_errors))

@@ -366,7 +366,8 @@ def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> flo
         if tol is None:
             scale = abs(float(kronrod[0]))
             tol = QUADRATURE_TOL * (scale if 1.0 < scale < math.inf else 1.0)
-        done = np.abs(kronrod - gauss) <= tol * ((hi - lo) / width)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, never accepted
+            done = np.abs(kronrod - gauss) <= tol * ((hi - lo) / width)
         accepted.append(kronrod[done])
         if done.all():
             continue
@@ -503,7 +504,7 @@ def reconstruct_s_of_tau(p) -> GridFunction:
     """
     from .coupled import eval_phi  # local import: avoids a module cycle
 
-    half = 0.5 * (p.t_minus + p.t_plus)  # equals 1/x
+    half = 0.5 * (p.sol.t_minus + p.sol.t_plus)  # equals 1/x
     tau = np.linspace(-1.0 + 1e-8, 1.0 - 1e-8, 20001)
     t = half - tau
     phi = eval_phi(p, t)

@@ -213,9 +213,8 @@ def reverify(d: dict) -> dict:
     """Recompute the residual summary from a parsed descriptor."""
     s = make_surface(int(d["k"]), int(d["h"]), d["kprime"])
     b = BundleClass(k1=d["k1"], k2=d["k2"], conjugated=bool(d["conjugated"]))
-    sol = dhym.solve_dhym(s, b)
     prof = coupled.conical_coefficients(s, b, d["beta0"])
-    return residual_summary(sol, prof, verification_pass(sol, prof))
+    return residual_summary(prof, verification_pass(prof))
 
 
 def _scalar_or_array(out):
@@ -256,8 +255,8 @@ def eval_psi_deriv(p, t, order=1):
         return coupled.eval_psi(p, t)
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 0..4, got {order}")
-    t = check_domain(p, t)
-    u = radicand(p, t)
+    t = check_domain(p.sol, t)
+    u = radicand(p.sol, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 1:
             out = _psi_p_of(p, t, np.sqrt(u), t ** 2)
@@ -266,15 +265,15 @@ def eval_psi_deriv(p, t, order=1):
         elif order == 3:
             out = 6.0 * p.c3 + 0.0 * t + p.cR * (3.0 * t * (3.0 * u - t ** 2) / u ** 1.5)
         else:
-            out = 0.0 * t + p.cR * (9.0 * p.Cprime ** 2 / u ** 2.5)
+            out = 0.0 * t + p.cR * (9.0 * p.sol.Cprime ** 2 / u ** 2.5)
     return _scalar_or_array(out)
 
 
 def certificate_pass(p):
     """What positivity_certificate reads of a SolvePass, from eval_psi on the
     interior nodes of dhym.default_grid and eval_psi_deriv at both ends; it
-    needs no Problem, so it serves hand-built profiles too."""
-    t = dhym.default_grid(p)[1:-1]
-    ends = np.array([p.t_minus, p.t_plus])
+    evaluates psi alone, so it serves profiles with perturbed coefficients too."""
+    t = dhym.default_grid(p.sol)[1:-1]
+    ends = np.array([p.sol.t_minus, p.sol.t_plus])
     return SimpleNamespace(t=t, psi=coupled.eval_psi(p, t),
                            psi_pp_ends=eval_psi_deriv(p, ends, 2).tolist())

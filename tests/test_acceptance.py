@@ -47,7 +47,7 @@ def test_criterion_1_figure1_coefficients(figure1):
         p = dr.conical_coefficients(s, b, beta0)
         for name, got, want in (
             ("d0", p.d0, d0), ("d1", p.d1, d1), ("c3", p.c3, c3),
-            ("cR", p.cR, cR), ("Cprime", p.Cprime, -124.0 / 5.0),
+            ("cR", p.cR, cR), ("Cprime", p.sol.Cprime, -124.0 / 5.0),
         ):
             # five significant digits
             if abs(got - want) > 5e-5 * abs(want):
@@ -122,19 +122,19 @@ def test_criterion_4_coupled_residual_suite():
         beta0 = float(rng.uniform(0.2, 1.0))
         sol = dr.solve_dhym(s, b)
         p = dr.conical_coefficients(s, b, beta0)
-        t = np.linspace(p.t_minus, p.t_plus, 1001)[1:-1]
+        t = np.linspace(p.sol.t_minus, p.sol.t_plus, 1001)[1:-1]
         worst_scalar = max(
             worst_scalar, float(np.max(np.abs(dr.scalar_residual(p, s, b, t))))
         )
         worst_psi = max(
             worst_psi,
-            abs(dr.eval_psi(p, p.t_minus)),
-            abs(dr.eval_psi(p, p.t_plus)),
+            abs(dr.eval_psi(p, p.sol.t_minus)),
+            abs(dr.eval_psi(p, p.sol.t_plus)),
         )
         worst_slope = max(
             worst_slope,
-            abs(eval_psi_deriv(p, p.t_plus, 1) + 2.0 * beta0 * p.t_plus),
-            abs(eval_psi_deriv(p, p.t_minus, 1) - 2.0 * p.beta_inf * p.t_minus),
+            abs(eval_psi_deriv(p, p.sol.t_plus, 1) + 2.0 * beta0 * p.sol.t_plus),
+            abs(eval_psi_deriv(p, p.sol.t_minus, 1) - 2.0 * p.beta_inf * p.sol.t_minus),
         )
         im, _ = dr.phase_and_radius(p, s, b, sol, t)
         worst_im = max(worst_im, float(np.max(np.abs(im))))
@@ -164,7 +164,7 @@ def test_criterion_5_positivity(figure1):
         if rep.method != "ConvexityCertified":
             ok = False
             detail.append(f"method {rep.method} for {s} {b}")
-        want = eval_psi_deriv(p, p.t_minus, 2) - eval_psi_deriv(p, p.t_plus, 2)
+        want = eval_psi_deriv(p, p.sol.t_minus, 2) - eval_psi_deriv(p, p.sol.t_plus, 2)
         got = psi_pp_difference_closed_form(s, b, 1.0)
         if abs(got - want) > 1e-10 * max(1.0, abs(want)):
             ok = False
@@ -201,7 +201,7 @@ def test_criterion_6_coupling_constants(figure1):
             ok = False
             detail.append("b-field alpha")
     s, b = figure1
-    _, prof = limits.scaled_solution(s, b, 1e-4)
+    prof = limits.scaled_solution(s, b, 1e-4)
     got = 1e-8 * prof.alpha
     want = (-2.0 + s.s_sigma * s.x) / (2.0 * b.k2 ** 2)
     if abs(got - want) > 1e-3 * abs(want):
@@ -250,7 +250,7 @@ def test_criterion_8_limits(figure1):
         ok = False
         detail.append(f"small-radius order {rep2.order}")
     detail.append(f"small order {rep2.order:.3f}")
-    sol4, _ = fam2.solutions[-1]
+    sol4 = fam2.solutions[-1].sol
     want = (3.0 / -4.0) * (6.0 + math.sqrt(36.0 + 2584.0 / 9.0))
     got = dr.eval_H(sol4, 6.0) / 1e4
     if abs(got - want) > 1e-2 * abs(want):
@@ -271,8 +271,8 @@ def test_criterion_9_semistable_regularity(semistable_case):
     ok = abs(slope_H - 0.5) < 0.02
     detail = [f"H exponent {slope_H:.4f}"]
     p = dr.conical_coefficients(s, b, 1.0)
-    base = eval_psi_deriv(p, p.t_minus, 1)
-    devp = np.abs(eval_psi_deriv(p, p.t_minus + eps, 1) - base)
+    base = eval_psi_deriv(p, p.sol.t_minus, 1)
+    devp = np.abs(eval_psi_deriv(p, p.sol.t_minus + eps, 1) - base)
     slope_p = float(np.polyfit(np.log(eps), np.log(devp), 1)[0])
     if abs(slope_p - 0.5) >= 0.02:
         ok = False

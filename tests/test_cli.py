@@ -544,13 +544,14 @@ def test_perturbed_phase_exits_4(monkeypatch, capsys):
     """A descriptor whose sin(theta) is off by 1e-13 relative misses the
     constant-phase equation: on figure 1 max_im_part is about 3.5e-12 and
     the only key over its bound."""
-    solve_dhym = dhym.solve_dhym
+    conical_coefficients = coupled.conical_coefficients
 
-    def perturbed(s, b):
-        sol = solve_dhym(s, b)
-        return dataclasses.replace(sol, sin_theta=sol.sin_theta * (1.0 + 1e-13))
+    def perturbed(s, b, beta0):
+        prof = conical_coefficients(s, b, beta0)
+        sol = dataclasses.replace(prof.sol, sin_theta=prof.sol.sin_theta * (1.0 + 1e-13))
+        return dataclasses.replace(prof, sol=sol)
 
-    monkeypatch.setattr(dhym, "solve_dhym", perturbed)
+    monkeypatch.setattr(coupled, "conical_coefficients", perturbed)
     code, out, err = run_in_process(["solve", *FIG1], capsys)
     d = parse_descriptor(out)
     assert code == 4 and format_descriptor(d) == out
@@ -655,16 +656,16 @@ def _pointwise_summary(s, b, sol, prof):
         ),
         "boundary_err_minus": abs(dhym.eval_H(sol, sol.t_minus) - tgt_minus),
         "boundary_err_plus": abs(dhym.eval_H(sol, sol.t_plus) - tgt_plus),
-        "psi_err_minus": abs(coupled.eval_psi(prof, prof.t_minus)),
-        "psi_err_plus": abs(coupled.eval_psi(prof, prof.t_plus)),
+        "psi_err_minus": abs(coupled.eval_psi(prof, sol.t_minus)),
+        "psi_err_plus": abs(coupled.eval_psi(prof, sol.t_plus)),
         "slope_err_plus": abs(
-            eval_psi_deriv(prof, prof.t_plus, 1) + 2.0 * prof.beta0 * prof.t_plus
+            eval_psi_deriv(prof, sol.t_plus, 1) + 2.0 * prof.beta0 * sol.t_plus
         ),
     }
     if sol.regularity == "smooth":
         out["slope_err_minus"] = abs(
-            eval_psi_deriv(prof, prof.t_minus, 1)
-            - 2.0 * prof.beta_inf * prof.t_minus
+            eval_psi_deriv(prof, sol.t_minus, 1)
+            - 2.0 * prof.beta_inf * sol.t_minus
         )
     return out
 
@@ -704,16 +705,16 @@ def test_residual_summary_matches_pointwise_calls():
         s, b = pr.surface, pr.bundle
         sol = dhym.solve_dhym(s, b)
         prof = coupled.conical_coefficients(s, b, beta0)
-        for iv in (sol, prof):
-            grid = np.linspace(iv.t_minus, iv.t_plus, 1001)
-            assert dhym.default_grid(iv).tobytes() == grid.tobytes(), (s, b)
-        got = residual_summary(sol, prof, verification_pass(sol, prof))
+        assert prof.sol == sol, (s, b)
+        grid = np.linspace(sol.t_minus, sol.t_plus, 1001)
+        assert dhym.default_grid(sol).tobytes() == grid.tobytes(), (s, b)
+        got = residual_summary(prof, verification_pass(prof))
         assert got == _pointwise_summary(s, b, sol, prof), (s, b, beta0)
         assert all(type(v) is float for v in got.values())
         branches.add(sol.cos_theta > 0.0)
         # psi at the ends from one 2-point call rounds differently, which
         # this comparison must be able to see
-        ends = coupled.eval_psi(prof, np.array([prof.t_minus, prof.t_plus]))
+        ends = coupled.eval_psi(prof, np.array([sol.t_minus, sol.t_plus]))
         two_point_differs += np.abs(ends).tolist() != [got["psi_err_minus"],
                                                        got["psi_err_plus"]]
     assert branches == {True, False}  # both forms of H and H'
@@ -749,7 +750,7 @@ def test_descriptor_matches_separate_calls():
     branches, methods = set(), set()
     for case in _descriptor_cases():
         s, b, sol, prof = _posed_solve(*case)
-        got = build_descriptor(sol, prof)
+        got = build_descriptor(prof)
         pos = coupled.positivity_certificate(prof, certificate_pass(prof))
         want = {
             **got,
@@ -770,7 +771,7 @@ def test_descriptor_values_are_builtins():
     """format_descriptor writes repr of each value, so none may be a numpy
     scalar (np.float64 is a float subclass; its repr is not a float's)."""
     for case in _descriptor_cases():
-        d = build_descriptor(*_posed_solve(*case)[2:])
+        d = build_descriptor(_posed_solve(*case)[3])
         for k, v in d.items():
             assert v is None or type(v) in (bool, int, float, str), (k, type(v))
 
@@ -831,7 +832,7 @@ def test_band_edge_class_one_answer(capsys):
     assert 0.0 < d["stability_margin"] < 1e-12
     assert (d["stability_class"], d["regularity"]) == ("Semistable", "holder12")
     assert all(d[key] <= bound for key, bound in THRESHOLDS.items() if key in d)
-    assert dhym.solve_dhym(s, b).Cprime == coupled.conical_coefficients(s, b, 1.0).Cprime
+    assert dhym.solve_dhym(s, b).Cprime == coupled.conical_coefficients(s, b, 1.0).sol.Cprime
 
 
 _rng = np.random.default_rng(20261018)

@@ -24,7 +24,6 @@ from dhym_ruled import (
 )
 from dhym_ruled.coupled import (
     PositivityReport,
-    ProfilePoly,
     average_radius_quadrature,
     beta_infinity,
 )
@@ -54,7 +53,7 @@ def test_figure_coefficients(figure1, beta0):
     assert p.c3 == pytest.approx(c3, rel=5e-5)
     assert p.cR == pytest.approx(cR, rel=5e-5)
     assert p.c2 == s.s_sigma
-    assert p.Cprime == pytest.approx(-124.0 / 5.0, rel=1e-14)
+    assert p.sol.Cprime == pytest.approx(-124.0 / 5.0, rel=1e-14)
 
 
 def test_coupling_constants(figure1):
@@ -77,24 +76,24 @@ def test_boundary_conditions(figure1, rng):
     s, b = figure1
     for beta0 in (1.0, 0.5, 0.1):
         p = conical_coefficients(s, b, beta0)
-        assert abs(eval_psi(p, p.t_minus)) < 1e-10
-        assert abs(eval_psi(p, p.t_plus)) < 1e-10
-        assert eval_psi_deriv(p, p.t_plus, 1) == pytest.approx(
-            -2.0 * beta0 * p.t_plus, abs=1e-9
+        assert abs(eval_psi(p, p.sol.t_minus)) < 1e-10
+        assert abs(eval_psi(p, p.sol.t_plus)) < 1e-10
+        assert eval_psi_deriv(p, p.sol.t_plus, 1) == pytest.approx(
+            -2.0 * beta0 * p.sol.t_plus, abs=1e-9
         )
-        assert eval_psi_deriv(p, p.t_minus, 1) == pytest.approx(
-            2.0 * p.beta_inf * p.t_minus, abs=1e-9
+        assert eval_psi_deriv(p, p.sol.t_minus, 1) == pytest.approx(
+            2.0 * p.beta_inf * p.sol.t_minus, abs=1e-9
         )
         # profile vanishes at the endpoints as well
-        assert abs(eval_phi(p, p.t_minus)) < 1e-9
-        assert abs(eval_phi(p, p.t_plus)) < 1e-9
+        assert abs(eval_phi(p, p.sol.t_minus)) < 1e-9
+        assert abs(eval_phi(p, p.sol.t_plus)) < 1e-9
 
 
 def test_scalar_residual_small(figure1):
     s, b = figure1
     for beta0 in (1.0, 0.5, 0.1):
         p = conical_coefficients(s, b, beta0)
-        t = np.linspace(p.t_minus, p.t_plus, 1001)[1:-1]
+        t = np.linspace(p.sol.t_minus, p.sol.t_plus, 1001)[1:-1]
         assert np.max(np.abs(scalar_residual(p, s, b, t))) < 1e-9
 
 
@@ -103,21 +102,17 @@ def test_scalar_residual_blind_to_affine_part(figure1):
     # a wrong d1 must be caught by the boundary checks, not this residual
     s, b = figure1
     p = conical_coefficients(s, b, 1.0)
-    bad = ProfilePoly(
-        d0=p.d0, d1=p.d1 + 1.0, c2=p.c2, c3=p.c3, cR=p.cR,
-        Cprime=p.Cprime, u_minus=p.u_minus, t_minus=p.t_minus, t_plus=p.t_plus,
-        beta0=p.beta0, beta_inf=p.beta_inf, alpha=p.alpha,
-    )
-    t = np.linspace(p.t_minus, p.t_plus, 101)[1:-1]
+    bad = replace(p, d1=p.d1 + 1.0)
+    t = np.linspace(p.sol.t_minus, p.sol.t_plus, 101)[1:-1]
     assert np.max(np.abs(scalar_residual(bad, s, b, t))) < 1e-9
-    assert abs(eval_psi(bad, p.t_plus)) > 1.0
+    assert abs(eval_psi(bad, p.sol.t_plus)) > 1.0
 
 
 def test_psi_pp_difference_closed_form(figure1):
     s, b = figure1
     for beta0 in (1.0, 0.5, 0.9):
         p = conical_coefficients(s, b, beta0)
-        want = eval_psi_deriv(p, p.t_minus, 2) - eval_psi_deriv(p, p.t_plus, 2)
+        want = eval_psi_deriv(p, p.sol.t_minus, 2) - eval_psi_deriv(p, p.sol.t_plus, 2)
         got = psi_pp_difference_closed_form(s, b, beta0)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -161,8 +156,8 @@ def test_boundary_system_matches_smooth_closed_form():
             b = scaled_class(canonicalize(b), 10.0 ** rng.uniform(-4.0, 0.0))
         p = conical_coefficients(s, b, 1.0)
         d0, d1 = smooth_d0_d1_closed_form(s, b)
-        u = p.t_plus ** 2 + p.Cprime
-        floor = 1e-14 * (abs(p.c3) * p.t_plus ** 3 + abs(p.cR) * u ** 1.5)
+        u = p.sol.t_plus ** 2 + p.sol.Cprime
+        floor = 1e-14 * (abs(p.c3) * p.sol.t_plus ** 3 + abs(p.cR) * u ** 1.5)
         tol = 1e-9 * max(abs(d0), abs(d1), 1.0) + floor
         assert abs(p.d0 - d0) <= tol and abs(p.d1 - d1) <= tol, (s, b)
 
@@ -192,17 +187,13 @@ def test_positivity_grid_verified(figure1):
     rep = positivity_certificate(p, certificate_pass(p))
     assert rep.method == "GridVerified"
     assert rep.min_value > 0
-    assert p.t_minus < rep.argmin < p.t_plus
+    assert p.sol.t_minus < rep.argmin < p.sol.t_plus
 
 
 def test_positivity_failure_detected(figure1):
     s, b = figure1
     p = conical_coefficients(s, b, 1.0)
-    bad = ProfilePoly(
-        d0=p.d0 - 50.0, d1=p.d1, c2=p.c2, c3=p.c3, cR=p.cR,
-        Cprime=p.Cprime, u_minus=p.u_minus, t_minus=p.t_minus, t_plus=p.t_plus,
-        beta0=p.beta0, beta_inf=p.beta_inf, alpha=p.alpha,
-    )
+    bad = replace(p, d0=p.d0 - 50.0)
     rep = positivity_certificate(bad, certificate_pass(bad))
     assert rep.method == "Failed"
     assert rep.min_value <= 0
@@ -221,7 +212,7 @@ def test_positivity_nan_minimum_fails(figure1, beta0):
 
 def ternary_positivity(p, num=1001, refine_width=1e-10):
     """The scalar ternary search the array zooms replaced, kept as reference."""
-    interior = np.linspace(p.t_minus, p.t_plus, num)[1:-1]
+    interior = np.linspace(p.sol.t_minus, p.sol.t_plus, num)[1:-1]
     vals = eval_psi(p, interior)
     i = int(np.argmin(vals))
     lo = interior[max(i - 1, 0)]
@@ -239,9 +230,9 @@ def ternary_positivity(p, num=1001, refine_width=1e-10):
         return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
     if p.alpha <= 0.0:
         fourth = eval_psi_deriv(p, interior, 4)
-        degenerate = p.t_minus ** 2 + p.Cprime <= 0.0
-        pp_minus = math.inf if degenerate else eval_psi_deriv(p, p.t_minus, 2)
-        pp_plus = eval_psi_deriv(p, p.t_plus, 2)
+        degenerate = p.sol.t_minus ** 2 + p.sol.Cprime <= 0.0
+        pp_minus = math.inf if degenerate else eval_psi_deriv(p, p.sol.t_minus, 2)
+        pp_plus = eval_psi_deriv(p, p.sol.t_plus, 2)
         if np.all(fourth >= 0.0) and pp_minus > pp_plus:
             return PositivityReport(
                 method="ConvexityCertified", min_value=min_value, argmin=argmin
@@ -251,9 +242,9 @@ def ternary_positivity(p, num=1001, refine_width=1e-10):
 
 def largest_basis_term(p):
     """Largest single basis term of psi on [t_-, t_+]; each grows with t."""
-    t = p.t_plus
+    t = p.sol.t_plus
     return max(abs(p.d0), abs(p.d1 * t), abs(p.c2 * t ** 2), abs(p.c3 * t ** 3),
-               abs(p.cR) * (t ** 2 + p.Cprime) ** 1.5)
+               abs(p.cR) * (t ** 2 + p.sol.Cprime) ** 1.5)
 
 
 def seeded_profiles(n):
@@ -267,7 +258,7 @@ def seeded_profiles(n):
         elif i % 3 == 1:
             out.append(conical_coefficients(s, b, float(rng.uniform(0.05, 1.0))))
         else:
-            out.append(scaled_solution(s, b, 10.0 ** rng.uniform(-4.0, 0.0))[1])
+            out.append(scaled_solution(s, b, 10.0 ** rng.uniform(-4.0, 0.0)))
     return out
 
 
@@ -280,9 +271,9 @@ def dipped(p):
     The profiles themselves are smallest next to an endpoint, where the grid
     already holds the minimum; a dip makes the refinement do the work.
     """
-    e = 2.0 * np.max(np.abs(eval_psi(p, np.linspace(p.t_minus, p.t_plus, 101))))
-    return replace(p, d0=p.d0 + e * p.t_minus * p.t_plus,
-                   d1=p.d1 - e * (p.t_minus + p.t_plus), c2=p.c2 + e)
+    e = 2.0 * np.max(np.abs(eval_psi(p, np.linspace(p.sol.t_minus, p.sol.t_plus, 101))))
+    return replace(p, d0=p.d0 + e * p.sol.t_minus * p.sol.t_plus,
+                   d1=p.d1 - e * (p.sol.t_minus + p.sol.t_plus), c2=p.c2 + e)
 
 
 def test_zoom_never_above_ternary_search():
@@ -294,7 +285,7 @@ def test_zoom_never_above_ternary_search():
             ref, rep = ternary_positivity(q), positivity_certificate(q, certificate_pass(q))
             assert rep.min_value <= ref.min_value + 1e-15 * largest_basis_term(q), (q, rep, ref)
             assert rep.method == ref.method, (q, rep, ref)
-            assert q.t_minus < rep.argmin < q.t_plus
+            assert q.sol.t_minus < rep.argmin < q.sol.t_plus
         compared += 1
     assert compared >= 200
 
@@ -304,7 +295,7 @@ def test_end_node_minimum_is_reported_as_scanned():
     report is that node and its grid value, with no zoom below it."""
     ends = 0
     for p in PROFILES:
-        t = default_grid(p)[1:-1]
+        t = default_grid(p.sol)[1:-1]
         vals = eval_psi(p, t)
         i = int(np.argmin(vals))
         if i not in (0, len(t) - 1):
@@ -323,7 +314,7 @@ def test_bracketed_minimum_is_refined():
         if not ternary_positivity(p).min_value > 1e-13 * largest_basis_term(p):
             continue  # psi is rounding noise there; the search order decides
         q = dipped(p)
-        t = default_grid(q)[1:-1]
+        t = default_grid(q.sol)[1:-1]
         vals = eval_psi(q, t)
         i = int(np.argmin(vals))
         assert 0 < i < len(t) - 1
@@ -339,7 +330,7 @@ def test_convexity_condition_is_the_sign_of_cR():
     for p in PROFILES:
         if p.alpha > 0.0:
             continue
-        interior = np.linspace(p.t_minus, p.t_plus, 1001)[1:-1]
+        interior = np.linspace(p.sol.t_minus, p.sol.t_plus, 1001)[1:-1]
         assert (p.cR >= 0.0) == bool(np.all(eval_psi_deriv(p, interior, 4) >= 0.0))
         checked += 1
     assert checked >= 100
@@ -373,8 +364,8 @@ def test_validation():
 def test_semistable_profile(semistable_case):
     s, b = semistable_case
     p = conical_coefficients(s, b, 1.0)
-    assert p.u_minus == 0.0
-    assert p.Cprime == pytest.approx(-16.0, rel=1e-14)
+    assert p.sol.u_minus == 0.0
+    assert p.sol.Cprime == pytest.approx(-16.0, rel=1e-14)
     assert abs(eval_psi(p, 4.0)) < 1e-10
     assert abs(eval_psi(p, 6.0)) < 1e-10
     # C^{1,1/2}: psi' picks up a square-root term at t_minus
@@ -393,10 +384,10 @@ def test_draw_suite(rng):
         s, b = draw_stable(rng)
         beta0 = float(rng.uniform(0.2, 1.0))
         p = conical_coefficients(s, b, beta0)
-        t = np.linspace(p.t_minus, p.t_plus, 501)[1:-1]
+        t = np.linspace(p.sol.t_minus, p.sol.t_plus, 501)[1:-1]
         assert np.max(np.abs(scalar_residual(p, s, b, t))) < 1e-9
-        assert abs(eval_psi(p, p.t_minus)) < 1e-10
-        assert abs(eval_psi(p, p.t_plus)) < 1e-10
+        assert abs(eval_psi(p, p.sol.t_minus)) < 1e-10
+        assert abs(eval_psi(p, p.sol.t_plus)) < 1e-10
 
 
 def test_mirror_profiles_identical(rng):
@@ -409,7 +400,7 @@ def test_mirror_profiles_identical(rng):
         assert pm.alpha == pytest.approx(p.alpha, rel=1e-12)
         assert abs(pm.d0) == pytest.approx(abs(p.d0), rel=1e-12)
         assert abs(pm.d1) == pytest.approx(abs(p.d1), rel=1e-12)
-        t = np.linspace(p.t_minus, p.t_plus, 101)
+        t = np.linspace(p.sol.t_minus, p.sol.t_plus, 101)
         assert np.max(np.abs(eval_psi(pm, t) - eval_psi(p, t))) < 1e-12 * max(
             1.0, np.max(np.abs(eval_psi(p, t)))
         )

@@ -8,10 +8,17 @@ A definition in src/dhym_ruled counts as used when it meets one of:
 - it is one of the paper's named claims in PAPER_CLAIMS.
 A function that only tests run belongs in tests/, beside the reference it
 serves (tests/second_forms.py), even when the package exports it.
+
+A profile (coupled.ProfilePoly) holds its solution and copies none of its
+constants.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from dhym_ruled.coupled import ProfilePoly
+from dhym_ruled.params import Problem
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dhym_ruled"
@@ -95,3 +102,10 @@ def test_the_scan_reports_exactly_the_unused(tmp_path):
     # an export that nothing else reads is unused: the re-export is no use
     assert unused_definitions(tmp_path, others=()) == [
         "m.exported", "m.recursive", "m.orphan"]
+
+
+def test_the_profile_copies_nothing_of_its_solution():
+    """A profile reads its interval, C' and phase from ProfilePoly.sol, the
+    posed Problem, so the two carry no field of the same name."""
+    shared = {f.name for f in fields(ProfilePoly)} & {f.name for f in fields(Problem)}
+    assert not shared, sorted(shared)

@@ -14,6 +14,7 @@ from dhym_ruled import (
     conical_coefficients,
     eval_H,
     make_surface,
+    pose,
     scaled_solution,
     solve_dhym,
     stability_margin,
@@ -31,7 +32,8 @@ def small_radius_base():
 
 def test_identity_scaling(figure1):
     s, b = figure1
-    sol1, prof1 = scaled_solution(s, b, 1.0)
+    prof1 = scaled_solution(s, b, 1.0)
+    sol1 = prof1.sol
     sol0 = solve_dhym(s, b)
     assert sol1.Cprime == pytest.approx(sol0.Cprime, rel=1e-14)
     assert sol1.cos_theta / sol1.sin_theta == pytest.approx(
@@ -44,7 +46,7 @@ def test_identity_scaling(figure1):
 
 def test_small_alpha_always_stable(figure1):
     s, b = figure1
-    sol, _ = scaled_solution(s, b, 0.01)
+    sol = scaled_solution(s, b, 0.01).sol
     assert sol.regularity == "smooth"
 
 
@@ -64,7 +66,7 @@ def test_scaled_Cprime_consistency(rng):
                 BundleClass(k1=a * canonicalize(b).k1, k2=a * canonicalize(b).k2)
             )) <= 0:
                 continue
-            sol, _ = scaled_solution(s, b, a)
+            sol = scaled_solution(s, b, a).sol
             want = scaled_Cprime(s, canonicalize(b), a)
             assert sol.Cprime == pytest.approx(want, rel=1e-12)
 
@@ -139,9 +141,10 @@ def test_nu_sup_is_the_reference_nu(figure1, mirrored):
     s, b = figure1
     fam = limits.build_family(s, _mirror(b) if mirrored else b, [1e-1, 1e-2, 1e-3, 1e-4])
     want = []
-    for a, (sol, _) in zip(fam.alphas, fam.solutions):
+    for a, prof in zip(fam.alphas, fam.solutions):
+        sol = prof.sol
         t = np.linspace(sol.t_minus, sol.t_plus, 401)
-        nu = eval_nu(sol, s, limits.scaled_class(fam.base[1], a), t)
+        nu = eval_nu(sol, s, limits.scaled_class(fam.base.bundle, a), t)
         want.append(float(np.max(np.abs(nu / a))))
     assert limits.large_radius_check(fam).constants["nu_sup"] == tuple(want)
 
@@ -159,7 +162,7 @@ def test_large_radius_gap_needs_strictly_stable_scales(semistable_case):
 
 def test_small_radius_constants(small_radius_base):
     s, b = small_radius_base
-    C_hat, branch, K = limits.small_radius_constants(s, b)
+    C_hat, branch, K = limits.small_radius_constants(pose(s, b))
     assert C_hat == pytest.approx(2584.0 / 9.0, rel=1e-13)
     assert branch == 1
     want = 6.0 + math.sqrt(36.0 + 2584.0 / 9.0)
@@ -169,10 +172,11 @@ def test_small_radius_constants(small_radius_base):
 def test_small_radius_constants_degenerate():
     s = make_surface(1, 0, 5)
     with pytest.raises(ValidationError):
-        limits.small_radius_constants(s, BundleClass(k1=-1.0, k2=-1.0))
+        limits.small_radius_constants(pose(s, BundleClass(k1=-1.0, k2=-1.0)))
     # failing the strengthened inequality
     with pytest.raises(NoSolutionError):
-        limits.small_radius_constants(make_surface(1, 0, 1), BundleClass(k1=-1.0, k2=1.05))
+        limits.small_radius_constants(
+            pose(make_surface(1, 0, 1), BundleClass(k1=-1.0, k2=1.05)))
 
 
 def test_small_radius_report(small_radius_base):
@@ -181,7 +185,7 @@ def test_small_radius_report(small_radius_base):
     rep = limits.small_radius_check(fam)
     assert rep.order >= 0.9
     # pointwise limit value at t = 6 from the largest sample
-    sol, _ = fam.solutions[-1]
+    sol = fam.solutions[-1].sol
     gamma = (b.k1 ** 2 - b.k2 ** 2) / (2.0 * b.k1)
     want = gamma * (6.0 + math.sqrt(36.0 + 2584.0 / 9.0))
     got = eval_H(sol, 6.0) / 1e4
@@ -217,8 +221,9 @@ def test_scaled_family_residuals(figure1):
 
     s, b = figure1
     fam = limits.build_family(s, b, [0.5, 1.1])
-    for (sol, prof) in fam.solutions:
+    for prof in fam.solutions:
+        sol = prof.sol
         t = np.linspace(sol.t_minus, sol.t_plus, 101)
         assert np.max(np.abs(ode_residual_H(sol, t))) < 1e-10
-        assert abs(eval_psi(prof, prof.t_minus)) < 1e-10
-        assert abs(eval_psi(prof, prof.t_plus)) < 1e-10
+        assert abs(eval_psi(prof, sol.t_minus)) < 1e-10
+        assert abs(eval_psi(prof, sol.t_plus)) < 1e-10

@@ -236,7 +236,7 @@ def test_profile_matches_the_streamed_writer(cls, beta0, samples, extra, code, c
     sol = dhym.solve_dhym(s, b)
     prof = coupled.conical_coefficients(s, b, beta0)
     t = np.linspace(sol.t_minus, sol.t_plus, samples)
-    sp = coupled.solve_pass(prof, sol, t)
+    sp = coupled.solve_pass(prof, t)
     assert got == (code, profile_text(t, sp, sol.regularity == "holder12"), "")
 
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +37,21 @@ def test_same_outputs_on_the_repository_against_itself():
         assert row[4] == change[0], row
     n = sum(int(row[2]) for row in rows[::2])
     assert lines[-1] == f"{n} of {n} operations identical"
+
+
+def test_same_outputs_checks_out_revisions():
+    _git = same_outputs._git
+    top = _git("rev-parse", "--show-toplevel")
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != ROOT:
+        pytest.skip("not a git checkout")
+    before = _git("worktree", "list", "--porcelain").stdout
+    r = subprocess.run(
+        [sys.executable, "tools/same_outputs.py", "HEAD", "HEAD", "solve_mix:1:1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.splitlines()[-1].endswith(" operations identical")
+    assert _git("worktree", "list", "--porcelain").stdout == before
 
 
 def test_same_outputs_reports_a_difference(capsys):

@@ -1,8 +1,11 @@
 """Check that two source trees give the same outputs on the benchmark's ops.
 
-    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [WORKLOAD:SEEDS:CYCLES ...]
+    python3 tools/same_outputs.py PARENT CHANGE [WORKLOAD:SEEDS:CYCLES ...]
 
-Each tree runs in its own Python process, which imports the tree's own
+PARENT and CHANGE are each a source tree (a directory) or a git revision of
+the repository this script is in (``HEAD``, ``main~1``, a sha); a revision
+is checked out with ``git worktree add --detach`` into a temporary
+directory, which is removed again when the run ends.  Each tree runs in its own Python process, which imports the tree's own
 ``src/dhym_ruled`` and its ``perfbench/workloads.py`` and
 ``perfbench/harness.py`` by path.  It draws ``CYCLES`` cycles of each seed's
 operation stream, runs every operation untimed and hashes its output with
@@ -42,12 +45,14 @@ import re
 import struct
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+import tempfile
+from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SPECS = ("solve_mix:21-24:60", "profile_table:1-3:2", "verify_oracles:31-32:3")
 #: Differing operations listed after the table.
 SHOW_DIFFERING = 5
@@ -146,6 +151,29 @@ def worker(tree: Path, specs, dump=frozenset()) -> None:
                     print(workload, op.kind, digest, _describe(op), json.dumps(keys),
                           sep="\t")
                     index += 1
+
+
+def _git(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+
+
+@contextmanager
+def checked_out(tree: str):
+    """``tree`` itself if it is a directory, else a detached git worktree of
+    the revision ``tree``, removed on exit."""
+    if Path(tree).is_dir():
+        yield Path(tree)
+        return
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        path = Path(tmp) / "tree"
+        r = _git("worktree", "add", "--detach", "--quiet", str(path), tree)
+        if r.returncode != 0:
+            sys.exit(f"same_outputs: {tree!r} is neither a directory nor a revision:\n"
+                     f"{r.stderr}")
+        try:
+            yield path
+        finally:
+            _git("worktree", "remove", "--force", str(path))
 
 
 def _run_side(tree: Path, specs, dump=()) -> list[list[str]]:
@@ -277,10 +305,12 @@ def main(argv=None) -> int:
     specs = argv[2:] or list(DEFAULT_SPECS)
     for spec in specs:
         parse_spec(spec)  # a malformed spec fails here, before either run
-    sides = [_run_side(Path(tree), specs) for tree in argv[:2]]
-    dump = shown_arrays(*sides)
-    if dump:  # again, with the arrays that compare shows
-        sides = [_run_side(Path(tree), specs, dump) for tree in argv[:2]]
+    with ExitStack() as stack:
+        trees = [stack.enter_context(checked_out(tree)) for tree in argv[:2]]
+        sides = [_run_side(tree, specs) for tree in trees]
+        dump = shown_arrays(*sides)
+        if dump:  # again, with the arrays that compare shows
+            sides = [_run_side(tree, specs, dump) for tree in trees]
     return compare(*sides)
 
 
