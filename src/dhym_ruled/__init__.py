@@ -32,7 +32,6 @@ from .errors import (
     NoSolutionError,
     PoleError,
     PositivityError,
-    SingularSystemError,
     TkeNotFoundError,
     ValidationError,
 )

@@ -149,7 +149,7 @@ def residual_summary(prof, interior) -> dict:
     of the solve; the boundary values are evaluated here.
     """
     sol = prof.sol
-    tgt_minus, tgt_plus = dhym.boundary_targets(sol.surface, sol.bundle)
+    tgt_minus, tgt_plus = dhym.targets_of(sol)
     # psi' at both ends from one 2-point evaluation is bitwise equal to two
     # 0-d calls; psi and H stay 0-d calls, because as 2-point arrays they
     # round differently

@@ -26,7 +26,7 @@ from .dhym import (
     radicand,
     solve_dhym,
 )
-from .errors import ValidationError
+from .errors import PositivityError, ValidationError
 from .params import (
     BundleClass,
     Problem,
@@ -126,7 +126,8 @@ def conical_coefficients(
     """Profile with cone angle beta0 along the zero section.
 
     beta0 = 1 is the smooth solution (both cone angles equal to one).
-    d0 and d1 come from the boundary linear system psi(t_-) = psi(t_+) = 0.
+    d0 and d1 solve psi(t_-) = psi(t_+) = 0 in closed form, from the rest of
+    psi at both ends as _psi_of evaluates it.
     The boundary slopes are not checked here: the residual suite
     (cli.residual_summary, slope_err_minus and slope_err_plus) checks them.
     """
@@ -142,31 +143,26 @@ def _profile(pr: Problem, beta0: float) -> ProfilePoly:
     alpha = _coupling(pr, beta0)
     c3, cR = _radical_coeffs(pr, alpha)
     c2 = pr.surface.s_sigma
+    beta_inf = beta_infinity(pr.surface.x, beta0)
 
-    def inhom(t):
-        return c2 * t ** 2 + c3 * t ** 3 + cR * radicand(pr, t) ** 1.5
-
-    d0, d1 = oracle.solve_2x2(
-        1.0, pr.t_minus, 1.0, pr.t_plus, -inhom(pr.t_minus), -inhom(pr.t_plus)
-    )
+    # psi(t_-) = psi(t_+) = 0 fixes the affine part d0 + d1 t: with r_pm the
+    # rest of psi at t_pm, d1 = (r_- - r_+) / w and d0 = (r_+ t_- - r_- t_+) / w
+    # for the width w = t_+ - t_-, which rounds to 0 once 1/x >= 2^53
+    rest = ProfilePoly(pr, 0.0, 0.0, c2, c3, cR, beta0, beta_inf, alpha)
+    t_minus, t_plus = pr.t_minus, pr.t_plus
+    r_minus = _psi_of(rest, t_minus, radicand(pr, t_minus), t_minus ** 2)
+    r_plus = _psi_of(rest, t_plus, radicand(pr, t_plus), t_plus ** 2)
+    width = (t_plus - t_minus) or math.nan
+    d0 = (r_plus * t_minus - r_minus * t_plus) / width
+    d1 = (r_minus - r_plus) / width
     # a subnormal divisor passes the gate of pose but overflows the
-    # coefficients, or their boundary solve
+    # coefficients; a zero width leaves d0 and d1 NaN
     if not all(map(math.isfinite, (alpha, c3, cR, d0, d1))):
         raise ValidationError(
             f"profile coefficients out of double-precision range: alpha = {alpha!r},"
             f" c3 = {c3!r}, cR = {cR!r}, d0 = {d0!r}, d1 = {d1!r}"
         )
-    return ProfilePoly(
-        sol=pr,
-        d0=d0,
-        d1=d1,
-        c2=c2,
-        c3=c3,
-        cR=cR,
-        beta0=beta0,
-        beta_inf=beta_infinity(pr.surface.x, beta0),
-        alpha=alpha,
-    )
+    return ProfilePoly(pr, d0, d1, c2, c3, cR, beta0, beta_inf, alpha)
 
 
 def eval_psi(p: ProfilePoly, t):
@@ -196,6 +192,30 @@ def eval_phi(p: ProfilePoly, t):
     t = check_domain(p.sol, t)
     out = _psi_of(p, t, radicand(p.sol, t), t ** 2) / (2.0 * t)
     return float(out) if out.ndim == 0 else out
+
+
+def reconstruct_s_of_tau(p: ProfilePoly) -> oracle.GridFunction:
+    """Invert the momentum profile to the log-norm coordinate s(tau).
+
+    s(tau) = integral of d sigma / phi(sigma) from 0, on a uniform grid of
+    20001 nodes of the profile variable tau in (-1 + 1e-8, 1 - 1e-8).  s
+    diverges logarithmically at both ends, at rates set by the cone angles.
+    Raises PositivityError if the profile is not positive on that range.
+    """
+    half = 0.5 * (p.sol.t_minus + p.sol.t_plus)  # equals 1/x
+    tau = np.linspace(-1.0 + 1e-8, 1.0 - 1e-8, 20001)
+    t = half - tau
+    phi = eval_phi(p, t)
+    if np.any(phi <= 0.0):
+        bad = tau[np.argmin(phi)]
+        raise PositivityError(f"profile non-positive near tau = {bad}")
+    inv = 1.0 / phi
+    # cumulative trapezoid, then shift so that s(0) = 0
+    s_vals = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(tau)))
+    )
+    s_at_0 = float(np.interp(0.0, tau, s_vals))
+    return oracle.GridFunction(nodes=tau, values=s_vals - s_at_0)
 
 
 #: Zoom rounds after the scan, run only when the scan's minimum is bracketed
@@ -346,8 +366,7 @@ def phase_and_radius(
 def phase_and_radius_of(dh: Problem, t, H, Hp, radius=True):
     """The parts of phase_and_radius from given values H = H(t), Hp = H'(t);
     the imaginary part alone if not ``radius``."""
-    sign = -1.0 if dh.bundle.conjugated else 1.0
-    sin_t, cos_t = sign * dh.sin_theta, dh.cos_theta
+    sin_t, cos_t = dh.sign * dh.sin_theta, dh.cos_theta
     one_minus = 1.0 - H * Hp / t
     sum_part = Hp + H / t
     im_part = sin_t * one_minus + cos_t * sum_part

@@ -24,14 +24,17 @@ _ENDPOINT_SLACK = 1e-12
 
 
 def boundary_targets(s: SurfaceParams, b: BundleClass) -> tuple[float, float]:
+    """targets_of the posed class (s, b)."""
+    return targets_of(pose(s, b))
+
+
+def targets_of(sol: Problem) -> tuple[float, float]:
     """Required values (H(t_minus), H(t_plus)) from exactness of the potential.
 
     A class carrying the conjugation flag refers to the mirrored original
     input, so its targets are the negatives of the canonical ones.
     """
-    pr = pose(s, b)
-    b, t_minus, t_plus = pr.bundle, pr.t_minus, pr.t_plus
-    sign = -1.0 if b.conjugated else 1.0
+    b, t_minus, t_plus, sign = sol.bundle, sol.t_minus, sol.t_plus, sol.sign
     return (
         sign * (b.k1 * t_minus + b.k2 * t_plus),
         sign * (b.k1 * t_plus + b.k2 * t_minus),
@@ -72,11 +75,6 @@ def radicand(sol: Problem, t):
     """t^2 + C' of the solution sol, formed without the cancellation of t^2
     against C' near t_minus."""
     return (t - sol.t_minus) * (t + sol.t_minus) + sol.u_minus
-
-
-def _sign(sol: Problem) -> float:
-    # conjugated classes evaluate the mirrored solution H -> -H
-    return -1.0 if sol.bundle.conjugated else 1.0
 
 
 def _near_root(sol: Problem) -> bool:
@@ -128,7 +126,7 @@ def eval_H(sol: Problem, t):
     canonical-branch value.
     """
     t = check_domain(sol, t)
-    out = _sign(sol) * _H_of(sol, t, np.sqrt(radicand(sol, t)), t * sol.sin_theta)
+    out = sol.sign * _H_of(sol, t, np.sqrt(radicand(sol, t)), t * sol.sin_theta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -137,7 +135,7 @@ def H_pair_of(sol: Problem, t, root, ts):
     ts = t sin(theta)."""
     H, Hp = _H_of(sol, t, root, ts), _H_deriv_of(sol, t, root, ts)
     if sol.bundle.conjugated:
-        sign = _sign(sol)
+        sign = sol.sign
         return sign * H, sign * Hp
     return H, Hp
 
@@ -147,7 +145,7 @@ def ode_residual_of(sol: Problem, t, H, Hp, ts):
     from H = H(t), Hp = H'(t) and ts = t sin(theta): zero for the exact
     solution, and defined where H sin = t cos.  A conjugated class's
     phase has the opposite sine, which the residual accounts for."""
-    sin_t = _sign(sol) * sol.sin_theta
+    sin_t = sol.sign * sol.sin_theta
     cos_t = sol.cos_theta
     # t (-sin) is -(t sin) exactly
     t_sin = -ts if sol.bundle.conjugated else ts

@@ -36,10 +36,6 @@ class PoleError(DhymRuledError):
     """Evaluation at (or too close to) a pole of a rational expression."""
 
 
-class SingularSystemError(DhymRuledError):
-    """2x2 linear system with (numerically) vanishing determinant."""
-
-
 class IntegrationError(DhymRuledError):
     """ODE integration or quadrature failed; carries the failure location."""
 

@@ -103,7 +103,7 @@ def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     pr = fam.base
     s, b = pr.surface, pr.bundle
     x = s.x
-    sign = -1.0 if b.conjugated else 1.0
+    sign = pr.sign
     t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
     target = b.k1 * t + (b.k2 / t) * (1.0 / x ** 2 - 1.0)
     sup_errors = []
@@ -196,7 +196,7 @@ def small_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     s, b = pr.surface, pr.bundle
     C_hat, branch, K = small_radius_constants(pr)
     gamma = (b.k1 ** 2 - b.k2 ** 2) / (2.0 * b.k1)
-    sign = -1.0 if b.conjugated else 1.0
+    sign = pr.sign
     t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
     target = gamma * K(t)
     sup_errors = []

@@ -2,10 +2,9 @@
 
 Nothing here knows the explicit solution formulas: RK4 integrates the raw
 phase ODE (steps, nodes and blow-up by _steps, _nodes and _grid, which the
-tests' generic RK4 shares), the quadrature integrates raw integrands, and
-the coordinate reconstruction inverts the momentum profile by direct
-cumulative integration.  Agreement between these routines and the closed
-forms is the package's correctness argument.
+tests' generic RK4 shares) and the quadrature integrates raw integrands.
+Of the package, this module imports only its errors.  Agreement between
+these routines and the closed forms is the package's correctness argument.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationError, PositivityError, SingularSystemError
+from .errors import IntegrationError
 
 
 @dataclass(frozen=True)
@@ -388,17 +387,6 @@ def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> flo
     return math.fsum(np.concatenate(accepted).tolist())
 
 
-def solve_2x2(a11, a12, a21, a22, b1, b2) -> tuple[float, float]:
-    """Exact-elimination solve of a 2x2 linear system."""
-    det = a11 * a22 - a12 * a21
-    scale = max(abs(a11) * abs(a22), abs(a12) * abs(a21), 1.0)
-    if abs(det) < 1e-14 * scale:
-        raise SingularSystemError(f"determinant {det!r} below tolerance")
-    x1 = (b1 * a22 - b2 * a12) / det
-    x2 = (a11 * b2 - a21 * b1) / det
-    return x1, x2
-
-
 #: Fraction bits of the fixed point in which eval_psi_highprec evaluates.
 _FIX = 200
 
@@ -492,29 +480,3 @@ def eval_psi_highprec(k, h, kprime, k1, k2, ts) -> np.ndarray:
         psi += (cR * u >> fix) * root >> fix
         append(psi / one)
     return np.asarray(out)
-
-
-def reconstruct_s_of_tau(p) -> GridFunction:
-    """Invert the momentum profile to the log-norm coordinate s(tau).
-
-    s(tau) = integral of d sigma / phi(sigma) from 0, on a uniform grid of
-    20001 nodes of the profile variable tau in (-1 + 1e-8, 1 - 1e-8).  s
-    diverges logarithmically at both ends, at rates set by the cone angles.
-    Raises PositivityError if the profile is not positive on that range.
-    """
-    from .coupled import eval_phi  # local import: avoids a module cycle
-
-    half = 0.5 * (p.sol.t_minus + p.sol.t_plus)  # equals 1/x
-    tau = np.linspace(-1.0 + 1e-8, 1.0 - 1e-8, 20001)
-    t = half - tau
-    phi = eval_phi(p, t)
-    if np.any(phi <= 0.0):
-        bad = tau[np.argmin(phi)]
-        raise PositivityError(f"profile non-positive near tau = {bad}")
-    inv = 1.0 / phi
-    # cumulative trapezoid, then shift so that s(0) = 0
-    s_vals = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(tau)))
-    )
-    s_at_0 = float(np.interp(0.0, tau, s_vals))
-    return GridFunction(nodes=tau, values=s_vals - s_at_0)

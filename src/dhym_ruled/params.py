@@ -197,6 +197,12 @@ class Problem:
     def regularity(self) -> str:
         return "holder12" if self.stability is StabilityClass.SEMISTABLE else "smooth"
 
+    @property
+    def sign(self) -> float:
+        """-1 for a conjugated class, whose solution is the mirror H -> -H
+        of the canonical one, else 1."""
+        return -1.0 if self.bundle.conjugated else 1.0
+
 
 @functools.lru_cache(maxsize=16)
 def pose(s: SurfaceParams, b: BundleClass) -> Problem:

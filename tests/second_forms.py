@@ -225,7 +225,7 @@ def eval_H_deriv(sol, t):
     """Analytic H'(t); diverges at t_minus in the holder12 case."""
     t = check_domain(sol, t)
     root, ts = np.sqrt(radicand(sol, t)), t * sol.sin_theta
-    return _scalar_or_array(dhym._sign(sol) * dhym._H_deriv_of(sol, t, root, ts))
+    return _scalar_or_array(sol.sign * dhym._H_deriv_of(sol, t, root, ts))
 
 
 def ode_residual_H(sol, t):
@@ -244,7 +244,7 @@ def eval_nu(sol, s, b, t):
     b = pose(s, b).bundle
     t = check_domain(sol, t)
     x = s.x
-    sign = dhym._sign(sol)
+    sign = sol.sign
     out = sign * (b.k1 * t + (b.k2 / t) * (1.0 - x ** 2) / x ** 2) - dhym.eval_H(sol, t)
     return _scalar_or_array(out)
 

@@ -106,7 +106,7 @@ def test_H_solves_the_phase_ode(cos_t, t_minus, u_minus, near_root):
     sin_t = sp.sqrt(1 - c ** 2)
     sol = SimpleNamespace(cos_theta=cos_t, sin_theta=sin_t, t_minus=t_minus,
                           u_minus=u_minus, Cprime=u_minus - t_minus ** 2,
-                          bundle=SimpleNamespace(conjugated=False))
+                          sign=1.0, bundle=SimpleNamespace(conjugated=False))
     if near_root is not None:
         assert bool(dhym._near_root(sol)) is near_root
     root = sp.sqrt(dhym.radicand(sol, t))

@@ -482,6 +482,37 @@ def test_residual_failure_names_the_check(argv):
     assert float(value) > THRESHOLDS[key]
 
 
+#: A class whose interval [1/x - 1, 1/x + 1] lies past 2e14, and one so far
+#: out, at 1/x > 2^53, that its width rounds to 0
+FAR_CLASS = ["--k", "1", "--h", "0", "--kprime=2e14", "--k1=-1.3", "--k2=-0.4"]
+ZERO_WIDTH_CLASS = ["--k", "1", "--h", "0", "--kprime=1e17", "--k1=-1.3", "--k2=-0.4"]
+
+
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_far_interval_is_judged_by_the_residual_suite(command, capsys):
+    """The boundary solve of a valid class far out has determinant 2; the
+    residual suite, not a usage error, gives the verdict."""
+    code, _, err = run_in_process([command, *FAR_CLASS], capsys)
+    assert code == 4, err
+    key = err.removeprefix("residual suite failed: ").partition(" = ")[0]
+    assert err.startswith("residual suite failed: ") and key in THRESHOLDS, err
+
+
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_zero_width_interval_is_a_usage_error(command, capsys):
+    code, out, err = run_in_process([command, *ZERO_WIDTH_CLASS], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "out of double-precision range" in err
+    assert "Traceback" not in err
+
+
+def test_zero_width_class_still_checks(capsys):
+    code, out, err = run_in_process(["check", *ZERO_WIDTH_CLASS], capsys)
+    assert (code, err) == (0, "")
+    assert "stability_class = Stable" in out
+
+
 def _near_semistable_argvs(n, seed=20261018):
     """solve argvs of stable classes with margins 10^U(-11, -2)."""
     return [["solve", *_class_argv(s, b)]
@@ -777,21 +808,25 @@ def test_descriptor_values_are_builtins():
 
 
 def test_solve_poses_each_class_once(capsys):
-    """Each class one solve touches is posed once, however many stages read it."""
+    """Each class one solve touches is posed once, however many stages read
+    it; and pose is called only by the stages that take (s, b): the command
+    line, the unstable gate and the coefficients, plus the scaled class."""
     cases = [
-        (FIG1, 1),
+        (FIG1, 1, 3),
         # the input class, then its canonical form
-        (["--k", "1", "--h", "0", "--kprime", "5", "--k1", "1", "--k2", "-1"], 2),
+        (["--k", "1", "--h", "0", "--kprime", "5", "--k1", "1", "--k2", "-1"], 2, 3),
         # the input class, then the scaled class
-        ([*FIG1, "--alpha-prime", "0.5"], 2),
+        ([*FIG1, "--alpha-prime", "0.5"], 2, 4),
     ]
-    for class_argv, misses in cases:
+    for class_argv, misses, calls in cases:
         pose.cache_clear()
         for _ in range(2):
-            before = pose.cache_info().misses
+            before = pose.cache_info()
             code, _, err = run_in_process(["solve", *class_argv], capsys)
             assert code == 0, err
-            assert pose.cache_info().misses - before == misses, class_argv
+            after = pose.cache_info()
+            assert after.misses - before.misses == misses, class_argv
+            assert (after.hits + after.misses) - (before.hits + before.misses) == calls, class_argv
             misses = 0  # the second run poses nothing new
     s, b = make_surface(1, 0, 5), BundleClass(k1=-1.0, k2=1e-300)
     for _ in range(2):  # an input that raises is not remembered

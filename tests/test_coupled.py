@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,6 +161,30 @@ def test_boundary_system_matches_smooth_closed_form():
         floor = 1e-14 * (abs(p.c3) * p.sol.t_plus ** 3 + abs(p.cR) * u ** 1.5)
         tol = 1e-9 * max(abs(d0), abs(d1), 1.0) + floor
         assert abs(p.d0 - d0) <= tol and abs(p.d1 - d1) <= tol, (s, b)
+
+
+def test_exact_boundary_solve_reproduces_profile(figure1):
+    # build the psi(t_pm) = 0 system directly and solve it exactly
+    s, b = figure1
+    for beta0, want_d0, want_d1 in (
+        (1.0, -158.0, 455.0 / 12.0),
+        (0.1, 310.72, -114.858),
+    ):
+        p = conical_coefficients(s, b, beta0)
+        rhs = []
+        for t in (p.sol.t_minus, p.sol.t_plus):
+            u = t ** 2 + p.sol.Cprime
+            rhs.append(-(p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5))
+        # d0 + d1 t_pm = rhs_pm in rationals, from the rounded data
+        t_minus, t_plus = Fraction(p.sol.t_minus), Fraction(p.sol.t_plus)
+        r_minus, r_plus = Fraction(rhs[0]), Fraction(rhs[1])
+        d1 = (r_plus - r_minus) / (t_plus - t_minus)
+        d0 = float(r_minus - d1 * t_minus)
+        d1 = float(d1)
+        assert d0 == pytest.approx(p.d0, rel=1e-12)
+        assert d1 == pytest.approx(p.d1, rel=1e-12)
+        assert d0 == pytest.approx(want_d0, rel=5e-5)
+        assert d1 == pytest.approx(want_d1, rel=5e-5)
 
 
 def test_positivity_smooth_convexity(figure1, rng):

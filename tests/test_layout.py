@@ -11,6 +11,9 @@ serves (tests/second_forms.py), even when the package exports it.
 
 A profile (coupled.ProfilePoly) holds its solution and copies none of its
 constants.
+
+The independent numerics (oracle.py) import nothing of the package but its
+errors, and no module imports a package module inside a function.
 """
 
 import ast
@@ -109,3 +112,50 @@ def test_the_profile_copies_nothing_of_its_solution():
     posed Problem, so the two carry no field of the same name."""
     shared = {f.name for f in fields(ProfilePoly)} & {f.name for f in fields(Problem)}
     assert not shared, sorted(shared)
+
+
+def _package_imports(tree):
+    """The package module each import in tree names: '.x' for a relative
+    import of x, 'dhym_ruled.x' for an absolute one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                if node.module:
+                    yield "." * node.level + node.module
+                else:
+                    yield from ("." * node.level + a.name for a in node.names)
+            elif node.module.split(".")[0] == "dhym_ruled":
+                yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "dhym_ruled")
+
+
+def test_oracle_imports_only_the_errors():
+    imports = set(_package_imports(_parse(PACKAGE / "oracle.py")))
+    assert imports <= {".errors"}, sorted(imports)
+
+
+def test_no_function_imports_a_package_module():
+    """A cycle between modules is not hidden by a function-level import;
+    a function may still import from the standard library."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.stem}.{node.name}: {m}"
+                          for stmt in node.body for m in _package_imports(stmt)]
+    assert not found, found
+
+
+def test_the_import_scan_sees_every_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from . import coupled\n"
+        "from .errors import ValidationError\n"
+        "import dhym_ruled.dhym\n"
+        "import decimal\n"
+        "def f():\n"
+        "    from decimal import Decimal\n"
+        "    from dhym_ruled.params import pose\n"
+    )
+    assert list(_package_imports(_parse(tmp_path / "m.py"))) == [
+        ".coupled", ".errors", "dhym_ruled.dhym", "dhym_ruled.params"]

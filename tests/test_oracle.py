@@ -8,7 +8,6 @@ import pytest
 from dhym_ruled import (
     BundleClass,
     IntegrationError,
-    SingularSystemError,
     boundary_targets,
     canonicalize,
     conical_coefficients,
@@ -16,7 +15,7 @@ from dhym_ruled import (
     phase_and_radius,
     solve_dhym,
 )
-from dhym_ruled import oracle
+from dhym_ruled import coupled, oracle
 from dhym_ruled.coupled import eval_psi
 
 from conftest import draw_stable
@@ -516,31 +515,6 @@ def test_psi_derivatives_match_finite_differences(figure1):
     assert eval_psi_deriv(p, t, 4) == pytest.approx(fd4, rel=1e-3)
 
 
-def test_solve_2x2():
-    assert oracle.solve_2x2(1, 0, 0, 1, 3, 4) == (3.0, 4.0)
-    with pytest.raises(SingularSystemError):
-        oracle.solve_2x2(1, 2, 2, 4, 1, 2)
-
-
-def test_solve_2x2_reproduces_boundary_system(figure1):
-    # build the psi(t_pm) = 0 system directly and compare with the solver path
-    s, b = figure1
-    for beta0, want_d0, want_d1 in (
-        (1.0, -158.0, 455.0 / 12.0),
-        (0.1, 310.72, -114.858),
-    ):
-        p = conical_coefficients(s, b, beta0)
-        rhs = []
-        for t in (p.sol.t_minus, p.sol.t_plus):
-            u = t ** 2 + p.sol.Cprime
-            rhs.append(-(p.c2 * t ** 2 + p.c3 * t ** 3 + p.cR * u ** 1.5))
-        d0, d1 = oracle.solve_2x2(1.0, p.sol.t_minus, 1.0, p.sol.t_plus, rhs[0], rhs[1])
-        assert d0 == pytest.approx(p.d0, rel=1e-12)
-        assert d1 == pytest.approx(p.d1, rel=1e-12)
-        assert d0 == pytest.approx(want_d0, rel=5e-5)
-        assert d1 == pytest.approx(want_d1, rel=5e-5)
-
-
 def test_grid_function_validation():
     with pytest.raises(ValueError):
         oracle.GridFunction(nodes=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
@@ -617,7 +591,7 @@ def test_eval_psi_highprec_requires_strict_stability(cls):
 def test_reconstruct_s_of_tau(figure1, beta0):
     s, b = figure1
     p = conical_coefficients(s, b, beta0)
-    g = oracle.reconstruct_s_of_tau(p)
+    g = coupled.reconstruct_s_of_tau(p)
     # normalization and monotonicity in the profile variable
     assert np.interp(0.0, g.nodes, g.values) == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.diff(g.values) > 0)
