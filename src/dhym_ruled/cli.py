@@ -26,6 +26,7 @@ from .errors import DhymRuledError, NoSolutionError, ValidationError
 from .params import (
     BundleClass,
     StabilityClass,
+    canonicalize,
     cohomology_classes,
     from_complexified,
     make_surface,
@@ -33,9 +34,9 @@ from .params import (
     require_cone_angle,
 )
 
-# perfbench/spans.py wraps these module attributes when it traces a run; the
-# CLI itself reaches them only through ``pose``
-from .params import canonicalize, classify, phase_constant, stability_margin  # noqa: F401
+# perfbench/spans.py wraps these module attributes, as it does canonicalize,
+# when it traces a run; the CLI itself reaches them only through ``pose``
+from .params import classify, phase_constant, stability_margin  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,31 +134,33 @@ def _pose_args(args):
         raise DhymRuledError("--kpp requires --complexified")
     if args.k1 is None or args.k2 is None:
         raise DhymRuledError("--k1 and --k2 are required (or use --complexified)")
+    # posed in canonical form, as from_complexified gives it, so that the
+    # solve's own poses of the canonical class hit the memo
     return pose(make_surface(args.k, args.h, args.kprime),
-                BundleClass(k1=args.k1, k2=args.k2))
+                canonicalize(BundleClass(k1=args.k1, k2=args.k2)))
 
 
 def verification_pass(prof) -> coupled.SolvePass:
-    """The SolvePass that solve and profile verify: the interior nodes of default_grid."""
-    return coupled.solve_pass(prof, dhym.default_grid(prof.sol)[1:-1])
+    """The SolvePass that solve and profile verify: all nodes of default_grid."""
+    return coupled.solve_pass(prof, dhym.default_grid(prof.sol))
 
 
-def residual_summary(prof, interior) -> dict:
+def residual_summary(prof, grid) -> dict:
     """Max-abs residuals of both equations plus all boundary errors.
 
-    The interior residuals are read from ``interior``, the verification_pass
-    of the solve; the boundary values are evaluated here.
+    The residuals are read from the interior nodes of ``grid``, the
+    verification_pass of the solve; the boundary values are evaluated here.
     """
     sol = prof.sol
     tgt_minus, tgt_plus = dhym.targets_of(sol)
-    # psi' at both ends from one 2-point evaluation is bitwise equal to two
-    # 0-d calls; psi and H stay 0-d calls, because as 2-point arrays they
-    # round differently
-    dpsi_minus, dpsi_plus = interior.dpsi_ends
+    dpsi_minus, dpsi_plus = coupled.end_slopes(prof)
+    # psi and H at the ends stay 0-d calls: there u**1.5 (u is a numpy
+    # scalar by then) runs libm's pow, where the grid's end nodes run numpy's
+    # SIMD pow, and the two differ in the last bit on some arguments
     out = {
-        "max_dhym_residual": float(np.abs(interior.ode_residual).max()),
-        "max_im_part": float(np.abs(interior.im_part).max()),
-        "max_scalar_residual": float(np.abs(interior.scalar_residual).max()),
+        "max_dhym_residual": float(np.abs(grid.ode_residual[1:-1]).max()),
+        "max_im_part": float(np.abs(grid.im_part[1:-1]).max()),
+        "max_scalar_residual": float(np.abs(grid.scalar_residual[1:-1]).max()),
         "boundary_err_minus": abs(dhym.eval_H(sol, sol.t_minus) - tgt_minus),
         "boundary_err_plus": abs(dhym.eval_H(sol, sol.t_plus) - tgt_plus),
         "psi_err_minus": abs(coupled.eval_psi(prof, sol.t_minus)),
@@ -191,8 +194,8 @@ def build_descriptor(prof, alpha_prime=None) -> dict:
     """
     sol = prof.sol
     s, b = sol.surface, sol.bundle
-    interior = verification_pass(prof)
-    pos = coupled.positivity_certificate(prof, interior)
+    grid = verification_pass(prof)
+    pos = coupled.positivity_certificate(prof, grid)
     d = {
         "k": s.k,
         "h": s.h,
@@ -226,7 +229,7 @@ def build_descriptor(prof, alpha_prime=None) -> dict:
         "positivity_min": pos.min_value,
         "positivity_argmin": pos.argmin,
     }
-    d.update(residual_summary(prof, interior))
+    d.update(residual_summary(prof, grid))
     return d
 
 
@@ -439,7 +442,79 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("large", "small"), required=True)
     p.add_argument("--alphas", type=_alphas, required=True)
 
+    for p in parser.commands.values():
+        p.grammar = _grammar(p)
     return parser
+
+
+def _grammar(p):
+    """What _parse reads of the subcommand parser p, from p's own actions.
+
+    A triple: the long option strings of p's one-value store actions and of
+    its switches (store_const, store_true), each mapped to its action; the
+    defaults by dest, in argparse's order of precedence; and the required
+    actions.  None if p declares anything that _parse does not follow (a
+    positional, a string default, a parser default, a mutually exclusive
+    group, an option that looks like a negative number); then every argv
+    of p goes to p.parse_args.
+    """
+    if p._defaults or p._mutually_exclusive_groups or p._has_negative_number_optionals:
+        return None
+    options, defaults = {}, {}
+    for a in p._actions:
+        if not a.option_strings or (isinstance(a.default, str)
+                                    and a.default is not argparse.SUPPRESS):
+            return None
+        if isinstance(a, argparse._StoreConstAction) or (
+                isinstance(a, argparse._StoreAction) and a.nargs is None):
+            options.update((o, a) for o in a.option_strings if o.startswith("--"))
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            defaults.setdefault(a.dest, a.default)
+    return options, defaults, {a for a in p._actions if a.required}
+
+
+def _parse(sub, argv):
+    """sub.parse_args(argv), read from sub's grammar (_grammar) when every
+    argument is an exact long spelling: ``--name value`` or ``--name=value``
+    for an option of one value, ``--name`` for a switch.
+
+    Any other argv goes to sub.parse_args as it is: -h, an abbreviation,
+    ``--``, a missing value, a value that starts with "-" and is not a
+    number by _Parser's pattern, a value that its type or choices reject,
+    an explicit value given to a switch, a missing required option.  So
+    argparse alone declares the grammar and writes help and usage errors.
+    """
+    if sub.grammar is None:
+        return sub.parse_args(argv)
+    options, defaults, required = sub.grammar
+    values, seen = dict(defaults), set()
+    rest = iter(argv)
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        action = options.get(name)
+        if action is None:
+            return sub.parse_args(argv)
+        if action.nargs == 0:  # a switch
+            if eq:
+                return sub.parse_args(argv)
+            value = action.const
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None or (value[:1] == "-"
+                                     and not sub._negative_number_matcher.match(value)):
+                    return sub.parse_args(argv)
+            try:
+                value = action.type(value) if action.type else value
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return sub.parse_args(argv)
+            if action.choices is not None and value not in action.choices:
+                return sub.parse_args(argv)
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return sub.parse_args(argv)
+    return argparse.Namespace(**values)
 
 
 #: The parser main uses, built by its first call.  build_parser itself
@@ -450,19 +525,20 @@ _PARSER = None
 def main(argv=None) -> int:
     """Run one subcommand; the parser is built once per process.
 
-    An argv that starts with a subcommand's name is parsed by that
-    subcommand's parser alone; the top-level parser would classify every
-    argument a second time.  Anything else (no arguments, -h, an unknown
-    command) goes through the top-level parser.  The subcommand ``name`` runs
-    the module's ``cmd_<name>``, looked up at call time, so that a wrapper
-    set on that attribute (perfbench/spans.py) is the one called.
+    An argv that starts with a subcommand's name is parsed against that
+    subcommand's parser alone (_parse); the top-level parser would classify
+    every argument a second time.  Anything else (no arguments, -h, an
+    unknown command) goes through the top-level parser.  The subcommand
+    ``name`` runs the module's ``cmd_<name>``, looked up at call time, so
+    that a wrapper set on that attribute (perfbench/spans.py) is the one
+    called.
     """
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = _PARSER.commands.get(argv[0]) if argv else None
-    args = sub.parse_args(argv[1:]) if sub else _PARSER.parse_args(argv)
+    args = _parse(sub, argv[1:]) if sub else _PARSER.parse_args(argv)
     try:
         return globals()[f"cmd_{argv[0] if sub else args.command}"](args)
     except NoSolutionError as exc:

@@ -67,10 +67,9 @@ class SolvePass:
     """A solve evaluated once on nodes t of its interval.
 
     From one radicand u and one root = sqrt(u) on t: H, psi, the ODE residual
-    of H and the imaginary part (both from one H and H'), and the scalar
-    residual; psi' and psi'' at (t_minus, t_plus) come from one 2-point
-    evaluation.  Each is bitwise what the public function gives on the same
-    points.
+    of H and the imaginary part (both from one H and H'), psi'' and the
+    scalar residual.  Each is bitwise what the public function gives on the
+    same points.
     """
 
     t: np.ndarray
@@ -78,9 +77,8 @@ class SolvePass:
     psi: np.ndarray
     ode_residual: np.ndarray
     im_part: np.ndarray
+    psi_pp: np.ndarray
     scalar_residual: np.ndarray
-    dpsi_ends: list
-    psi_pp_ends: list
 
 
 def beta_infinity(x: float, beta0: float) -> float:
@@ -227,12 +225,12 @@ ZOOM_ROUNDS = 6
 ZOOM_POINTS = 33
 
 
-def positivity_certificate(p: ProfilePoly, interior: SolvePass) -> PositivityReport:
+def positivity_certificate(p: ProfilePoly, grid: SolvePass) -> PositivityReport:
     """Certify psi > 0 on the open interior.
 
-    ``interior`` is the SolvePass of p on the interior nodes of
-    dhym.default_grid (cli.verification_pass).  The minimum of psi is found
-    by a scan of its psi, and the convexity test reads its psi'' at both
+    ``grid`` is the SolvePass of p on all nodes of dhym.default_grid
+    (cli.verification_pass).  The minimum of psi is found by a scan of its
+    psi on the interior nodes, and the convexity test reads its psi'' at both
     ends; only the zooms are evaluated here.  When the scan's minimum lies
     strictly between the first and the last node, its two neighbours
     bracket it and array zooms refine it; the reported minimum is the lowest
@@ -253,7 +251,7 @@ def positivity_certificate(p: ProfilePoly, interior: SolvePass) -> PositivityRep
     For alpha > 0 no such argument is available and the scan is reported
     instead.
     """
-    t, vals = interior.t, interior.psi
+    t, vals = grid.t[1:-1], grid.psi[1:-1]
     i = int(np.argmin(vals))
     min_value, argmin = float(vals[i]), float(t[i])
     if 0 < i < len(t) - 1:
@@ -269,8 +267,7 @@ def positivity_certificate(p: ProfilePoly, interior: SolvePass) -> PositivityRep
         return PositivityReport(method="Failed", min_value=min_value, argmin=argmin)
 
     if p.alpha <= 0.0:
-        pp_minus, pp_plus = interior.psi_pp_ends
-        if p.cR >= 0.0 and pp_minus > pp_plus:
+        if p.cR >= 0.0 and grid.psi_pp[0] > grid.psi_pp[-1]:
             return PositivityReport(
                 method="ConvexityCertified", min_value=min_value, argmin=argmin
             )
@@ -324,26 +321,33 @@ def solve_pass(p: ProfilePoly, t) -> SolvePass:
     are formed once, for every kernel that reads them.
     """
     sol = p.sol
-    ends = np.array([sol.t_minus, sol.t_plus])
     with np.errstate(divide="ignore", invalid="ignore"):
         u = radicand(sol, t)
         root = np.sqrt(u)
         t2, ts = t ** 2, t * sol.sin_theta
         H, Hp = H_pair_of(sol, t, root, ts)
-        u_ends = radicand(sol, ends)
-        root_ends = np.sqrt(u_ends)
-        t2_ends = ends ** 2
+        psi_pp = _psi_pp_of(p, t, u, root, t2)
         return SolvePass(
             t=t,
             H=H,
             psi=_psi_of(p, t, u, t2),
             ode_residual=ode_residual_of(sol, t, H, Hp, ts),
             im_part=phase_and_radius_of(sol, t, H, Hp, radius=False),
-            scalar_residual=_psi_pp_of(p, t, u, root, t2)
-            - _scalar_source(p, t, u, t2),
-            dpsi_ends=_psi_p_of(p, ends, root_ends, t2_ends).tolist(),
-            psi_pp_ends=_psi_pp_of(p, ends, u_ends, root_ends, t2_ends).tolist(),
+            psi_pp=psi_pp,
+            scalar_residual=psi_pp - _scalar_source(p, t, u, t2),
         )
+
+
+def end_slopes(p: ProfilePoly) -> tuple[float, float]:
+    """psi'(t_minus) and psi'(t_plus), on Python floats.
+
+    psi' takes only +, -, * and one square root, each correctly rounded, and
+    t^2 is t * t as numpy's t ** 2 forms it, so this is bitwise what an array
+    evaluation gives at the ends.
+    """
+    sol = p.sol
+    return tuple(_psi_p_of(p, t, math.sqrt(radicand(sol, t)), t * t)
+                 for t in (sol.t_minus, sol.t_plus))
 
 
 def phase_and_radius(

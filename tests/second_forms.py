@@ -270,10 +270,9 @@ def eval_psi_deriv(p, t, order=1):
 
 
 def certificate_pass(p):
-    """What positivity_certificate reads of a SolvePass, from eval_psi on the
-    interior nodes of dhym.default_grid and eval_psi_deriv at both ends; it
-    evaluates psi alone, so it serves profiles with perturbed coefficients too."""
-    t = dhym.default_grid(p.sol)[1:-1]
-    ends = np.array([p.sol.t_minus, p.sol.t_plus])
+    """What positivity_certificate reads of a SolvePass, from eval_psi and
+    eval_psi_deriv on the nodes of dhym.default_grid; it evaluates psi alone,
+    so it serves profiles with perturbed coefficients too."""
+    t = dhym.default_grid(p.sol)
     return SimpleNamespace(t=t, psi=coupled.eval_psi(p, t),
-                           psi_pp_ends=eval_psi_deriv(p, ends, 2).tolist())
+                           psi_pp=eval_psi_deriv(p, t, 2))

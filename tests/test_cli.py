@@ -1,5 +1,6 @@
 """End-to-end command-line checks (subprocess, exit codes, round-trips)."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -739,7 +740,9 @@ def test_residual_summary_matches_pointwise_calls():
         assert prof.sol == sol, (s, b)
         grid = np.linspace(sol.t_minus, sol.t_plus, 1001)
         assert dhym.default_grid(sol).tobytes() == grid.tobytes(), (s, b)
-        got = residual_summary(prof, verification_pass(prof))
+        vp = verification_pass(prof)
+        assert vp.t.tobytes() == grid.tobytes(), (s, b)
+        got = residual_summary(prof, vp)
         assert got == _pointwise_summary(s, b, sol, prof), (s, b, beta0)
         assert all(type(v) is float for v in got.values())
         branches.add(sol.cos_theta > 0.0)
@@ -813,8 +816,8 @@ def test_solve_poses_each_class_once(capsys):
     line, the unstable gate and the coefficients, plus the scaled class."""
     cases = [
         (FIG1, 1, 3),
-        # the input class, then its canonical form
-        (["--k", "1", "--h", "0", "--kprime", "5", "--k1", "1", "--k2", "-1"], 2, 3),
+        # a mirrored input is posed in its canonical form only
+        (["--k", "1", "--h", "0", "--kprime", "5", "--k1", "1", "--k2", "-1"], 1, 3),
         # the input class, then the scaled class
         ([*FIG1, "--alpha-prime", "0.5"], 2, 4),
     ]
@@ -1083,3 +1086,86 @@ def test_exit_code_contract(command, data):
             code = exc.code
     assert code in range(5), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+#: Tokens that _parse must hand to argparse: help, "--", abbreviations, an
+#: explicit value given to a switch, option-like and negative values, bare
+#: options and stray values.
+_NOISE = st.sampled_from([
+    "-h", "--help", "--", "--kprim", "--kp", "--al", "--be", "--complexified=1",
+    "--complexified=", "--allow-semistable=yes", "--out", "--out=-x", "--k1=",
+    "--k1", "--beta0", "--mode", "large", "medium", "-1e-4", "-.5", "-inf",
+    "-nan", "-1e", "-x", "--x", "-", "", "abc", "1", "0x10",
+])
+
+
+@st.composite
+def mutated_argv(draw, command):
+    """A cli_argv of command, without the command, with its ``--opt=value``
+    arguments split at random, one option name abbreviated, noise tokens
+    inserted, a stretch repeated and the last token dropped, each or none."""
+    argv = []
+    for arg in draw(cli_argv(command))[1:]:
+        name, eq, value = arg.partition("=")
+        argv += [name, value] if eq and draw(st.booleans()) else [arg]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(argv) - 1))
+        if argv[i].startswith("--"):
+            name, eq, value = argv[i].partition("=")
+            argv[i] = name[:draw(st.integers(3, len(name)))] + eq + value
+    for token in draw(st.lists(_NOISE, max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    if argv and draw(st.booleans()):
+        i = draw(st.integers(0, len(argv) - 1))
+        argv += argv[i:i + draw(st.integers(1, 4))]
+    if argv and draw(st.integers(0, 4)) == 0:
+        argv.pop()
+    return argv
+
+
+def _parse_outcome(parse, argv):
+    """(the Namespace as sorted items, or the exit code; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(sorted(vars(parse(list(argv))).items()))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_SUBCOMMANDS = build_parser().commands
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_parse_is_the_subcommands_parse_args(command, data):
+    """main's own reading of an argv gives what argparse gives: the same
+    Namespace, or the same exit code and text."""
+    sub = _SUBCOMMANDS[command]
+    argv = data.draw(mutated_argv(command), label="argv")
+    got = _parse_outcome(lambda a: cli._parse(sub, a), argv)
+    assert got == _parse_outcome(sub.parse_args, argv), argv
+
+
+_CANONICAL_ARGVS = [
+    ["check", *FIG1],
+    ["solve", *FIG1, "--beta0=0.5", "--alpha-prime", "0.5", "--allow-semistable"],
+    ["profile", *FIG1, "--samples", "11", "--allow-semistable"],
+    ["tke", "--k", "1", "--h", "0", "--kprime", "5", "--complexified", "--kpp=-3",
+     "--beta0", "0.5"],
+    ["figure2", "--k", "1", "--h", "0", "--kprime", "5", "--samples", "11"],
+    ["limits", *FIG1, "--mode", "large", "--alphas", "0.1,0.01"],
+]
+
+
+@pytest.mark.parametrize("argv", _CANONICAL_ARGVS, ids=[a[0] for a in _CANONICAL_ARGVS])
+def test_canonical_argv_does_not_reach_argparse(argv, monkeypatch, capsys):
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args!r}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    code, out, err = run_in_process(argv, capsys)
+    assert code == 0, err
+    assert out
