@@ -148,21 +148,23 @@ def verification_pass(prof) -> coupled.SolvePass:
 def residual_summary(prof, grid) -> dict:
     """Max-abs residuals of both equations plus all boundary errors.
 
-    The residuals are read from the interior nodes of ``grid``, the
-    verification_pass of the solve; the boundary values are evaluated here.
+    ``grid`` is the verification_pass of the solve.  The residuals are read
+    from its interior nodes, and H and psi' at t_minus and t_plus from its
+    first and last node; only psi at the ends is evaluated here.
     """
     sol = prof.sol
     tgt_minus, tgt_plus = dhym.targets_of(sol)
-    dpsi_minus, dpsi_plus = coupled.end_slopes(prof)
-    # psi and H at the ends stay 0-d calls: there u**1.5 (u is a numpy
-    # scalar by then) runs libm's pow, where the grid's end nodes run numpy's
-    # SIMD pow, and the two differ in the last bit on some arguments
+    dpsi_minus, dpsi_plus = float(grid.psi_p[0]), float(grid.psi_p[-1])
+    # psi at the ends stays a 0-d call: there u**1.5 (u is a numpy scalar by
+    # then) runs libm's pow, where the grid's end nodes run numpy's SIMD pow,
+    # and the two differ in the last bit on some arguments; it goes with the
+    # pow of _psi_of, t**3 and u**1.5 (ROADMAP item 20's psi half)
     out = {
         "max_dhym_residual": float(np.abs(grid.ode_residual[1:-1]).max()),
         "max_im_part": float(np.abs(grid.im_part[1:-1]).max()),
         "max_scalar_residual": float(np.abs(grid.scalar_residual[1:-1]).max()),
-        "boundary_err_minus": abs(dhym.eval_H(sol, sol.t_minus) - tgt_minus),
-        "boundary_err_plus": abs(dhym.eval_H(sol, sol.t_plus) - tgt_plus),
+        "boundary_err_minus": abs(float(grid.H[0]) - tgt_minus),
+        "boundary_err_plus": abs(float(grid.H[-1]) - tgt_plus),
         "psi_err_minus": abs(coupled.eval_psi(prof, sol.t_minus)),
         "psi_err_plus": abs(coupled.eval_psi(prof, sol.t_plus)),
         "slope_err_plus": abs(dpsi_plus + 2.0 * prof.beta0 * sol.t_plus),

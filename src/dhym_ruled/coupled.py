@@ -4,11 +4,11 @@ The profile lives in the exact five-element basis
 
     {1, t, t^2, t^3, (t^2 + C')^(3/2)},
 
-with t^2 + C' from dhym.radicand and hand-derived derivative rules through
-order four, so residuals of both coupled equations and the convexity-based
-positivity certificate are evaluated analytically, never by numerical
-differentiation.  The conical path (cone angle beta0 along the zero section)
-contains the smooth case as beta0 = 1.
+with t^2 + C' from dhym.radicand and hand-derived rules for psi' and psi'',
+so residuals of both coupled equations and the convexity-based positivity
+certificate are evaluated analytically, never by numerical differentiation.
+The conical path (cone angle beta0 along the zero section) contains the
+smooth case as beta0 = 1.
 """
 
 from __future__ import annotations
@@ -66,15 +66,16 @@ class PositivityReport:
 class SolvePass:
     """A solve evaluated once on nodes t of its interval.
 
-    From one radicand u and one root = sqrt(u) on t: H, psi, the ODE residual
-    of H and the imaginary part (both from one H and H'), psi'' and the
-    scalar residual.  Each is bitwise what the public function gives on the
-    same points.
+    From one radicand u and one root = sqrt(u) on t: H, psi, psi', the ODE
+    residual of H and the imaginary part (both from one H and H'), psi'' and
+    the scalar residual.  Each is bitwise what the public function gives on
+    the same points, and psi' what _psi_p_of gives on Python floats.
     """
 
     t: np.ndarray
     H: np.ndarray
     psi: np.ndarray
+    psi_p: np.ndarray
     ode_residual: np.ndarray
     im_part: np.ndarray
     psi_pp: np.ndarray
@@ -318,7 +319,8 @@ def solve_pass(p: ProfilePoly, t) -> SolvePass:
     No domain check: t must lie in [t_minus, t_plus].  It may include the
     ends, where H', the imaginary part and the scalar residual of a holder12
     solution divide by zero, so no warning is raised.  t^2 and t sin(theta)
-    are formed once, for every kernel that reads them.
+    are formed once, for every kernel that reads them.  cli.residual_summary
+    reads H and psi' at t_minus and t_plus from the first and last node.
     """
     sol = p.sol
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -331,23 +333,12 @@ def solve_pass(p: ProfilePoly, t) -> SolvePass:
             t=t,
             H=H,
             psi=_psi_of(p, t, u, t2),
+            psi_p=_psi_p_of(p, t, root, t2),
             ode_residual=ode_residual_of(sol, t, H, Hp, ts),
             im_part=phase_and_radius_of(sol, t, H, Hp, radius=False),
             psi_pp=psi_pp,
             scalar_residual=psi_pp - _scalar_source(p, t, u, t2),
         )
-
-
-def end_slopes(p: ProfilePoly) -> tuple[float, float]:
-    """psi'(t_minus) and psi'(t_plus), on Python floats.
-
-    psi' takes only +, -, * and one square root, each correctly rounded, and
-    t^2 is t * t as numpy's t ** 2 forms it, so this is bitwise what an array
-    evaluation gives at the ends.
-    """
-    sol = p.sol
-    return tuple(_psi_p_of(p, t, math.sqrt(radicand(sol, t)), t * t)
-                 for t in (sol.t_minus, sol.t_plus))
 
 
 def phase_and_radius(

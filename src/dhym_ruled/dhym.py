@@ -90,7 +90,9 @@ def _near_root(sol: Problem) -> bool:
 
 def _H_of(sol: Problem, t, root, ts):
     """Canonical-branch H at a checked t, from root = sqrt(t^2 + C') and
-    ts = t sin(theta)."""
+    ts = t sin(theta).  H and H' square ts as ts * ts: a power of a numpy
+    scalar runs libm's pow, which rounds apart from the product on some
+    arguments, and the product has the same bits at every shape."""
     sin_t, cos_t = sol.sin_theta, sol.cos_theta
     if cos_t > 0.0:
         # rationalized form: avoids the t*cos - sqrt(u) cancellation that
@@ -99,7 +101,7 @@ def _H_of(sol: Problem, t, root, ts):
         if _near_root(sol):
             num = (sol.t_minus - ts) * (sol.t_minus + ts) - sol.u_minus
         else:
-            num = -ts ** 2 - sol.Cprime
+            num = -(ts * ts) - sol.Cprime
         return num / (sin_t * (t * cos_t + root))
     return (t * cos_t - root) / sin_t
 
@@ -111,9 +113,9 @@ def _H_deriv_of(sol: Problem, t, root, ts):
     if cos_t > 0.0:
         # the numerator is cos^2 C' - (t sin)^2
         if _near_root(sol):
-            num = cos_t ** 2 * sol.u_minus - (cos_t * sol.t_minus) ** 2 - ts ** 2
+            num = cos_t ** 2 * sol.u_minus - (cos_t * sol.t_minus) ** 2 - ts * ts
         else:
-            num = cos_t ** 2 * sol.Cprime - ts ** 2
+            num = cos_t ** 2 * sol.Cprime - ts * ts
         return num / (sin_t * root * (cos_t * root + t))
     return (cos_t - t / root) / sin_t
 

@@ -38,7 +38,8 @@ from dhym_ruled.cli import (
 )
 
 from conftest import draw_stable
-from second_forms import certificate_pass, eval_psi_deriv, ode_residual_H, reverify
+from second_forms import (
+    certificate_pass, eval_H_deriv, eval_psi_deriv, ode_residual_H, reverify)
 
 BASE = [sys.executable, "-m", "dhym_ruled"]
 FIG1 = ["--k", "1", "--h", "0", "--kprime", "5", "--k1", "-1", "--k2", "1"]
@@ -775,6 +776,56 @@ def _posed_solve(s, b, beta0):
     pr = pose(s, b)
     s, b = pr.surface, pr.bundle
     return s, b, dhym.solve_dhym(s, b), coupled.conical_coefficients(s, b, beta0)
+
+
+#: solve --k 3 --h 1 --kprime=5.0 --complexified --kpp=-1.0106252218244185:
+#: t sin(theta) ** 2 by libm's pow rounds apart from the product at t_minus
+POW_SQUARE_CLASS = (*from_complexified(3, 1, 5.0, -1.0106252218244185), 1.0)
+
+
+def test_H_and_slopes_have_the_same_bits_at_every_shape():
+    """H, H', both parts of the phase, the scalar residual and psi' read the
+    same bits from a 0-d call, an array call and the verification pass, ends
+    included.  psi is left out: its t**3 and u**1.5 still round by shape
+    (ROADMAP item 20's psi half)."""
+    rng = np.random.default_rng(20261020)
+    forms = set()
+    for case in [*_descriptor_cases(), POW_SQUARE_CLASS]:
+        s, b, sol, prof = _posed_solve(*case)
+        forms.add((sol.cos_theta > 0.0, dhym._near_root(sol)))
+        ends = [sol.t_minus, sol.t_plus]
+        t = np.array([ends[0], *np.sort(rng.uniform(*ends, 20)), ends[1]])
+        calls = [
+            lambda t: dhym.eval_H(sol, t),
+            lambda t: eval_H_deriv(sol, t),
+            lambda t: coupled.phase_and_radius(prof, s, b, sol, t)[0],
+            lambda t: coupled.phase_and_radius(prof, s, b, sol, t)[1],
+            lambda t: coupled.scalar_residual(prof, s, b, t),
+        ]
+        # a holder12 solution's H' divides by zero at t_minus
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j, f in enumerate(calls):
+                pointwise = np.array([f(x) for x in t.tolist()])
+                assert pointwise.tobytes() == f(t).tobytes(), (case, j)
+        grid = verification_pass(prof)
+        H = [dhym.eval_H(sol, x) for x in ends]
+        assert grid.H[[0, -1]].tobytes() == np.array(H).tobytes(), case
+        slopes = [coupled._psi_p_of(prof, x, math.sqrt(dhym.radicand(sol, x)), x * x)
+                  for x in ends]
+        assert grid.psi_p[[0, -1]].tobytes() == np.array(slopes).tobytes(), case
+    assert forms == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_solve_and_profile_make_no_0d_H_call(monkeypatch, tmp_path, capsys):
+    """solve and profile read H at the ends from the verification pass."""
+    def refuse(*args):
+        raise AssertionError("a 0-d eval_H call")
+
+    monkeypatch.setattr(dhym, "eval_H", refuse)
+    out = tmp_path / "prof.csv"
+    for argv in (["solve", *FIG1], ["profile", *FIG1, "--out", str(out)]):
+        code, _, err = run_in_process(argv, capsys)
+        assert (code, err) == (0, ""), argv
 
 
 def test_descriptor_matches_separate_calls():

@@ -79,7 +79,22 @@ def test_same_outputs_lists_the_keys_that_differ(capsys):
     assert same_outputs.compare(parent, change) == 1
     out = capsys.readouterr().out.splitlines()
     i = out.index("differs: solve_mix solve --k 1")
-    assert out[i + 1:-1] == ["  beta_inf: 1.0 -> 1.0000000000000002  (1 ulp)"]
+    assert out[i + 1:-1] == [
+        "  beta_inf: 1.0 -> 1.0000000000000002  (1 ulp, |b - a| = 2.220446049250313e-16)"]
+
+
+def test_same_outputs_gives_the_size_of_a_move_across_zero():
+    """An ulp count across zero or a sign is large whatever the move; |b - a|
+    beside it gives its size."""
+    moves = same_outputs.key_differences(
+        [["boundary_err_minus", "5.551115123125783e-17"], ["slope_err_plus", "-1e-300"]],
+        [["boundary_err_minus", "0.0"], ["slope_err_plus", "1e-300"]],
+    )
+    assert moves == [
+        "  boundary_err_minus: 5.551115123125783e-17 -> 0.0"
+        "  (4363988038922010624 ulps, |b - a| = 5.551115123125783e-17)",
+        "  slope_err_plus: -1e-300 -> 1e-300  (237244095778645682 ulps, |b - a| = 2e-300)",
+    ]
 
 
 def test_ulps_and_raw_values():

@@ -21,12 +21,13 @@ digests in order), then the first differing operations.  Under a differing
 CLI operation it lists each ``key = value`` line of the output (a
 descriptor, ``check``, ``tke``, or a ``# key = value`` line of ``limits``)
 whose value differs, with both values and, for two floats, their distance
-in ulps.  Under a differing oracle task it gives both quadrature values and
-their relative distance, or an RK4 or extended-precision array's largest
-absolute difference (a second run of both trees lists the arrays of the
-differing tasks it shows), or the error either side raised; a last line
-gives the largest relative move of a quadrature value.  The exit code is 0
-when every operation is identical, 1 otherwise.
+in ulps and their absolute difference.  Under a differing oracle task it
+gives both quadrature values and their relative distance, or an RK4 or
+extended-precision array's largest absolute difference (a second run of
+both trees lists the arrays of the differing tasks it shows), or the error
+either side raised; a last line gives the largest relative move of a
+quadrature value.  The exit code is 0 when every operation is identical, 1
+otherwise.
 
 SEEDS is one seed or a range ``A-B``.  Without a spec, the set that a change
 to the solve path is checked on runs: ``solve_mix:21-24:60``,
@@ -226,8 +227,9 @@ def _array(text: str) -> np.ndarray:
 def key_differences(parent: list, change: list) -> list[str]:
     """One line per key whose value differs between two lists of (key, value)
     pairs: both values, and their distance when both are floats, relative
-    for an oracle ``value`` and in ulps otherwise; for two oracle arrays
-    (``values``), their largest absolute difference."""
+    for an oracle ``value`` and otherwise in ulps and as |b - a| (an ulp
+    count across zero or a sign says nothing of the size of the move); for
+    two oracle arrays (``values``), their largest absolute difference."""
     a, b = dict(parent), dict(change)
     lines = []
     for key in dict.fromkeys([*a, *b]):
@@ -247,8 +249,9 @@ def key_differences(parent: list, change: list) -> list[str]:
         if key == "value" and both:
             line += f"  (relative {relative_move(parent, change)!r})"
         elif both:
-            n = ulps(*both)
-            line += f"  ({n} ulp{'' if n == 1 else 's'})"
+            fa, fb = both
+            n = ulps(fa, fb)
+            line += f"  ({n} ulp{'' if n == 1 else 's'}, |b - a| = {abs(fb - fa)!r})"
         lines.append(line)
     return lines
 
