@@ -25,7 +25,6 @@ from .dhym import (
 )
 from .errors import (
     DegenerateClassError,
-    DegeneratePhaseError,
     DhymRuledError,
     DomainError,
     IntegrationError,
@@ -47,7 +46,6 @@ from .limits import (
 from .params import (
     BundleClass,
     CohClass,
-    Phase,
     Problem,
     StabilityClass,
     SurfaceParams,

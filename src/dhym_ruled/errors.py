@@ -13,10 +13,6 @@ class DegenerateClassError(ValidationError):
     """Bundle class with k1 = 0 or k2 = 0: the solvers divide by both."""
 
 
-class DegeneratePhaseError(DhymRuledError):
-    """The phase numerator vanishes, or sin(theta) = 0 where 1/sin is needed."""
-
-
 class NoSolutionError(DhymRuledError):
     """The stability inequality fails, so no solution exists.
 

@@ -14,10 +14,11 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DegenerateClassError, DegeneratePhaseError, ValidationError
+from .errors import DegenerateClassError, ValidationError
 
 #: Semistable half-band, the exit-code contract: margins within rounding of 0.
-#: It guards no accuracy, as H(t_minus) is exact for every margin (u_minus).
+#: It guards no accuracy: H(t_minus) is exact to rounding wherever the
+#: double-precision margin is accurate (u_minus).
 STABILITY_TOL = 1e-12
 
 
@@ -64,25 +65,6 @@ class StabilityClass(enum.Enum):
     STABLE = "Stable"
     SEMISTABLE = "Semistable"
     UNSTABLE = "Unstable"
-
-
-@dataclass(frozen=True)
-class Phase:
-    """The constant phase, stored as a (cos, sin) pair.
-
-    The angle itself is never materialized: every closed form downstream uses
-    only cos, sin and cot.  r_hat is the average radius.
-    """
-
-    cos_theta: float
-    sin_theta: float
-    r_hat: float
-
-    @property
-    def cot_theta(self) -> float:
-        if self.sin_theta == 0.0:
-            raise DegeneratePhaseError("sin(theta) = 0: cot undefined")
-        return self.cos_theta / self.sin_theta
 
 
 @dataclass(frozen=True)
@@ -152,14 +134,13 @@ def classify(margin: float) -> StabilityClass:
     return StabilityClass.STABLE if margin > 0 else StabilityClass.UNSTABLE
 
 
-def phase_constant(b: BundleClass) -> Phase:
-    """Phase of the class pairing: (cos, sin) = (1 - k1^2 + k2^2, -2 k1)/r_hat."""
+def phase_constant(b: BundleClass) -> tuple[float, float, float]:
+    """(cos, sin, r_hat) of the class pairing: (cos, sin) = (1 - k1^2 + k2^2,
+    -2 k1)/r_hat, where r_hat^2 = (1 + (k1+k2)^2)(1 + (k1-k2)^2) >= 1."""
     re = 1.0 - b.k1 ** 2 + b.k2 ** 2
     im = -2.0 * b.k1
     r_hat = math.hypot(re, im)
-    if r_hat == 0.0:
-        raise DegeneratePhaseError("phase numerator vanishes")
-    return Phase(cos_theta=re / r_hat, sin_theta=im / r_hat, r_hat=r_hat)
+    return re / r_hat, im / r_hat, r_hat
 
 
 @dataclass(frozen=True)
@@ -168,12 +149,13 @@ class Problem:
     unstable gate of dhym.solve_dhym it is the solution H itself.
 
     ``bundle`` is the canonical (k1 < 0) class with its conjugation flag, and
-    (cos_theta, sin_theta, r_hat) is its Phase (sin_theta > 0).
+    (cos_theta, sin_theta, r_hat) is its phase_constant (sin_theta > 0).
     s_hat = 2 x s_sigma + 2 is the average scalar curvature of the surface.
     C is the integration constant of the separated ODE and
     C' = C sin(theta).  [t_minus, t_plus] is the momentum interval
     [1/x - 1, 1/x + 1], and u_minus = t_minus^2 + C' = (margin / (x r_hat))^2
-    without cancellation, so H(t_minus) is exact for every margin.
+    without cancellation, so H(t_minus) is exact to rounding wherever the
+    double-precision margin is accurate.
     regularity is "smooth" in the strictly stable case and "holder12" in the
     semistable one, where t^2 + C' vanishes at t_minus and H only extends
     with Hoelder exponent 1/2 there.
@@ -220,22 +202,22 @@ def pose(s: SurfaceParams, b: BundleClass) -> Problem:
     x = s.x
     try:
         margin = stability_margin(s, b)
-        phase = phase_constant(b)
+        cos_t, sin_t, r_hat = phase_constant(b)
         num = -2.0 * b.k2 * (
             1.0 + (b.k1 + b.k2) ** 2 - x ** 2 - (b.k1 - b.k2) ** 2 * x ** 2
         )
-        C = num / (x ** 2 * phase.r_hat)
+        C = num / (x ** 2 * r_hat)
         # t_minus^2 + C' = margin^2 / (x^2 A B), and r_hat^2 = A B
-        u_minus = (margin / (x * phase.r_hat)) ** 2
+        u_minus = (margin / (x * r_hat)) ** 2
         t_minus = 1.0 / x - 1.0
         t_plus = 1.0 / x + 1.0
         # the coupling constant, the radical coefficient, d0, d1 and
         # phi = psi/(2t) divide by these
-        divisors = (b.k2 ** 2 * x, phase.sin_theta ** 3, x ** 3,
+        divisors = (b.k2 ** 2 * x, sin_t ** 3, x ** 3,
                     b.k1 * b.k2 * x ** 2, t_minus)
         # (t_plus^2 + |C|)^1.5 bounds the largest basis term of the profile
         in_range = 0.0 not in divisors and all(
-            map(math.isfinite, (margin, phase.r_hat, C, (t_plus ** 2 + abs(C)) ** 1.5))
+            map(math.isfinite, (margin, r_hat, C, (t_plus ** 2 + abs(C)) ** 1.5))
         )
     except (OverflowError, ZeroDivisionError):
         in_range = False
@@ -245,10 +227,10 @@ def pose(s: SurfaceParams, b: BundleClass) -> Problem:
             " double-precision range"
         )
     return Problem(
-        surface=s, bundle=b, cos_theta=phase.cos_theta, sin_theta=phase.sin_theta,
-        r_hat=phase.r_hat, s_hat=2.0 * x * s.s_sigma + 2.0,
+        surface=s, bundle=b, cos_theta=cos_t, sin_theta=sin_t,
+        r_hat=r_hat, s_hat=2.0 * x * s.s_sigma + 2.0,
         margin=margin, stability=classify(margin),
-        C=C, Cprime=C * phase.sin_theta, u_minus=u_minus, t_minus=t_minus,
+        C=C, Cprime=C * sin_t, u_minus=u_minus, t_minus=t_minus,
         t_plus=t_plus,
     )
 
@@ -271,11 +253,13 @@ def intersection_pairing(u: CohClass, v: CohClass, k: int) -> float:
 def jy_class(s: SurfaceParams, b: BundleClass) -> tuple[CohClass, bool]:
     """Class of cot(theta)*omega - F and whether it lies in the Kaehler cone.
 
-    Positivity of this class is equivalent to the strict stability
-    inequality.
+    Both are those of the reduced (k1 < 0) class that ``pose`` fixes, so a
+    class and its mirror (-k1, -k2) give the same answer.  Positivity of
+    this class is equivalent to the strict stability inequality.
     """
-    cot = phase_constant(b).cot_theta
-    omega, f = cohomology_classes(s, b)
+    pr = pose(s, b)
+    cot = pr.cos_theta / pr.sin_theta
+    omega, f = cohomology_classes(s, pr.bundle)
     cls = CohClass(a=cot * omega.a - f.a, b=cot * omega.b - f.b)
     return cls, (cls.a > 0 and cls.b > 0)
 

@@ -372,7 +372,7 @@ def test_phase_and_radius(figure1):
         assert np.all(re > 0)
         # weighted average of the pointwise radius is the topological radius
         avg = average_radius_quadrature(s, b, sol, p)
-        assert avg == pytest.approx(phase_constant(b).r_hat, rel=1e-9)
+        assert avg == pytest.approx(phase_constant(b)[2], rel=1e-9)
 
 
 def test_validation():

@@ -14,6 +14,9 @@ constants.
 
 The independent numerics (oracle.py) import nothing of the package but its
 errors, and no module imports a package module inside a function.
+
+params.pose is the one place a class is classified and phased: no other
+function of src/ calls the functions that do it.
 """
 
 import ast
@@ -35,6 +38,10 @@ PAPER_CLAIMS = {
     "jy_class",  # the class cot(theta) omega - F and its positivity
     "intersection_pairing",  # the intersection pairing of (1,1) classes
 }
+
+
+#: The stages of params.pose, which only pose calls.
+POSE_STAGES = {"phase_constant", "stability_margin", "classify"}
 
 
 def _parse(path):
@@ -159,3 +166,45 @@ def test_the_import_scan_sees_every_form(tmp_path):
     )
     assert list(_package_imports(_parse(tmp_path / "m.py"))) == [
         ".coupled", ".errors", "dhym_ruled.dhym", "dhym_ruled.params"]
+
+
+def calls_outside_pose(package=PACKAGE):
+    """'module.function: name' of each call of a POSE_STAGES name, by name or
+    as an attribute, that does not lie in params.pose."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for stmt in _parse(path).body:
+            owner = f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+            if owner == "params.pose":
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name in POSE_STAGES:
+                        found.append(f"{owner}: {name}")
+    return found
+
+
+def test_only_pose_classifies_and_phases_a_class():
+    found = calls_outside_pose()
+    assert not found, found
+
+
+def test_the_pose_scan_sees_every_call(tmp_path):
+    (tmp_path / "params.py").write_text(
+        "def pose(s, b):\n"
+        "    return phase_constant(b), classify(stability_margin(s, b))\n"
+        "def jy_class(s, b):\n"
+        "    return phase_constant(b)\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from .params import classify, phase_constant  # noqa: F401\n"
+        "from . import params\n"
+        "MARGIN = params.stability_margin(1, 2)\n"
+        "def check(m):\n"
+        "    return [params.classify(m) for _ in ()]\n"
+    )
+    assert calls_outside_pose(tmp_path) == [
+        "cli.<module>: stability_margin", "cli.check: classify",
+        "params.jy_class: phase_constant"]

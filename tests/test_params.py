@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dhym_ruled import (
     BundleClass,
     DegenerateClassError,
-    DegeneratePhaseError,
     StabilityClass,
     ValidationError,
     bfield_alpha,
@@ -24,10 +23,12 @@ from dhym_ruled import (
     make_surface,
     phase_constant,
     pose,
+    smooth_alpha,
     stability_margin,
+    tke,
 )
 
-from conftest import draw_class, draw_surface
+from conftest import draw_class, draw_stable, draw_surface
 
 
 def test_surface_derived_quantities():
@@ -85,20 +86,20 @@ def test_stability_margin_and_classify(figure1):
 
 
 def test_phase_constant_showcase():
-    p = phase_constant(BundleClass(k1=-1.0, k2=1.0))
-    assert p.cos_theta == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
-    assert p.sin_theta == pytest.approx(2.0 / math.sqrt(5.0), rel=1e-14)
-    assert p.r_hat == pytest.approx(math.sqrt(5.0), rel=1e-14)
+    cos_t, sin_t, r_hat = phase_constant(BundleClass(k1=-1.0, k2=1.0))
+    assert cos_t == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
+    assert sin_t == pytest.approx(2.0 / math.sqrt(5.0), rel=1e-14)
+    assert r_hat == pytest.approx(math.sqrt(5.0), rel=1e-14)
     # mirrored class: cosine equal, sine negated
-    pm = phase_constant(BundleClass(k1=1.0, k2=1.0))
-    pp = phase_constant(BundleClass(k1=-1.0, k2=-1.0))
-    assert pm.cos_theta == pytest.approx(pp.cos_theta, rel=1e-14)
-    assert pm.sin_theta == pytest.approx(-pp.sin_theta, rel=1e-14)
+    cos_m, sin_m, _ = phase_constant(BundleClass(k1=1.0, k2=1.0))
+    cos_p, sin_p, _ = phase_constant(BundleClass(k1=-1.0, k2=-1.0))
+    assert cos_m == pytest.approx(cos_p, rel=1e-14)
+    assert sin_m == pytest.approx(-sin_p, rel=1e-14)
     # k2 = 0 phase is defined even though solvers reject the class
-    p0 = phase_constant(BundleClass(k1=-1.0, k2=0.0))
-    assert p0.cos_theta == pytest.approx(0.0, abs=1e-15)
-    assert p0.sin_theta == pytest.approx(1.0, rel=1e-14)
-    assert p0.r_hat == pytest.approx(2.0, rel=1e-14)
+    cos_0, sin_0, r_0 = phase_constant(BundleClass(k1=-1.0, k2=0.0))
+    assert cos_0 == pytest.approx(0.0, abs=1e-15)
+    assert sin_0 == pytest.approx(1.0, rel=1e-14)
+    assert r_0 == pytest.approx(2.0, rel=1e-14)
 
 
 def test_s_hat():
@@ -115,12 +116,12 @@ def test_s_hat():
 )
 def test_phase_properties(k1, k2, s1, s2):
     b = BundleClass(k1=s1 * k1, k2=s2 * k2)
-    p = phase_constant(b)
-    assert p.cos_theta ** 2 + p.sin_theta ** 2 == pytest.approx(1.0, abs=1e-14)
+    cos_t, sin_t, r_hat = phase_constant(b)
+    assert cos_t ** 2 + sin_t ** 2 == pytest.approx(1.0, abs=1e-14)
     # r_hat^2 agrees with the factorized form
     fact = (1.0 + (b.k1 + b.k2) ** 2) * (1.0 + (b.k1 - b.k2) ** 2)
-    assert p.r_hat ** 2 == pytest.approx(fact, rel=1e-12)
-    assert math.copysign(1.0, p.sin_theta) == -math.copysign(1.0, b.k1)
+    assert r_hat ** 2 == pytest.approx(fact, rel=1e-12)
+    assert math.copysign(1.0, sin_t) == -math.copysign(1.0, b.k1)
 
 
 def test_cohomology_classes(figure1):
@@ -163,17 +164,44 @@ def test_jy_class_iff_stable(rng):
         margin = stability_margin(s, canonicalize(b))
         if abs(margin) < 1e-9:
             continue
-        _, positive = jy_class(s, b)
-        assert positive == (margin > 0)
+        got = jy_class(s, b)
+        assert got[1] == (margin > 0)
+        # the answer is that of the reduced class, so the mirror's is the same
+        assert jy_class(s, BundleClass(k1=-b.k1, k2=-b.k2)) == got
         hits += 1
     assert hits >= 1000
 
 
 @pytest.mark.parametrize("k1", [0.0, -0.0])
 def test_jy_class_rejects_zero_sine(k1):
-    """k1 = 0 puts the phase on the real axis, where cot(theta) is undefined."""
-    with pytest.raises(DegeneratePhaseError, match="sin"):
+    """k1 = 0 puts the phase on the real axis, where cot(theta) is undefined;
+    the class is rejected as degenerate, as in every solver."""
+    with pytest.raises(DegenerateClassError, match="k1 = 0"):
         jy_class(make_surface(1, 0, 5), BundleClass(k1=k1, k2=1.0))
+
+
+def test_class_functions_agree_on_a_class_and_its_mirror(rng):
+    """A class and its mirror (-k1, -k2) give bitwise the same value in each
+    class-level paper function: it reads the reduced (k1 < 0) class that
+    pose fixes, or is even in (k1, k2).  draw_class draws only k1 < 0, so
+    no other test passes a mirror."""
+    for _ in range(300):
+        s, b = draw_stable(rng)
+        beta0 = float(rng.uniform(0.1, 1.0))
+
+        def values(c):
+            return (
+                stability_margin(s, c),
+                conical_alpha(s, c, beta0),
+                smooth_alpha(s, c),
+                tke.F_value(c),
+                tke.condition_residual(s, c, beta0),
+                tke.analyze(s, c, beta0),
+                jy_class(s, c),
+            )
+
+        # repr is bitwise on floats: it tells -0.0 from 0.0
+        assert repr(values(BundleClass(k1=-b.k1, k2=-b.k2))) == repr(values(b))
 
 
 def test_from_complexified():
