@@ -455,18 +455,12 @@ def _grammar(p):
     A triple: the long option strings of p's one-value store actions and of
     its switches (store_const, store_true), each mapped to its action; the
     defaults by dest, in argparse's order of precedence; and the required
-    actions.  None if p declares anything that _parse does not follow (a
-    positional, a string default, a parser default, a mutually exclusive
-    group, an option that looks like a negative number); then every argv
-    of p goes to p.parse_args.
+    actions.  That is all of p's grammar, as p declares no positional, string
+    default, parser default, mutually exclusive group or option that looks
+    like a negative number (tests/test_cli.py guards every subcommand).
     """
-    if p._defaults or p._mutually_exclusive_groups or p._has_negative_number_optionals:
-        return None
     options, defaults = {}, {}
     for a in p._actions:
-        if not a.option_strings or (isinstance(a.default, str)
-                                    and a.default is not argparse.SUPPRESS):
-            return None
         if isinstance(a, argparse._StoreConstAction) or (
                 isinstance(a, argparse._StoreAction) and a.nargs is None):
             options.update((o, a) for o in a.option_strings if o.startswith("--"))
@@ -486,8 +480,6 @@ def _parse(sub, argv):
     an explicit value given to a switch, a missing required option.  So
     argparse alone declares the grammar and writes help and usage errors.
     """
-    if sub.grammar is None:
-        return sub.parse_args(argv)
     options, defaults, required = sub.grammar
     values, seen = dict(defaults), set()
     rest = iter(argv)

@@ -89,48 +89,55 @@ def _fit_order(x: np.ndarray, err: np.ndarray) -> float:
     return float(np.polyfit(np.log(x[mask]), np.log(err[mask]), 1)[0])
 
 
+def _convergence(fam: ScaledFamily, limit, x) -> tuple:
+    """What both limit checks share, on the 401-node grid t of the interval
+    all members share: each member's H, evaluated once; its sup error, of
+    sign * H/alpha' (sign = -1 for a conjugated family, whose eval_H is
+    mirrored) against limit(t), the reduced (k1 < 0) class's limit; and its
+    coupling alpha'^2 alpha.  Returns t, the H arrays, the couplings and a
+    report with the order fitted in x, to which each check adds its constants.
+    """
+    pr = fam.base
+    t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
+    target = limit(t)
+    Hs = [eval_H(prof.sol, t) for prof in fam.solutions]
+    err = [float(np.max(np.abs(pr.sign * H / a - target)))
+           for a, H in zip(fam.alphas, Hs)]
+    report = ConvergenceReport(fam.alphas, tuple(err), _fit_order(x, np.asarray(err)))
+    couplings = tuple(a ** 2 * p.alpha for a, p in zip(fam.alphas, fam.solutions))
+    return t, Hs, couplings, report
+
+
 def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
-    """Convergence of H/alpha' to its affine-plus-1/t limit as alpha' -> 0.
+    """Convergence of H/alpha' to H0(t) = k1 t + (k2/t)(1/x^2 - 1) as alpha' -> 0.
 
     Also reports the limit coupling constant recovered from the per-sample
     couplings, the sup-norm decay of the scaled potentials, and the
     t-independence of the limit trace (the Hermitian Yang-Mills datum).
-    Each member's H is evaluated once, on the interval all members share, and
-    sign * H/alpha' (sign = -1 for a conjugated family, whose eval_H is
-    mirrored) is compared with the reduced (k1 < 0) class's limit; nu_sup is
-    the sup of |nu/alpha'|, nu = sign * (alpha' k1 t + (alpha' k2/t)(1 - x^2)/x^2) - H.
+    nu_sup is the sup of |nu/alpha'|, where
+    nu = sign * (alpha' k1 t + (alpha' k2/t)(1 - x^2)/x^2) - H.
     """
     pr = fam.base
     s, b = pr.surface, pr.bundle
     x = s.x
-    sign = pr.sign
-    t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
-    target = b.k1 * t + (b.k2 / t) * (1.0 / x ** 2 - 1.0)
-    sup_errors = []
-    nu_sup = []
-    alpha_scaled = []
-    for a, prof in zip(fam.alphas, fam.solutions):
-        H = eval_H(prof.sol, t)
-        sup_errors.append(float(np.max(np.abs(sign * H / a - target))))
-        nu = sign * (a * b.k1 * t + (a * b.k2 / t) * (1.0 - x ** 2) / x ** 2) - H
-        nu_sup.append(float(np.max(np.abs(nu / a))))
-        alpha_scaled.append(a ** 2 * prof.alpha)
-    order = _fit_order(np.asarray(fam.alphas), np.asarray(sup_errors))
+    w = 1.0 / x ** 2 - 1.0
 
-    alpha_tilde = (-2.0 + s.s_sigma * x) / (2.0 * b.k2 ** 2)
+    def H0(t):
+        return b.k1 * t + (b.k2 / t) * w
 
+    t, Hs, couplings, report = _convergence(fam, H0, np.asarray(fam.alphas))
+    nu = [pr.sign * (a * b.k1 * t + (a * b.k2 / t) * (1.0 - x ** 2) / x ** 2) - H
+          for a, H in zip(fam.alphas, Hs)]
     # trace of the limit curvature against the limit metric, pointwise in t
     tm = np.linspace(pr.t_minus, pr.t_plus, 11)
-    H0 = b.k1 * tm + (b.k2 / tm) * (1.0 / x ** 2 - 1.0)
-    H0p = b.k1 - (b.k2 / tm ** 2) * (1.0 / x ** 2 - 1.0)
-    mu = (H0 + tm * H0p) / tm
-    constants = {
-        "alpha_tilde": alpha_tilde,
-        "alpha_tilde_estimates": tuple(alpha_scaled),
-        "nu_sup": tuple(nu_sup),
-        "mu_mean": float(np.mean(mu)),
-        "mu_spread": float(np.max(mu) - np.min(mu)),
-    }
+    mu = (H0(tm) + tm * (b.k1 - (b.k2 / tm ** 2) * w)) / tm
+    report.constants.update(
+        alpha_tilde=(-2.0 + s.s_sigma * x) / (2.0 * b.k2 ** 2),
+        alpha_tilde_estimates=couplings,
+        nu_sup=tuple(float(np.max(np.abs(n / a))) for a, n in zip(fam.alphas, nu)),
+        mu_mean=float(np.mean(mu)),
+        mu_spread=float(np.max(mu) - np.min(mu)),
+    )
     # sup-norm Cauchy gap between the two smallest scale samples; evaluated
     # in extended precision because the double evaluation of the basis loses
     # all significance at strong scalings.  That evaluation rejects classes
@@ -147,13 +154,8 @@ def large_radius_check(fam: ScaledFamily) -> ConvergenceReport:
             gap = float(np.max(np.abs(vals[0] - vals[1])))
         except ValueError:
             gap = math.nan
-        constants["profile_cauchy_gap"] = gap
-    return ConvergenceReport(
-        alphas=fam.alphas,
-        sup_errors=tuple(sup_errors),
-        order=order,
-        constants=constants,
-    )
+        report.constants["profile_cauchy_gap"] = gap
+    return report
 
 
 def small_radius_constants(pr: Problem):
@@ -196,17 +198,9 @@ def small_radius_check(fam: ScaledFamily) -> ConvergenceReport:
     s, b = pr.surface, pr.bundle
     C_hat, branch, K = small_radius_constants(pr)
     gamma = (b.k1 ** 2 - b.k2 ** 2) / (2.0 * b.k1)
-    sign = pr.sign
-    t = np.linspace(pr.t_minus, pr.t_plus, _SUP_GRID)
-    target = gamma * K(t)
-    sup_errors = []
-    alpha_scaled = []
-    for a, prof in zip(fam.alphas, fam.solutions):
-        H = eval_H(prof.sol, t)
-        sup_errors.append(float(np.max(np.abs(sign * H / a - target))))
-        alpha_scaled.append(a ** 2 * prof.alpha)
-    inv_alphas = 1.0 / np.asarray(fam.alphas)
-    order = _fit_order(inv_alphas, np.asarray(sup_errors))
+    _, _, couplings, report = _convergence(
+        fam, lambda t: gamma * K(t), 1.0 / np.asarray(fam.alphas)
+    )
 
     # ratio of the two limit wedge powers, pointwise in t: must be constant
     t = np.linspace(pr.t_minus, pr.t_plus, 13)[1:-1]
@@ -219,22 +213,16 @@ def small_radius_check(fam: ScaledFamily) -> ConvergenceReport:
         Hlp = gamma * (C_hat / (R * (R + t)))
         num = gamma * (-C_hat ** 2 / (R * (R + t) ** 2))
     c1 = num / (2.0 * Hl * Hlp)
-    alpha_scaled_limit = (
-        abs(b.k1 ** 2 - b.k2 ** 2)
-        * (-2.0 + s.s_sigma * s.x)
-        / (2.0 * (b.k1 - b.k2) ** 2 * b.k2 ** 2)
+    report.constants.update(
+        C_hat=C_hat,
+        branch=branch,
+        c1_mean=float(np.mean(c1)),
+        c1_spread_rel=float((np.max(c1) - np.min(c1)) / abs(np.mean(c1))),
+        alpha_scaled_estimates=couplings,
+        alpha_scaled_limit=(
+            abs(b.k1 ** 2 - b.k2 ** 2)
+            * (-2.0 + s.s_sigma * s.x)
+            / (2.0 * (b.k1 - b.k2) ** 2 * b.k2 ** 2)
+        ),
     )
-    constants = {
-        "C_hat": C_hat,
-        "branch": branch,
-        "c1_mean": float(np.mean(c1)),
-        "c1_spread_rel": float((np.max(c1) - np.min(c1)) / abs(np.mean(c1))),
-        "alpha_scaled_estimates": tuple(alpha_scaled),
-        "alpha_scaled_limit": alpha_scaled_limit,
-    }
-    return ConvergenceReport(
-        alphas=fam.alphas,
-        sup_errors=tuple(sup_errors),
-        order=order,
-        constants=constants,
-    )
+    return report

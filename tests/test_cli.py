@@ -70,18 +70,37 @@ def test_check_unstable():
     assert "Unstable" in r.stdout
 
 
-def test_check_prints_the_mirror_flag(capsys):
-    """check reports the reduced class's data, so a mirrored input differs
-    from its reduced form only in the conjugated line, as in solve."""
-    outs = []
-    for k1, k2 in (("1.0", "-1.0"), ("-1.0", "1.0")):
-        code, out, err = run_in_process(
-            ["check", "--k", "1", "--kprime", "5.0", f"--k1={k1}", f"--k2={k2}"], capsys)
-        assert (code, err) == (0, "")
-        outs.append(out.splitlines())
-    assert [(a, b) for a, b in zip(*outs) if a != b] == [
-        ("conjugated = True", "conjugated = False")]
-    assert len(outs[0]) == len(outs[1])
+#: Figure 1 and seeded stable classes, reduced (k1 < 0) as drawn.
+_MIRROR_RNG = np.random.default_rng(74)
+_MIRROR_CASES = [(make_surface(1, 0, 5), BundleClass(k1=-1.0, k2=1.0)),
+                 *(draw_stable(_MIRROR_RNG) for _ in range(12))]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("check", []), ("solve", []), ("solve", ["--beta0=0.4"]),
+    ("profile", ["--samples=301"])], ids=["check", "solve", "solve-conical", "profile"])
+def test_check_prints_the_mirror_flag(command, extra, capsys):
+    """check and solve report the reduced class's data, so a mirrored input's
+    output differs from its reduced form's only in the conjugated line; a
+    mirrored profile table differs only in H and im_residual, each the
+    negation of the reduced class's value, an exact zero printed alike."""
+    for s, b in _MIRROR_CASES:
+        mirror = BundleClass(k1=-b.k1, k2=-b.k2)
+        (code, out, err), (mcode, mout, merr) = (
+            run_in_process([command, *_class_argv(s, c), *extra], capsys)
+            for c in (b, mirror))
+        assert (code, err) == (mcode, merr) == (0, ""), (s, b, err)
+        rows, mrows = out.splitlines(), mout.splitlines()
+        assert len(rows) == len(mrows)
+        if command != "profile":
+            assert [(m, r) for m, r in zip(mrows, rows) if m != r] == [
+                ("conjugated = True", "conjugated = False")], (s, b)
+            continue
+        assert rows[0] == mrows[0] == "t,phi,psi,H,im_residual,scalar_residual"
+        for row, mrow in zip(rows[1:], mrows[1:]):
+            for i, (r, m) in enumerate(zip(row.split(","), mrow.split(","))):
+                want = repr(-float(r)) if i in (3, 4) and float(r) != 0.0 else r
+                assert m == want, (s, b, row, mrow)
 
 
 def test_degenerate_class_usage_error():
@@ -1198,6 +1217,43 @@ def test_parse_is_the_subcommands_parse_args(command, data):
     argv = data.draw(mutated_argv(command), label="argv")
     got = _parse_outcome(lambda a: cli._parse(sub, a), argv)
     assert got == _parse_outcome(sub.parse_args, argv), argv
+
+
+def _unfollowed(p):
+    """What of parser p's declaration cli._grammar does not read."""
+    found = [kind for kind, declared in (
+        ("parser default", p._defaults),
+        ("mutually exclusive group", p._mutually_exclusive_groups),
+        ("negative-number option", p._has_negative_number_optionals)) if declared]
+    for a in p._actions:
+        if not a.option_strings:
+            found.append("positional")
+        elif isinstance(a.default, str) and a.default is not argparse.SUPPRESS:
+            found.append("string default")
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_parse_reads_the_whole_declaration(command):
+    """_parse reads a subcommand's argv from _grammar alone, so every
+    subcommand parser declares only what _grammar reads."""
+    assert _unfollowed(_SUBCOMMANDS[command]) == []
+
+
+@pytest.mark.parametrize("kind, declare", [
+    ("parser default", lambda p: p.set_defaults(out=None)),
+    ("mutually exclusive group",
+     lambda p: p.add_mutually_exclusive_group().add_argument("--quiet", action="store_true")),
+    ("negative-number option", lambda p: p.add_argument("-1", dest="one")),
+    ("positional", lambda p: p.add_argument("name")),
+    ("string default", lambda p: p.add_argument("--name", default="1")),
+])
+def test_the_declaration_guard_trips(kind, declare):
+    p = cli._Parser(prog="synthetic")
+    p.add_argument("--k", type=int, required=True)
+    assert _unfollowed(p) == []
+    declare(p)
+    assert _unfollowed(p) == [kind]
 
 
 _CANONICAL_ARGVS = [
