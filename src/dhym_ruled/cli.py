@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import math
 import os
 import re
@@ -239,30 +240,30 @@ _DESCRIPTOR_HEAD = ("# coupled-solution descriptor; classes in [./(2 pi)] basis,
                     "# floats serialized via repr (lossless round-trip)\n")
 
 
+def _key_lines(pairs, prefix: str = "") -> str:
+    """A ``key = repr(value)`` line per (key, value) pair, after prefix: the
+    line shape of the solve, tke, limits and figure2 reports."""
+    return "".join([f"{prefix}{k} = {v!r}\n" for k, v in pairs])
+
+
 def format_descriptor(d: dict) -> str:
     # every value of build_descriptor is a builtin, so its repr round-trips
-    return _DESCRIPTOR_HEAD + "".join([f"{k} = {v!r}\n" for k, v in d.items()])
+    return _DESCRIPTOR_HEAD + _key_lines(d.items())
 
 
 def parse_descriptor(text: str) -> dict:
-    """Inverse of format_descriptor (bitwise-exact for floats)."""
+    """Inverse of _key_lines, bitwise for floats; blank and # lines are skipped.
+    A value is read by ast.literal_eval, or by float for nan and +-inf."""
     out = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, val = line.partition(" = ")
-        if val == "None":
-            out[key] = None
-        elif val in ("True", "False"):
-            out[key] = val == "True"
-        elif val.startswith("'"):
-            out[key] = val.strip("'")
-        else:
-            try:
-                out[key] = int(val)
-            except ValueError:  # repr of a float, nan and inf included
-                out[key] = float(val)
+        try:
+            out[key] = ast.literal_eval(val)
+        except (ValueError, SyntaxError):
+            out[key] = float(val)
     return out
 
 
@@ -307,6 +308,7 @@ def _solve_pipeline(args):
 
 
 def cmd_check(args) -> int:
+    # not _key_lines: perfbench/checks._check reads the class name bare (= Stable)
     pr = _pose_args(args)
     cls = pr.stability
     om, f = cohomology_classes(pr.surface, pr.bundle)
@@ -354,20 +356,12 @@ def cmd_tke(args) -> int:
     s, b = pr.surface, pr.bundle
     if args.solve_beta:
         beta0 = tke.solve_beta0(s, b)
-        lines = [
-            f"beta0 = {beta0!r}",
-            f"condition_residual = {tke.condition_residual(s, b, beta0)!r}",
-        ]
+        pairs = [("beta0", beta0),
+                 ("condition_residual", tke.condition_residual(s, b, beta0))]
     else:
-        a = tke.analyze(s, b, args.beta0)
-        lines = [
-            f"gamma = {a.gamma!r}",
-            f"F_value = {a.F_value!r}",
-            f"H_at_1 = {a.H_at_1!r}",
-            f"beta_bar = {a.beta_bar!r}",
-            f"condition_residual = {a.condition_residual!r}",
-        ]
-    _write("\n".join(lines) + "\n", args.out)
+        # TkeAnalysis's fields, in the order the dataclass declares them
+        pairs = vars(tke.analyze(s, b, args.beta0)).items()
+    _write(_key_lines(pairs), args.out)
     return EXIT_OK
 
 
@@ -377,24 +371,17 @@ def cmd_figure2(args) -> int:
     beta = np.linspace(0.0, 1.0, args.samples)
     H, pole = tke._H_beta_values(s.k, s.kprime, s.h, beta)
     table = repr_chunks([beta, H], pole[:, None] & np.array([False, True]))
-    _write(chain([f"# beta_bar = {beta_bar!r}\nbeta,H\n"], table), args.out)
+    _write(chain([_key_lines([("beta_bar", beta_bar)], "# "), "beta,H\n"], table), args.out)
     return EXIT_OK
 
 
 def cmd_limits(args) -> int:
     pr = _pose_args(args)
-    fam = limits.build_family(pr.surface, pr.bundle, args.alphas)
-    if args.mode == "large":
-        rep = limits.large_radius_check(fam)
-    else:
-        rep = limits.small_radius_check(fam)
-    lines = ["alpha_prime,sup_error"]
-    for a, e in zip(rep.alphas, rep.sup_errors):
-        lines.append(f"{a!r},{e!r}")
-    lines.append(f"# fitted_order = {rep.order!r}")
-    for k, v in rep.constants.items():
-        lines.append(f"# {k} = {v!r}")
-    _write("\n".join(lines) + "\n", args.out)
+    check = limits.large_radius_check if args.mode == "large" else limits.small_radius_check
+    rep = check(limits.build_family(pr.surface, pr.bundle, args.alphas))
+    rows = [f"{a!r},{e!r}\n" for a, e in zip(rep.alphas, rep.sup_errors)]
+    pairs = [("fitted_order", rep.order), *rep.constants.items()]
+    _write(["alpha_prime,sup_error\n", *rows, _key_lines(pairs, "# ")], args.out)
     return EXIT_OK
 
 
@@ -535,12 +522,9 @@ def main(argv=None) -> int:
     args = _parse(sub, argv[1:]) if sub else _PARSER.parse_args(argv)
     try:
         return globals()[f"cmd_{argv[0] if sub else args.command}"](args)
-    except NoSolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
     except DhymRuledError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_UNSTABLE if isinstance(exc, NoSolutionError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

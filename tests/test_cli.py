@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import struct
 import subprocess
 import sys
 import warnings
@@ -78,17 +79,28 @@ _MIRROR_CASES = [(make_surface(1, 0, 5), BundleClass(k1=-1.0, k2=1.0)),
 
 @pytest.mark.parametrize("command, extra", [
     ("check", []), ("solve", []), ("solve", ["--beta0=0.4"]),
-    ("profile", ["--samples=301"])], ids=["check", "solve", "solve-conical", "profile"])
+    ("profile", ["--samples=301"]), ("tke", []), ("tke", ["--beta0=0.4"]),
+    ("tke", ["--solve-beta"])],
+    ids=["check", "solve", "solve-conical", "profile", "tke", "tke-conical", "tke-solve-beta"])
 def test_check_prints_the_mirror_flag(command, extra, capsys):
     """check and solve report the reduced class's data, so a mirrored input's
     output differs from its reduced form's only in the conjugated line; a
     mirrored profile table differs only in H and im_residual, each the
-    negation of the reduced class's value, an exact zero printed alike."""
-    for s, b in _MIRROR_CASES:
+    negation of the reduced class's value, an exact zero printed alike.
+    tke prints no conjugated line, so a class and its mirror give the same
+    exit code, stdout and stderr, figure 2's class (the one --solve-beta
+    solves) and failures included."""
+    cases = _MIRROR_CASES
+    if command == "tke":
+        cases = [*cases, (make_surface(1, 6, 1.0), BundleClass(k1=-1.0, k2=-1.0))]
+    for s, b in cases:
         mirror = BundleClass(k1=-b.k1, k2=-b.k2)
         (code, out, err), (mcode, mout, merr) = (
             run_in_process([command, *_class_argv(s, c), *extra], capsys)
             for c in (b, mirror))
+        if command == "tke":
+            assert (mcode, mout, merr) == (code, out, err), (s, b)
+            continue
         assert (code, err) == (mcode, merr) == (0, ""), (s, b, err)
         rows, mrows = out.splitlines(), mout.splitlines()
         assert len(rows) == len(mrows)
@@ -186,10 +198,22 @@ def test_solve_roundtrip_bitwise(tmp_path):
 
 
 def test_descriptor_roundtrip_nonfinite():
-    d = {"a": float("nan"), "b": float("inf"), "c": float("-inf"), "n": 3}
+    """parse_descriptor inverts format_descriptor on every kind of value a
+    descriptor holds, with each float's bits kept: signed zeros, nan, both
+    infinities, the smallest subnormal and the largest double."""
+    d = {"a": float("nan"), "b": float("inf"), "c": float("-inf"), "n": 3,
+         "zero": 0.0, "negzero": -0.0, "tiny": 5e-324, "huge": sys.float_info.max,
+         "neghuge": -sys.float_info.max, "big": 10**29 + 7, "neg": -12, "t": True,
+         "f": False, "none": None, "s": "Stable", "quote": "it's", "empty": ""}
     back = parse_descriptor(format_descriptor(d))
-    assert math.isnan(back["a"]) and back["b"] == math.inf and back["c"] == -math.inf
-    assert back["n"] == 3 and isinstance(back["n"], int)
+    assert list(back) == list(d)
+    for key, val in d.items():
+        got = back[key]
+        assert type(got) is type(val), key
+        if type(val) is float:
+            assert struct.pack("<d", got) == struct.pack("<d", val), key
+        else:
+            assert got == val, key
     assert format_descriptor(back) == format_descriptor(d)
 
 

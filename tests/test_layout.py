@@ -17,6 +17,9 @@ errors, and no module imports a package module inside a function.
 
 params.pose is the one place a class is classified and phased: no other
 function of src/ calls the functions that do it.
+
+cli._key_lines is the one writer of the CLI's ``key = repr(value)`` lines,
+which cli.parse_descriptor reads back; only cmd_check writes its own.
 """
 
 import ast
@@ -208,3 +211,63 @@ def test_the_pose_scan_sees_every_call(tmp_path):
     assert calls_outside_pose(tmp_path) == [
         "cli.<module>: stability_margin", "cli.check: classify",
         "params.jy_class: phase_constant"]
+
+
+#: The functions of cli.py that may format a ``key = repr(value)`` line:
+#: the writer, and cmd_check, whose bare class name (stability_class =
+#: Stable) is no repr and is read as it is by perfbench/checks._check.
+KEY_LINE_WRITERS = {"_key_lines", "cmd_check"}
+
+
+def key_lines_outside_writer(path=PACKAGE / "cli.py"):
+    """'owner' of each f-string in path, outside KEY_LINE_WRITERS, that
+    formats a key = repr(value) line: text ending in " = ", then a !r field
+    that ends the string or a line.  A message such as ``k = {v!r} > {b!r}``
+    is not such a line."""
+    found = []
+    for stmt in _parse(path).body:
+        owner = getattr(stmt, "name", "<module>")
+        if owner in KEY_LINE_WRITERS:
+            continue
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.JoinedStr):
+                continue
+            parts = [*node.values, None]
+            for before, field, after in zip(parts, parts[1:], parts[2:]):
+                if (isinstance(before, ast.Constant) and before.value.endswith(" = ")
+                        and isinstance(field, ast.FormattedValue)
+                        and field.conversion == ord("r")
+                        and (after is None or isinstance(after, ast.Constant)
+                             and after.value.startswith("\n"))):
+                    found.append(owner)
+    return found
+
+
+def test_only_the_writer_formats_key_lines():
+    found = key_lines_outside_writer()
+    assert not found, found
+
+
+def test_the_key_line_scan_sees_every_form(tmp_path):
+    # a cmd_tke that formats its own lines, and the other line shapes of cli.py
+    (tmp_path / "cli.py").write_text(
+        "def cmd_tke(args):\n"
+        "    a = analyze(args)\n"
+        "    lines = [\n"
+        '        f"gamma = {a.gamma!r}",\n'
+        '        f"condition_residual = {a.condition_residual!r}",\n'
+        "    ]\n"
+        '    return "\\n".join(lines) + "\\n"\n'
+        "def cmd_figure2(b):\n"
+        '    return f"# beta_bar = {b!r}\\nbeta,H\\n"\n'
+        "def _verdict(k, v, b):\n"
+        '    return f"residual suite failed: {k} = {v!r} > {b!r}"\n'
+        "def cmd_limits(a, e):\n"
+        '    return f"{a!r},{e!r}\\n"\n'
+        "def cmd_check(m):\n"
+        '    return f"stability_margin = {m!r}"\n'
+        "def _key_lines(pairs):\n"
+        '    return "".join([f"{k} = {v!r}\\n" for k, v in pairs])\n'
+    )
+    assert key_lines_outside_writer(tmp_path / "cli.py") == [
+        "cmd_tke", "cmd_tke", "cmd_figure2"]

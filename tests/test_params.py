@@ -1,6 +1,7 @@
 """Class data, stability, and phase constants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,23 +11,28 @@ from hypothesis import strategies as st
 from dhym_ruled import (
     BundleClass,
     DegenerateClassError,
+    PositivityError,
     StabilityClass,
+    TkeNotFoundError,
     ValidationError,
     bfield_alpha,
     canonicalize,
     classify,
     cohomology_classes,
     conical_alpha,
+    conical_coefficients,
     from_complexified,
     intersection_pairing,
     jy_class,
     make_surface,
+    oracle,
     phase_constant,
     pose,
     smooth_alpha,
     stability_margin,
     tke,
 )
+from dhym_ruled.coupled import reconstruct_s_of_tau
 
 from conftest import draw_class, draw_stable, draw_surface
 
@@ -254,3 +260,33 @@ def test_bfield_alpha_matches_conical(rng):
         want = conical_alpha(s, b, beta0)
         got = bfield_alpha(k, h, kprime, kpp, beta0)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def _fig1_profile_below_zero(monkeypatch):
+    p = conical_coefficients(make_surface(1, 0, 5), BundleClass(k1=-1.0, k2=1.0), 1.0)
+    return reconstruct_s_of_tau(replace(p, d0=p.d0 - 1e3))
+
+
+def _tke_residual_over_its_bound(monkeypatch):
+    monkeypatch.setattr(tke, "_residual_bound", lambda s, b, beta0: -1.0)
+    return tke.solve_beta0(make_surface(1, 6, 1.0), BundleClass(k1=-1.0, k2=-1.0))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda mp: oracle.quadrature(lambda t: t, 1.0, 0.0), ValueError, "need a < b"),
+    (lambda mp: oracle.GridFunction(np.arange(3.0), np.arange(2.0)), ValueError,
+     "equal length"),
+    (lambda mp: oracle.eval_psi_highprec(1, 0, 5.0, 1.0, 1.0, [1.0]), ValueError,
+     "k1 < 0"),
+    (lambda mp: bfield_alpha(1, 0, 5.0, 0.0, 1.0), ValidationError, "kpp must be nonzero"),
+    (lambda mp: make_surface(10**400, 0, 1.0), ValidationError, "out of float range"),
+    (_fig1_profile_below_zero, PositivityError, "profile non-positive"),
+    (_tke_residual_over_its_bound, TkeNotFoundError, "condition residual"),
+], ids=["quadrature-reversed", "grid-lengths", "highprec-k1-positive",
+        "bfield-kpp-zero", "surface-k-overflow", "s-of-tau-nonpositive",
+        "tke-residual-over-bound"])
+def test_guard_raises_its_typed_error(call, error, fragment, monkeypatch):
+    """Each input guard of the public functions raises its own typed error,
+    with a message that names what is wrong."""
+    with pytest.raises(error, match=fragment):
+        call(monkeypatch)
